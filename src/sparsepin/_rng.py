@@ -4,7 +4,7 @@ Every random quantity in the package draws from a generator obtained via
 ``rng_for(master_seed, *labels)``.  The labels (component name, replica
 index, ...) are hashed into extra SeedSequence entropy, so stream r never
 depends on whether streams 0..r-1 were generated first.  This is what makes
-replica results independent of chunking, scheduling and worker count.
+replica results independent of chunking and of the order of calls.
 """
 
 from __future__ import annotations

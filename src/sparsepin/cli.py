@@ -5,10 +5,11 @@ previous run, whose embedded "config" block is reused) plus flag overrides;
 flags win.  Every output embeds its fully resolved config and master seed,
 and contains no timestamps, so re-running a saved config reproduces each
 file byte for byte.  Output location comes from --outdir or SPARSEPIN_OUTDIR
-(default: current directory); worker count never changes results.
+(default: current directory).
 
 Exit codes: 0 pass, 1 fail (including a failed critical-point bracket),
-2 inconclusive, 64 bad configuration.
+2 inconclusive, 64 bad configuration (any ValueError the library raises on
+its inputs).
 """
 
 from __future__ import annotations
@@ -17,12 +18,12 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
-
 from ._rng import derive_seed
-from .environment import (DisorderSpec, make_kernel, sample_environment)
+from .environment import (DisorderSpec, kernel_mean, make_kernel, sample_disorder,
+                          sample_environment)
 from .experiments import (KeyRelationConfig, ScanConfig, annealed_transience_check,
                           regime_scan, tau_mean_lower_bound, verify_key_relation)
 from .pinning import (BracketError, annealed_critical_point, free_energy_estimate,
@@ -142,32 +143,23 @@ def resolve_config(command: str, file_values: dict, flag_values: dict) -> dict:
 
 
 def build_kernel(config: dict):
-    kind = config["kernel"]
-    try:
-        if kind == "power_law":
-            return make_kernel("power_law", alpha=config["alpha"], n_max=config["n_max"])
-        if kind == "geometric":
-            return make_kernel("geometric", q=config["q"], n_max=config["n_max"])
-        if kind == "dirac":
-            return make_kernel("dirac", step=config["step"])
-    except ValueError as err:
-        raise ConfigError(str(err)) from None
-    raise ConfigError(f"unknown kernel {kind!r}")
+    return make_kernel(config["kernel"], alpha=config["alpha"], q=config["q"],
+                       n_max=config["n_max"], step=config["step"])
 
 
 def build_disorder(config: dict) -> DisorderSpec:
-    try:
-        return DisorderSpec(family=config["disorder"], sigma=config["sigma"],
-                            half_width=config["half_width"])
-    except ValueError as err:
-        raise ConfigError(str(err)) from None
+    return DisorderSpec(family=config["disorder"], sigma=config["sigma"],
+                        half_width=config["half_width"])
 
 
 def _grid(text: str) -> list[float]:
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+        grid = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise ConfigError(f"bad grid {text!r}") from None
+    if not grid:
+        raise ConfigError("empty grid")
+    return grid
 
 
 def write_json(path: Path, command: str, config: dict, payload: dict) -> None:
@@ -186,21 +178,21 @@ def write_csv(path: Path, header: list[str], rows) -> None:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_env(config: dict, outdir: Path, workers: int) -> int:
+def cmd_env(config: dict, outdir: Path) -> int:
     kernel = build_kernel(config)
     disorder = build_disorder(config)
     env = sample_environment(kernel, disorder, config["horizon"],
                              derive_seed(config["seed"], "env"))
     write_json(outdir / "environment.json", "env", config,
                {"environment": env.to_dict(),
-                "kernel_mean": kernel.mean})
+                "kernel_mean": kernel_mean(kernel)})
     write_csv(outdir / "kernel.csv", ["n", "weight", "tail"],
               [(n + 1, float(kernel.weights[n]), float(kernel.tail[n + 1]))
                for n in range(kernel.n_max)])
     return EXIT_PASS
 
 
-def cmd_walk(config: dict, outdir: Path, workers: int) -> int:
+def cmd_walk(config: dict, outdir: Path) -> int:
     kernel = build_kernel(config)
     disorder = build_disorder(config)
     params = WalkParams(beta=config["beta"], h=config["h"], f=config["f"])
@@ -217,7 +209,7 @@ def cmd_walk(config: dict, outdir: Path, workers: int) -> int:
                for i in range(pot.horizon + 1)])
     mean, stderr = mc_visits(pot, r, config["replicas"],
                              derive_seed(config["seed"], "mc"),
-                             step_budget=config["step_budget"], workers=workers)
+                             step_budget=config["step_budget"])
     payload = {"visits": {"r": r, "exact": expected_visits_exact(pot, r),
                           "mean": mean, "stderr": stderr,
                           "replicas": config["replicas"],
@@ -234,21 +226,19 @@ def cmd_walk(config: dict, outdir: Path, workers: int) -> int:
     return EXIT_PASS
 
 
-def cmd_pinning(config: dict, outdir: Path, workers: int) -> int:
+def cmd_pinning(config: dict, outdir: Path) -> int:
     kernel = build_kernel(config)
     disorder = build_disorder(config)
     n = config["n"]
-    omega = np.asarray(
-        sample_environment(kernel, disorder, n, derive_seed(config["seed"], "omega")).omega)
+    omega = sample_disorder(disorder, n, derive_seed(config["seed"], "omega"))
     table = free_partition(pinned_recursion(omega, kernel, config["beta"],
                                             config["h"], n))
     write_csv(outdir / "partition.csv", ["n", "log_zc", "log_z"],
               [(m, float(table.log_zc[m]), float(table.log_z[m]))
                for m in range(n + 1)])
-    fe = free_energy_estimate(omega, kernel, config["beta"], config["h"], n)
     payload = {
-        "free_energy": fe.to_dict(),
-        "homogeneous": homogeneous_free_energy(kernel, config["h"]).to_dict(),
+        "free_energy": asdict(free_energy_estimate(table)),
+        "homogeneous": asdict(homogeneous_free_energy(kernel, config["h"])),
         "critical_points": {
             "annealed": annealed_critical_point(disorder, config["beta"]),
         },
@@ -260,24 +250,24 @@ def cmd_pinning(config: dict, outdir: Path, workers: int) -> int:
             disorder, kernel, config["beta"], config["crit_n"] or n,
             config["crit_replicas"], config["crit_tol"],
             seed=derive_seed(config["seed"], "critical"))
-        payload["critical_points"]["quenched"] = est.to_dict()
+        payload["critical_points"]["quenched"] = asdict(est)
     write_json(outdir / "pinning.json", "pinning", config, payload)
     return EXIT_PASS
 
 
-def cmd_verify(config: dict, outdir: Path, workers: int) -> int:
+def cmd_verify(config: dict, outdir: Path) -> int:
     kernel = build_kernel(config)
     disorder = build_disorder(config)
     relation = verify_key_relation(KeyRelationConfig(
         kernel=kernel, disorder=disorder, beta=config["beta"], h=config["h"],
         f=config["f"], n_tau=config["n_tau"], walk_replicas=config["walk_replicas"],
         seed=config["seed"], n_series=config["n_series"] or None,
-        max_rounds=config["max_rounds"], workers=workers))
+        max_rounds=config["max_rounds"]))
     bound = tau_mean_lower_bound(kernel, disorder, config["beta"], config["h"],
                                  seed=config["seed"])
     write_json(outdir / "verify.json", "verify", config,
                {"key_relation": relation.to_dict(),
-                "tau_mean_bound": bound.to_dict()})
+                "tau_mean_bound": asdict(bound)})
     if relation.verdict == "inconclusive":
         return EXIT_INCONCLUSIVE
     if relation.verdict == "pass" and bound.passed:
@@ -285,7 +275,7 @@ def cmd_verify(config: dict, outdir: Path, workers: int) -> int:
     return EXIT_FAIL
 
 
-def cmd_scan(config: dict, outdir: Path, workers: int) -> int:
+def cmd_scan(config: dict, outdir: Path) -> int:
     kernel = build_kernel(config)
     disorder = build_disorder(config)
     scan_cfg = ScanConfig(kernel=kernel, disorder=disorder, n_fe=config["n_fe"],
@@ -299,7 +289,7 @@ def cmd_scan(config: dict, outdir: Path, workers: int) -> int:
               [(p.beta, p.h, p.h_c_annealed,
                 p.bracket[0] if p.bracket else "", p.bracket[1] if p.bracket else "",
                 p.case, p.consistent) for p in report.points])
-    payload = {"scan": report.to_dict()}
+    payload = {"scan": asdict(report)}
     if config["transience"]:
         if config["h"] >= 0:
             raise ConfigError("transience check needs h < 0")
@@ -307,7 +297,7 @@ def cmd_scan(config: dict, outdir: Path, workers: int) -> int:
             kernel, disorder, config["beta"], config["h"],
             n_envs=config["trans_envs"], walks_per_env=config["trans_walks"],
             r=config["trans_r"], seed=derive_seed(config["seed"], "transience"))
-        payload["transience"] = trans.to_dict()
+        payload["transience"] = asdict(trans)
     write_json(outdir / "scan.json", "scan", config, payload)
     return EXIT_PASS
 
@@ -338,8 +328,6 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", help="key=value file or JSON from a prior run")
         p.add_argument("--outdir", help="output directory (default $SPARSEPIN_OUTDIR or .)")
-        p.add_argument("--workers", type=int, default=1,
-                       help="worker threads; results do not depend on this")
         _add_flags(p, name)
     try:
         args = parser.parse_args(argv)
@@ -352,8 +340,8 @@ def main(argv=None) -> int:
         config = resolve_config(args.command, file_values, flag_values)
         outdir = Path(args.outdir or os.environ.get("SPARSEPIN_OUTDIR", "."))
         outdir.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](config, outdir, max(1, args.workers))
-    except ConfigError as err:
+        return _COMMANDS[args.command](config, outdir)
+    except ValueError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except BracketError as err:

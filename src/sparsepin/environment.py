@@ -88,16 +88,9 @@ class RenewalKernel:
     params: dict = field(default_factory=dict)
 
     @property
-    def mean(self) -> float:
-        return kernel_mean(self)
-
-    @property
     def log_weights(self) -> np.ndarray:
         with np.errstate(divide="ignore"):
             return np.log(self.weights)
-
-    def tail_prob(self, n: int) -> float:
-        return kernel_tail(self, n)
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, **self.params}
@@ -173,24 +166,38 @@ def sample_renewal(kernel: RenewalKernel, horizon: int, seed: int) -> np.ndarray
     """Renewal points 0 = tau_0 < tau_1 < ... <= horizon, i.i.d. gaps from K."""
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
-    rng = rng_for(seed, "renewal")
+    return _renewal_points(kernel, horizon, rng_for(seed, "renewal"))
+
+
+def _renewal_points(kernel: RenewalKernel, horizon: int,
+                    rng: np.random.Generator) -> np.ndarray:
+    """Renewal points up to horizon from gaps drawn on rng.
+
+    Gaps are drawn in blocks of max(16, horizon // 4 + 1); the block size
+    fixes how many draws a call consumes, so it is part of the stream
+    layout and must not change.
+    """
     support = np.arange(1, kernel.n_max + 1)
-    points = [0]
+    size = max(16, horizon // 4 + 1)
+    parts = [np.zeros(1, dtype=np.int64)]
     pos = 0
     while True:
-        block = rng.choice(support, size=max(16, horizon // 4 + 1), p=kernel.weights)
-        for gap in block:
-            pos += int(gap)
-            if pos > horizon:
-                return np.array(points, dtype=np.int64)
-            points.append(pos)
+        ends = pos + np.cumsum(rng.choice(support, size=size, p=kernel.weights))
+        cut = int(np.searchsorted(ends, horizon, side="right"))
+        parts.append(ends[:cut])
+        if cut < size:
+            return np.concatenate(parts)
+        pos = int(ends[-1])
 
 
 def sample_disorder(spec: DisorderSpec, n: int, seed: int) -> np.ndarray:
     """n i.i.d. draws from the disorder family; omega[i-1] is the site-i value."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    rng = rng_for(seed, "disorder")
+    return _draw_disorder(spec, n, rng_for(seed, "disorder"))
+
+
+def _draw_disorder(spec: DisorderSpec, n: int, rng: np.random.Generator) -> np.ndarray:
     if spec.family == "gaussian":
         return rng.normal(0.0, spec.sigma, size=n)
     if spec.family == "rademacher":

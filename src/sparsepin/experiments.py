@@ -12,7 +12,6 @@ tail bound are the only gaps to account for.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -24,8 +23,8 @@ from .environment import (DisorderSpec, RenewalKernel, SparseEnvironment,
 from .pinning import (BracketError, free_energy_estimate, free_partition,
                       grand_canonical, homogeneous_free_energy, pinned_recursion,
                       quenched_critical_point_estimate)
-from .walk import (Potential, WalkParams, build_potential, expected_visits_exact,
-                   mc_visits, simulate_visit_counts)
+from .walk import (WalkParams, build_potential, expected_visits_exact,
+                   simulate_visit_counts)
 
 __all__ = [
     "KeyRelationConfig",
@@ -39,7 +38,6 @@ __all__ = [
     "tau_mean_lower_bound",
     "regime_scan",
     "annealed_transience_check",
-    "recurrence_signature",
 ]
 
 
@@ -57,7 +55,6 @@ class KeyRelationConfig:
     seed: int = 0
     n_series: int | None = None  # series length N; R = N + 1.  None = auto
     max_rounds: int = 3
-    workers: int = 1
     step_budget: int = 10 ** 8
 
     def resolved_n(self) -> int:
@@ -159,8 +156,7 @@ def _mc_visits_over_tau(cfg: KeyRelationConfig, omega: np.ndarray,
     """Mean/stderr over renewal replicas of per-replica MC visit means."""
     params = WalkParams(beta=cfg.beta, h=cfg.h, f=cfg.f)
     per_tau = np.empty(cfg.n_tau)
-
-    def one(t: int):
+    for t in range(cfg.n_tau):
         tau = sample_renewal(cfg.kernel, n, derive_seed(cfg.seed, "tau", t))
         env = SparseEnvironment(horizon=n, tau=tau, omega=omega)
         pot = build_potential(env, params)
@@ -168,13 +164,6 @@ def _mc_visits_over_tau(cfg: KeyRelationConfig, omega: np.ndarray,
                                        derive_seed(cfg.seed, "walk", t),
                                        step_budget=cfg.step_budget)
         per_tau[t] = counts.mean()
-
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            list(pool.map(one, range(cfg.n_tau)))
-    else:
-        for t in range(cfg.n_tau):
-            one(t)
     return float(per_tau.mean()), float(per_tau.std(ddof=1) / math.sqrt(cfg.n_tau))
 
 
@@ -191,12 +180,6 @@ class TauMeanBoundReport:
     margin: float
     term_violations: int
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {"beta": self.beta, "h": self.h, "kernel": self.kernel,
-                "n_terms": self.n_terms, "partial_sum": self.partial_sum,
-                "tau_mean": self.tau_mean, "margin": self.margin,
-                "term_violations": self.term_violations, "passed": self.passed}
 
 
 def tau_mean_lower_bound(kernel: RenewalKernel, disorder: DisorderSpec, beta: float,
@@ -262,20 +245,11 @@ class RegimePoint:
     diagnostics: dict = field(default_factory=dict)
     consistent: bool = True
 
-    def to_dict(self) -> dict:
-        return {"beta": self.beta, "h": self.h, "h_c_annealed": self.h_c_annealed,
-                "bracket": list(self.bracket) if self.bracket else None,
-                "case": self.case, "diagnostics": self.diagnostics,
-                "consistent": self.consistent}
-
 
 @dataclass(frozen=True)
 class RegimeReport:
     points: list
     config: dict
-
-    def to_dict(self) -> dict:
-        return {"points": [p.to_dict() for p in self.points], "config": self.config}
 
     def cases(self) -> dict:
         return {(p.beta, p.h): p.case for p in self.points}
@@ -357,7 +331,7 @@ def _point_diagnostics(cfg: ScanConfig, beta: float, h: float, h_ann: float,
     if case in ("case1", "case2", "case23_merged"):
         table = free_partition(pinned_recursion(omega_row, cfg.kernel, beta, h, n))
         if case == "case1":
-            est = free_energy_estimate(omega_row, cfg.kernel, beta, h, n)
+            est = free_energy_estimate(table)
             diag["f_hat"] = est.f_hat
             if est.f_hat > 1e-3:
                 gc = grand_canonical(table, 0.5 * est.f_hat)
@@ -435,13 +409,6 @@ class TransienceReport:
     within_3se_fraction: float
     env_rows: list
 
-    def to_dict(self) -> dict:
-        return {"beta": self.beta, "h": self.h, "n_envs": self.n_envs,
-                "walks_per_env": self.walks_per_env, "r_absorb": self.r_absorb,
-                "absorbed_fraction": self.absorbed_fraction,
-                "within_3se_fraction": self.within_3se_fraction,
-                "env_rows": self.env_rows}
-
 
 def annealed_transience_check(kernel: RenewalKernel, disorder: DisorderSpec,
                               beta: float, h: float, n_envs: int = 100,
@@ -487,15 +454,3 @@ def annealed_transience_check(kernel: RenewalKernel, disorder: DisorderSpec,
                             within_3se_fraction=within / n_envs,
                             env_rows=rows)
 
-
-def recurrence_signature(r_values, replicas: int, seed: int = 0) -> dict:
-    """Visit means of the flat-potential walk at growing R (control case).
-
-    Recurrence shows as visit counts that track R with no saturation.
-    """
-    out = {}
-    for r in r_values:
-        pot = Potential(values=np.zeros(max(r_values) + 1))
-        mean, se = mc_visits(pot, r, replicas, derive_seed(seed, "recurrence", r))
-        out[int(r)] = {"mean": mean, "stderr": se}
-    return out

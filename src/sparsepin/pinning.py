@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import derive_seed
-from .environment import DisorderSpec, RenewalKernel, log_mgf, sample_disorder
+from .environment import (DisorderSpec, RenewalKernel, kernel_tail, log_mgf,
+                          sample_disorder)
 
 __all__ = [
     "PartitionTable",
@@ -112,9 +113,6 @@ class HomogeneousSolution:
     free_energy: float
     residual: float
 
-    def to_dict(self) -> dict:
-        return {"h": self.h, "free_energy": self.free_energy, "residual": self.residual}
-
 
 @dataclass(frozen=True)
 class FreeEnergyEstimate:
@@ -129,10 +127,6 @@ class FreeEnergyEstimate:
     raw: float
     n: int
 
-    def to_dict(self) -> dict:
-        return {"f_hat": self.f_hat, "window_spread": self.window_spread,
-                "raw": self.raw, "n": self.n}
-
 
 @dataclass(frozen=True)
 class CriticalPointEstimate:
@@ -144,13 +138,9 @@ class CriticalPointEstimate:
     replica_spread: float
     n: int
 
-    def to_dict(self) -> dict:
-        return {"h_hat": self.h_hat, "bracket": list(self.bracket),
-                "threshold": self.threshold, "replica_spread": self.replica_spread,
-                "n": self.n}
-
 
 def _lse(a: np.ndarray) -> float:
+    """log(sum(exp(a))), shifted by the max so large entries stay finite."""
     m = np.max(a)
     if not np.isfinite(m):
         return float(m)
@@ -204,7 +194,7 @@ def brute_force_partition(omega: np.ndarray, kernel: RenewalKernel, beta: float,
         raise ValueError("n must be >= 0")
     if n == 0:
         return 1.0, 1.0
-    free_terms = [kernel.tail_prob(n)]  # the empty path: tau stays at 0
+    free_terms = [kernel_tail(kernel, n)]  # the empty path: tau stays at 0
     pinned_terms = [0.0]
     stack = [(0, 1.0)]
     while stack:
@@ -215,7 +205,7 @@ def brute_force_partition(omega: np.ndarray, kernel: RenewalKernel, beta: float,
                 continue
             t = last + k
             w2 = w * kw * math.exp(beta * omega[t - 1] + h)
-            free_terms.append(w2 * kernel.tail_prob(n - t))
+            free_terms.append(w2 * kernel_tail(kernel, n - t))
             if t == n:
                 pinned_terms.append(w2)
             else:
@@ -268,12 +258,11 @@ def grand_canonical(table: PartitionTable, f: float, n_terms: int | None = None,
                                 tail_bound=None, window=w, slope_tol=slope_tol)
 
 
-def free_energy_estimate(omega: np.ndarray, kernel: RenewalKernel, beta: float,
-                         h: float, n: int) -> FreeEnergyEstimate:
+def free_energy_estimate(table: PartitionTable) -> FreeEnergyEstimate:
     """f_hat = max(0, (1/n) log z^c_n) plus the trailing-window spread."""
+    n = table.n
     if n < 2:
         raise ValueError("free energy estimation needs n >= 2")
-    table = pinned_recursion(omega, kernel, beta, h, n)
     raw = float(table.log_zc[n] / n)
     ms = np.arange(max(1, n // 2), n + 1)
     vals = table.log_zc[ms] / ms
@@ -330,7 +319,7 @@ def quenched_critical_point_estimate(spec: DisorderSpec, kernel: RenewalKernel,
     omega = sample_disorder(spec, n, derive_seed(seed, "crit-omega", 0))
 
     def localized(h):
-        est = free_energy_estimate(omega, kernel, beta, h, n)
+        est = free_energy_estimate(pinned_recursion(omega, kernel, beta, h, n))
         return est.f_hat > max(threshold_floor, 10.0 * est.window_spread), est
 
     h_lo = annealed_critical_point(spec, beta)
@@ -361,7 +350,8 @@ def quenched_critical_point_estimate(spec: DisorderSpec, kernel: RenewalKernel,
         vals = [mid_est.f_hat]
         for r in range(1, replicas):
             om = sample_disorder(spec, n, derive_seed(seed, "crit-omega", r))
-            vals.append(free_energy_estimate(om, kernel, beta, h_hat, n).f_hat)
+            table = pinned_recursion(om, kernel, beta, h_hat, n)
+            vals.append(free_energy_estimate(table).f_hat)
         spread = float(max(vals) - min(vals))
     return CriticalPointEstimate(h_hat=h_hat, bracket=(lo, hi),
                                  threshold=max(threshold_floor, 10.0 * mid_est.window_spread),

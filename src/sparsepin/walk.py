@@ -9,20 +9,20 @@ forced 0 -> 1 step) is exactly W(R).
 
 Monte Carlo counterparts are chunk-vectorized with one labeled substream
 per fixed-size chunk, which makes every statistic bit-identical for a given
-master seed no matter how many workers run the chunks.
+master seed.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from ._rng import derive_seed, rng_for
-from .environment import SparseEnvironment
+from ._rng import rng_for
+from .environment import SparseEnvironment, _draw_disorder, _renewal_points
+from .pinning import _lse
 
 __all__ = [
     "WalkParams",
@@ -33,11 +33,9 @@ __all__ = [
     "scale_values",
     "ruin_prob",
     "expected_visits_exact",
-    "simulate_visits",
     "simulate_visit_counts",
     "mc_visits",
     "mc_speed",
-    "homogeneous_increment_stream",
     "sparse_increment_stream",
 ]
 
@@ -66,6 +64,8 @@ class WalkParams:
     f: float = 0.0
 
     def __post_init__(self):
+        if not all(math.isfinite(x) for x in (self.beta, self.h, self.f)):
+            raise ValueError("beta, h and f must be finite")
         if self.beta < 0:
             raise ValueError("beta must be >= 0")
 
@@ -138,8 +138,8 @@ def ruin_prob(potential: Potential, a: int, b: int, c: int) -> float:
         raise ValueError("interval out of the potential's range")
     if b == c:
         return 1.0
-    log_num = _logsumexp(v[a:b])
-    log_den = _logsumexp(v[a:c])
+    log_num = _lse(v[a:b])
+    log_den = _lse(v[a:c])
     return float(np.exp(log_num - log_den))
 
 
@@ -155,32 +155,16 @@ def expected_visits_exact(potential: Potential, r: int) -> float:
     return scale_values(potential, r)
 
 
-def _logsumexp(a: np.ndarray) -> float:
-    m = np.max(a)
-    if not np.isfinite(m):
-        return float(m)
-    return float(m + np.log(np.sum(np.exp(a - m))))
-
-
-def simulate_visits(potential: Potential, r: int, seed: int,
-                    step_budget: int = DEFAULT_STEP_BUDGET) -> int:
-    """One folded trajectory; returns its visit count to 0 (>= 1).
+def simulate_visit_counts(potential: Potential, r: int, replicas: int, seed: int,
+                          step_budget: int = DEFAULT_STEP_BUDGET,
+                          censor: bool = False) -> np.ndarray:
+    """Visit counts of `replicas` independent folded trajectories.
 
     From 0 the chain moves to 1 with probability one; from 1 <= i < R it
     moves up with probability step_prob(V_i - V_{i-1}); R absorbs.
-    """
-    counts = simulate_visit_counts(potential, r, 1, seed, step_budget=step_budget)
-    return int(counts[0])
-
-
-def simulate_visit_counts(potential: Potential, r: int, replicas: int, seed: int,
-                          step_budget: int = DEFAULT_STEP_BUDGET,
-                          workers: int = 1, censor: bool = False) -> np.ndarray:
-    """Visit counts of `replicas` independent folded trajectories.
-
     Replicas are simulated in fixed chunks of 8192; chunk c uses the
     substream (seed, "visits", c), so the returned array depends only on
-    (potential, r, replicas, seed) and never on `workers`.
+    (potential, r, replicas, seed).
 
     A trajectory that exhausts the step budget raises StepBudgetError with
     its replica index; with censor=True it instead reports -1, which the
@@ -191,22 +175,10 @@ def simulate_visit_counts(potential: Potential, r: int, replicas: int, seed: int
     if replicas < 1:
         raise ValueError("need at least one replica")
     p_up = step_prob(potential.increments()[: r - 1]) if r > 1 else np.empty(0)
-    out = np.empty(replicas, dtype=np.int64)
-    chunks = [(c, min(_CHUNK, replicas - c * _CHUNK)) for c in range((replicas + _CHUNK - 1) // _CHUNK)]
-
-    def run(chunk):
-        c, size = chunk
-        counts = _visits_chunk(p_up, r, size, rng_for(seed, "visits", c),
-                               step_budget, c * _CHUNK, censor)
-        out[c * _CHUNK : c * _CHUNK + size] = counts
-
-    if workers > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, chunks))
-    else:
-        for chunk in chunks:
-            run(chunk)
-    return out
+    return np.concatenate([
+        _visits_chunk(p_up, r, min(_CHUNK, replicas - start),
+                      rng_for(seed, "visits", c), step_budget, start, censor)
+        for c, start in enumerate(range(0, replicas, _CHUNK))])
 
 
 def _visits_chunk(p_up: np.ndarray, r: int, size: int, rng: np.random.Generator,
@@ -254,13 +226,12 @@ def _visits_chunk(p_up: np.ndarray, r: int, size: int, rng: np.random.Generator,
 
 
 def mc_visits(potential: Potential, r: int, replicas: int, seed: int,
-              step_budget: int = DEFAULT_STEP_BUDGET,
-              workers: int = 1) -> tuple[float, float]:
+              step_budget: int = DEFAULT_STEP_BUDGET) -> tuple[float, float]:
     """(mean, stderr) of the visit count over independent replicas."""
     if replicas < 2:
         raise ValueError("need replicas >= 2 for a standard error")
     counts = simulate_visit_counts(potential, r, replicas, seed,
-                                   step_budget=step_budget, workers=workers)
+                                   step_budget=step_budget)
     mean = float(np.mean(counts))
     stderr = float(np.std(counts, ddof=1) / math.sqrt(replicas))
     return mean, stderr
@@ -268,15 +239,6 @@ def mc_visits(potential: Potential, r: int, replicas: int, seed: int,
 
 # ---------------------------------------------------------------------------
 # speed of the unfolded walk on the integers
-
-def homogeneous_increment_stream(params: WalkParams) -> Callable:
-    """Increment stream with Delta V_i = -f at every site of Z (beta = h = 0)."""
-
-    def stream(replica: int, rng: np.random.Generator, n_sites: int) -> np.ndarray:
-        return np.full(2 * n_sites + 1, -params.f)
-
-    return stream
-
 
 def sparse_increment_stream(kernel, spec, params: WalkParams) -> Callable:
     """Two-sided sparse environment increments, one fresh draw per replica.
@@ -288,43 +250,17 @@ def sparse_increment_stream(kernel, spec, params: WalkParams) -> Callable:
 
     def stream(replica: int, rng: np.random.Generator, n_sites: int) -> np.ndarray:
         dv = np.full(2 * n_sites + 1, -params.f)
-        for side in (0, 1):
-            contact = np.zeros(n_sites + 1, dtype=bool)
-            pos = 0
-            while True:
-                gaps = rng.choice(np.arange(1, kernel.n_max + 1),
-                                  size=max(16, n_sites // 4 + 1), p=kernel.weights)
-                done = False
-                for g in gaps:
-                    pos += int(g)
-                    if pos > n_sites:
-                        done = True
-                        break
-                    contact[pos] = True
-                if done:
-                    break
-            kick = params.h + params.beta * _draw_disorder(spec, rng, n_sites + 1)
-            if side == 0:
-                # sites 1..n_sites, increments Delta V_i at index n_sites + i
-                sel = np.nonzero(contact)[0]
-                dv[n_sites + sel] += kick[sel]
-            else:
-                # sites 0, -1, ..., -n_sites at index n_sites + i; site 0 is
-                # a renewal point by convention, the rest from the left layer
-                contact[0] = True
-                sel = np.nonzero(contact)[0]
-                dv[n_sites - sel] += kick[sel]
+        for side in (1, -1):
+            tau = _renewal_points(kernel, n_sites, rng)
+            kick = params.h + params.beta * _draw_disorder(spec, n_sites + 1, rng)
+            # Delta V_i sits at index n_sites + i.  Right layer: sites
+            # tau_1, tau_2, ...; left layer: sites 0, -tau_1, ..., where
+            # site 0 is a renewal point by convention
+            sel = tau[1:] if side == 1 else tau
+            dv[n_sites + side * sel] += kick[sel]
         return dv
 
     return stream
-
-
-def _draw_disorder(spec, rng: np.random.Generator, n: int) -> np.ndarray:
-    if spec.family == "gaussian":
-        return rng.normal(0.0, spec.sigma, size=n)
-    if spec.family == "rademacher":
-        return rng.integers(0, 2, size=n).astype(float) * 2.0 - 1.0
-    return rng.uniform(-spec.half_width, spec.half_width, size=n)
 
 
 def mc_speed(increment_stream: Callable, n_steps: int, replicas: int,

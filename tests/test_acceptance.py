@@ -149,7 +149,8 @@ def test_criterion_5_key_relation():
 def test_criterion_6_homogeneous_free_energy():
     t0 = time.time()
     kern = make_kernel("geometric", q=0.5, n_max=64)
-    est = free_energy_estimate(np.zeros(20000), kern, 0.0, math.log(2.0), 20000)
+    est = free_energy_estimate(pinned_recursion(np.zeros(20000), kern, 0.0, math.log(2.0),
+                                                20000))
     err = abs(est.f_hat - math.log(1.5))
     _report(6, err <= 1e-3, f"|f_hat - log(3/2)| = {err:.2e} at n=2e4", t0, 30)
 

@@ -215,7 +215,7 @@ def test_rerun_from_embedded_config_is_byte_identical(tmp_path):
     assert (out1 / "kernel.csv").read_bytes() == (out2 / "kernel.csv").read_bytes()
 
 
-def test_config_errors_exit_64(tmp_path):
+def test_config_errors_exit_64(tmp_path, capsys):
     assert run(tmp_path, "env", "--kernel", "triangular") == EXIT_CONFIG
     assert run(tmp_path, "env", "--kernel", "geometric", "--q", "1.5") == EXIT_CONFIG
     bad = tmp_path / "bad.cfg"
@@ -224,6 +224,16 @@ def test_config_errors_exit_64(tmp_path):
     malformed = tmp_path / "malformed.cfg"
     malformed.write_text("just a line\n")
     assert main(["env", "--config", str(malformed), "--outdir", str(tmp_path)]) == EXIT_CONFIG
+    # library ValueErrors on bad values, refused before any long run
+    for args in (("walk", "--f", "nan", "--step-budget", "2000"),
+                 ("walk", "--beta", "-1"),
+                 ("walk", "--replicas", "1"),
+                 ("verify", "--n-tau", "1"),
+                 ("scan", "--beta-grid", "")):
+        capsys.readouterr()
+        assert run(tmp_path, *args) == EXIT_CONFIG, args
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1, args
 
 
 def test_outdir_env_var(tmp_path, monkeypatch):

@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from sparsepin import (DisorderSpec, SparseEnvironment, kernel_mean, kernel_tail,
-                       log_mgf, make_kernel, sample_disorder, sample_environment,
-                       sample_renewal)
+from sparsepin import (DisorderSpec, SparseEnvironment, WalkParams, kernel_mean,
+                       kernel_tail, log_mgf, make_kernel, sample_disorder,
+                       sample_environment, sample_renewal)
+from sparsepin._rng import rng_for
+from sparsepin.walk import sparse_increment_stream
 
 
 def test_power_law_weights_hand_normalized():
@@ -109,6 +111,51 @@ def test_sample_renewal_deterministic():
     b = sample_renewal(k, 5000, seed=42)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, sample_renewal(k, 5000, seed=43))
+
+
+def _renewal_loop(kernel, horizon, rng):
+    """Reference sampler: the per-gap loop over blocks of drawn gaps."""
+    support = np.arange(1, kernel.n_max + 1)
+    points = [0]
+    pos = 0
+    while True:
+        block = rng.choice(support, size=max(16, horizon // 4 + 1), p=kernel.weights)
+        for gap in block:
+            pos += int(gap)
+            if pos > horizon:
+                return np.array(points, dtype=np.int64)
+            points.append(pos)
+
+
+def test_sample_renewal_matches_reference_loop():
+    kernels = (make_kernel("dirac", step=1), make_kernel("dirac", step=7),
+               make_kernel("power_law", alpha=0.4, n_max=300),
+               make_kernel("power_law", alpha=1.0, n_max=8),
+               make_kernel("geometric", q=0.6, n_max=20))
+    for k in kernels:
+        for horizon in (0, 1, 5, 15, 16, 64, 1000, 12345):
+            for seed in range(5):
+                fast = sample_renewal(k, horizon, seed)
+                ref = _renewal_loop(k, horizon, rng_for(seed, "renewal"))
+                assert fast.dtype == ref.dtype and np.array_equal(fast, ref)
+
+
+def test_sparse_increment_stream_matches_reference_loop():
+    k = make_kernel("power_law", alpha=0.8, n_max=12)
+    spec = DisorderSpec("gaussian", sigma=0.7)
+    params = WalkParams(beta=0.9, h=-0.6, f=0.2)
+    n_sites = 500
+    rng = rng_for(3, "stream")
+    ref = np.full(2 * n_sites + 1, -params.f)
+    for side in (1, -1):
+        contact = np.zeros(n_sites + 1, dtype=bool)
+        contact[_renewal_loop(k, n_sites, rng)] = True
+        contact[0] = side == -1
+        kick = params.h + params.beta * rng.normal(0.0, spec.sigma, size=n_sites + 1)
+        for i in np.nonzero(contact)[0]:
+            ref[n_sites + side * i] += kick[i]
+    stream = sparse_increment_stream(k, spec, params)
+    assert np.array_equal(stream(0, rng_for(3, "stream"), n_sites), ref)
 
 
 def test_sample_disorder_families():

@@ -158,7 +158,7 @@ def test_tau_mean_factorization_at_zero_drift():
 def test_free_energy_zero_below_criticality():
     k = make_kernel("power_law", alpha=1.0, n_max=8)
     for h in (0.0, -0.4):
-        est = free_energy_estimate(np.zeros(20000), k, 0.0, h, 20000)
+        est = free_energy_estimate(pinned_recursion(np.zeros(20000), k, 0.0, h, 20000))
         assert est.f_hat <= 1e-2
         assert est.f_hat >= 0.0
 
@@ -166,7 +166,7 @@ def test_free_energy_zero_below_criticality():
 def test_free_energy_matches_homogeneous_solution():
     k = make_kernel("power_law", alpha=1.0, n_max=8)
     h = 0.4
-    est = free_energy_estimate(np.zeros(20000), k, 0.0, h, 20000)
+    est = free_energy_estimate(pinned_recursion(np.zeros(20000), k, 0.0, h, 20000))
     target = homogeneous_free_energy(k, h).free_energy
     assert est.f_hat == pytest.approx(target, abs=1e-3)
     assert est.raw >= -est.window_spread
@@ -177,7 +177,7 @@ def test_free_energy_jensen_annealed_bound():
     spec = DisorderSpec("gaussian")
     beta, h = 1.0, 0.2
     omega = sample_disorder(spec, 20000, seed=31)
-    est = free_energy_estimate(omega, k, beta, h, 20000)
+    est = free_energy_estimate(pinned_recursion(omega, k, beta, h, 20000))
     annealed = homogeneous_free_energy(k, h + log_mgf(spec, beta)).free_energy
     assert est.f_hat <= annealed + 1e-2
 
@@ -186,7 +186,8 @@ def test_free_energy_monotone_in_h():
     k = make_kernel("power_law", alpha=1.0, n_max=8)
     omega = sample_disorder(DisorderSpec("gaussian"), 8000, seed=32)
     hs = [-0.5, -0.1, 0.2, 0.6, 1.2]
-    ests = [free_energy_estimate(omega, k, 0.8, h, 8000) for h in hs]
+    ests = [free_energy_estimate(pinned_recursion(omega, k, 0.8, h, 8000))
+            for h in hs]
     tol = max(e.window_spread for e in ests)
     for a, b in zip(ests, ests[1:]):
         assert b.f_hat >= a.f_hat - tol

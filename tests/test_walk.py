@@ -8,8 +8,8 @@ import pytest
 from sparsepin import (DisorderSpec, Potential, SparseEnvironment, StepBudgetError,
                        WalkParams, build_potential, expected_visits_exact,
                        make_kernel, mc_speed, mc_visits, ruin_prob, sample_environment,
-                       scale_values, simulate_visit_counts, simulate_visits, step_prob)
-from sparsepin.walk import homogeneous_increment_stream, sparse_increment_stream
+                       scale_values, simulate_visit_counts, step_prob)
+from sparsepin.walk import sparse_increment_stream
 
 
 def flat(m):
@@ -18,6 +18,15 @@ def flat(m):
 
 def drifted(f, m):
     return Potential(values=-f * np.arange(m + 1.0))
+
+
+def homogeneous_increment_stream(params):
+    """Increment stream with Delta V_i = -f at every site of Z (beta = h = 0)."""
+
+    def stream(replica, rng, n_sites):
+        return np.full(2 * n_sites + 1, -params.f)
+
+    return stream
 
 
 # ---------------------------------------------------------------------------
@@ -54,6 +63,9 @@ def test_build_potential_non_contact_increments():
 def test_walk_params_validation():
     with pytest.raises(ValueError):
         WalkParams(beta=-0.1)
+    for bad in (dict(f=math.nan), dict(h=-math.inf), dict(beta=math.inf)):
+        with pytest.raises(ValueError):
+            WalkParams(**bad)
 
 
 # ---------------------------------------------------------------------------
@@ -161,9 +173,9 @@ def test_expected_visits_exact():
 
 def test_simulate_visits_deterministic_and_positive():
     pot = drifted(math.log(3.0), 30)
-    a = simulate_visits(pot, 30, seed=11)
-    assert a >= 1
-    assert a == simulate_visits(pot, 30, seed=11)
+    a = simulate_visit_counts(pot, 30, 1, seed=11)
+    assert a.shape == (1,) and a[0] >= 1
+    assert np.array_equal(a, simulate_visit_counts(pot, 30, 1, seed=11))
 
 
 def test_mc_visits_flat_oracle():
@@ -205,14 +217,13 @@ def test_visit_counts_geometric_mean_and_variance():
     assert abs(var - target_var) <= 3 * se_var
 
 
-def test_worker_count_invariance():
+def test_same_seed_repeats_across_chunks():
+    # 30000 replicas span four 8192-replica chunks, each on its own substream
     pot = drifted(0.25, 60)
-    one = mc_visits(pot, 50, 30000, seed=5, workers=1)
-    four = mc_visits(pot, 50, 30000, seed=5, workers=4)
-    assert one == four
-    c1 = simulate_visit_counts(pot, 50, 30000, seed=5, workers=1)
-    c4 = simulate_visit_counts(pot, 50, 30000, seed=5, workers=4)
-    assert np.array_equal(c1, c4)
+    assert mc_visits(pot, 50, 30000, seed=5) == mc_visits(pot, 50, 30000, seed=5)
+    c1 = simulate_visit_counts(pot, 50, 30000, seed=5)
+    assert np.array_equal(c1, simulate_visit_counts(pot, 50, 30000, seed=5))
+    assert not np.array_equal(c1[:8192], c1[8192:16384])
 
 
 def test_step_budget_error_and_censoring():
