@@ -17,7 +17,7 @@ _MASK63 = (1 << 63) - 1
 
 
 def seed_sequence(master_seed: int, *labels: object) -> np.random.SeedSequence:
-    """SeedSequence for (master_seed, labels), order-independent across labels."""
+    """SeedSequence for (master_seed, labels); depends on label order, not call order."""
     tag = "\x1f".join(str(lab) for lab in labels).encode()
     digest = hashlib.blake2b(tag, digest_size=16).digest()
     words = [int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4)]

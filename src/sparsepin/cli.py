@@ -8,14 +8,15 @@ file byte for byte.  Output location comes from --outdir or SPARSEPIN_OUTDIR
 (default: current directory).
 
 Exit codes: 0 pass, 1 fail (including a failed critical-point bracket),
-2 inconclusive, 64 bad configuration (any ValueError the library raises on
-its inputs).
+2 inconclusive, 64 bad configuration (an unreadable config file, a
+non-finite number, or any ValueError the library raises on its inputs).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -27,10 +28,10 @@ from .environment import (DisorderSpec, kernel_mean, make_kernel, sample_disorde
 from .experiments import (KeyRelationConfig, ScanConfig, annealed_transience_check,
                           regime_scan, tau_mean_lower_bound, verify_key_relation)
 from .pinning import (BracketError, annealed_critical_point, free_energy_estimate,
-                      free_partition, grand_canonical, homogeneous_free_energy,
-                      pinned_recursion, quenched_critical_point_estimate)
+                      grand_canonical, homogeneous_free_energy, pinned_recursion,
+                      quenched_critical_point_estimate)
 from .walk import (StepBudgetError, WalkParams, build_potential,
-                   expected_visits_exact, mc_speed, mc_visits, scale_values,
+                   expected_visits_exact, mc_speed, mc_visits,
                    sparse_increment_stream, step_prob)
 
 SCHEMA_VERSION = 1
@@ -110,7 +111,10 @@ def _parse_value(kind, raw: str):
 
 def load_config_file(path: str) -> dict:
     """key=value lines, or JSON (a prior report's embedded config is reused)."""
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except OSError as err:
+        raise ConfigError(f"cannot read config file {path}: {err.strerror}") from None
     stripped = text.lstrip()
     if stripped.startswith("{"):
         data = json.loads(text)
@@ -128,7 +132,7 @@ def load_config_file(path: str) -> dict:
 
 
 def resolve_config(command: str, file_values: dict, flag_values: dict) -> dict:
-    """defaults < config file < flags; unknown keys are rejected."""
+    """defaults < config file < flags; refuses unknown keys and non-finite floats."""
     schema = _SCHEMAS[command]
     config = {k: default for k, (_, default) in schema.items()}
     for key, raw in file_values.items():
@@ -139,6 +143,9 @@ def resolve_config(command: str, file_values: dict, flag_values: dict) -> dict:
     for key, val in flag_values.items():
         if val is not None and key in schema:
             config[key] = val
+    for key, val in config.items():
+        if schema[key][0] is float and val is not None and not math.isfinite(val):
+            raise ConfigError(f"{key} must be finite, got {val!r}")
     return config
 
 
@@ -159,6 +166,8 @@ def _grid(text: str) -> list[float]:
         raise ConfigError(f"bad grid {text!r}") from None
     if not grid:
         raise ConfigError("empty grid")
+    if not all(math.isfinite(x) for x in grid):
+        raise ConfigError(f"non-finite entry in grid {text!r}")
     return grid
 
 
@@ -202,19 +211,21 @@ def cmd_walk(config: dict, outdir: Path) -> int:
     r = config["r"] or pot.horizon
     if not 1 <= r <= pot.horizon + 1:
         raise ConfigError(f"r must lie in 1..{pot.horizon + 1}")
+    # refused or failed walks must leave no output behind, so simulate first
+    mean, stderr = mc_visits(pot, r, config["replicas"],
+                             derive_seed(config["seed"], "mc"),
+                             step_budget=config["step_budget"])
     dv = pot.increments()
     write_csv(outdir / "potential.csv", ["i", "V", "step_prob_up"],
               [(i, float(pot.values[i]),
                 1.0 if i == 0 else float(step_prob(float(dv[i - 1]))))
                for i in range(pot.horizon + 1)])
-    mean, stderr = mc_visits(pot, r, config["replicas"],
-                             derive_seed(config["seed"], "mc"),
-                             step_budget=config["step_budget"])
-    payload = {"visits": {"r": r, "exact": expected_visits_exact(pot, r),
+    exact = expected_visits_exact(pot, r)
+    payload = {"visits": {"r": r, "exact": exact,
                           "mean": mean, "stderr": stderr,
                           "replicas": config["replicas"],
                           "seed": config["seed"],
-                          "scale_W_r": scale_values(pot, r)}}
+                          "scale_W_r": exact}}
     if config["speed"]:
         stream = sparse_increment_stream(kernel, disorder, params)
         smean, sse = mc_speed(stream, config["speed_steps"], config["speed_replicas"],
@@ -231,8 +242,7 @@ def cmd_pinning(config: dict, outdir: Path) -> int:
     disorder = build_disorder(config)
     n = config["n"]
     omega = sample_disorder(disorder, n, derive_seed(config["seed"], "omega"))
-    table = free_partition(pinned_recursion(omega, kernel, config["beta"],
-                                            config["h"], n))
+    table = pinned_recursion(omega, kernel, config["beta"], config["h"], n)
     write_csv(outdir / "partition.csv", ["n", "log_zc", "log_z"],
               [(m, float(table.log_zc[m]), float(table.log_z[m]))
                for m in range(n + 1)])

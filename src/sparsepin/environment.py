@@ -92,6 +92,11 @@ class RenewalKernel:
         with np.errstate(divide="ignore"):
             return np.log(self.weights)
 
+    @property
+    def log_tail(self) -> np.ndarray:
+        with np.errstate(divide="ignore"):
+            return np.log(self.tail)
+
     def to_dict(self) -> dict:
         return {"kind": self.kind, **self.params}
 
@@ -122,7 +127,7 @@ def make_kernel(kind: str, *, alpha: float | None = None, q: float | None = None
     dirac: all mass on a single gap length `step`.
     """
     if kind == "power_law":
-        if alpha is None or alpha < 0:
+        if alpha is None or not alpha >= 0:
             raise ValueError("power_law needs alpha >= 0")
         if n_max is None or n_max < 1:
             raise ValueError("power_law needs n_max >= 1")
@@ -257,11 +262,6 @@ class SparseEnvironment:
             "tau": [int(t) for t in self.tau],
             "omega": [float(w) for w in self.omega],
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SparseEnvironment":
-        return cls(horizon=int(d["horizon"]), tau=np.array(d["tau"], dtype=np.int64),
-                   omega=np.array(d["omega"], dtype=float))
 
 
 def sample_environment(kernel: RenewalKernel, spec: DisorderSpec, horizon: int,

@@ -20,10 +20,10 @@ from ._rng import derive_seed
 from .environment import (DisorderSpec, RenewalKernel, SparseEnvironment,
                           kernel_mean, log_mgf, sample_disorder, sample_environment,
                           sample_renewal)
-from .pinning import (BracketError, free_energy_estimate, free_partition,
-                      grand_canonical, homogeneous_free_energy, pinned_recursion,
+from .pinning import (BracketError, free_energy_estimate, grand_canonical,
+                      homogeneous_free_energy, pinned_recursion,
                       quenched_critical_point_estimate)
-from .walk import (WalkParams, build_potential, expected_visits_exact,
+from .walk import (WalkParams, _mean_stderr, build_potential, expected_visits_exact,
                    simulate_visit_counts)
 
 __all__ = [
@@ -40,6 +40,8 @@ __all__ = [
     "annealed_transience_check",
 ]
 
+TRANSIENCE_STEP_BUDGET = 10 ** 6
+
 
 @dataclass(frozen=True)
 class KeyRelationConfig:
@@ -55,7 +57,6 @@ class KeyRelationConfig:
     seed: int = 0
     n_series: int | None = None  # series length N; R = N + 1.  None = auto
     max_rounds: int = 3
-    step_budget: int = 10 ** 8
 
     def resolved_n(self) -> int:
         if self.n_series is not None:
@@ -124,7 +125,7 @@ def verify_key_relation(cfg: KeyRelationConfig) -> KeyRelationReport:
     tail = None
     for round_idx in range(cfg.max_rounds):
         omega = sample_disorder(cfg.disorder, n, derive_seed(cfg.seed, "omega"))
-        table = free_partition(pinned_recursion(omega, cfg.kernel, cfg.beta, cfg.h, n))
+        table = pinned_recursion(omega, cfg.kernel, cfg.beta, cfg.h, n)
         gc = grand_canonical(table, cfg.f)
         if gc.verdict != "converged":
             # both sides would be infinite (or undecidable); don't burn MC time
@@ -161,10 +162,9 @@ def _mc_visits_over_tau(cfg: KeyRelationConfig, omega: np.ndarray,
         env = SparseEnvironment(horizon=n, tau=tau, omega=omega)
         pot = build_potential(env, params)
         counts = simulate_visit_counts(pot, n + 1, cfg.walk_replicas,
-                                       derive_seed(cfg.seed, "walk", t),
-                                       step_budget=cfg.step_budget)
+                                       derive_seed(cfg.seed, "walk", t))
         per_tau[t] = counts.mean()
-    return float(per_tau.mean()), float(per_tau.std(ddof=1) / math.sqrt(cfg.n_tau))
+    return _mean_stderr(per_tau)
 
 
 @dataclass(frozen=True)
@@ -195,17 +195,13 @@ def tau_mean_lower_bound(kernel: RenewalKernel, disorder: DisorderSpec, beta: fl
     if n < kernel.n_max:
         raise ValueError("need n_terms >= n_max for the saturated bound")
     omega = sample_disorder(disorder, n, derive_seed(seed, "omega"))
-    table = free_partition(pinned_recursion(omega, kernel, beta, h, n))
+    table = pinned_recursion(omega, kernel, beta, h, n)
     log_s = float(np.logaddexp.accumulate(table.log_z)[-1])
     s = math.exp(log_s)
     mean_gap = kernel_mean(kernel)
-    with np.errstate(divide="ignore"):
-        log_tail = np.log(kernel.tail)
-    viol = 0
-    for m in range(n + 1):
-        lt = log_tail[m] if m <= kernel.n_max else -math.inf
-        if table.log_z[m] < lt - 1e-12:
-            viol += 1
+    # beyond n_max the tail is 0, so no log Z_m can fall below it
+    viol = int(np.count_nonzero(
+        table.log_z[: kernel.n_max + 1] < kernel.log_tail - 1e-12))
     margin = s - mean_gap
     return TauMeanBoundReport(beta=beta, h=h, kernel=kernel.to_dict(), n_terms=n,
                               partial_sum=s, tau_mean=mean_gap, margin=margin,
@@ -329,7 +325,7 @@ def _point_diagnostics(cfg: ScanConfig, beta: float, h: float, h_ann: float,
     expected_ok = True
     n = cfg.n_gc
     if case in ("case1", "case2", "case23_merged"):
-        table = free_partition(pinned_recursion(omega_row, cfg.kernel, beta, h, n))
+        table = pinned_recursion(omega_row, cfg.kernel, beta, h, n)
         if case == "case1":
             est = free_energy_estimate(table)
             diag["f_hat"] = est.f_hat
@@ -355,14 +351,12 @@ def _point_diagnostics(cfg: ScanConfig, beta: float, h: float, h_ann: float,
             f_ann = homogeneous_free_energy(cfg.kernel, h + lam).free_energy
             diag["annealed_free_energy"] = f_ann
             if f_ann > 1e-3:
-                table_a = free_partition(pinned_recursion(
-                    np.zeros(n), cfg.kernel, 0.0, h + lam, n))
+                table_a = pinned_recursion(np.zeros(n), cfg.kernel, 0.0, h + lam, n)
                 gc_a = grand_canonical(table_a, 0.5 * f_ann)
                 diag["annealed_below_f"] = gc_a.verdict
                 expected_ok &= gc_a.verdict == "diverging"
     elif case == "case3":
-        table_a = free_partition(pinned_recursion(np.zeros(n), cfg.kernel, 0.0,
-                                                  h + lam, n))
+        table_a = pinned_recursion(np.zeros(n), cfg.kernel, 0.0, h + lam, n)
         gc_a = grand_canonical(table_a, cfg.eps_small)
         diag["annealed_at_eps"] = gc_a.verdict
         expected_ok &= gc_a.verdict == "converged"
@@ -413,14 +407,13 @@ class TransienceReport:
 def annealed_transience_check(kernel: RenewalKernel, disorder: DisorderSpec,
                               beta: float, h: float, n_envs: int = 100,
                               walks_per_env: int = 400, r: int = 150,
-                              seed: int = 0,
-                              step_budget: int = 10 ** 6) -> TransienceReport:
+                              seed: int = 0) -> TransienceReport:
     """Visit counts stay finite at h < 0, f = 0, and match the exact formula.
 
     For each sampled environment the mean MC visit count is compared to
     W(R) = sum_{i<R} exp(V_i) at three standard errors, and trajectories
-    that exceed the step budget (censored) are tallied; transience shows up
-    as an absorbed fraction of one.
+    that exceed TRANSIENCE_STEP_BUDGET steps (censored) are tallied;
+    transience shows up as an absorbed fraction of one.
     """
     if h >= 0:
         raise ValueError("transience check requires h < 0")
@@ -434,13 +427,13 @@ def annealed_transience_check(kernel: RenewalKernel, disorder: DisorderSpec,
         pot = build_potential(env, params)
         counts = simulate_visit_counts(pot, r, walks_per_env,
                                        derive_seed(seed, "walks", e),
-                                       step_budget=step_budget, censor=True)
+                                       step_budget=TRANSIENCE_STEP_BUDGET,
+                                       censor=True)
         ok = counts >= 0
         absorbed += int(ok.sum())
         total += len(counts)
         exact = expected_visits_exact(pot, r)
-        mean = float(counts[ok].mean()) if ok.any() else float("nan")
-        se = float(counts[ok].std(ddof=1) / math.sqrt(ok.sum())) if ok.sum() > 1 else float("nan")
+        mean, se = _mean_stderr(counts[ok])
         z = (mean - exact) / se if se and se > 0 else float("nan")
         matches = bool(abs(z) <= 3.0) if math.isfinite(z) else False
         within += matches

@@ -18,7 +18,8 @@ count of the walk, time-0 visit included.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,6 +46,8 @@ __all__ = [
 ]
 
 BRUTE_FORCE_LIMIT = 14
+GC_SLOPE_TOL = 1e-3
+LOCALIZATION_FLOOR = 1e-4
 
 
 class BracketError(RuntimeError):
@@ -57,15 +60,15 @@ class BracketError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class PartitionTable:
-    """log z^c and log Z up to length n for one (omega, beta, h, kernel)."""
+    """log z^c up to length n for one (omega, beta, h, kernel); log Z on demand."""
 
     n: int
-    beta: float
-    h: float
     kernel: RenewalKernel
-    omega: np.ndarray
     log_zc: np.ndarray
-    log_z: np.ndarray | None = None
+
+    @cached_property
+    def log_z(self) -> np.ndarray:
+        return free_partition(self)
 
 
 @dataclass(frozen=True)
@@ -92,17 +95,11 @@ class GrandCanonicalReport:
             return float(np.exp(self.log_partial_sums[-1]))
 
     def to_dict(self) -> dict:
-        return {
-            "f": self.f,
-            "n_terms": self.n_terms,
-            "partial_sum": self.partial_sum,
-            "log_partial_sum": float(self.log_partial_sums[-1]),
-            "growth_rate": self.growth_rate,
-            "verdict": self.verdict,
-            "tail_bound": self.tail_bound,
-            "window": self.window,
-            "slope_tol": self.slope_tol,
-        }
+        """The fields, with the partial-sum array cut to its last entry."""
+        out = asdict(self)
+        del out["log_partial_sums"]
+        return {**out, "partial_sum": self.partial_sum,
+                "log_partial_sum": float(self.log_partial_sums[-1])}
 
 
 @dataclass(frozen=True)
@@ -162,23 +159,20 @@ def pinned_recursion(omega: np.ndarray, kernel: RenewalKernel, beta: float,
         kmax = min(m, kernel.n_max)
         prev = log_zc[m - kmax : m][::-1]
         log_zc[m] = contact[m - 1] + _lse(log_k[:kmax] + prev)
-    return PartitionTable(n=n, beta=beta, h=h, kernel=kernel,
-                          omega=np.asarray(omega, dtype=float), log_zc=log_zc)
+    return PartitionTable(n=n, kernel=kernel, log_zc=log_zc)
 
 
-def free_partition(table: PartitionTable) -> PartitionTable:
-    """Fill log Z_0..n from the pinned column via the last-renewal decomposition."""
+def free_partition(table: PartitionTable) -> np.ndarray:
+    """log Z_0..n from the pinned column via the last-renewal decomposition."""
     kernel = table.kernel
-    with np.errstate(divide="ignore"):
-        log_tail = np.log(kernel.tail)
+    log_tail = kernel.log_tail
     log_z = np.empty(table.n + 1)
     log_z[0] = 0.0
     for m in range(1, table.n + 1):
         k_lo = max(0, m - kernel.n_max + 1)
         # terms log zc_k + log tail(m-k), k = k_lo..m
         log_z[m] = _lse(table.log_zc[k_lo : m + 1] + log_tail[: m - k_lo + 1][::-1])
-    return PartitionTable(n=table.n, beta=table.beta, h=table.h, kernel=kernel,
-                          omega=table.omega, log_zc=table.log_zc, log_z=log_z)
+    return log_z
 
 
 def brute_force_partition(omega: np.ndarray, kernel: RenewalKernel, beta: float,
@@ -213,49 +207,45 @@ def brute_force_partition(omega: np.ndarray, kernel: RenewalKernel, beta: float,
     return math.fsum(free_terms), math.fsum(pinned_terms)
 
 
-def grand_canonical(table: PartitionTable, f: float, n_terms: int | None = None,
-                    pinned: bool = False, window: int | None = None,
-                    slope_tol: float = 1e-3) -> GrandCanonicalReport:
-    """Accumulate sum_n Z_n e^{-fn} (or the pinned version) with a verdict.
+def grand_canonical(table: PartitionTable, f: float,
+                    pinned: bool = False) -> GrandCanonicalReport:
+    """Accumulate sum_{n<=table.n} Z_n e^{-fn} (or the pinned version) with a verdict.
 
     The verdict comes from the least-squares slope of the finite log terms
-    over the trailing window: geometric decay gives "converged" plus a tail
-    bound term_N * r/(1-r) at a noise-inflated ratio r, sustained growth
-    gives "diverging", anything flatter than slope_tol is "inconclusive".
+    over the trailing window of max(8, min(400, (n+1)//4)) terms: geometric
+    decay gives "converged" plus a tail bound term_N * r/(1-r) at a
+    noise-inflated ratio r, sustained growth gives "diverging", anything
+    flatter than GC_SLOPE_TOL is "inconclusive".
     """
     col = table.log_zc if pinned else table.log_z
-    if col is None:
-        raise ValueError("free column not filled; call free_partition first")
-    n = table.n if n_terms is None else n_terms
-    if n > table.n:
-        raise ValueError("table too short for requested n_terms")
-    log_terms = col[: n + 1] - f * np.arange(n + 1)
+    n = table.n
+    log_terms = col - f * np.arange(n + 1)
     log_partial = np.logaddexp.accumulate(log_terms)
-    w = window or max(8, min(400, (n + 1) // 4))
+    w = max(8, min(400, (n + 1) // 4))
     tail_terms = log_terms[-w:]
     finite = np.isfinite(tail_terms)
     if finite.sum() < max(2, w // 4):
         # terms underflow to exact zero: the series has effectively terminated
         return GrandCanonicalReport(f=f, n_terms=n, log_partial_sums=log_partial,
                                     growth_rate=float("-inf"), verdict="converged",
-                                    tail_bound=0.0, window=w, slope_tol=slope_tol)
+                                    tail_bound=0.0, window=w, slope_tol=GC_SLOPE_TOL)
     x = np.arange(len(tail_terms), dtype=float)[finite]
     y = tail_terms[finite]
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
     slope_se = math.sqrt(max(float(np.sum(resid ** 2)), 1e-300) / max(len(y) - 2, 1)
                          / float(np.sum((x - x.mean()) ** 2)))
-    if slope < -slope_tol:
+    if slope < -GC_SLOPE_TOL:
         ratio = math.exp(min(slope + 3.0 * slope_se, -1e-12))
         last_finite = int(np.nonzero(np.isfinite(log_terms))[0][-1])
         bound = math.exp(float(log_terms[last_finite])) * ratio / (1.0 - ratio)
         return GrandCanonicalReport(f=f, n_terms=n, log_partial_sums=log_partial,
                                     growth_rate=float(slope), verdict="converged",
-                                    tail_bound=bound, window=w, slope_tol=slope_tol)
-    verdict = "diverging" if slope > slope_tol else "inconclusive"
+                                    tail_bound=bound, window=w, slope_tol=GC_SLOPE_TOL)
+    verdict = "diverging" if slope > GC_SLOPE_TOL else "inconclusive"
     return GrandCanonicalReport(f=f, n_terms=n, log_partial_sums=log_partial,
                                 growth_rate=float(slope), verdict=verdict,
-                                tail_bound=None, window=w, slope_tol=slope_tol)
+                                tail_bound=None, window=w, slope_tol=GC_SLOPE_TOL)
 
 
 def free_energy_estimate(table: PartitionTable) -> FreeEnergyEstimate:
@@ -304,11 +294,10 @@ def annealed_critical_point(spec: DisorderSpec, beta: float) -> float:
 def quenched_critical_point_estimate(spec: DisorderSpec, kernel: RenewalKernel,
                                      beta: float, n: int, replicas: int,
                                      tol: float, seed: int = 0,
-                                     h_hi: float = 0.25,
-                                     threshold_floor: float = 1e-4) -> CriticalPointEstimate:
+                                     h_hi: float = 0.25) -> CriticalPointEstimate:
     """Bisect h for the onset of f_hat above the noise threshold.
 
-    The localization test is f_hat > max(threshold_floor, 10*window_spread),
+    The localization test is f_hat > max(LOCALIZATION_FLOOR, 10*window_spread),
     evaluated on one long disorder sequence (self-averaging); the spread of
     f_hat at the returned midpoint across `replicas` independent sequences
     is reported as the error bar.  h starts out bracketed below by the
@@ -318,9 +307,12 @@ def quenched_critical_point_estimate(spec: DisorderSpec, kernel: RenewalKernel,
         raise ValueError("tol must be positive")
     omega = sample_disorder(spec, n, derive_seed(seed, "crit-omega", 0))
 
+    def threshold(est):
+        return max(LOCALIZATION_FLOOR, 10.0 * est.window_spread)
+
     def localized(h):
         est = free_energy_estimate(pinned_recursion(omega, kernel, beta, h, n))
-        return est.f_hat > max(threshold_floor, 10.0 * est.window_spread), est
+        return est.f_hat > threshold(est), est
 
     h_lo = annealed_critical_point(spec, beta)
     lo_state, _ = localized(h_lo)
@@ -354,7 +346,7 @@ def quenched_critical_point_estimate(spec: DisorderSpec, kernel: RenewalKernel,
             vals.append(free_energy_estimate(table).f_hat)
         spread = float(max(vals) - min(vals))
     return CriticalPointEstimate(h_hat=h_hat, bracket=(lo, hi),
-                                 threshold=max(threshold_floor, 10.0 * mid_est.window_spread),
+                                 threshold=threshold(mid_est),
                                  replica_spread=spread, n=n)
 
 

@@ -52,7 +52,6 @@ class StepBudgetError(RuntimeError):
             "R is too large for this drift"
         )
         self.replica = replica
-        self.budget = budget
 
 
 @dataclass(frozen=True)
@@ -225,16 +224,20 @@ def _visits_chunk(p_up: np.ndarray, r: int, size: int, rng: np.random.Generator,
             raise StepBudgetError(int(replica_offset + idx[0]), step_budget)
 
 
+def _mean_stderr(x: np.ndarray) -> tuple[float, float]:
+    """Sample mean and standard error of the mean; nan where x is too short."""
+    mean = float(np.mean(x)) if len(x) else math.nan
+    stderr = float(np.std(x, ddof=1) / math.sqrt(len(x))) if len(x) > 1 else math.nan
+    return mean, stderr
+
+
 def mc_visits(potential: Potential, r: int, replicas: int, seed: int,
               step_budget: int = DEFAULT_STEP_BUDGET) -> tuple[float, float]:
     """(mean, stderr) of the visit count over independent replicas."""
     if replicas < 2:
         raise ValueError("need replicas >= 2 for a standard error")
-    counts = simulate_visit_counts(potential, r, replicas, seed,
-                                   step_budget=step_budget)
-    mean = float(np.mean(counts))
-    stderr = float(np.std(counts, ddof=1) / math.sqrt(replicas))
-    return mean, stderr
+    return _mean_stderr(simulate_visit_counts(potential, r, replicas, seed,
+                                              step_budget=step_budget))
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +293,4 @@ def mc_speed(increment_stream: Callable, n_steps: int, replicas: int,
             up = u < p_up[rows, pos + n_steps]
             pos += np.where(up, 1, -1)
         ratios[start : start + size] = pos / n_steps
-    mean = float(np.mean(ratios))
-    stderr = float(np.std(ratios, ddof=1) / math.sqrt(replicas))
-    return mean, stderr
+    return _mean_stderr(ratios)

@@ -12,7 +12,7 @@ import pytest
 
 from sparsepin import (DisorderSpec, Potential, WalkParams, brute_force_partition,
                        build_potential, expected_visits_exact, free_energy_estimate,
-                       free_partition, grand_canonical, homogeneous_free_energy,
+                       grand_canonical, homogeneous_free_energy,
                        kernel_mean, make_kernel, mc_visits, pinned_recursion,
                        quenched_critical_point_estimate, ruin_prob,
                        sample_disorder, sample_environment, step_prob,
@@ -96,7 +96,7 @@ def test_criterion_3_partition_recursions_vs_brute_force():
             kern = make_kernel("dirac", step=n_max)
         beta, h = float(rng.uniform(0, 1.5)), float(rng.uniform(-2, 2))
         omega = rng.normal(size=12)
-        table = free_partition(pinned_recursion(omega, kern, beta, h, 12))
+        table = pinned_recursion(omega, kern, beta, h, 12)
         for n in range(13):
             z_free, z_pin = brute_force_partition(omega, kern, beta, h, n)
             worst = max(worst, abs(math.exp(table.log_z[n]) - z_free) / z_free)
@@ -111,7 +111,7 @@ def test_criterion_4_last_renewal_decomposition():
     n = 10000
     kern = make_kernel("power_law", alpha=0.8, n_max=8)
     omega = sample_disorder(GAUSS, n, seed=13)
-    table = free_partition(pinned_recursion(omega, kern, 0.7, -0.3, n))
+    table = pinned_recursion(omega, kern, 0.7, -0.3, n)
     worst = 0.0
     for m in range(n + 1):
         k_lo = max(0, m - kern.n_max + 1)
@@ -162,8 +162,8 @@ def test_criterion_7_annealed_consistency():
     zs = np.empty(1000)
     for r in range(1000):
         om = sample_disorder(GAUSS, n, derive_seed(11, "ann", r))
-        zs[r] = math.exp(free_partition(pinned_recursion(om, kern, beta, h, n)).log_z[n])
-    hom = free_partition(pinned_recursion(np.zeros(n), kern, 0.0, h + 0.5, n))
+        zs[r] = math.exp(pinned_recursion(om, kern, beta, h, n).log_z[n])
+    hom = pinned_recursion(np.zeros(n), kern, 0.0, h + 0.5, n)
     target = math.exp(hom.log_z[n])
     mean, se = float(zs.mean()), float(zs.std(ddof=1) / math.sqrt(len(zs)))
     z = (mean - target) / se
@@ -186,7 +186,7 @@ def test_criterion_8_critical_points():
 def test_criterion_9_tau_mean_bound():
     t0 = time.time()
     kern = make_kernel("power_law", alpha=0.7, n_max=24)
-    table = free_partition(pinned_recursion(np.zeros(96), kern, 0.0, -1000.0, 96))
+    table = pinned_recursion(np.zeros(96), kern, 0.0, -1000.0, 96)
     gc = grand_canonical(table, 0.0)
     target = kernel_mean(kern)
     partial = np.exp(gc.log_partial_sums)

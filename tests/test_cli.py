@@ -155,6 +155,12 @@ def test_walk_step_budget_exit(tmp_path):
     assert run(tmp_path, "walk", "--beta", "0", "--h", "0", "--f", "0",
                "--horizon", "500", "--r", "500", "--replicas", "64",
                "--step-budget", "200", "--seed", "3") == 1
+    assert not any(tmp_path.iterdir())
+
+
+def test_refused_walk_leaves_outdir_empty(tmp_path):
+    assert run(tmp_path, "walk", "--replicas", "1") == EXIT_CONFIG
+    assert not any(tmp_path.iterdir())
 
 
 def test_pinning_grand_canonical_report(tmp_path):
@@ -229,7 +235,11 @@ def test_config_errors_exit_64(tmp_path, capsys):
                  ("walk", "--beta", "-1"),
                  ("walk", "--replicas", "1"),
                  ("verify", "--n-tau", "1"),
-                 ("scan", "--beta-grid", "")):
+                 ("scan", "--beta-grid", ""),
+                 ("pinning", "--n", "100", "--h", "nan"),
+                 ("pinning", "--n", "100", "--alpha", "nan"),
+                 ("scan", "--beta-grid", "nan"),
+                 ("env", "--config", str(tmp_path / "missing.cfg"))):
         capsys.readouterr()
         assert run(tmp_path, *args) == EXIT_CONFIG, args
         err = capsys.readouterr().err

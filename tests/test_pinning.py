@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import sparsepin.pinning
 from sparsepin import (BracketError, DisorderSpec, annealed_critical_point,
                        brute_force_partition, free_energy_estimate, free_partition,
                        grand_canonical, homogeneous_free_energy, kernel_mean,
@@ -36,14 +39,14 @@ def test_pinned_single_step():
 
 def test_dirac_unit_kernel_trivial():
     k = make_kernel("dirac", step=1)
-    t = free_partition(pinned_recursion(np.zeros(20), k, 0.0, 0.0, 20))
+    t = pinned_recursion(np.zeros(20), k, 0.0, 0.0, 20)
     assert np.allclose(t.log_zc, 0.0, atol=1e-13)
     assert np.allclose(t.log_z, t.log_zc, atol=1e-13)
 
 
 def test_free_is_one_without_energy():
     k = make_kernel("power_law", alpha=0.9, n_max=5)
-    t = free_partition(pinned_recursion(np.zeros(60), k, 0.0, 0.0, 60))
+    t = pinned_recursion(np.zeros(60), k, 0.0, 0.0, 60)
     assert np.allclose(t.log_z, 0.0, atol=1e-12)
 
 
@@ -53,7 +56,7 @@ def test_recursions_match_brute_force():
         kern = random_kernel(rng)
         beta, h = float(rng.uniform(0, 1.5)), float(rng.uniform(-2, 2))
         omega = rng.normal(size=12)
-        table = free_partition(pinned_recursion(omega, kern, beta, h, 12))
+        table = pinned_recursion(omega, kern, beta, h, 12)
         for n in range(13):
             z_free, z_pin = brute_force_partition(omega, kern, beta, h, n)
             assert math.exp(table.log_z[n]) == pytest.approx(z_free, rel=1e-10)
@@ -76,12 +79,47 @@ def test_brute_force_edges():
         brute_force_partition(np.zeros(20), k, 0.0, 0.0, 15)
 
 
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["power_law", "geometric", "dirac"]),
+       n_max=st.integers(1, 5), shape=st.floats(0.05, 0.95),
+       beta=st.floats(0.0, 1.5), h=st.floats(-2.0, 2.0),
+       n=st.integers(0, 12), seed=st.integers(0, 2 ** 32 - 1))
+def test_recursions_match_brute_force_property(kind, n_max, shape, beta, h, n, seed):
+    kern = {"power_law": lambda: make_kernel("power_law", alpha=2 * shape, n_max=n_max),
+            "geometric": lambda: make_kernel("geometric", q=shape, n_max=n_max),
+            "dirac": lambda: make_kernel("dirac", step=n_max)}[kind]()
+    omega = np.random.default_rng(seed).normal(size=n)
+    table = pinned_recursion(omega, kern, beta, h, n)
+    z_free, z_pin = brute_force_partition(omega, kern, beta, h, n)
+    assert math.exp(table.log_z[n]) == pytest.approx(z_free, rel=1e-10)
+    if z_pin > 0:
+        assert math.exp(table.log_zc[n]) == pytest.approx(z_pin, rel=1e-10)
+    else:
+        assert table.log_zc[n] == -math.inf
+
+
+def test_free_column_is_computed_once(monkeypatch):
+    calls = []
+    original = sparsepin.pinning.free_partition
+
+    def counting(table):
+        calls.append(table)
+        return original(table)
+
+    monkeypatch.setattr(sparsepin.pinning, "free_partition", counting)
+    k = make_kernel("power_law", alpha=1.0, n_max=4)
+    t = pinned_recursion(np.zeros(50), k, 0.0, -0.5, 50)
+    assert not calls
+    first = grand_canonical(t, 0.1)
+    second = grand_canonical(t, 0.0)
+    assert len(calls) == 1
+    assert first.partial_sum < second.partial_sum
+
+
 def test_recursion_input_validation():
     k = make_kernel("dirac", step=1)
     with pytest.raises(ValueError):
         pinned_recursion(np.zeros(3), k, 0.0, 0.0, 5)
-    with pytest.raises(ValueError):
-        grand_canonical(pinned_recursion(np.zeros(3), k, 0.0, 0.0, 3), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +128,7 @@ def test_recursion_input_validation():
 def test_grand_canonical_large_f_keeps_origin_term():
     k = make_kernel("power_law", alpha=1.0, n_max=4)
     omega = sample_disorder(DisorderSpec("gaussian"), 200, seed=3)
-    t = free_partition(pinned_recursion(omega, k, 1.0, 0.5, 200))
+    t = pinned_recursion(omega, k, 1.0, 0.5, 200)
     rep = grand_canonical(t, 50.0)
     assert rep.partial_sum == pytest.approx(1.0, abs=1e-12)
     assert rep.verdict == "converged"
@@ -98,7 +136,7 @@ def test_grand_canonical_large_f_keeps_origin_term():
 
 def test_grand_canonical_saturates_at_tau_mean():
     k = make_kernel("power_law", alpha=0.7, n_max=24)
-    t = free_partition(pinned_recursion(np.zeros(96), k, 0.0, -1000.0, 96))
+    t = pinned_recursion(np.zeros(96), k, 0.0, -1000.0, 96)
     rep = grand_canonical(t, 0.0)
     assert rep.verdict == "converged"
     assert rep.partial_sum == pytest.approx(kernel_mean(k), abs=1e-11)
@@ -107,7 +145,7 @@ def test_grand_canonical_saturates_at_tau_mean():
 
 def test_grand_canonical_divergence_rate_matches_free_energy():
     k = make_kernel("power_law", alpha=1.0, n_max=8)
-    t = free_partition(pinned_recursion(np.zeros(1500), k, 0.0, 1.0, 1500))
+    t = pinned_recursion(np.zeros(1500), k, 0.0, 1.0, 1500)
     rep = grand_canonical(t, 0.0)
     assert rep.verdict == "diverging"
     target = homogeneous_free_energy(k, 1.0).free_energy
@@ -117,7 +155,7 @@ def test_grand_canonical_divergence_rate_matches_free_energy():
 def test_grand_canonical_monotone_in_f():
     k = make_kernel("geometric", q=0.4, n_max=10)
     omega = sample_disorder(DisorderSpec("rademacher"), 400, seed=9)
-    t = free_partition(pinned_recursion(omega, k, 0.8, -0.3, 400))
+    t = pinned_recursion(omega, k, 0.8, -0.3, 400)
     sums = [grand_canonical(t, f).partial_sum for f in (0.2, 0.5, 1.0, 2.0)]
     assert all(a > b for a, b in zip(sums, sums[1:]))
     # term-wise: every n >= 1 term strictly shrinks when f grows
@@ -130,7 +168,7 @@ def test_grand_canonical_monotone_in_f():
 def test_last_renewal_identity_internal():
     k = make_kernel("power_law", alpha=0.8, n_max=8)
     omega = sample_disorder(DisorderSpec("gaussian"), 2000, seed=13)
-    t = free_partition(pinned_recursion(omega, k, 0.7, -0.3, 2000))
+    t = pinned_recursion(omega, k, 0.7, -0.3, 2000)
     for n in range(2001):
         k_lo = max(0, n - k.n_max + 1)
         shift = float(np.max(t.log_zc[k_lo : n + 1]))
@@ -144,7 +182,7 @@ def test_tau_mean_factorization_at_zero_drift():
     # convergent configuration: free sum = E(tau_1) * pinned sum
     k = make_kernel("power_law", alpha=1.0, n_max=6)
     omega = sample_disorder(DisorderSpec("gaussian"), 3000, seed=5)
-    t = free_partition(pinned_recursion(omega, k, 0.7, -1.5, 3000))
+    t = pinned_recursion(omega, k, 0.7, -1.5, 3000)
     s_free = grand_canonical(t, 0.0)
     s_pin = grand_canonical(t, 0.0, pinned=True)
     assert s_free.verdict == "converged" and s_pin.verdict == "converged"

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsepin import (DisorderSpec, Potential, SparseEnvironment, StepBudgetError,
                        WalkParams, build_potential, expected_visits_exact,
@@ -145,6 +147,19 @@ def test_ruin_prob_matches_linear_system():
         c = int(rng.integers(a + 2, m + 2))
         b = int(rng.integers(a + 1, c))
         assert abs(ruin_prob(pot, a, b, c) - _ruin_linear_system(pot, a, b, c)) <= 1e-12
+
+
+@settings(max_examples=50, deadline=None)
+@given(values=st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=12),
+       data=st.data())
+def test_ruin_prob_matches_linear_system_property(values, data):
+    pot = Potential(values=np.array([0.0, *values]))
+    m = len(values)
+    a = data.draw(st.integers(0, m - 1))
+    c = data.draw(st.integers(a + 2, m + 1))
+    b = data.draw(st.integers(a + 1, c - 1))
+    assert ruin_prob(pot, a, b, c) == pytest.approx(_ruin_linear_system(pot, a, b, c),
+                                                   rel=1e-10, abs=1e-12)
 
 
 def test_ruin_prob_extreme_potential_is_finite():
