@@ -21,6 +21,7 @@ from .pinning import (BracketError, GrandCanonicalReport, HomogeneousSolution,
                       quenched_critical_point_estimate, relevance_classifier)
 from .walk import (Potential, StepBudgetError, WalkParams, build_potential,
                    expected_visits_exact, mc_speed, mc_visits, ruin_prob,
-                   scale_values, simulate_visit_counts, step_prob)
+                   scale_values, simulate_visit_counts, simulate_visit_counts_batch,
+                   step_prob)
 
 __version__ = "0.1.0"

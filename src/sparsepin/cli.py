@@ -243,9 +243,7 @@ def cmd_pinning(config: dict, outdir: Path) -> int:
     n = config["n"]
     omega = sample_disorder(disorder, n, derive_seed(config["seed"], "omega"))
     table = pinned_recursion(omega, kernel, config["beta"], config["h"], n)
-    write_csv(outdir / "partition.csv", ["n", "log_zc", "log_z"],
-              [(m, float(table.log_zc[m]), float(table.log_z[m]))
-               for m in range(n + 1)])
+    # refused runs must leave no output behind, so compute everything first
     payload = {
         "free_energy": asdict(free_energy_estimate(table)),
         "homogeneous": asdict(homogeneous_free_energy(kernel, config["h"])),
@@ -261,6 +259,9 @@ def cmd_pinning(config: dict, outdir: Path) -> int:
             config["crit_replicas"], config["crit_tol"],
             seed=derive_seed(config["seed"], "critical"))
         payload["critical_points"]["quenched"] = asdict(est)
+    write_csv(outdir / "partition.csv", ["n", "log_zc", "log_z"],
+              [(m, float(table.log_zc[m]), float(table.log_z[m]))
+               for m in range(n + 1)])
     write_json(outdir / "pinning.json", "pinning", config, payload)
     return EXIT_PASS
 
@@ -288,27 +289,28 @@ def cmd_verify(config: dict, outdir: Path) -> int:
 def cmd_scan(config: dict, outdir: Path) -> int:
     kernel = build_kernel(config)
     disorder = build_disorder(config)
+    beta_grid, h_grid = _grid(config["beta_grid"]), _grid(config["h_grid"])
     scan_cfg = ScanConfig(kernel=kernel, disorder=disorder, n_fe=config["n_fe"],
                           crit_replicas=config["crit_replicas"],
                           crit_tol=config["crit_tol"], n_gc=config["n_gc"],
                           eps_small=config["eps_small"], seed=config["seed"],
                           h_hi=config["h_hi"])
-    report = regime_scan(_grid(config["beta_grid"]), _grid(config["h_grid"]), scan_cfg)
-    write_csv(outdir / "scan.csv",
-              ["beta", "h", "h_c_annealed", "hc_lo", "hc_hi", "case", "consistent"],
-              [(p.beta, p.h, p.h_c_annealed,
-                p.bracket[0] if p.bracket else "", p.bracket[1] if p.bracket else "",
-                p.case, p.consistent) for p in report.points])
-    payload = {"scan": asdict(report)}
+    payload = {}
     if config["transience"]:
-        if config["h"] >= 0:
-            raise ConfigError("transience check needs h < 0")
+        # cheap next to the scan and refuses its own bad inputs (h >= 0
+        # among them), so it runs first and a refused run costs no scan
         trans = annealed_transience_check(
             kernel, disorder, config["beta"], config["h"],
             n_envs=config["trans_envs"], walks_per_env=config["trans_walks"],
             r=config["trans_r"], seed=derive_seed(config["seed"], "transience"))
         payload["transience"] = asdict(trans)
-    write_json(outdir / "scan.json", "scan", config, payload)
+    report = regime_scan(beta_grid, h_grid, scan_cfg)
+    write_csv(outdir / "scan.csv",
+              ["beta", "h", "h_c_annealed", "hc_lo", "hc_hi", "case", "consistent"],
+              [(p.beta, p.h, p.h_c_annealed,
+                p.bracket[0] if p.bracket else "", p.bracket[1] if p.bracket else "",
+                p.case, p.consistent) for p in report.points])
+    write_json(outdir / "scan.json", "scan", config, {"scan": asdict(report), **payload})
     return EXIT_PASS
 
 

@@ -9,7 +9,9 @@ forced 0 -> 1 step) is exactly W(R).
 
 Monte Carlo counterparts are chunk-vectorized with one labeled substream
 per fixed-size chunk, which makes every statistic bit-identical for a given
-master seed.
+master seed.  Walkers of many potentials advance in one synchronous loop
+over a stacked up-probability table, so a renewal average over hundreds of
+environments costs a few large chunks rather than hundreds of small ones.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ __all__ = [
     "ruin_prob",
     "expected_visits_exact",
     "simulate_visit_counts",
+    "simulate_visit_counts_batch",
     "mc_visits",
     "mc_speed",
     "sparse_increment_stream",
@@ -41,6 +44,7 @@ __all__ = [
 
 DEFAULT_STEP_BUDGET = 10 ** 8
 _CHUNK = 8192
+_SWEEP = 32  # steps between compaction sweeps
 
 
 class StepBudgetError(RuntimeError):
@@ -160,67 +164,113 @@ def simulate_visit_counts(potential: Potential, r: int, replicas: int, seed: int
     """Visit counts of `replicas` independent folded trajectories.
 
     From 0 the chain moves to 1 with probability one; from 1 <= i < R it
-    moves up with probability step_prob(V_i - V_{i-1}); R absorbs.
-    Replicas are simulated in fixed chunks of 8192; chunk c uses the
-    substream (seed, "visits", c), so the returned array depends only on
-    (potential, r, replicas, seed).
+    moves up with probability step_prob(V_i - V_{i-1}); R absorbs.  This is
+    simulate_visit_counts_batch over the single potential, so the returned
+    array depends only on (potential, r, replicas, seed).
+    """
+    return simulate_visit_counts_batch([potential], r, replicas, seed,
+                                       step_budget=step_budget, censor=censor)[0]
+
+
+def simulate_visit_counts_batch(potentials, r: int, replicas: int, seed: int,
+                                step_budget: int = DEFAULT_STEP_BUDGET,
+                                censor: bool = False) -> np.ndarray:
+    """Visit counts of `replicas` folded trajectories in each potential.
+
+    `potentials` is any iterable; it is read once, so a generator keeps
+    only one potential alive at a time.  Returns an (n_potentials,
+    replicas) array.  Walkers are ordered by potential, then replica, and
+    simulated in fixed chunks of 8192 that may span several potentials;
+    chunk c uses the substream (seed, "visits", c), so the result depends
+    only on (potentials, r, replicas, seed).
 
     A trajectory that exhausts the step budget raises StepBudgetError with
-    its replica index; with censor=True it instead reports -1, which the
-    transience diagnostics use to measure the absorbed fraction.
+    its global replica index, k * replicas + j for replica j of potential k;
+    with censor=True it instead reports -1, which the transience
+    diagnostics use to measure the absorbed fraction.
     """
-    if not 1 <= r <= potential.horizon + 1:
-        raise ValueError("need 1 <= R <= M+1")
     if replicas < 1:
         raise ValueError("need at least one replica")
-    p_up = step_prob(potential.increments()[: r - 1]) if r > 1 else np.empty(0)
-    return np.concatenate([
-        _visits_chunk(p_up, r, min(_CHUNK, replicas - start),
-                      rng_for(seed, "visits", c), step_budget, start, censor)
-        for c, start in enumerate(range(0, replicas, _CHUNK))])
-
-
-def _visits_chunk(p_up: np.ndarray, r: int, size: int, rng: np.random.Generator,
-                  step_budget: int, replica_offset: int, censor: bool) -> np.ndarray:
-    """Synchronous vectorized evolution of one chunk of folded walkers.
-
-    The up-probability table carries sentinels above 1: at position 0 the
-    sentinel realizes the forced 0 -> 1 step, and walkers that cross R march
-    upward on sentinels until the next compaction sweep collects them, so
-    the hot loop has no per-step branching at all.
-    """
-    counts = np.empty(size, dtype=np.int64)
+    table = _up_table(potentials, r)
+    n_pot, width = table.shape
+    total = n_pot * replicas
+    counts = np.empty(total, dtype=np.int64)
     if r == 1:
         # the forced 0 -> 1 step absorbs immediately
         counts[:] = 1
-        return counts
-    interval = 32
-    pad = np.full(r + interval + 2, 9.0)
-    pad[1:r] = p_up
-    pos = np.zeros(size, dtype=np.int64)
-    visits = np.ones(size, dtype=np.int64)
-    idx = np.arange(size)
-    u = np.empty(size)
+        return counts.reshape(n_pot, replicas)
+    pad = table.ravel()
+    for c, start in enumerate(range(0, total, _CHUNK)):
+        stop = min(start + _CHUNK, total)
+        base = np.arange(start, stop) // replicas * width
+        _visits_chunk(pad, base, r, counts[start:stop], rng_for(seed, "visits", c),
+                      step_budget, start, censor)
+    return counts.reshape(n_pot, replicas)
+
+
+def _up_table(potentials, r: int) -> np.ndarray:
+    """One row per potential: a sentinel at position 0 (the forced 0 -> 1
+    step), up-probabilities at 1..R-1, then sentinels for a sweep past R."""
+    rows = []
+    for pot in potentials:
+        if not 1 <= r <= pot.horizon + 1:
+            raise ValueError("need 1 <= R <= M+1 for every potential")
+        row = np.full(r + _SWEEP + 2, 9.0)
+        row[1:r] = step_prob(pot.increments()[: r - 1])
+        rows.append(row)
+    if not rows:
+        raise ValueError("need at least one potential")
+    return np.stack(rows)
+
+
+def _visits_chunk(pad: np.ndarray, base: np.ndarray, r: int, counts: np.ndarray,
+                  rng: np.random.Generator, step_budget: int, replica_offset: int,
+                  censor: bool) -> None:
+    """Synchronous vectorized evolution of one chunk of folded walkers.
+
+    Walker w lives on the table row starting at base[w], at flat position
+    base[w] + i; its visit count goes to counts[w].  Each row carries
+    sentinels above 1: at position 0 the sentinel realizes the forced
+    0 -> 1 step, and walkers that cross R march upward on sentinels until
+    the next compaction sweep collects them, so the hot loop has no
+    per-step branching at all.  Compaction moves the running walkers to
+    the front of buffers allocated once per chunk (base among them), and
+    every step writes into those: fresh temporaries of ever-smaller sizes
+    fragment the heap, and the resident set then grows run after run.
+    """
+    size = len(base)
+    pos, visits, idx = base.copy(), np.ones(size, dtype=np.int64), np.arange(size)
+    u, p_up, rel = np.empty(size), np.empty(size), np.empty(size, dtype=np.int64)
+    up, home = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
+    n = size
     steps = 0
     while True:
-        n = len(pos)
-        for _ in range(interval):
+        pos_n, base_n, visits_n = pos[:n], base[:n], visits[:n]
+        u_n, p_n, rel_n, up_n, home_n = u[:n], p_up[:n], rel[:n], up[:n], home[:n]
+        for _ in range(_SWEEP):
             steps += 1
-            rng.random(out=u[:n])
-            up = u[:n] < pad[pos]
-            pos += up.astype(np.int64) * 2 - 1
-            visits += pos == 0
-        absorbed = pos >= r
+            rng.random(out=u_n)
+            # positions never leave the table, so clipping never acts
+            pad.take(pos_n, out=p_n, mode="clip")
+            np.less(u_n, p_n, out=up_n)
+            pos_n += up_n
+            pos_n += up_n
+            pos_n -= 1
+            visits_n += np.equal(pos_n, base_n, out=home_n)
+        absorbed = np.greater_equal(np.subtract(pos_n, base_n, out=rel_n), r, out=up_n)
         if absorbed.any():
-            counts[idx[absorbed]] = visits[absorbed]
-            keep = ~absorbed
-            pos, visits, idx = pos[keep], visits[keep], idx[keep]
-            if not len(pos):
-                return counts
+            counts[idx[:n][absorbed]] = visits_n[absorbed]
+            keep = np.logical_not(absorbed, out=home_n)
+            alive = int(np.count_nonzero(keep))
+            for buf in (pos, base, visits, idx):
+                buf[:alive] = buf[:n][keep]
+            n = alive
+            if not n:
+                return
         if steps >= step_budget:
             if censor:
-                counts[idx] = -1
-                return counts
+                counts[idx[:n]] = -1
+                return
             raise StepBudgetError(int(replica_offset + idx[0]), step_budget)
 
 

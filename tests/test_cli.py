@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from sparsepin import cli
 from sparsepin.cli import EXIT_CONFIG, EXIT_INCONCLUSIVE, EXIT_PASS, main
 
 
@@ -160,6 +161,20 @@ def test_walk_step_budget_exit(tmp_path):
 
 def test_refused_walk_leaves_outdir_empty(tmp_path):
     assert run(tmp_path, "walk", "--replicas", "1") == EXIT_CONFIG
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("args", [
+    ("pinning", "--n", "1"),
+    ("pinning", "--n", "100", "--critical", "--crit-tol", "0"),
+    ("scan", "--transience", "--h", "0"),
+])
+def test_refused_runs_leave_outdir_empty(tmp_path, monkeypatch, args):
+    def no_scan(*_):
+        raise AssertionError("the scan ran before the refusal")
+
+    monkeypatch.setattr(cli, "regime_scan", no_scan)
+    assert run(tmp_path, *args) == EXIT_CONFIG
     assert not any(tmp_path.iterdir())
 
 

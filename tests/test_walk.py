@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from sparsepin import (DisorderSpec, Potential, SparseEnvironment, StepBudgetError,
                        WalkParams, build_potential, expected_visits_exact,
                        make_kernel, mc_speed, mc_visits, ruin_prob, sample_environment,
-                       scale_values, simulate_visit_counts, step_prob)
+                       scale_values, simulate_visit_counts, simulate_visit_counts_batch,
+                       step_prob)
+from sparsepin._rng import rng_for
 from sparsepin.walk import sparse_increment_stream
 
 
@@ -20,6 +22,16 @@ def flat(m):
 
 def drifted(f, m):
     return Potential(values=-f * np.arange(m + 1.0))
+
+
+def fast(m):
+    """Steeply downhill: every up-probability is exactly 1, one visit each."""
+    return Potential(values=-800.0 * np.arange(m + 1.0))
+
+
+def trap(m):
+    """Steeply uphill: every up-probability is exactly 0, never absorbed."""
+    return Potential(values=800.0 * np.arange(m + 1.0))
 
 
 def homogeneous_increment_stream(params):
@@ -239,6 +251,105 @@ def test_same_seed_repeats_across_chunks():
     c1 = simulate_visit_counts(pot, 50, 30000, seed=5)
     assert np.array_equal(c1, simulate_visit_counts(pot, 50, 30000, seed=5))
     assert not np.array_equal(c1[:8192], c1[8192:16384])
+
+
+def _reference_visit_counts(potential, r, replicas, seed):
+    """Per-potential walker loop: one table, chunks of 8192, sweeps of 32 steps."""
+    counts = np.ones(replicas, dtype=np.int64)
+    if r == 1:
+        return counts
+    pad = np.full(r + 34, 9.0)
+    pad[1:r] = step_prob(potential.increments()[: r - 1])
+    for c, start in enumerate(range(0, replicas, 8192)):
+        rng = rng_for(seed, "visits", c)
+        size = min(8192, replicas - start)
+        pos = np.zeros(size, dtype=np.int64)
+        visits = np.ones(size, dtype=np.int64)
+        idx = np.arange(start, start + size)
+        u = np.empty(size)
+        while len(pos):
+            n = len(pos)
+            for _ in range(32):
+                rng.random(out=u[:n])
+                pos += np.where(u[:n] < pad[pos], 1, -1)
+                visits += pos == 0
+            absorbed = pos >= r
+            counts[idx[absorbed]] = visits[absorbed]
+            pos, visits, idx = pos[~absorbed], visits[~absorbed], idx[~absorbed]
+    return counts
+
+
+@pytest.mark.parametrize("replicas", [1, 8191, 8192, 20000])
+@pytest.mark.parametrize("r", [1, 30])
+def test_batch_of_one_matches_per_potential_walk(replicas, r):
+    pot = drifted(0.3, 40)
+    batch = simulate_visit_counts_batch([pot], r, replicas, seed=12)
+    assert batch.shape == (1, replicas)
+    ref = _reference_visit_counts(pot, r, replicas, seed=12)
+    assert np.array_equal(batch[0], ref)
+    assert np.array_equal(simulate_visit_counts(pot, r, replicas, seed=12), ref)
+
+
+def test_batch_rows_follow_their_own_potential():
+    # 5 x 3000 walkers: chunk 0 holds rows 0-1 and part of row 2
+    pots = [drifted(0.3, 40), flat(40), drifted(0.6, 40), flat(40), drifted(0.3, 40)]
+    counts = simulate_visit_counts_batch(pots, 25, 3000, seed=13)
+    assert counts.shape == (5, 3000)
+    assert np.array_equal(counts, simulate_visit_counts_batch(pots, 25, 3000, seed=13))
+    for pot, row in zip(pots, counts):
+        se = row.std(ddof=1) / math.sqrt(len(row))
+        assert abs(row.mean() - expected_visits_exact(pot, 25)) <= 3 * se
+    # deterministic rows: a fast row is all ones, a trapped one all censored
+    mixed = simulate_visit_counts_batch([fast(40), trap(40), fast(40)], 25, 5000,
+                                        seed=13, step_budget=64, censor=True)
+    assert np.all(mixed[[0, 2]] == 1) and np.all(mixed[1] == -1)
+
+
+def test_batch_step_budget_error_names_global_replica():
+    # the first trapped walker, 0-based walker 10000, sits in the second chunk
+    with pytest.raises(StepBudgetError) as err:
+        simulate_visit_counts_batch([fast(40), fast(40), trap(40)], 25, 5000,
+                                    seed=14, step_budget=64)
+    assert err.value.replica == 10000
+
+
+def test_batch_input_validation():
+    with pytest.raises(ValueError):
+        simulate_visit_counts_batch([], 5, 10, seed=1)
+    with pytest.raises(ValueError):
+        simulate_visit_counts_batch([flat(20)], 5, 0, seed=1)
+    with pytest.raises(ValueError):
+        simulate_visit_counts_batch([flat(20), flat(5)], 10, 10, seed=1)
+    with pytest.raises(ValueError):
+        simulate_visit_counts_batch([flat(20)], 0, 10, seed=1)
+
+
+def test_visit_count_z_scores_are_standard_normal():
+    # 400 environments at the verify defaults (beta 1, h -1, f 0.3), 1000
+    # walkers each.  The z-score of each MC mean against W(R) should be
+    # N(0,1); the tolerances are 4 sampling standard deviations for M = 400
+    # z-scores, plus the known first-order bias -gamma/(2 sqrt(n)) of a
+    # studentized mean of a law with skewness gamma (the counts are
+    # geometric with success probability 1/W(R))
+    kern = make_kernel("power_law", alpha=1.0, n_max=8)
+    params = WalkParams(beta=1.0, h=-1.0, f=0.3)
+    m, n, r = 400, 1000, 40
+    pots = [build_potential(sample_environment(kern, DisorderSpec("gaussian"), r, seed=e),
+                            params) for e in range(m)]
+    w = np.array([expected_visits_exact(pot, r) for pot in pots])
+    counts = simulate_visit_counts_batch(pots, r, n, seed=1)
+    z = (counts.mean(axis=1) - w) / (counts.std(axis=1, ddof=1) / math.sqrt(n))
+    p = 1.0 / w
+    skew_bias = float(np.mean((2.0 - p) / np.sqrt(1.0 - p))) / (2.0 * math.sqrt(n))
+    assert abs(z.mean() + skew_bias) <= 4.0 / math.sqrt(m)
+    assert abs(z.var(ddof=1) - 1.0) <= 4.0 * math.sqrt(2.0 / (m - 1))
+    # at most the count of |z| > 3 that N(0,1) exceeds with probability < 1e-4
+    p3 = math.erfc(3.0 / math.sqrt(2.0))
+    cdf, cap = 0.0, -1
+    while 1.0 - cdf >= 1e-4:
+        cap += 1
+        cdf += math.comb(m, cap) * p3 ** cap * (1.0 - p3) ** (m - cap)
+    assert np.count_nonzero(np.abs(z) > 3.0) <= cap
 
 
 def test_step_budget_error_and_censoring():
