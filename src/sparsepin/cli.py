@@ -56,7 +56,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 # key -> (type, default); grids are comma-separated strings so that config
-# files and embedded configs stay flat
+# files and embedded configs stay flat.  Every key is read by its command.
 _COMMON = {
     "seed": (int, 1),
     "kernel": (str, "power_law"),
@@ -67,29 +67,25 @@ _COMMON = {
     "disorder": (str, "gaussian"),
     "sigma": (float, 1.0),
     "half_width": (float, 1.0),
-    "beta": (float, 0.0),
-    "h": (float, 0.0),
-    "f": (float, 0.0),
 }
+_ENERGY = {"beta": (float, 0.0), "h": (float, 0.0)}
 
 _SCHEMAS = {
     "env": {**_COMMON, "horizon": (int, 50)},
-    "walk": {**_COMMON, "horizon": (int, 50), "r": (int, 0),
-             "replicas": (int, 10000), "step_budget": (int, 10 ** 8),
+    "walk": {**_COMMON, **_ENERGY, "f": (float, 0.0), "horizon": (int, 50),
+             "r": (int, 0), "replicas": (int, 10000), "step_budget": (int, 10 ** 8),
              "speed": (bool, False), "speed_steps": (int, 1000),
              "speed_replicas": (int, 400)},
-    "pinning": {**_COMMON, "n": (int, 2000), "gc_f": (float, None),
+    "pinning": {**_COMMON, **_ENERGY, "n": (int, 2000), "gc_f": (float, None),
                 "critical": (bool, False), "crit_tol": (float, 0.02),
                 "crit_replicas": (int, 3), "crit_n": (int, 0)},
     "verify": {**_COMMON, "beta": (float, 1.0), "h": (float, -1.0),
                "f": (float, 0.3), "n_tau": (int, 200),
-               "walk_replicas": (int, 500), "n_series": (int, 0),
-               "max_rounds": (int, 3)},
-    "scan": {**_COMMON, "alpha": (float, 0.6), "n_max": (int, 40),
+               "walk_replicas": (int, 500), "n_series": (int, 0)},
+    "scan": {**_COMMON, **_ENERGY, "alpha": (float, 0.6), "n_max": (int, 40),
              "beta_grid": (str, "0,1,2"),
              "h_grid": (str, "-2.2,-1.4,-1.2,-0.35,-0.05"),
-             "n_fe": (int, 8000), "n_gc": (int, 3000),
-             "crit_tol": (float, 0.04), "crit_replicas": (int, 3),
+             "n_fe": (int, 8000), "n_gc": (int, 3000), "crit_tol": (float, 0.04),
              "eps_small": (float, 0.05), "h_hi": (float, 0.25),
              "transience": (bool, False), "trans_envs": (int, 50),
              "trans_walks": (int, 200), "trans_r": (int, 150)},
@@ -215,11 +211,6 @@ def cmd_walk(config: dict, outdir: Path) -> int:
     mean, stderr = mc_visits(pot, r, config["replicas"],
                              derive_seed(config["seed"], "mc"),
                              step_budget=config["step_budget"])
-    dv = pot.increments()
-    write_csv(outdir / "potential.csv", ["i", "V", "step_prob_up"],
-              [(i, float(pot.values[i]),
-                1.0 if i == 0 else float(step_prob(float(dv[i - 1]))))
-               for i in range(pot.horizon + 1)])
     exact = expected_visits_exact(pot, r)
     payload = {"visits": {"r": r, "exact": exact,
                           "mean": mean, "stderr": stderr,
@@ -233,6 +224,11 @@ def cmd_walk(config: dict, outdir: Path) -> int:
         payload["speed"] = {"mean": smean, "stderr": sse,
                             "n_steps": config["speed_steps"],
                             "replicas": config["speed_replicas"]}
+    dv = pot.increments()
+    write_csv(outdir / "potential.csv", ["i", "V", "step_prob_up"],
+              [(i, float(pot.values[i]),
+                1.0 if i == 0 else float(step_prob(float(dv[i - 1]))))
+               for i in range(pot.horizon + 1)])
     write_json(outdir / "visits.json", "walk", config, payload)
     return EXIT_PASS
 
@@ -272,8 +268,7 @@ def cmd_verify(config: dict, outdir: Path) -> int:
     relation = verify_key_relation(KeyRelationConfig(
         kernel=kernel, disorder=disorder, beta=config["beta"], h=config["h"],
         f=config["f"], n_tau=config["n_tau"], walk_replicas=config["walk_replicas"],
-        seed=config["seed"], n_series=config["n_series"] or None,
-        max_rounds=config["max_rounds"]))
+        seed=config["seed"], n_series=config["n_series"] or None))
     bound = tau_mean_lower_bound(kernel, disorder, config["beta"], config["h"],
                                  seed=config["seed"])
     write_json(outdir / "verify.json", "verify", config,
@@ -291,7 +286,6 @@ def cmd_scan(config: dict, outdir: Path) -> int:
     disorder = build_disorder(config)
     beta_grid, h_grid = _grid(config["beta_grid"]), _grid(config["h_grid"])
     scan_cfg = ScanConfig(kernel=kernel, disorder=disorder, n_fe=config["n_fe"],
-                          crit_replicas=config["crit_replicas"],
                           crit_tol=config["crit_tol"], n_gc=config["n_gc"],
                           eps_small=config["eps_small"], seed=config["seed"],
                           h_hi=config["h_hi"])

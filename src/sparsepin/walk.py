@@ -67,6 +67,9 @@ class WalkParams:
     f: float = 0.0
 
     def __post_init__(self):
+        # integer inputs would otherwise make integer increment arrays
+        for name in ("beta", "h", "f"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         if not all(math.isfinite(x) for x in (self.beta, self.h, self.f)):
             raise ValueError("beta, h and f must be finite")
         if self.beta < 0:

@@ -199,7 +199,7 @@ def test_criterion_9_tau_mean_bound():
 def test_criterion_10_regime_scan_stability():
     t0 = time.time()
     kern = make_kernel("power_law", alpha=0.6, n_max=40)
-    cfg = ScanConfig(kernel=kern, disorder=GAUSS, n_fe=10000, crit_replicas=3,
+    cfg = ScanConfig(kernel=kern, disorder=GAUSS, n_fe=10000,
                      crit_tol=0.04, n_gc=3000, seed=99)
     betas = [0.0, 1.0, 2.0]
     hs = [-2.2, -1.4, -1.2, -0.35, -0.05]

@@ -133,7 +133,7 @@ def test_scan_small_grid(tmp_path):
     assert run(tmp_path, "scan", "--beta-grid", "0,1", "--h-grid=-0.6,-0.5,-0.05",
                "--kernel", "power_law", "--alpha", "0.6", "--n-max", "20",
                "--n-fe", "3000", "--n-gc", "1000", "--crit-tol", "0.05",
-               "--crit-replicas", "2", "--seed", "12") == EXIT_PASS
+               "--seed", "12") == EXIT_PASS
     rows = read_csv(tmp_path, "scan.csv")
     by_key = {(float(r["beta"]), float(r["h"])): r["case"] for r in rows}
     assert by_key[(0.0, -0.6)] == "case23_merged"
@@ -168,6 +168,8 @@ def test_refused_walk_leaves_outdir_empty(tmp_path):
     ("pinning", "--n", "1"),
     ("pinning", "--n", "100", "--critical", "--crit-tol", "0"),
     ("scan", "--transience", "--h", "0"),
+    ("walk", "--speed", "--speed-replicas", "1"),
+    ("walk", "--speed", "--speed-steps", "0"),
 ])
 def test_refused_runs_leave_outdir_empty(tmp_path, monkeypatch, args):
     def no_scan(*_):
@@ -176,6 +178,36 @@ def test_refused_runs_leave_outdir_empty(tmp_path, monkeypatch, args):
     monkeypatch.setattr(cli, "regime_scan", no_scan)
     assert run(tmp_path, *args) == EXIT_CONFIG
     assert not any(tmp_path.iterdir())
+
+
+class _ReadRecorder(dict):
+    """A config dict that records which keys a command reads."""
+
+    def __init__(self, values):
+        super().__init__(values)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("env", {"horizon": 10}),
+    ("walk", {"horizon": 20, "replicas": 100, "speed": True, "speed_steps": 50,
+              "speed_replicas": 10}),
+    ("pinning", {"n": 300, "gc_f": 0.0, "critical": True, "crit_tol": 0.2,
+                 "crit_replicas": 2}),
+    ("verify", {"n_tau": 4, "walk_replicas": 20, "n_series": 40}),
+    ("scan", {"beta_grid": "0,1", "h_grid": "-0.5", "n_fe": 300, "n_gc": 200,
+              "crit_tol": 0.2, "transience": True, "h": -1.0, "trans_envs": 2,
+              "trans_walks": 10, "trans_r": 20}),
+])
+def test_every_config_key_is_read(tmp_path, command, flags):
+    # a settable key that its command never reads cannot change the output
+    config = _ReadRecorder(cli.resolve_config(command, {}, flags))
+    assert cli._COMMANDS[command](config, tmp_path) == EXIT_PASS
+    assert config.read == set(cli._SCHEMAS[command])
 
 
 def test_pinning_grand_canonical_report(tmp_path):

@@ -23,6 +23,7 @@ def test_key_relation_dirac_collapse():
     rep = verify_key_relation(cfg)
     assert rep.verdict == "pass"
     assert rep.abs_difference <= rep.tolerance
+    assert rep.tolerance == 3 * rep.lhs_stderr
 
 
 def test_key_relation_large_f_trivial_limit():
@@ -83,7 +84,7 @@ def test_tau_mean_bound_generic_and_dirac():
 
 def test_regime_scan_merges_and_boundary():
     kern = make_kernel("power_law", alpha=0.6, n_max=20)
-    cfg = ScanConfig(kernel=kern, disorder=GAUSS, n_fe=4000, crit_replicas=2,
+    cfg = ScanConfig(kernel=kern, disorder=GAUSS, n_fe=4000,
                      crit_tol=0.05, n_gc=1500, mc_envs=4, seed=12)
     rep = regime_scan([0.0, 1.0], [-0.6, -0.5, -0.05], cfg)
     cases = rep.cases()
@@ -99,7 +100,7 @@ def test_regime_scan_merges_and_boundary():
 
 def test_regime_scan_outside_label():
     kern = make_kernel("power_law", alpha=0.6, n_max=20)
-    cfg = ScanConfig(kernel=kern, disorder=GAUSS, n_fe=3000, crit_replicas=2,
+    cfg = ScanConfig(kernel=kern, disorder=GAUSS, n_fe=3000,
                      crit_tol=0.05, n_gc=1000, mc_envs=2, seed=13)
     rep = regime_scan([0.0], [0.3], cfg)
     assert rep.points[0].case == "outside"

@@ -82,6 +82,18 @@ def test_walk_params_validation():
             WalkParams(**bad)
 
 
+def test_integer_params_match_float_params():
+    k = make_kernel("power_law", alpha=1.0, n_max=4)
+    spec = DisorderSpec("gaussian")
+    env = sample_environment(k, spec, 40, seed=2)
+    ints, floats = WalkParams(beta=1, h=-1, f=0), WalkParams(beta=1.0, h=-1.0, f=0.0)
+    assert np.array_equal(build_potential(env, ints).values,
+                          build_potential(env, floats).values)
+    streams = [sparse_increment_stream(k, spec, p) for p in (ints, floats)]
+    dvs = [s(0, rng_for(4, "stream"), 30) for s in streams]
+    assert dvs[0].dtype == float and np.array_equal(*dvs)
+
+
 # ---------------------------------------------------------------------------
 # exact formulas
 
