@@ -17,7 +17,8 @@ from .experiments import (KeyRelationConfig, KeyRelationReport, RegimeReport,
 from .pinning import (BracketError, GrandCanonicalReport, HomogeneousSolution,
                       PartitionTable, annealed_critical_point, brute_force_partition,
                       free_energy_estimate, free_partition, grand_canonical,
-                      homogeneous_free_energy, pinned_recursion,
+                      homogeneous_free_energy, homogeneous_series_verdict,
+                      pinned_recursion,
                       quenched_critical_point_estimate, relevance_classifier)
 from .walk import (Potential, StepBudgetError, WalkParams, build_potential,
                    expected_visits_exact, mc_speed, mc_visits, ruin_prob,

@@ -86,7 +86,7 @@ _SCHEMAS = {
              "beta_grid": (str, "0,1,2"),
              "h_grid": (str, "-2.2,-1.4,-1.2,-0.35,-0.05"),
              "n_fe": (int, 8000), "n_gc": (int, 3000), "crit_tol": (float, 0.04),
-             "eps_small": (float, 0.05), "h_hi": (float, 0.25),
+             "eps_small": (float, 0.05),
              "transience": (bool, False), "trans_envs": (int, 50),
              "trans_walks": (int, 200), "trans_r": (int, 150)},
 }
@@ -287,8 +287,7 @@ def cmd_scan(config: dict, outdir: Path) -> int:
     beta_grid, h_grid = _grid(config["beta_grid"]), _grid(config["h_grid"])
     scan_cfg = ScanConfig(kernel=kernel, disorder=disorder, n_fe=config["n_fe"],
                           crit_tol=config["crit_tol"], n_gc=config["n_gc"],
-                          eps_small=config["eps_small"], seed=config["seed"],
-                          h_hi=config["h_hi"])
+                          eps_small=config["eps_small"], seed=config["seed"])
     payload = {}
     if config["transience"]:
         # cheap next to the scan and refuses its own bad inputs (h >= 0

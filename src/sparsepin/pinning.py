@@ -40,6 +40,7 @@ __all__ = [
     "grand_canonical",
     "free_energy_estimate",
     "homogeneous_free_energy",
+    "homogeneous_series_verdict",
     "annealed_critical_point",
     "quenched_critical_point_estimate",
     "relevance_classifier",
@@ -47,11 +48,11 @@ __all__ = [
 
 BRUTE_FORCE_LIMIT = 14
 GC_SLOPE_TOL = 1e-3
-LOCALIZATION_FLOOR = 1e-4
+CRIT_H_HI = 0.25  # first upper end tried by the quenched bisection
 
 
 class BracketError(RuntimeError):
-    """Bisection could not bracket the localization threshold."""
+    """Bisection could not bracket the sign change of the free energy."""
 
     def __init__(self, h_lo: float, h_hi: float, message: str):
         super().__init__(f"{message} (scanned h in [{h_lo}, {h_hi}])")
@@ -127,11 +128,11 @@ class FreeEnergyEstimate:
 
 @dataclass(frozen=True)
 class CriticalPointEstimate:
-    """Bisection output: midpoint estimate plus the final bracket."""
+    """Bisection output: bracket (lo, hi) with raw(lo) <= 0 < raw(hi), its
+    midpoint h_hat, and the max-min of raw at h_hat across replicas."""
 
     h_hat: float
     bracket: tuple[float, float]
-    threshold: float
     replica_spread: float
     n: int
 
@@ -261,6 +262,11 @@ def free_energy_estimate(table: PartitionTable) -> FreeEnergyEstimate:
                               raw=raw, n=n)
 
 
+def _kernel_laplace(kernel: RenewalKernel, f: float) -> float:
+    """sum_k K(k) e^{-f k}, exactly rounded."""
+    return math.fsum(kernel.weights * np.exp(-f * np.arange(1.0, kernel.n_max + 1)))
+
+
 def homogeneous_free_energy(kernel: RenewalKernel, h: float) -> HomogeneousSolution:
     """Root of sum_n K(n) e^{-F n} = e^{-h}; F = 0 in the delocalized phase.
 
@@ -269,11 +275,10 @@ def homogeneous_free_energy(kernel: RenewalKernel, h: float) -> HomogeneousSolut
     """
     if h <= 0:
         return HomogeneousSolution(h=h, free_energy=0.0, residual=0.0)
-    n = np.arange(1, kernel.n_max + 1, dtype=float)
     target = math.exp(-h)
 
     def phi(f_val):
-        return math.fsum(kernel.weights * np.exp(-f_val * n)) - target
+        return _kernel_laplace(kernel, f_val) - target
 
     lo, hi = 0.0, h
     while hi - lo > 1e-12:
@@ -286,6 +291,16 @@ def homogeneous_free_energy(kernel: RenewalKernel, h: float) -> HomogeneousSolut
     return HomogeneousSolution(h=h, free_energy=root, residual=abs(phi(root)))
 
 
+def homogeneous_series_verdict(kernel: RenewalKernel, h: float, f: float) -> str:
+    """Exact verdict on sum_n Z_n e^{-fn} of the disorder-free model at bias h.
+
+    The pinned series is 1 / (1 - e^h L(f)), L(f) = sum_k K(k) e^{-fk}, and
+    the free one that times a finite tail sum: both converge iff e^h L(f) < 1.
+    """
+    laplace = _kernel_laplace(kernel, f)
+    return "converged" if laplace == 0.0 or h < -math.log(laplace) else "diverging"
+
+
 def annealed_critical_point(spec: DisorderSpec, beta: float) -> float:
     """h_c^a(beta) = -lambda(beta): averaging the disorder shifts h by lambda."""
     return -log_mgf(spec, beta)
@@ -293,61 +308,42 @@ def annealed_critical_point(spec: DisorderSpec, beta: float) -> float:
 
 def quenched_critical_point_estimate(spec: DisorderSpec, kernel: RenewalKernel,
                                      beta: float, n: int, replicas: int,
-                                     tol: float, seed: int = 0,
-                                     h_hi: float = 0.25) -> CriticalPointEstimate:
-    """Bisect h for the onset of f_hat above the noise threshold.
+                                     tol: float, seed: int = 0) -> CriticalPointEstimate:
+    """Bisect h for the sign change of raw = (1/n) log z^c_n on one disorder draw.
 
-    The localization test is f_hat > max(LOCALIZATION_FLOOR, 10*window_spread),
-    evaluated on one long disorder sequence (self-averaging); the spread of
-    f_hat at the returned midpoint across `replicas` independent sequences
-    is reported as the error bar.  h starts out bracketed below by the
-    annealed critical point, a rigorous lower bound for the quenched one.
+    For fixed disorder log z^c_n rises strictly in h (every path carries a
+    contact factor e^h), so the bracket holds this sample's root exactly.
+    It starts from the annealed critical point, a rigorous lower bound, and
+    CRIT_H_HI, raised by 0.5 up to four times until raw > 0, and narrows to
+    width <= tol.  The spread of raw at the midpoint across `replicas`
+    independent sequences is reported as the error bar.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (tol > 0 and replicas >= 1):
+        raise ValueError("need tol > 0 and replicas >= 1")
     omega = sample_disorder(spec, n, derive_seed(seed, "crit-omega", 0))
 
-    def threshold(est):
-        return max(LOCALIZATION_FLOOR, 10.0 * est.window_spread)
+    def raw(om, h):
+        return free_energy_estimate(pinned_recursion(om, kernel, beta, h, n)).raw
 
-    def localized(h):
-        est = free_energy_estimate(pinned_recursion(omega, kernel, beta, h, n))
-        return est.f_hat > threshold(est), est
-
-    h_lo = annealed_critical_point(spec, beta)
-    lo_state, _ = localized(h_lo)
-    if lo_state:
-        raise BracketError(h_lo, h_hi, "already localized at the annealed critical point")
-    hi = h_hi
-    hi_state, _ = localized(hi)
-    for _ in range(4):
-        if hi_state:
-            break
+    lo = annealed_critical_point(spec, beta)
+    if raw(omega, lo) > 0:
+        raise BracketError(lo, CRIT_H_HI, "already localized at the annealed critical point")
+    hi = CRIT_H_HI
+    while not raw(omega, hi) > 0:
+        if hi >= CRIT_H_HI + 2.0:
+            raise BracketError(lo, hi, "no localized phase found")
         hi += 0.5
-        hi_state, _ = localized(hi)
-    if not hi_state:
-        raise BracketError(h_lo, hi, "no localized phase found")
-    lo = h_lo
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        state, _ = localized(mid)
-        if state:
+        if raw(omega, mid) > 0:
             hi = mid
         else:
             lo = mid
     h_hat = 0.5 * (lo + hi)
-    _, mid_est = localized(h_hat)
-    spread = 0.0
-    if replicas > 1:
-        vals = [mid_est.f_hat]
-        for r in range(1, replicas):
-            om = sample_disorder(spec, n, derive_seed(seed, "crit-omega", r))
-            table = pinned_recursion(om, kernel, beta, h_hat, n)
-            vals.append(free_energy_estimate(table).f_hat)
-        spread = float(max(vals) - min(vals))
+    vals = [raw(sample_disorder(spec, n, derive_seed(seed, "crit-omega", r)), h_hat)
+            for r in range(replicas)] if replicas > 1 else [0.0]
     return CriticalPointEstimate(h_hat=h_hat, bracket=(lo, hi),
-                                 threshold=threshold(mid_est),
-                                 replica_spread=spread, n=n)
+                                 replica_spread=float(max(vals) - min(vals)), n=n)
 
 
 def relevance_classifier(alpha: float) -> str:

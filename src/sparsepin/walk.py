@@ -194,6 +194,8 @@ def simulate_visit_counts_batch(potentials, r: int, replicas: int, seed: int,
     """
     if replicas < 1:
         raise ValueError("need at least one replica")
+    if step_budget < 1:
+        raise ValueError("step_budget must be >= 1")
     table = _up_table(potentials, r)
     n_pot, width = table.shape
     total = n_pot * replicas

@@ -170,6 +170,13 @@ def test_refused_walk_leaves_outdir_empty(tmp_path):
     ("scan", "--transience", "--h", "0"),
     ("walk", "--speed", "--speed-replicas", "1"),
     ("walk", "--speed", "--speed-steps", "0"),
+    ("pinning", "--n", "100", "--critical", "--crit-replicas", "0"),
+    ("pinning", "--n", "100", "--critical", "--crit-replicas", "-3"),
+    ("scan", "--transience", "--h=-1", "--trans-walks", "1"),
+    ("scan", "--eps-small", "-1"),
+    ("scan", "--crit-tol", "0"),
+    ("scan", "--n-gc", "1"),
+    ("walk", "--step-budget", "0"),
 ])
 def test_refused_runs_leave_outdir_empty(tmp_path, monkeypatch, args):
     def no_scan(*_):
@@ -274,6 +281,10 @@ def test_config_errors_exit_64(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("no_such_key = 3\n")
     assert main(["env", "--config", str(bad), "--outdir", str(tmp_path)]) == EXIT_CONFIG
+    # a key removed from the schema, as in a scan report saved before h_hi went
+    old_scan = tmp_path / "old_scan.cfg"
+    old_scan.write_text("h_hi = 0.25\n")
+    assert main(["scan", "--config", str(old_scan), "--outdir", str(tmp_path)]) == EXIT_CONFIG
     malformed = tmp_path / "malformed.cfg"
     malformed.write_text("just a line\n")
     assert main(["env", "--config", str(malformed), "--outdir", str(tmp_path)]) == EXIT_CONFIG

@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 import sparsepin.pinning
 from sparsepin import (BracketError, DisorderSpec, annealed_critical_point,
                        brute_force_partition, free_energy_estimate, free_partition,
-                       grand_canonical, homogeneous_free_energy, kernel_mean,
+                       grand_canonical, homogeneous_free_energy,
+                       homogeneous_series_verdict, kernel_mean,
                        log_mgf, make_kernel, pinned_recursion,
                        quenched_critical_point_estimate, relevance_classifier,
                        sample_disorder)
+from sparsepin._rng import derive_seed
 
 
 def random_kernel(rng):
@@ -165,6 +167,27 @@ def test_grand_canonical_monotone_in_f():
     assert terms_05[0] == terms_02[0]
 
 
+def test_grand_canonical_verdicts_match_closed_form():
+    # the slope fit on homogeneous (annealed) tables that the regime scan
+    # used to run, against the exact condition e^h sum_k K(k) e^{-fk} < 1
+    k = make_kernel("power_law", alpha=0.6, n_max=40)
+    n = 3000
+    for h in (-1.0, -0.3, -0.05, 0.05, 0.2, 0.5, 1.0):
+        table = pinned_recursion(np.zeros(n), k, 0.0, h, n)
+        free_energy = homogeneous_free_energy(k, h).free_energy
+        for f in (0.0, 0.02, 0.05, 0.1, 0.2, 0.4, 0.8):
+            if abs(f - free_energy) < 0.02:
+                continue
+            exact = homogeneous_series_verdict(k, h, f)
+            assert exact == ("converged" if f > free_energy else "diverging")
+            for pinned in (False, True):
+                assert grand_canonical(table, f, pinned).verdict == exact, (h, f, pinned)
+    # on the critical line the renewal series sum_n P(n in tau) diverges
+    assert homogeneous_series_verdict(k, 0.0, 0.0) == "diverging"
+    assert homogeneous_series_verdict(k, -1e-9, 0.0) == "converged"
+    assert homogeneous_series_verdict(k, 5.0, 800.0) == "converged"
+
+
 def test_last_renewal_identity_internal():
     k = make_kernel("power_law", alpha=0.8, n_max=8)
     omega = sample_disorder(DisorderSpec("gaussian"), 2000, seed=13)
@@ -263,14 +286,95 @@ def test_quenched_critical_point_smoke():
     assert est.bracket[0] <= est.h_hat <= est.bracket[1]
 
 
+def _crit_raw(spec, kernel, beta, n, seed, h, replica=0):
+    # raw free energy on the estimator's own disorder draw (replica 0 bisects)
+    omega = sample_disorder(spec, n, derive_seed(seed, "crit-omega", replica))
+    return free_energy_estimate(pinned_recursion(omega, kernel, beta, h, n)).raw
+
+
 def test_quenched_critical_point_bracket_failure():
-    # at tiny n the noise threshold is never cleared and the search range
-    # is exhausted
-    k = make_kernel("power_law", alpha=1.0, n_max=4)
-    with pytest.raises(BracketError) as err:
+    # dirac step 2 and odd n: no renewal path ends at n, z^c_n = 0 for every
+    # h, so no h localizes and the search range is exhausted
+    k = make_kernel("dirac", step=2)
+    with pytest.raises(BracketError, match="no localized phase") as err:
         quenched_critical_point_estimate(DisorderSpec("gaussian"), k, 0.5,
-                                         10, 2, 0.02, seed=3)
-    assert err.value.scanned[1] > err.value.scanned[0]
+                                         11, 2, 0.02, seed=3)
+    assert err.value.scanned == (-0.125, 2.25)
+
+
+def test_quenched_critical_point_already_localized():
+    # at n = 10 the sampled F_n can already be positive on the annealed curve
+    k = make_kernel("power_law", alpha=1.0, n_max=4)
+    spec = DisorderSpec("gaussian")
+    assert _crit_raw(spec, k, 1.0, 10, 23, -0.5) > 0
+    with pytest.raises(BracketError, match="already localized") as err:
+        quenched_critical_point_estimate(spec, k, 1.0, 10, 1, 0.02, seed=23)
+    assert err.value.scanned == (-0.5, 0.25)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["power_law", "geometric", "dirac"]),
+       n_max=st.integers(1, 6), shape=st.floats(0.05, 0.95),
+       beta=st.floats(0.0, 1.5), h=st.floats(-2.0, 2.0), dh=st.floats(1e-3, 1.0),
+       n=st.integers(1, 60), seed=st.integers(0, 2 ** 32 - 1))
+def test_log_zc_strictly_increasing_in_h(kind, n_max, shape, beta, h, dh, n, seed):
+    # every path to m carries at least one contact factor e^h
+    kern = {"power_law": lambda: make_kernel("power_law", alpha=2 * shape, n_max=n_max),
+            "geometric": lambda: make_kernel("geometric", q=shape, n_max=n_max),
+            "dirac": lambda: make_kernel("dirac", step=n_max)}[kind]()
+    omega = np.random.default_rng(seed).normal(size=n)
+    lo = pinned_recursion(omega, kern, beta, h, n).log_zc
+    hi = pinned_recursion(omega, kern, beta, h + dh, n).log_zc
+    finite = np.isfinite(lo)
+    assert np.array_equal(finite, np.isfinite(hi))
+    assert np.all(hi[1:][finite[1:]] > lo[1:][finite[1:]])
+
+
+@settings(max_examples=25, deadline=None)
+@given(kind=st.sampled_from(["power_law", "geometric"]), n_max=st.integers(1, 10),
+       shape=st.floats(0.05, 0.95), beta=st.floats(0.0, 2.0),
+       family=st.sampled_from(["gaussian", "rademacher", "uniform_centered"]),
+       n=st.integers(2, 300), tol=st.floats(0.01, 0.5), seed=st.integers(0, 2 ** 32 - 1))
+def test_quenched_bracket_holds_the_sign_change(kind, n_max, shape, beta, family, n,
+                                                tol, seed):
+    kern = (make_kernel("power_law", alpha=2 * shape, n_max=n_max) if kind == "power_law"
+            else make_kernel("geometric", q=shape, n_max=n_max))
+    spec = DisorderSpec(family)
+    try:
+        est = quenched_critical_point_estimate(spec, kern, beta, n, 1, tol, seed=seed)
+    except BracketError as err:
+        lo, hi = err.scanned
+        assert (_crit_raw(spec, kern, beta, n, seed, lo) > 0
+                or not _crit_raw(spec, kern, beta, n, seed, hi) > 0)
+        return
+    lo, hi = est.bracket
+    assert annealed_critical_point(spec, beta) <= lo < hi <= lo + tol
+    assert _crit_raw(spec, kern, beta, n, seed, lo) <= 0 < _crit_raw(spec, kern, beta,
+                                                                      n, seed, hi)
+    assert est.h_hat == 0.5 * (lo + hi) and est.replica_spread == 0.0
+
+
+def test_quenched_critical_point_respects_jensen():
+    # F(beta, h) >= F(0, h) gives h_c(beta) <= 0; the scan kernel at n = 8000
+    # used to put two of these five brackets above 0
+    k = make_kernel("power_law", alpha=0.6, n_max=40)
+    ests = [quenched_critical_point_estimate(DisorderSpec("gaussian"), k, 1.0,
+                                             8000, 1, 0.04, seed=s)
+            for s in range(1, 6)]
+    assert all(e.bracket[1] <= 0 for e in ests), [e.bracket for e in ests]
+    mids = [e.h_hat for e in ests]
+    assert max(mids) - min(mids) <= 0.1
+
+
+def test_quenched_replica_spread_uses_raw():
+    # f_hat is clamped at 0, so a spread of f_hat would hide every replica
+    # that falls below 0 at h_hat
+    k = make_kernel("power_law", alpha=1.0, n_max=8)
+    spec = DisorderSpec("gaussian")
+    est = quenched_critical_point_estimate(spec, k, 1.0, 2000, 3, 0.02, seed=5)
+    raws = [_crit_raw(spec, k, 1.0, 2000, 5, est.h_hat, r) for r in range(3)]
+    assert min(raws) < 0
+    assert est.replica_spread == max(raws) - min(raws)
 
 
 def test_relevance_classifier():
