@@ -2,7 +2,7 @@
 
 The package samples sparse environments (renewal locations plus i.i.d.
 disorder), evaluates the exact scale-function formulas for the walk in the
-induced potential, computes pinning partition functions by log-domain
+induced potential, computes pinning partition functions by batched, scaled
 renewal recursions, and checks numerically that the renewal-averaged
 expected number of returns to the origin equals the grand-canonical
 partition sum of the pinning model.
@@ -18,7 +18,7 @@ from .pinning import (BracketError, GrandCanonicalReport, HomogeneousSolution,
                       PartitionTable, annealed_critical_point, brute_force_partition,
                       free_energy_estimate, free_partition, grand_canonical,
                       homogeneous_free_energy, homogeneous_series_verdict,
-                      pinned_recursion,
+                      pinned_recursion, pinned_recursions,
                       quenched_critical_point_estimate, relevance_classifier)
 from .walk import (Potential, StepBudgetError, WalkParams, build_potential,
                    expected_visits_exact, mc_speed, mc_visits, ruin_prob,

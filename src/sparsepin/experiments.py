@@ -22,7 +22,8 @@ from .environment import (DisorderSpec, RenewalKernel, SparseEnvironment,
                           sample_renewal)
 from .pinning import (BracketError, free_energy_estimate, grand_canonical,
                       homogeneous_free_energy, homogeneous_series_verdict,
-                      pinned_recursion, quenched_critical_point_estimate)
+                      pinned_recursion, pinned_recursions,
+                      quenched_critical_point_estimate)
 # simulate_visit_counts is not called here, but stays bound: perfbench's
 # tracer test checks that this module's binding of it gets wrapped
 from .walk import (WalkParams, _mean_stderr, build_potential, expected_visits_exact,
@@ -237,6 +238,7 @@ class RegimePoint:
 class RegimeReport:
     points: list
     config: dict
+    critical: list = field(default_factory=list)  # one quenched search per beta
 
     def cases(self) -> dict:
         return {(p.beta, p.h): p.case for p in self.points}
@@ -254,36 +256,44 @@ def regime_scan(beta_grid, h_grid, cfg: ScanConfig) -> RegimeReport:
     ties with the annealed curve "boundary", h >= 0 "outside"; at beta = 0
     the curves merge into "case23_merged".  `consistent` says whether the
     quenched series verdicts on a separate n_gc-long disorder row agree
-    with the label; the annealed verdicts are exact and only recorded.
+    with the label; the annealed verdicts are exact and only recorded, as
+    are the quenched ones at beta = 0.  The report's `critical` list holds
+    each beta's bracket and bisection trail (or the bracket error).
     """
-    points = []
+    points, critical = [], []
     for i_beta, beta in enumerate(beta_grid):
         lam = log_mgf(cfg.disorder, beta)
         h_ann = -lam
-        bracket = None
-        bracket_err = None
+        search = {"beta": beta, "bracket": None, "trail": [], "error": None}
         if beta > 0:
             try:
                 # only the bracket is used, so no replica spread is computed
-                bracket = quenched_critical_point_estimate(
+                est = quenched_critical_point_estimate(
                     cfg.disorder, cfg.kernel, beta, cfg.n_fe, 1, cfg.crit_tol,
-                    seed=derive_seed(cfg.seed, "crit", i_beta)).bracket
+                    seed=derive_seed(cfg.seed, "crit", i_beta))
+                search.update(bracket=est.bracket, trail=est.trail)
             except BracketError as err:
-                bracket_err = str(err)
+                search["error"] = str(err)
+        critical.append(search)
+        bracket = search["bracket"]
+        cases = [_classify(beta, h, h_ann, bracket) for h in h_grid]
+        # the quenched tables of the whole row come from one batched call
         omega_row = sample_disorder(cfg.disorder, cfg.n_gc,
                                     derive_seed(cfg.seed, "scan-omega", i_beta))
-        for h in h_grid:
-            case = _classify(beta, h, h_ann, bracket)
-            diag, ok = _point_diagnostics(cfg, beta, h, lam, case, omega_row, bracket)
-            if bracket_err:
-                diag["bracket_error"] = bracket_err
+        quenched = [h for h, case in zip(h_grid, cases) if case in ("case1", "case2")]
+        tables = dict(zip(quenched, pinned_recursions(omega_row, cfg.kernel, beta,
+                                                      quenched, cfg.n_gc)))
+        for h, case in zip(h_grid, cases):
+            diag, ok = _point_diagnostics(cfg, beta, h, lam, case, tables.get(h), bracket)
+            if search["error"]:
+                diag["bracket_error"] = search["error"]
             points.append(RegimePoint(beta=beta, h=h, h_c_annealed=h_ann,
                                       bracket=bracket, case=case,
                                       diagnostics=diag, consistent=ok))
     config = {"kernel": cfg.kernel.to_dict(), "disorder": cfg.disorder.to_dict(),
               "n_fe": cfg.n_fe, "crit_tol": cfg.crit_tol, "n_gc": cfg.n_gc,
               "eps_small": cfg.eps_small, "seed": cfg.seed}
-    return RegimeReport(points=points, config=config)
+    return RegimeReport(points=points, config=config, critical=critical)
 
 
 def _classify(beta: float, h: float, h_ann: float, bracket) -> str:
@@ -308,37 +318,41 @@ def _classify(beta: float, h: float, h_ann: float, bracket) -> str:
 
 
 def _point_diagnostics(cfg: ScanConfig, beta: float, h: float, lam: float,
-                       case: str, omega_row: np.ndarray, bracket) -> tuple[dict, bool]:
+                       case: str, table, bracket) -> tuple[dict, bool]:
     """Convergence verdicts expected for the classified case, plus checks.
 
+    `table` is the point's quenched n_gc table (case1 and case2 only).
     E Z_n is the homogeneous Z_n at h + lambda, so the annealed_* verdicts
-    are exact and only the quenched slope fits can fail the check.
+    are exact; at beta = 0 the quenched table is the homogeneous one at h,
+    so its verdicts are exact too, and only the quenched slope fits at
+    beta > 0 can fail the check.
     """
     diag: dict = {}
     expected_ok = True
-    if case in ("case1", "case2", "case23_merged"):
-        table = pinned_recursion(omega_row, cfg.kernel, beta, h, cfg.n_gc)
-        if case == "case1":
-            est = free_energy_estimate(table)
-            diag["f_hat"] = est.f_hat
-            if est.f_hat > 1e-3:
-                gc = grand_canonical(table, 0.5 * est.f_hat)
-                diag["quenched_below_f_hat"] = gc.verdict
-                expected_ok &= gc.verdict == "diverging"
-            growth = _visit_sum_growth(cfg, beta, h)
-            diag["visit_sum_growth"] = growth
-            expected_ok &= growth < 0.05
-        else:
-            gc_eps = grand_canonical(table, cfg.eps_small)
-            diag["quenched_at_eps"] = gc_eps.verdict
-            expected_ok &= gc_eps.verdict == "converged"
-            # the zero-drift series converges too slowly to call near the
-            # bracket; only check it with a clear margin below
-            strict = bracket is not None and h < bracket[0] - 6.0 * cfg.crit_tol
-            if case == "case23_merged" or strict:
-                gc0 = grand_canonical(table, 0.0)
-                diag["quenched_at_zero"] = gc0.verdict
-                expected_ok &= gc0.verdict == "converged"
+    if case == "case1":
+        est = free_energy_estimate(table)
+        diag["f_hat"] = est.f_hat
+        if est.f_hat > 1e-3:
+            gc = grand_canonical(table, 0.5 * est.f_hat)
+            diag["quenched_below_f_hat"] = gc.verdict
+            expected_ok &= gc.verdict == "diverging"
+        growth = _visit_sum_growth(cfg, beta, h)
+        diag["visit_sum_growth"] = growth
+        expected_ok &= growth < 0.05
+    elif case in ("case2", "case23_merged"):
+        def verdict(f):
+            if table is None:
+                return homogeneous_series_verdict(cfg.kernel, h, f)
+            return grand_canonical(table, f).verdict
+
+        diag["quenched_at_eps"] = verdict(cfg.eps_small)
+        expected_ok &= diag["quenched_at_eps"] == "converged"
+        # the zero-drift series converges too slowly to call near the
+        # bracket; only check it with a clear margin below
+        strict = bracket is not None and h < bracket[0] - 6.0 * cfg.crit_tol
+        if case == "case23_merged" or strict:
+            diag["quenched_at_zero"] = verdict(0.0)
+            expected_ok &= diag["quenched_at_zero"] == "converged"
         if case == "case2":
             f_ann = homogeneous_free_energy(cfg.kernel, h + lam).free_energy
             diag["annealed_free_energy"] = f_ann

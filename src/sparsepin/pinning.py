@@ -9,7 +9,10 @@ and the free one decomposes over the last renewal point before n,
 
     Z_n = sum_{k<=n} z^c_k * P(tau_1 > n - k),     Z_0 = 1.
 
-Everything runs in the log domain (values pass e^700 in localized scans).
+Tables are returned in the log domain (values pass e^700 in localized
+scans).  The recursion itself runs in linear arithmetic on a window scaled
+by a running log-normaliser per row, the scaling trick of the HMM forward
+algorithm, and is batched over rows of contact energies.
 Z_0 = 1 is the empty-product convention: it makes the grand-canonical sum
 sum_n Z_n e^{-fn} equal, term by term, the renewal-averaged expected visit
 count of the walk, time-0 visit included.
@@ -18,10 +21,11 @@ count of the walk, time-0 visit included.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ._rng import derive_seed
 from .environment import (DisorderSpec, RenewalKernel, kernel_tail, log_mgf,
@@ -35,6 +39,7 @@ __all__ = [
     "CriticalPointEstimate",
     "BracketError",
     "pinned_recursion",
+    "pinned_recursions",
     "free_partition",
     "brute_force_partition",
     "grand_canonical",
@@ -49,6 +54,9 @@ __all__ = [
 BRUTE_FORCE_LIMIT = 14
 GC_SLOPE_TOL = 1e-3
 CRIT_H_HI = 0.25  # first upper end tried by the quenched bisection
+_ROWS = 8  # rows per engine call, so (rows, n) buffers stay small at large n
+_SCALE_LIMIT = 200.0  # a window sum outside e^{+-200} is rebuilt from the logs
+_MULTISECTION_LEVELS = 3  # bisection levels evaluated per batched pass
 
 
 class BracketError(RuntimeError):
@@ -129,51 +137,106 @@ class FreeEnergyEstimate:
 @dataclass(frozen=True)
 class CriticalPointEstimate:
     """Bisection output: bracket (lo, hi) with raw(lo) <= 0 < raw(hi), its
-    midpoint h_hat, and the max-min of raw at h_hat across replicas."""
+    midpoint h_hat, the max-min of raw at h_hat across replicas, and the
+    trail of (h, raw) pairs the bisection decided on, start ends included."""
 
     h_hat: float
     bracket: tuple[float, float]
     replica_spread: float
     n: int
+    trail: list = field(default_factory=list)
 
 
-def _lse(a: np.ndarray) -> float:
-    """log(sum(exp(a))), shifted by the max so large entries stay finite."""
-    m = np.max(a)
-    if not np.isfinite(m):
-        return float(m)
-    return float(m + np.log(np.sum(np.exp(a - m))))
+def _lse(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a))) along the last axis, shifted by the max so large
+    entries stay finite."""
+    m = np.max(a, axis=-1, keepdims=True)
+    m[~np.isfinite(m)] = 0.0
+    with np.errstate(divide="ignore"):
+        return (m + np.log(np.sum(np.exp(a - m), axis=-1, keepdims=True)))[..., 0]
+
+
+def _log_zc_rows(contact: np.ndarray, kernel: RenewalKernel) -> np.ndarray:
+    """log z^c_0..n for each row of a (B, n) array of contact energies.
+
+    Row b keeps u[b, j] = z^c_j e^{-s_b} for a running normaliser s_b, so a
+    site costs one kernel-weighted window sum in linear arithmetic.  When a
+    row's window sum leaves e^{+-_SCALE_LIMIT} (or over/underflows), that row
+    alone takes the site from its stored logs by a log-sum-exp and restarts
+    its window at the new normaliser.  Each row is reduced along its own
+    contiguous window, so a row's result does not depend on its batch.
+    """
+    rows, n = contact.shape
+    width = kernel.n_max
+    wrev = kernel.weights[::-1]
+    log_wrev = kernel.log_weights[::-1]
+    # site j sits at index j + width; the entries before site 0 are empty
+    u = np.zeros((rows, n + 1 + width))
+    u[:, width] = 1.0
+    logs = np.full((rows, n + 1 + width), -np.inf)
+    logs[:, width] = 0.0
+    scale = np.zeros(rows)
+    prod = np.empty((rows, width))
+    acc, spare = np.empty(rows), np.empty(rows)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for m in range(1, n + 1):
+            np.multiply(u[:, m : m + width], wrev, out=prod)
+            np.add.reduce(prod, axis=1, out=acc)
+            np.log(acc, out=acc)  # log of the window sum, relative to scale
+            if not np.maximum.reduce(np.abs(acc, out=spare)) <= _SCALE_LIMIT:
+                for b in np.flatnonzero(~(spare <= _SCALE_LIMIT)):
+                    window = logs[b, m : m + width]
+                    total = float(_lse(window + log_wrev))
+                    if math.isfinite(total):
+                        scale[b], acc[b] = total, 0.0
+                        u[b, m : m + width] = np.exp(window - total)
+                    else:
+                        acc[b] = total  # no renewal path ends at site m
+            acc += contact[:, m - 1]
+            np.add(acc, scale, out=logs[:, m + width])
+            np.exp(acc, out=u[:, m + width])
+    return logs[:, width:]
+
+
+def _contact_rows(omega: np.ndarray, beta: float, hs, n: int) -> np.ndarray:
+    """beta * omega_m + h for m = 1..n, one row per h."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if len(omega) < n:
+        raise ValueError(f"omega holds {len(omega)} sites, need {n}")
+    return beta * np.asarray(omega[:n], dtype=float) + np.asarray(hs, dtype=float)[:, None]
 
 
 def pinned_recursion(omega: np.ndarray, kernel: RenewalKernel, beta: float,
                      h: float, n: int) -> PartitionTable:
     """Fill log z^c_0..n by the last-gap renewal recursion, O(n * n_max)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if len(omega) < n:
-        raise ValueError(f"omega holds {len(omega)} sites, need {n}")
-    log_k = kernel.log_weights
-    contact = beta * np.asarray(omega[:n], dtype=float) + h
-    log_zc = np.empty(n + 1)
-    log_zc[0] = 0.0
-    for m in range(1, n + 1):
-        kmax = min(m, kernel.n_max)
-        prev = log_zc[m - kmax : m][::-1]
-        log_zc[m] = contact[m - 1] + _lse(log_k[:kmax] + prev)
+    log_zc = _log_zc_rows(_contact_rows(omega, beta, [h], n), kernel)[0]
     return PartitionTable(n=n, kernel=kernel, log_zc=log_zc)
 
 
+def pinned_recursions(omega: np.ndarray, kernel: RenewalKernel, beta: float,
+                      hs, n: int) -> list[PartitionTable]:
+    """pinned_recursion at every h of `hs`, batched; each table is equal
+    element for element to its pinned_recursion call."""
+    contact = _contact_rows(omega, beta, hs, n)
+    return [PartitionTable(n=n, kernel=kernel, log_zc=log_zc)
+            for start in range(0, len(contact), _ROWS)
+            for log_zc in _log_zc_rows(contact[start : start + _ROWS], kernel)]
+
+
 def free_partition(table: PartitionTable) -> np.ndarray:
-    """log Z_0..n from the pinned column via the last-renewal decomposition."""
-    kernel = table.kernel
-    log_tail = kernel.log_tail
-    log_z = np.empty(table.n + 1)
-    log_z[0] = 0.0
-    for m in range(1, table.n + 1):
-        k_lo = max(0, m - kernel.n_max + 1)
-        # terms log zc_k + log tail(m-k), k = k_lo..m
-        log_z[m] = _lse(table.log_zc[k_lo : m + 1] + log_tail[: m - k_lo + 1][::-1])
-    return log_z
+    """log Z_0..n from the pinned column via the last-renewal decomposition.
+
+    log Z_m is a log-sum-exp of log z^c_{m-j} + log P(tau_1 > j) over
+    j < n_max, taken over sliding windows in blocks of rows.
+    """
+    width = table.kernel.n_max
+    padded = np.concatenate([np.full(width - 1, -np.inf), table.log_zc])
+    windows = sliding_window_view(padded, width)
+    log_tail_rev = table.kernel.log_tail[width - 1 :: -1]
+    block = max(1, 2 ** 15 // width)
+    return np.concatenate([_lse(windows[start : start + block] + log_tail_rev)
+                           for start in range(0, table.n + 1, block)])
 
 
 def brute_force_partition(omega: np.ndarray, kernel: RenewalKernel, beta: float,
@@ -314,36 +377,71 @@ def quenched_critical_point_estimate(spec: DisorderSpec, kernel: RenewalKernel,
     For fixed disorder log z^c_n rises strictly in h (every path carries a
     contact factor e^h), so the bracket holds this sample's root exactly.
     It starts from the annealed critical point, a rigorous lower bound, and
-    CRIT_H_HI, raised by 0.5 up to four times until raw > 0, and narrows to
-    width <= tol.  The spread of raw at the midpoint across `replicas`
-    independent sequences is reported as the error bar.
+    the first of CRIT_H_HI + 0.5 i, i = 0..4, with raw > 0, and narrows to
+    width <= tol.  The search runs as a multisection: one batched pass
+    evaluates both start ends, and each later pass every midpoint of the
+    next _MULTISECTION_LEVELS bisection levels, so the bracket and the trail
+    are the ones the one-h-at-a-time bisection gives.  The spread of raw at
+    the midpoint across `replicas` independent sequences is reported as the
+    error bar.
     """
     if not (tol > 0 and replicas >= 1):
         raise ValueError("need tol > 0 and replicas >= 1")
-    omega = sample_disorder(spec, n, derive_seed(seed, "crit-omega", 0))
+    if n < 2:
+        raise ValueError("free energy estimation needs n >= 2")
 
-    def raw(om, h):
-        return free_energy_estimate(pinned_recursion(om, kernel, beta, h, n)).raw
+    def omega(r):
+        return sample_disorder(spec, n, derive_seed(seed, "crit-omega", r))
 
+    def raws(contact):
+        return [float(v) for v in _log_zc_rows(contact, kernel)[:, n] / n]
+
+    omega0 = omega(0)
     lo = annealed_critical_point(spec, beta)
-    if raw(omega, lo) > 0:
+    starts = [lo] + [CRIT_H_HI + 0.5 * i for i in range(5)]
+    first = raws(_contact_rows(omega0, beta, starts, n))
+    if first[0] > 0:
         raise BracketError(lo, CRIT_H_HI, "already localized at the annealed critical point")
-    hi = CRIT_H_HI
-    while not raw(omega, hi) > 0:
-        if hi >= CRIT_H_HI + 2.0:
-            raise BracketError(lo, hi, "no localized phase found")
-        hi += 0.5
+    trail = [(lo, first[0])]
+    for h, raw in zip(starts[1:], first[1:]):
+        trail.append((h, raw))
+        if raw > 0:
+            break
+    else:
+        raise BracketError(lo, starts[-1], "no localized phase found")
+    hi = trail[-1][0]
     while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if raw(omega, mid) > 0:
-            hi = mid
-        else:
-            lo = mid
+        # every midpoint the next levels can visit, by the bisection's own arithmetic
+        mids, level = [], [(lo, hi)]
+        for _ in range(_MULTISECTION_LEVELS):
+            below = []
+            for a, b in level:
+                if b - a > tol:
+                    mid = 0.5 * (a + b)
+                    mids.append(mid)
+                    below += [(a, mid), (mid, b)]
+            level = below
+        raw_at = dict(zip(mids, raws(_contact_rows(omega0, beta, mids, n))))
+        for _ in range(_MULTISECTION_LEVELS):
+            if not hi - lo > tol:
+                break
+            mid = 0.5 * (lo + hi)
+            trail.append((mid, raw_at[mid]))
+            if raw_at[mid] > 0:
+                hi = mid
+            else:
+                lo = mid
     h_hat = 0.5 * (lo + hi)
-    vals = [raw(sample_disorder(spec, n, derive_seed(seed, "crit-omega", r)), h_hat)
-            for r in range(replicas)] if replicas > 1 else [0.0]
+    vals = [0.0]
+    if replicas > 1:
+        # one row per disorder draw, in engine calls of _ROWS draws
+        vals = []
+        for start in range(0, replicas, _ROWS):
+            draws = np.stack([omega(r) for r in range(start, min(start + _ROWS, replicas))])
+            vals += raws(beta * draws + h_hat)
     return CriticalPointEstimate(h_hat=h_hat, bracket=(lo, hi),
-                                 replica_spread=float(max(vals) - min(vals)), n=n)
+                                 replica_spread=float(max(vals) - min(vals)), n=n,
+                                 trail=trail)
 
 
 def relevance_classifier(alpha: float) -> str:

@@ -252,7 +252,8 @@ def _visits_chunk(pad: np.ndarray, base: np.ndarray, r: int, counts: np.ndarray,
     while True:
         pos_n, base_n, visits_n = pos[:n], base[:n], visits[:n]
         u_n, p_n, rel_n, up_n, home_n = u[:n], p_up[:n], rel[:n], up[:n], home[:n]
-        for _ in range(_SWEEP):
+        # the last sweep stops at the budget, so budgets below _SWEEP hold too
+        for _ in range(min(_SWEEP, step_budget - steps)):
             steps += 1
             rng.random(out=u_n)
             # positions never leave the table, so clipping never acts

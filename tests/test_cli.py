@@ -99,6 +99,32 @@ def test_pinning_quenched_critical(tmp_path):
     assert abs(doc["critical_points"]["quenched"]["h_hat"]) <= 0.05
 
 
+def test_bisection_trail_in_reports(tmp_path):
+    args = ("pinning", "--n-max", "20", "--beta", "1", "--n", "1500", "--critical",
+            "--crit-tol", "0.05", "--crit-replicas", "1")
+    assert run(tmp_path, *args) == EXIT_PASS
+    quenched = read_json(tmp_path, "pinning.json")["critical_points"]["quenched"]
+    # the annealed lower end, then the first upper end, then the midpoints
+    trail = quenched["trail"]
+    assert trail[0][0] == -0.5 and trail[1][0] == 0.25
+    lo, hi = quenched["bracket"]
+    assert {lo, hi} <= {h for h, _ in trail}
+    for h, raw in trail:
+        assert (raw > 0) == (h >= hi)
+    first = (tmp_path / "pinning.json").read_bytes()
+    assert run(tmp_path, *args) == EXIT_PASS
+    assert (tmp_path / "pinning.json").read_bytes() == first
+
+    scan = ("scan", "--beta-grid", "0,1", "--h-grid=-0.6,-0.05", "--n-max", "20",
+            "--n-fe", "1500", "--n-gc", "500", "--crit-tol", "0.05", "--seed", "12")
+    assert run(tmp_path, *scan) == EXIT_PASS
+    critical = read_json(tmp_path, "scan.json")["scan"]["critical"]
+    assert [c["beta"] for c in critical] == [0.0, 1.0]
+    assert critical[0]["bracket"] is None and critical[0]["trail"] == []
+    assert critical[1]["trail"][0][0] == -0.5
+    assert critical[1]["bracket"][1] in [h for h, _ in critical[1]["trail"]]
+
+
 def test_verify_trivial_limit_exit_zero(tmp_path):
     assert run(tmp_path, "verify", "--kernel", "power_law", "--alpha", "1",
                "--n-max", "8", "--beta", "1", "--h", "-1", "--f", "50",
@@ -156,6 +182,12 @@ def test_walk_step_budget_exit(tmp_path):
     assert run(tmp_path, "walk", "--beta", "0", "--h", "0", "--f", "0",
                "--horizon", "500", "--r", "500", "--replicas", "64",
                "--step-budget", "200", "--seed", "3") == 1
+    assert not any(tmp_path.iterdir())
+
+
+def test_walk_step_budget_below_one_sweep_exit(tmp_path):
+    assert run(tmp_path, "walk", "--horizon", "10", "--r", "2", "--f", "0",
+               "--replicas", "1000", "--step-budget", "1") == 1
     assert not any(tmp_path.iterdir())
 
 

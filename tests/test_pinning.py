@@ -16,6 +16,7 @@ from sparsepin import (BracketError, DisorderSpec, annealed_critical_point,
                        quenched_critical_point_estimate, relevance_classifier,
                        sample_disorder)
 from sparsepin._rng import derive_seed
+from sparsepin.pinning import CRIT_H_HI
 
 
 def random_kernel(rng):
@@ -383,3 +384,162 @@ def test_relevance_classifier():
     assert relevance_classifier(0.5) == "relevant"
     with pytest.raises(ValueError):
         relevance_classifier(-0.1)
+
+
+# ---------------------------------------------------------------------------
+# the batched scaled engine against the log-domain loops it replaced
+
+def _ref_lse(a):
+    m = np.max(a)
+    if not np.isfinite(m):
+        return float(m)
+    return float(m + np.log(np.sum(np.exp(a - m))))
+
+
+def _reference_log_zc(contact, kernel):
+    """The per-site log-sum-exp recursion for one row of contact energies."""
+    n = len(contact)
+    log_k = kernel.log_weights
+    log_zc = np.empty(n + 1)
+    log_zc[0] = 0.0
+    for m in range(1, n + 1):
+        kmax = min(m, kernel.n_max)
+        prev = log_zc[m - kmax : m][::-1]
+        log_zc[m] = contact[m - 1] + _ref_lse(log_k[:kmax] + prev)
+    return log_zc
+
+
+def _reference_free(log_zc, kernel):
+    """The per-site last-renewal loop for log Z_0..n."""
+    log_tail = kernel.log_tail
+    log_z = np.empty(len(log_zc))
+    log_z[0] = 0.0
+    for m in range(1, len(log_zc)):
+        k_lo = max(0, m - kernel.n_max + 1)
+        log_z[m] = _ref_lse(log_zc[k_lo : m + 1] + log_tail[: m - k_lo + 1][::-1])
+    return log_z
+
+
+def _kernel(kind, n_max, shape):
+    if kind == "power_law":
+        return make_kernel("power_law", alpha=2 * shape, n_max=n_max)
+    if kind == "geometric":
+        return make_kernel("geometric", q=shape, n_max=n_max)
+    return make_kernel("dirac", step=n_max)
+
+
+def _close_in_log(new, ref):
+    # relative to |log z^c|, floored at 1 where the log itself is near 0
+    finite = np.isfinite(ref)
+    assert np.array_equal(np.isfinite(new), finite)
+    assert np.array_equal(new[~finite], ref[~finite])
+    err = np.abs(new[finite] - ref[finite]) / np.maximum(1.0, np.abs(ref[finite]))
+    assert err.max(initial=0.0) <= 1e-11, err.max()
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["power_law", "geometric", "dirac"]),
+       n_max=st.integers(1, 12), shape=st.floats(0.05, 0.95),
+       beta=st.floats(0.0, 400.0), h=st.floats(-1000.0, 1000.0),
+       n=st.integers(0, 300), seed=st.integers(0, 2 ** 32 - 1))
+def test_scaled_engine_matches_log_domain_loop(kind, n_max, shape, beta, h, n, seed):
+    kern = _kernel(kind, n_max, shape)
+    omega = np.random.default_rng(seed).normal(size=n)
+    table = pinned_recursion(omega, kern, beta, h, n)
+    ref = _reference_log_zc(beta * omega + h, kern)
+    _close_in_log(table.log_zc, ref)
+
+
+def test_scaled_engine_extreme_contacts():
+    # contacts of +-1000 and alternating signs push every window far out of
+    # the linear range; gapped kernels keep residue classes apart
+    rng = np.random.default_rng(4)
+    for kern in (make_kernel("power_law", alpha=0.6, n_max=40),
+                 make_kernel("geometric", q=0.3, n_max=7),
+                 make_kernel("dirac", step=3)):
+        for contact in (np.full(200, -1000.0), np.full(200, 1000.0),
+                        np.where(np.arange(200) % 2, 1000.0, -1000.0),
+                        400.0 * rng.normal(size=200)):
+            _close_in_log(sparsepin.pinning._log_zc_rows(contact[None, :], kern)[0],
+                          _reference_log_zc(contact, kern))
+
+
+def test_engine_rows_do_not_depend_on_their_batch():
+    engine = sparsepin.pinning._log_zc_rows
+    rng = np.random.default_rng(8)
+    for kern in (make_kernel("power_law", alpha=0.6, n_max=40),
+                 make_kernel("geometric", q=0.5, n_max=5),
+                 make_kernel("dirac", step=2)):
+        omega = rng.normal(size=3000)
+        hs = np.array([-2.2, -0.7, -0.05, 0.0, 0.3, 5.0, -1000.0])
+        betas = np.array([1.0, 2.0, 0.5, 0.0, 1.0, 30.0, 1.0])
+        contact = betas[:, None] * omega + hs[:, None]
+        batch = engine(contact, kern)
+        assert batch.shape == (7, 3001)
+        for b in range(7):
+            assert np.array_equal(batch[b], engine(contact[b : b + 1], kern)[0])
+            assert np.array_equal(batch[b], engine(contact[[b, 6 - b]], kern)[0])
+        tables = sparsepin.pinning.pinned_recursions(omega, kern, 1.0, hs, 3000)
+        for h, table in zip(hs, tables):
+            assert np.array_equal(table.log_zc,
+                                  pinned_recursion(omega, kern, 1.0, h, 3000).log_zc)
+
+
+def test_vectorised_free_column_matches_loop():
+    rng = np.random.default_rng(10)
+    for kern, n in ((make_kernel("power_law", alpha=0.8, n_max=8), 10000),
+                    (make_kernel("power_law", alpha=1.0, n_max=400), 200),
+                    (make_kernel("geometric", q=0.4, n_max=30), 5000),
+                    (make_kernel("dirac", step=3), 1000)):
+        omega = rng.normal(size=n)
+        table = pinned_recursion(omega, kern, 0.7, -0.3, n)
+        ref = _reference_free(table.log_zc, kern)
+        assert np.array_equal(np.isfinite(table.log_z), np.isfinite(ref))
+        err = np.abs(table.log_z - ref) / np.maximum(1.0, np.abs(ref))
+        assert err.max() <= 1e-12
+
+
+def _sequential_bisection(spec, kernel, beta, n, tol, seed):
+    """The one-h-at-a-time bisection the multisection must reproduce."""
+    omega = sample_disorder(spec, n, derive_seed(seed, "crit-omega", 0))
+
+    def raw(h):
+        return free_energy_estimate(pinned_recursion(omega, kernel, beta, h, n)).raw
+
+    lo = annealed_critical_point(spec, beta)
+    trail = [(lo, raw(lo))]
+    hi = CRIT_H_HI
+    while True:
+        trail.append((hi, raw(hi)))
+        if trail[-1][1] > 0:
+            break
+        hi += 0.5
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        trail.append((mid, raw(mid)))
+        if trail[-1][1] > 0:
+            hi = mid
+        else:
+            lo = mid
+    return (lo, hi), trail
+
+
+@pytest.mark.parametrize("beta,n,tol,seed", [
+    (1.0, 2000, 0.04, 1), (1.0, 2000, 0.001, 2), (0.0, 1500, 0.02, 3),
+    (2.0, 3000, 0.3, 4), (0.5, 800, 1e-6, 5), (1.5, 500, 2.5, 6)])
+def test_multisection_bracket_equals_sequential_bisection(beta, n, tol, seed):
+    k = make_kernel("power_law", alpha=0.6, n_max=40)
+    spec = DisorderSpec("gaussian")
+    est = quenched_critical_point_estimate(spec, k, beta, n, 1, tol, seed=seed)
+    bracket, trail = _sequential_bisection(spec, k, beta, n, tol, seed)
+    assert est.bracket == bracket
+    assert est.trail == trail
+    assert est.h_hat == 0.5 * (bracket[0] + bracket[1])
+
+
+def test_replica_spread_is_one_batch_of_sequential_raws():
+    k = make_kernel("power_law", alpha=1.0, n_max=8)
+    spec = DisorderSpec("gaussian")
+    est = quenched_critical_point_estimate(spec, k, 1.0, 1000, 11, 0.05, seed=9)
+    raws = [_crit_raw(spec, k, 1.0, 1000, 9, est.h_hat, r) for r in range(11)]
+    assert est.replica_spread == max(raws) - min(raws)

@@ -373,6 +373,17 @@ def test_step_budget_error_and_censoring():
     assert np.all(censored == -1)
 
 
+def test_step_budget_below_one_sweep_is_enforced():
+    # every walker needs two steps to reach R = 2, even where going up is certain
+    counts = simulate_visit_counts_batch([fast(10)], 2, 1000, seed=3, step_budget=1,
+                                         censor=True)
+    assert np.all(counts == -1)
+    with pytest.raises(StepBudgetError):
+        simulate_visit_counts_batch([fast(10)], 2, 1000, seed=3, step_budget=1)
+    assert np.all(simulate_visit_counts_batch([fast(10)], 2, 1000, seed=3,
+                                              step_budget=2) == 1)
+
+
 # ---------------------------------------------------------------------------
 # speed of the walk on Z
 
