@@ -224,11 +224,9 @@ def cmd_walk(config: dict, outdir: Path) -> int:
         payload["speed"] = {"mean": smean, "stderr": sse,
                             "n_steps": config["speed_steps"],
                             "replicas": config["speed_replicas"]}
-    dv = pot.increments()
+    p_up = [1.0, *step_prob(pot.increments()).tolist()]
     write_csv(outdir / "potential.csv", ["i", "V", "step_prob_up"],
-              [(i, float(pot.values[i]),
-                1.0 if i == 0 else float(step_prob(float(dv[i - 1]))))
-               for i in range(pot.horizon + 1)])
+              [(i, float(pot.values[i]), p_up[i]) for i in range(pot.horizon + 1)])
     write_json(outdir / "visits.json", "walk", config, payload)
     return EXIT_PASS
 

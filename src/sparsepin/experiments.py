@@ -20,7 +20,7 @@ from ._rng import derive_seed
 from .environment import (DisorderSpec, RenewalKernel, SparseEnvironment,
                           kernel_mean, log_mgf, sample_disorder, sample_environment,
                           sample_renewal)
-from .pinning import (BracketError, free_energy_estimate, grand_canonical,
+from .pinning import (BracketError, _lse, free_energy_estimate, grand_canonical,
                       homogeneous_free_energy, homogeneous_series_verdict,
                       pinned_recursion, pinned_recursions,
                       quenched_critical_point_estimate)
@@ -370,7 +370,9 @@ def _visit_sum_growth(cfg: ScanConfig, beta: float, h: float) -> float:
     The expected visit count before hitting R is exactly W(R); a stalling
     scale sum (small growth) evidences per-environment transience without
     trajectory simulation.  R scales like beta^2 Var(omega) E(tau)/h^2 so
-    the contact drift has beaten the disorder fluctuations by R.
+    the contact drift has beaten the disorder fluctuations by R.  The growth
+    (W(2R) - W(R)) / W(R) is one ratio of log-sums over disjoint windows of
+    V, so it neither cancels nor overflows.
     """
     params = WalkParams(beta=beta, h=h, f=0.0)
     mean_gap = kernel_mean(cfg.kernel)
@@ -380,10 +382,8 @@ def _visit_sum_growth(cfg: ScanConfig, beta: float, h: float) -> float:
     for e in range(cfg.mc_envs):
         env = sample_environment(cfg.kernel, cfg.disorder, 2 * r,
                                  derive_seed(cfg.seed, "scan-env", beta, e))
-        pot = build_potential(env, params)
-        w_r = expected_visits_exact(pot, r)
-        w_2r = expected_visits_exact(pot, 2 * r)
-        worst = max(worst, (w_2r - w_r) / w_r)
+        v = build_potential(env, params).values
+        worst = max(worst, float(np.exp(_lse(v[r : 2 * r]) - _lse(v[:r]))))
     return worst
 
 

@@ -10,8 +10,12 @@ forced 0 -> 1 step) is exactly W(R).
 Monte Carlo counterparts are chunk-vectorized with one labeled substream
 per fixed-size chunk, which makes every statistic bit-identical for a given
 master seed.  Walkers of many potentials advance in one synchronous loop
-over a stacked up-probability table, so a renewal average over hundreds of
-environments costs a few large chunks rather than hundreds of small ones.
+over stacked tables, so a renewal average over hundreds of environments
+costs a few large chunks rather than hundreds of small ones.  One uniform
+moves a walker two steps: the folded chain starts at 0, so it sits on an
+even site after every step pair, and only there can it visit 0.  The
+two-step tables are products of one-step probabilities, never values of W,
+so the Monte Carlo side stays independent of the exact one.
 """
 
 from __future__ import annotations
@@ -196,77 +200,97 @@ def simulate_visit_counts_batch(potentials, r: int, replicas: int, seed: int,
         raise ValueError("need at least one replica")
     if step_budget < 1:
         raise ValueError("step_budget must be >= 1")
-    table = _up_table(potentials, r)
-    n_pot, width = table.shape
+    lo, hi = _two_step_tables(potentials, r)
+    n_pot, width = lo.shape
     total = n_pot * replicas
     counts = np.empty(total, dtype=np.int64)
     if r == 1:
         # the forced 0 -> 1 step absorbs immediately
         counts[:] = 1
         return counts.reshape(n_pot, replicas)
-    pad = table.ravel()
+    lo, hi = lo.ravel(), hi.ravel()
     for c, start in enumerate(range(0, total, _CHUNK)):
         stop = min(start + _CHUNK, total)
         base = np.arange(start, stop) // replicas * width
-        _visits_chunk(pad, base, r, counts[start:stop], rng_for(seed, "visits", c),
+        _visits_chunk(lo, hi, base, r, counts[start:stop], rng_for(seed, "visits", c),
                       step_budget, start, censor)
     return counts.reshape(n_pot, replicas)
 
 
-def _up_table(potentials, r: int) -> np.ndarray:
-    """One row per potential: a sentinel at position 0 (the forced 0 -> 1
-    step), up-probabilities at 1..R-1, then sentinels for a sweep past R."""
+def _two_step_tables(potentials, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two-step thresholds (lo, hi), one row per potential, over even sites.
+
+    Entry j of a row belongs to site 2j.  With one-step up-probabilities p
+    (p_0 = 1 for the forced 0 -> 1 step, step_prob at 1..R-1 and p = 1 at
+    every site >= R) and q = 1 - p, lo = q_{2j} q_{2j-1} is the chance of
+    down-down and hi = 1 - p_{2j} p_{2j+1} that of anything but up-up, so a
+    uniform u < lo moves two sites down, u >= hi two sites up, and anything
+    between returns to 2j.  The rows run a whole sweep past R, where lo =
+    hi = 0 and walkers only climb.
+    """
+    half = (r + 1) // 2 + _SWEEP // 2
     rows = []
     for pot in potentials:
         if not 1 <= r <= pot.horizon + 1:
             raise ValueError("need 1 <= R <= M+1 for every potential")
-        row = np.full(r + _SWEEP + 2, 9.0)
+        row = np.ones(2 * half)
         row[1:r] = step_prob(pot.increments()[: r - 1])
         rows.append(row)
     if not rows:
         raise ValueError("need at least one potential")
-    return np.stack(rows)
+    p = np.stack(rows)
+    q = 1.0 - p
+    lo = np.zeros((len(p), half))
+    lo[:, 1:] = q[:, 2::2] * q[:, 1:-1:2]
+    return lo, 1.0 - p[:, 0::2] * p[:, 1::2]
 
 
-def _visits_chunk(pad: np.ndarray, base: np.ndarray, r: int, counts: np.ndarray,
-                  rng: np.random.Generator, step_budget: int, replica_offset: int,
-                  censor: bool) -> None:
+def _visits_chunk(lo: np.ndarray, hi: np.ndarray, base: np.ndarray, r: int,
+                  counts: np.ndarray, rng: np.random.Generator, step_budget: int,
+                  replica_offset: int, censor: bool) -> None:
     """Synchronous vectorized evolution of one chunk of folded walkers.
 
-    Walker w lives on the table row starting at base[w], at flat position
-    base[w] + i; its visit count goes to counts[w].  Each row carries
-    sentinels above 1: at position 0 the sentinel realizes the forced
-    0 -> 1 step, and walkers that cross R march upward on sentinels until
-    the next compaction sweep collects them, so the hot loop has no
-    per-step branching at all.  Compaction moves the running walkers to
-    the front of buffers allocated once per chunk (base among them), and
-    every step writes into those: fresh temporaries of ever-smaller sizes
-    fragment the heap, and the resident set then grows run after run.
+    Every iteration advances each walker two steps with one uniform.  The
+    chain starts at 0, so between iterations it sits on an even site 2i,
+    where it can only visit 0; walker w keeps i at flat position base[w] + i
+    of the (lo, hi) rows and its visit count in counts[w].  A uniform below
+    lo steps down-down (from 2 that is a visit), one at or above hi up-up,
+    anything else back to 2i (from 0 that is the forced step up and back, a
+    visit).  Walkers that cross R march upward on sentinels until the next
+    compaction sweep collects them, so the hot loop has no per-step
+    branching at all.  Compaction moves the running walkers to the front of
+    buffers allocated once per chunk (base among them), and every step
+    writes into those: fresh temporaries of ever-smaller sizes fragment the
+    heap, and the resident set then grows run after run.
     """
     size = len(base)
     pos, visits, idx = base.copy(), np.ones(size, dtype=np.int64), np.arange(size)
-    u, p_up, rel = np.empty(size), np.empty(size), np.empty(size, dtype=np.int64)
-    up, home = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
+    u, t_lo, t_hi = np.empty(size), np.empty(size), np.empty(size)
+    rel = np.empty(size, dtype=np.int64)
+    b_lo, b_hi = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
     n = size
     steps = 0
     while True:
-        pos_n, base_n, visits_n = pos[:n], base[:n], visits[:n]
-        u_n, p_n, rel_n, up_n, home_n = u[:n], p_up[:n], rel[:n], up[:n], home[:n]
-        # the last sweep stops at the budget, so budgets below _SWEEP hold too
-        for _ in range(min(_SWEEP, step_budget - steps)):
-            steps += 1
+        pos_n, base_n, visits_n, u_n = pos[:n], base[:n], visits[:n], u[:n]
+        lo_n, hi_n, rel_n, b_lo_n, b_hi_n = t_lo[:n], t_hi[:n], rel[:n], b_lo[:n], b_hi[:n]
+        # the last sweep stops at the budget, rounded up to an even step
+        for _ in range(min(_SWEEP, step_budget - steps + 1) // 2):
+            steps += 2
             rng.random(out=u_n)
             # positions never leave the table, so clipping never acts
-            pad.take(pos_n, out=p_n, mode="clip")
-            np.less(u_n, p_n, out=up_n)
-            pos_n += up_n
-            pos_n += up_n
+            lo.take(pos_n, out=lo_n, mode="clip")
+            hi.take(pos_n, out=hi_n, mode="clip")
+            pos_n += np.greater_equal(u_n, lo_n, out=b_lo_n)
+            pos_n += np.greater_equal(u_n, hi_n, out=b_hi_n)
             pos_n -= 1
-            visits_n += np.equal(pos_n, base_n, out=home_n)
-        absorbed = np.greater_equal(np.subtract(pos_n, base_n, out=rel_n), r, out=up_n)
+            visits_n += np.equal(pos_n, base_n, out=b_lo_n)
+        # a walker at 2 rel >= R hit R at time steps - (2 rel - R), which
+        # must lie within the budget; only an odd budget's last sweep passes it
+        need = (r + max(0, steps - step_budget) + 1) // 2
+        absorbed = np.greater_equal(np.subtract(pos_n, base_n, out=rel_n), need, out=b_hi_n)
         if absorbed.any():
             counts[idx[:n][absorbed]] = visits_n[absorbed]
-            keep = np.logical_not(absorbed, out=home_n)
+            keep = np.logical_not(absorbed, out=b_lo_n)
             alive = int(np.count_nonzero(keep))
             for buf in (pos, base, visits, idx):
                 buf[:alive] = buf[:n][keep]

@@ -266,7 +266,7 @@ def test_same_seed_repeats_across_chunks():
 
 
 def _reference_visit_counts(potential, r, replicas, seed):
-    """Per-potential walker loop: one table, chunks of 8192, sweeps of 32 steps."""
+    """Per-potential one-step walker loop: chunks of 8192, sweeps of 32 steps."""
     counts = np.ones(replicas, dtype=np.int64)
     if r == 1:
         return counts
@@ -291,15 +291,96 @@ def _reference_visit_counts(potential, r, replicas, seed):
     return counts
 
 
+def _two_step_reference_counts(potential, r, replicas, seed):
+    """Per-potential two-step loop on sites: one uniform per step pair,
+    chunks of 8192, sweeps of 16 pairs."""
+    counts = np.ones(replicas, dtype=np.int64)
+    if r == 1:
+        return counts
+    p = np.ones(r + 40)
+    p[1:r] = step_prob(potential.increments()[: r - 1])
+    q = 1.0 - p
+    for c, start in enumerate(range(0, replicas, 8192)):
+        rng = rng_for(seed, "visits", c)
+        size = min(8192, replicas - start)
+        pos = np.zeros(size, dtype=np.int64)
+        visits = np.ones(size, dtype=np.int64)
+        idx = np.arange(start, start + size)
+        while len(pos):
+            for _ in range(16):
+                u = rng.random(len(pos))
+                # q[-1] at site 0 reads a sentinel; q_0 = 0 decides anyway
+                down_down = u < q[pos] * q[pos - 1]
+                up_up = u >= 1.0 - p[pos] * p[pos + 1]
+                pos += 2 * up_up - 2 * down_down
+                visits += pos == 0
+            absorbed = pos >= r
+            counts[idx[absorbed]] = visits[absorbed]
+            pos, visits, idx = pos[~absorbed], visits[~absorbed], idx[~absorbed]
+    return counts
+
+
 @pytest.mark.parametrize("replicas", [1, 8191, 8192, 20000])
-@pytest.mark.parametrize("r", [1, 30])
+@pytest.mark.parametrize("r", [1, 2, 3, 30])
 def test_batch_of_one_matches_per_potential_walk(replicas, r):
     pot = drifted(0.3, 40)
     batch = simulate_visit_counts_batch([pot], r, replicas, seed=12)
     assert batch.shape == (1, replicas)
-    ref = _reference_visit_counts(pot, r, replicas, seed=12)
+    ref = _two_step_reference_counts(pot, r, replicas, seed=12)
     assert np.array_equal(batch[0], ref)
     assert np.array_equal(simulate_visit_counts(pot, r, replicas, seed=12), ref)
+
+
+def _chi2_sf(stat, dof):
+    """P(chi^2_dof >= stat), from the series of the lower regularized gamma."""
+    a, x = dof / 2.0, stat / 2.0
+    term = total = 1.0 / a
+    k = 0
+    while term > 1e-17 * total:
+        k += 1
+        term *= x / (a + k)
+        total += term
+    return 1.0 - total * math.exp(a * math.log(x) - x - math.lgamma(a))
+
+
+def _geometric_chi2_pvalue(counts, w):
+    """Chi-square p-value of visit counts against Geometric(1/w) on 1, 2, ...
+
+    Counts k with an expected frequency of at least 5 get a bin each; the
+    rest of the support is one tail bin.
+    """
+    n, p = len(counts), 1.0 / w
+    expected = []
+    while n * p * (1.0 - p) ** len(expected) >= 5.0:
+        expected.append(n * p * (1.0 - p) ** len(expected))
+    k = len(expected)
+    expected.append(n * (1.0 - p) ** k)
+    observed = np.bincount(np.minimum(counts, k + 1), minlength=k + 2)[1:]
+    stat = float(np.sum((observed - expected) ** 2 / np.array(expected)))
+    return _chi2_sf(stat, k)
+
+
+def test_chi2_sf_known_values():
+    assert _chi2_sf(2.0 * math.log(10.0), 2) == pytest.approx(0.1, rel=1e-12)
+    assert _chi2_sf(3.8414588206941285, 1) == pytest.approx(0.05, rel=1e-9)
+    assert _chi2_sf(29.58829844507442, 10) == pytest.approx(0.001, rel=1e-9)
+
+
+@pytest.mark.parametrize("r", [10, 11])
+def test_visit_count_histogram_is_geometric(r):
+    # the visit count is Geometric(1/W(R)) on 1, 2, ...; both engines, one
+    # seed and one level fixed in advance.  W(11) exceeds W(10) by 2.6%,
+    # which the test tells apart, so an R off by one fails it
+    k = make_kernel("power_law", alpha=1.0, n_max=3)
+    env = sample_environment(k, DisorderSpec("gaussian"), 40, seed=21)
+    pot = build_potential(env, WalkParams(beta=0.5, h=-0.6, f=0.15))
+    w = expected_visits_exact(pot, r)
+    w_other = expected_visits_exact(pot, 21 - r)
+    for counts in (simulate_visit_counts(pot, r, 100000, seed=23),
+                   _reference_visit_counts(pot, r, 100000, seed=23)):
+        assert counts.min() >= 1
+        assert _geometric_chi2_pvalue(counts, w) > 1e-3
+        assert _geometric_chi2_pvalue(counts, w_other) < 1e-3
 
 
 def test_batch_rows_follow_their_own_potential():
@@ -382,6 +463,15 @@ def test_step_budget_below_one_sweep_is_enforced():
         simulate_visit_counts_batch([fast(10)], 2, 1000, seed=3, step_budget=1)
     assert np.all(simulate_visit_counts_batch([fast(10)], 2, 1000, seed=3,
                                               step_budget=2) == 1)
+
+
+def test_odd_step_budget_is_exact():
+    # R = 3 is hit at step 3, inside the second step pair
+    assert np.all(simulate_visit_counts_batch([fast(10)], 3, 1000, seed=3,
+                                              step_budget=3) == 1)
+    counts = simulate_visit_counts_batch([fast(10)], 3, 1000, seed=3, step_budget=2,
+                                         censor=True)
+    assert np.all(counts == -1)
 
 
 # ---------------------------------------------------------------------------
