@@ -2,9 +2,11 @@
 
 Configuration is a flat key=value text file (or the JSON emitted by a
 previous run, whose embedded "config" block is reused) plus flag overrides;
-flags win.  Every output embeds its fully resolved config and master seed,
-and contains no timestamps, so re-running a saved config reproduces each
-file byte for byte.  Output location comes from --outdir or SPARSEPIN_OUTDIR
+flags win.  Every JSON output embeds its fully resolved config and master
+seed; the settings appear there only, and the other blocks hold results,
+each a report dataclass written by dataclasses.asdict.  Outputs contain no
+timestamps, so re-running a saved config reproduces each file byte for
+byte.  Output location comes from --outdir or SPARSEPIN_OUTDIR
 (default: current directory).
 
 Exit codes: 0 pass, 1 fail (including a failed critical-point bracket),
@@ -212,18 +214,12 @@ def cmd_walk(config: dict, outdir: Path) -> int:
                              derive_seed(config["seed"], "mc"),
                              step_budget=config["step_budget"])
     exact = expected_visits_exact(pot, r)
-    payload = {"visits": {"r": r, "exact": exact,
-                          "mean": mean, "stderr": stderr,
-                          "replicas": config["replicas"],
-                          "seed": config["seed"],
-                          "scale_W_r": exact}}
+    payload = {"visits": {"r": r, "exact": exact, "mean": mean, "stderr": stderr}}
     if config["speed"]:
         stream = sparse_increment_stream(kernel, disorder, params)
         smean, sse = mc_speed(stream, config["speed_steps"], config["speed_replicas"],
                               derive_seed(config["seed"], "speed"))
-        payload["speed"] = {"mean": smean, "stderr": sse,
-                            "n_steps": config["speed_steps"],
-                            "replicas": config["speed_replicas"]}
+        payload["speed"] = {"mean": smean, "stderr": sse}
     p_up = [1.0, *step_prob(pot.increments()).tolist()]
     write_csv(outdir / "potential.csv", ["i", "V", "step_prob_up"],
               [(i, float(pot.values[i]), p_up[i]) for i in range(pot.horizon + 1)])
@@ -246,7 +242,7 @@ def cmd_pinning(config: dict, outdir: Path) -> int:
         },
     }
     if config["gc_f"] is not None:
-        payload["grand_canonical"] = grand_canonical(table, config["gc_f"]).to_dict()
+        payload["grand_canonical"] = asdict(grand_canonical(table, config["gc_f"]))
     if config["critical"]:
         est = quenched_critical_point_estimate(
             disorder, kernel, config["beta"], config["crit_n"] or n,
@@ -270,7 +266,7 @@ def cmd_verify(config: dict, outdir: Path) -> int:
     bound = tau_mean_lower_bound(kernel, disorder, config["beta"], config["h"],
                                  seed=config["seed"])
     write_json(outdir / "verify.json", "verify", config,
-               {"key_relation": relation.to_dict(),
+               {"key_relation": asdict(relation),
                 "tau_mean_bound": asdict(bound)})
     if relation.verdict == "inconclusive":
         return EXIT_INCONCLUSIVE

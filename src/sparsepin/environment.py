@@ -12,7 +12,7 @@ approximation and is documented as such.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,14 +62,6 @@ class DisorderSpec:
             return 1.0
         return self.half_width ** 2 / 3.0
 
-    def to_dict(self) -> dict:
-        out = {"family": self.family}
-        if self.family == "gaussian":
-            out["sigma"] = self.sigma
-        elif self.family == "uniform_centered":
-            out["half_width"] = self.half_width
-        return out
-
 
 @dataclass(frozen=True, eq=False)
 class RenewalKernel:
@@ -81,11 +73,9 @@ class RenewalKernel:
     floating point without tolerance and the weight sum telescopes to 1.
     """
 
-    kind: str
     n_max: int
     weights: np.ndarray
     tail: np.ndarray
-    params: dict = field(default_factory=dict)
 
     @property
     def log_weights(self) -> np.ndarray:
@@ -97,11 +87,8 @@ class RenewalKernel:
         with np.errstate(divide="ignore"):
             return np.log(self.tail)
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, **self.params}
 
-
-def _kernel_from_raw(kind: str, raw: np.ndarray, params: dict) -> RenewalKernel:
+def _kernel_from_raw(raw: np.ndarray) -> RenewalKernel:
     """Normalize a raw weight shape into tails-first kernel storage."""
     n_max = len(raw)
     total = math.fsum(raw)
@@ -114,7 +101,7 @@ def _kernel_from_raw(kind: str, raw: np.ndarray, params: dict) -> RenewalKernel:
     weights = tail[:-1] - tail[1:]
     if np.any(weights <= 0):
         raise ValueError("kernel weights underflow to zero on declared support")
-    return RenewalKernel(kind=kind, n_max=n_max, weights=weights, tail=tail, params=params)
+    return RenewalKernel(n_max=n_max, weights=weights, tail=tail)
 
 
 def make_kernel(kind: str, *, alpha: float | None = None, q: float | None = None,
@@ -132,7 +119,7 @@ def make_kernel(kind: str, *, alpha: float | None = None, q: float | None = None
         if n_max is None or n_max < 1:
             raise ValueError("power_law needs n_max >= 1")
         n = np.arange(1, n_max + 1, dtype=float)
-        return _kernel_from_raw(kind, n ** -(1.0 + alpha), {"alpha": alpha, "n_max": n_max})
+        return _kernel_from_raw(n ** -(1.0 + alpha))
     if kind == "geometric":
         if q is None or not 0.0 < q < 1.0:
             raise ValueError("geometric needs q in (0,1)")
@@ -140,15 +127,14 @@ def make_kernel(kind: str, *, alpha: float | None = None, q: float | None = None
             raise ValueError("geometric needs n_max >= 1")
         n = np.arange(1, n_max + 1, dtype=float)
         # shape q^(n-1); the (1-q) prefactor cancels in normalization
-        return _kernel_from_raw(kind, q ** (n - 1.0), {"q": q, "n_max": n_max})
+        return _kernel_from_raw(q ** (n - 1.0))
     if kind == "dirac":
         if step is None or step < 1:
             raise ValueError("dirac needs step >= 1")
         weights = np.zeros(step)
         weights[step - 1] = 1.0
         tail = np.concatenate([np.ones(step), [0.0]])
-        return RenewalKernel(kind=kind, n_max=step, weights=weights, tail=tail,
-                             params={"step": step})
+        return RenewalKernel(n_max=step, weights=weights, tail=tail)
     raise ValueError(f"unknown kernel kind {kind!r}")
 
 

@@ -12,7 +12,7 @@ account for; the geometric tail bound on S_inf - S_N is reported beside it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,8 +20,8 @@ from ._rng import derive_seed
 from .environment import (DisorderSpec, RenewalKernel, SparseEnvironment,
                           kernel_mean, log_mgf, sample_disorder, sample_environment,
                           sample_renewal)
-from .pinning import (BracketError, _lse, free_energy_estimate, grand_canonical,
-                      homogeneous_free_energy, homogeneous_series_verdict,
+from .pinning import (BracketError, GrandCanonicalReport, _lse, free_energy_estimate,
+                      grand_canonical, homogeneous_free_energy, homogeneous_series_verdict,
                       pinned_recursion, pinned_recursions,
                       quenched_critical_point_estimate)
 # simulate_visit_counts is not called here, but stays bound: perfbench's
@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 TRANSIENCE_STEP_BUDGET = 10 ** 6
+GROWTH_ENVS = 8  # environments per case-1 visit-sum growth check
 
 
 @dataclass(frozen=True)
@@ -69,43 +70,19 @@ class KeyRelationConfig:
 
 @dataclass(frozen=True)
 class KeyRelationReport:
-    """Both sides of the identity with their uncertainties and the verdict."""
+    """Both sides of the identity with their uncertainties and the verdict.
 
-    beta: float
-    h: float
-    f: float
-    kernel: dict
-    disorder: dict
-    seed: int
+    lhs holds the mean and stderr of the renewal-averaged visit count, rhs
+    the grand-canonical partial sum S_N with its verdict.
+    """
+
     n_series: int
     r_absorb: int
-    n_tau: int
-    walk_replicas: int
-    lhs_mean: float
-    lhs_stderr: float
-    rhs_partial_sum: float
-    rhs_tail_bound: float | None
-    rhs_verdict: str
-    rhs_growth_rate: float
+    lhs: dict
+    rhs: GrandCanonicalReport
     abs_difference: float
     tolerance: float
     verdict: str  # pass | fail | inconclusive
-
-    def to_dict(self) -> dict:
-        return {
-            "beta": self.beta, "h": self.h, "f": self.f,
-            "kernel": self.kernel, "disorder": self.disorder, "seed": self.seed,
-            "n_series": self.n_series, "r_absorb": self.r_absorb,
-            "n_tau": self.n_tau, "walk_replicas": self.walk_replicas,
-            "lhs": {"mean": self.lhs_mean, "stderr": self.lhs_stderr},
-            "rhs": {"partial_sum": self.rhs_partial_sum,
-                    "tail_bound": self.rhs_tail_bound,
-                    "verdict": self.rhs_verdict,
-                    "growth_rate": self.rhs_growth_rate},
-            "abs_difference": self.abs_difference,
-            "tolerance": self.tolerance,
-            "verdict": self.verdict,
-        }
 
 
 def verify_key_relation(cfg: KeyRelationConfig) -> KeyRelationReport:
@@ -132,14 +109,9 @@ def verify_key_relation(cfg: KeyRelationConfig) -> KeyRelationReport:
     lhs_mean, lhs_se = _mc_visits_over_tau(cfg, omega, n) if converged else (nan, nan)
     diff, tol = abs(lhs_mean - gc.partial_sum), 3.0 * lhs_se
     verdict = ("pass" if diff <= tol else "fail") if converged else "inconclusive"
-    return KeyRelationReport(
-        beta=cfg.beta, h=cfg.h, f=cfg.f, kernel=cfg.kernel.to_dict(),
-        disorder=cfg.disorder.to_dict(), seed=cfg.seed, n_series=n, r_absorb=n + 1,
-        n_tau=cfg.n_tau, walk_replicas=cfg.walk_replicas,
-        lhs_mean=lhs_mean, lhs_stderr=lhs_se, rhs_partial_sum=gc.partial_sum,
-        rhs_tail_bound=gc.tail_bound, rhs_verdict=gc.verdict,
-        rhs_growth_rate=gc.growth_rate,
-        abs_difference=diff, tolerance=tol, verdict=verdict)
+    return KeyRelationReport(n_series=n, r_absorb=n + 1,
+                             lhs={"mean": lhs_mean, "stderr": lhs_se}, rhs=gc,
+                             abs_difference=diff, tolerance=tol, verdict=verdict)
 
 
 def _mc_visits_over_tau(cfg: KeyRelationConfig, omega: np.ndarray,
@@ -160,9 +132,6 @@ def _mc_visits_over_tau(cfg: KeyRelationConfig, omega: np.ndarray,
 class TauMeanBoundReport:
     """Partial sums at f = 0 against the exact mean gap E(tau_1)."""
 
-    beta: float
-    h: float
-    kernel: dict
     n_terms: int
     partial_sum: float
     tau_mean: float
@@ -192,15 +161,14 @@ def tau_mean_lower_bound(kernel: RenewalKernel, disorder: DisorderSpec, beta: fl
     viol = int(np.count_nonzero(
         table.log_z[: kernel.n_max + 1] < kernel.log_tail - 1e-12))
     margin = s - mean_gap
-    return TauMeanBoundReport(beta=beta, h=h, kernel=kernel.to_dict(), n_terms=n,
-                              partial_sum=s, tau_mean=mean_gap, margin=margin,
+    return TauMeanBoundReport(n_terms=n, partial_sum=s, tau_mean=mean_gap, margin=margin,
                               term_violations=viol,
                               passed=(margin >= -1e-9 * max(1.0, mean_gap) and viol == 0))
 
 
 @dataclass(frozen=True)
 class ScanConfig:
-    """Budgets for the regime scan; double() scales every budget knob."""
+    """Budgets for the regime scan."""
 
     kernel: RenewalKernel
     disorder: DisorderSpec
@@ -208,17 +176,12 @@ class ScanConfig:
     crit_tol: float = 0.04
     n_gc: int = 3000           # series length for convergence verdicts
     eps_small: float = 0.05
-    mc_envs: int = 8
     seed: int = 0
 
     def __post_init__(self):
         if not (self.crit_tol > 0 and self.eps_small > 0
                 and min(self.n_fe, self.n_gc) >= 2):
             raise ValueError("need crit_tol > 0, eps_small > 0, n_fe >= 2 and n_gc >= 2")
-
-    def double(self) -> "ScanConfig":
-        return replace(self, n_fe=2 * self.n_fe, n_gc=2 * self.n_gc,
-                       mc_envs=2 * self.mc_envs)
 
 
 @dataclass(frozen=True)
@@ -237,7 +200,6 @@ class RegimePoint:
 @dataclass(frozen=True)
 class RegimeReport:
     points: list
-    config: dict
     critical: list = field(default_factory=list)  # one quenched search per beta
 
     def cases(self) -> dict:
@@ -285,15 +247,10 @@ def regime_scan(beta_grid, h_grid, cfg: ScanConfig) -> RegimeReport:
                                                       quenched, cfg.n_gc)))
         for h, case in zip(h_grid, cases):
             diag, ok = _point_diagnostics(cfg, beta, h, lam, case, tables.get(h), bracket)
-            if search["error"]:
-                diag["bracket_error"] = search["error"]
             points.append(RegimePoint(beta=beta, h=h, h_c_annealed=h_ann,
                                       bracket=bracket, case=case,
                                       diagnostics=diag, consistent=ok))
-    config = {"kernel": cfg.kernel.to_dict(), "disorder": cfg.disorder.to_dict(),
-              "n_fe": cfg.n_fe, "crit_tol": cfg.crit_tol, "n_gc": cfg.n_gc,
-              "eps_small": cfg.eps_small, "seed": cfg.seed}
-    return RegimeReport(points=points, config=config, critical=critical)
+    return RegimeReport(points=points, critical=critical)
 
 
 def _classify(beta: float, h: float, h_ann: float, bracket) -> str:
@@ -379,7 +336,7 @@ def _visit_sum_growth(cfg: ScanConfig, beta: float, h: float) -> float:
     r_star = 8.0 * max(beta ** 2 * cfg.disorder.variance, 1.0) * mean_gap / h ** 2
     r = int(min(50000, max(600, r_star)))
     worst = 0.0
-    for e in range(cfg.mc_envs):
+    for e in range(GROWTH_ENVS):
         env = sample_environment(cfg.kernel, cfg.disorder, 2 * r,
                                  derive_seed(cfg.seed, "scan-env", beta, e))
         v = build_potential(env, params).values
@@ -391,11 +348,6 @@ def _visit_sum_growth(cfg: ScanConfig, beta: float, h: float) -> float:
 class TransienceReport:
     """Per-environment visit statistics for the zero-drift transient regime."""
 
-    beta: float
-    h: float
-    n_envs: int
-    walks_per_env: int
-    r_absorb: int
     absorbed_fraction: float
     within_3se_fraction: float
     env_rows: list
@@ -432,12 +384,8 @@ def annealed_transience_check(kernel: RenewalKernel, disorder: DisorderSpec,
         matches = bool(abs(z) <= 3.0) if math.isfinite(z) else False
         within += matches
         rows.append({"env": e, "exact": exact, "mc_mean": mean, "mc_stderr": se,
-                     "z": z, "within_3se": matches,
-                     "escape_prob_exact": 1.0 / exact,
-                     "escape_prob_mc": 1.0 / mean if mean and mean > 0 else float("nan")})
-    return TransienceReport(beta=beta, h=h, n_envs=n_envs,
-                            walks_per_env=walks_per_env, r_absorb=r,
-                            absorbed_fraction=float(np.mean(counts >= 0)),
+                     "z": z, "within_3se": matches})
+    return TransienceReport(absorbed_fraction=float(np.mean(counts >= 0)),
                             within_3se_fraction=within / n_envs,
                             env_rows=rows)
 

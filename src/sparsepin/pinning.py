@@ -21,7 +21,7 @@ count of the walk, time-0 visit included.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -82,40 +82,26 @@ class PartitionTable:
 
 @dataclass(frozen=True)
 class GrandCanonicalReport:
-    """Partial sums S_N = sum_{n<=N} Z_n e^{-fn} and their convergence verdict.
+    """The partial sum S_N = sum_{n<=N} Z_n e^{-fn} and its convergence verdict.
 
     verdict is "converged" (with a geometric tail bound), "diverging" (with
     the fitted growth rate), or "inconclusive" when the last-window slope of
     the log terms is within +-slope_tol of flat.
     """
 
-    f: float
-    n_terms: int
-    log_partial_sums: np.ndarray
+    log_partial_sum: float
+    partial_sum: float
     growth_rate: float
     verdict: str
     tail_bound: float | None
     window: int
     slope_tol: float
 
-    @property
-    def partial_sum(self) -> float:
-        with np.errstate(over="ignore"):
-            return float(np.exp(self.log_partial_sums[-1]))
-
-    def to_dict(self) -> dict:
-        """The fields, with the partial-sum array cut to its last entry."""
-        out = asdict(self)
-        del out["log_partial_sums"]
-        return {**out, "partial_sum": self.partial_sum,
-                "log_partial_sum": float(self.log_partial_sums[-1])}
-
 
 @dataclass(frozen=True)
 class HomogeneousSolution:
     """Free energy of the disorder-free model at bias h."""
 
-    h: float
     free_energy: float
     residual: float
 
@@ -131,7 +117,6 @@ class FreeEnergyEstimate:
     f_hat: float
     window_spread: float
     raw: float
-    n: int
 
 
 @dataclass(frozen=True)
@@ -271,9 +256,8 @@ def brute_force_partition(omega: np.ndarray, kernel: RenewalKernel, beta: float,
     return math.fsum(free_terms), math.fsum(pinned_terms)
 
 
-def grand_canonical(table: PartitionTable, f: float,
-                    pinned: bool = False) -> GrandCanonicalReport:
-    """Accumulate sum_{n<=table.n} Z_n e^{-fn} (or the pinned version) with a verdict.
+def grand_canonical(table: PartitionTable, f: float) -> GrandCanonicalReport:
+    """Sum Z_n e^{-fn} over n <= table.n, with a convergence verdict.
 
     The verdict comes from the least-squares slope of the finite log terms
     over the trailing window of max(8, min(400, (n+1)//4)) terms: geometric
@@ -281,18 +265,24 @@ def grand_canonical(table: PartitionTable, f: float,
     noise-inflated ratio r, sustained growth gives "diverging", anything
     flatter than GC_SLOPE_TOL is "inconclusive".
     """
-    col = table.log_zc if pinned else table.log_z
-    n = table.n
-    log_terms = col - f * np.arange(n + 1)
-    log_partial = np.logaddexp.accumulate(log_terms)
-    w = max(8, min(400, (n + 1) // 4))
+    log_terms = table.log_z - f * np.arange(table.n + 1)
+    w = max(8, min(400, (table.n + 1) // 4))
+    growth_rate, verdict, tail_bound = _tail_verdict(log_terms, w)
+    log_sum = float(np.logaddexp.reduce(log_terms))
+    with np.errstate(over="ignore"):
+        partial = float(np.exp(log_sum))
+    return GrandCanonicalReport(log_partial_sum=log_sum, partial_sum=partial,
+                                growth_rate=growth_rate, verdict=verdict,
+                                tail_bound=tail_bound, window=w, slope_tol=GC_SLOPE_TOL)
+
+
+def _tail_verdict(log_terms: np.ndarray, w: int) -> tuple[float, str, float | None]:
+    """(growth rate, verdict, tail bound) from the last w log terms."""
     tail_terms = log_terms[-w:]
     finite = np.isfinite(tail_terms)
     if finite.sum() < max(2, w // 4):
         # terms underflow to exact zero: the series has effectively terminated
-        return GrandCanonicalReport(f=f, n_terms=n, log_partial_sums=log_partial,
-                                    growth_rate=float("-inf"), verdict="converged",
-                                    tail_bound=0.0, window=w, slope_tol=GC_SLOPE_TOL)
+        return float("-inf"), "converged", 0.0
     x = np.arange(len(tail_terms), dtype=float)[finite]
     y = tail_terms[finite]
     slope, intercept = np.polyfit(x, y, 1)
@@ -303,13 +293,8 @@ def grand_canonical(table: PartitionTable, f: float,
         ratio = math.exp(min(slope + 3.0 * slope_se, -1e-12))
         last_finite = int(np.nonzero(np.isfinite(log_terms))[0][-1])
         bound = math.exp(float(log_terms[last_finite])) * ratio / (1.0 - ratio)
-        return GrandCanonicalReport(f=f, n_terms=n, log_partial_sums=log_partial,
-                                    growth_rate=float(slope), verdict="converged",
-                                    tail_bound=bound, window=w, slope_tol=GC_SLOPE_TOL)
-    verdict = "diverging" if slope > GC_SLOPE_TOL else "inconclusive"
-    return GrandCanonicalReport(f=f, n_terms=n, log_partial_sums=log_partial,
-                                growth_rate=float(slope), verdict=verdict,
-                                tail_bound=None, window=w, slope_tol=GC_SLOPE_TOL)
+        return float(slope), "converged", bound
+    return float(slope), "diverging" if slope > GC_SLOPE_TOL else "inconclusive", None
 
 
 def free_energy_estimate(table: PartitionTable) -> FreeEnergyEstimate:
@@ -322,7 +307,7 @@ def free_energy_estimate(table: PartitionTable) -> FreeEnergyEstimate:
     vals = table.log_zc[ms] / ms
     return FreeEnergyEstimate(f_hat=max(0.0, raw),
                               window_spread=float(vals.max() - vals.min()),
-                              raw=raw, n=n)
+                              raw=raw)
 
 
 def _kernel_laplace(kernel: RenewalKernel, f: float) -> float:
@@ -337,7 +322,7 @@ def homogeneous_free_energy(kernel: RenewalKernel, h: float) -> HomogeneousSolut
     at most h, so plain bisection on [0, h] to 1e-12 is enough.
     """
     if h <= 0:
-        return HomogeneousSolution(h=h, free_energy=0.0, residual=0.0)
+        return HomogeneousSolution(free_energy=0.0, residual=0.0)
     target = math.exp(-h)
 
     def phi(f_val):
@@ -351,7 +336,7 @@ def homogeneous_free_energy(kernel: RenewalKernel, h: float) -> HomogeneousSolut
         else:
             hi = mid
     root = 0.5 * (lo + hi)
-    return HomogeneousSolution(h=h, free_energy=root, residual=abs(phi(root)))
+    return HomogeneousSolution(free_energy=root, residual=abs(phi(root)))
 
 
 def homogeneous_series_verdict(kernel: RenewalKernel, h: float, f: float) -> str:

@@ -204,10 +204,6 @@ def simulate_visit_counts_batch(potentials, r: int, replicas: int, seed: int,
     n_pot, width = lo.shape
     total = n_pot * replicas
     counts = np.empty(total, dtype=np.int64)
-    if r == 1:
-        # the forced 0 -> 1 step absorbs immediately
-        counts[:] = 1
-        return counts.reshape(n_pot, replicas)
     lo, hi = lo.ravel(), hi.ravel()
     for c, start in enumerate(range(0, total, _CHUNK)):
         stop = min(start + _CHUNK, total)

@@ -52,8 +52,6 @@ def test_walk_flat_exact_and_reproducible(tmp_path):
     doc = read_json(tmp_path, "visits.json")
     assert doc["visits"]["exact"] == 10.0
     assert abs(doc["visits"]["mean"] - 10.0) <= 3 * doc["visits"]["stderr"]
-    for key in ("mean", "stderr", "replicas", "seed"):
-        assert key in doc["visits"]
     first = (tmp_path / "visits.json").read_bytes(), (tmp_path / "potential.csv").read_bytes()
     assert run(tmp_path, *args) == EXIT_PASS
     assert ((tmp_path / "visits.json").read_bytes(),
@@ -247,6 +245,64 @@ def test_every_config_key_is_read(tmp_path, command, flags):
     config = _ReadRecorder(cli.resolve_config(command, {}, flags))
     assert cli._COMMANDS[command](config, tmp_path) == EXIT_PASS
     assert config.read == set(cli._SCHEMAS[command])
+
+
+_GC_KEYS = {"log_partial_sum", "partial_sum", "growth_rate", "verdict", "tail_bound",
+            "window", "slope_tol"}
+
+
+def test_result_blocks_hold_results_only(tmp_path):
+    # every setting is written once, in the top-level config block; a block
+    # maps to its exact key set (None marks a plain value)
+    runs = [
+        (("env", "--horizon", "10"), "environment.json", {
+            "environment": {"horizon", "tau", "omega"}, "kernel_mean": None}),
+        (("walk", "--horizon", "20", "--replicas", "100", "--speed",
+          "--speed-steps", "50", "--speed-replicas", "10"), "visits.json", {
+            "visits": {"r", "exact", "mean", "stderr"},
+            "speed": {"mean", "stderr"}}),
+        (("pinning", "--beta", "1", "--n", "300", "--critical", "--crit-tol", "0.2",
+          "--crit-replicas", "2", "--gc-f", "0"), "pinning.json", {
+            "free_energy": {"f_hat", "window_spread", "raw"},
+            "homogeneous": {"free_energy", "residual"},
+            "critical_points": {"annealed", "quenched"},
+            "critical_points.quenched": {"h_hat", "bracket", "replica_spread", "n",
+                                         "trail"},
+            "grand_canonical": _GC_KEYS}),
+        (("verify", "--n-tau", "4", "--walk-replicas", "20", "--n-series", "40"),
+         "verify.json", {
+            "key_relation": {"n_series", "r_absorb", "lhs", "rhs", "abs_difference",
+                             "tolerance", "verdict"},
+            "key_relation.lhs": {"mean", "stderr"},
+            "key_relation.rhs": _GC_KEYS,
+            "tau_mean_bound": {"n_terms", "partial_sum", "tau_mean", "margin",
+                               "term_violations", "passed"}}),
+        (("scan", "--beta-grid", "0,1", "--h-grid=-0.5", "--n-fe", "300",
+          "--n-gc", "200", "--crit-tol", "0.2", "--transience", "--h=-1",
+          "--trans-envs", "2", "--trans-walks", "10", "--trans-r", "20"), "scan.json", {
+            "scan": {"points", "critical"},
+            "scan.points[]": {"beta", "h", "h_c_annealed", "bracket", "case",
+                              "diagnostics", "consistent"},
+            "scan.critical[]": {"beta", "bracket", "trail", "error"},
+            "transience": {"absorbed_fraction", "within_3se_fraction", "env_rows"},
+            "transience.env_rows[]": {"env", "exact", "mc_mean", "mc_stderr", "z",
+                                      "within_3se"}}),
+    ]
+    for args, name, blocks in runs:
+        assert run(tmp_path, *args) == EXIT_PASS, args
+        doc = read_json(tmp_path, name)
+        top = {k for k in blocks if "." not in k}
+        assert set(doc) == {"schema_version", "command", "seed", "config", *top}, name
+        assert set(doc["config"]) == set(cli._SCHEMAS[args[0]]), name
+        for path, keys in blocks.items():
+            nodes = [doc]
+            for part in path.split("."):
+                nodes = [node[part.removesuffix("[]")] for node in nodes]
+                if part.endswith("[]"):
+                    nodes = [item for items in nodes for item in items]
+            assert nodes, path
+            for node in nodes:
+                assert keys is None or set(node) == keys, (name, path)
 
 
 def test_pinning_grand_canonical_report(tmp_path):
