@@ -1,11 +1,12 @@
 """Command-line front end: env | walk | pinning | verify | scan.
 
 Configuration is a flat key=value text file (or the JSON emitted by a
-previous run, whose embedded "config" block is reused) plus flag overrides;
-flags win.  Every JSON output embeds its fully resolved config and master
-seed; the settings appear there only, and the other blocks hold results,
-each a report dataclass written by dataclasses.asdict.  Outputs contain no
-timestamps, so re-running a saved config reproduces each file byte for
+previous run, whose embedded "config" block is reused, each value parsed
+like its text) plus flag overrides; flags win.  Every JSON output embeds
+its fully resolved config, master seed included; the settings appear there
+only, and the other blocks hold results (report dataclasses written by
+dataclasses.asdict, and the environment's tau and omega).  Outputs contain
+no timestamps, so re-running a saved config reproduces each file byte for
 byte.  Output location comes from --outdir or SPARSEPIN_OUTDIR
 (default: current directory).
 
@@ -32,9 +33,8 @@ from .experiments import (KeyRelationConfig, ScanConfig, annealed_transience_che
 from .pinning import (BracketError, annealed_critical_point, free_energy_estimate,
                       grand_canonical, homogeneous_free_energy, pinned_recursion,
                       quenched_critical_point_estimate)
-from .walk import (StepBudgetError, WalkParams, build_potential,
-                   expected_visits_exact, mc_speed, mc_visits,
-                   sparse_increment_stream, step_prob)
+from .walk import (StepBudgetError, WalkParams, _mean_stderr, build_potential,
+                   expected_visits_exact, mc_speed, simulate_visit_counts, step_prob)
 
 SCHEMA_VERSION = 1
 
@@ -94,17 +94,18 @@ _SCHEMAS = {
 }
 
 
-def _parse_value(kind, raw: str):
+def _parse_value(key: str, kind, raw: str):
     if kind is bool:
         if raw.lower() in ("true", "1", "yes"):
             return True
         if raw.lower() in ("false", "0", "no"):
             return False
-        raise ConfigError(f"expected a boolean, got {raw!r}")
-    try:
-        return kind(raw)
-    except ValueError as err:
-        raise ConfigError(str(err)) from None
+    else:
+        try:
+            return kind(raw)
+        except ValueError:
+            pass
+    raise ConfigError(f"{key}: expected {kind.__name__}, got {raw!r}")
 
 
 def load_config_file(path: str) -> dict:
@@ -116,7 +117,10 @@ def load_config_file(path: str) -> dict:
     stripped = text.lstrip()
     if stripped.startswith("{"):
         data = json.loads(text)
-        return data.get("config", data)
+        data = data.get("config", data)
+        if not isinstance(data, dict):
+            raise ConfigError(f"{path}: the config block must be a JSON object")
+        return data
     out = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
@@ -136,8 +140,14 @@ def resolve_config(command: str, file_values: dict, flag_values: dict) -> dict:
     for key, raw in file_values.items():
         if key not in schema:
             raise ConfigError(f"unknown config key {key!r} for {command}")
-        kind, _ = schema[key]
-        config[key] = _parse_value(kind, str(raw)) if isinstance(raw, str) else raw
+        kind, default = schema[key]
+        if raw is None and default is None:
+            config[key] = None
+        elif isinstance(raw, (str, int, float)):
+            # a JSON scalar parses as its text, exactly like a key=value entry
+            config[key] = _parse_value(key, kind, str(raw))
+        else:
+            raise ConfigError(f"{key}: expected {kind.__name__}, got {json.dumps(raw)}")
     for key, val in flag_values.items():
         if val is not None and key in schema:
             config[key] = val
@@ -170,8 +180,8 @@ def _grid(text: str) -> list[float]:
 
 
 def write_json(path: Path, command: str, config: dict, payload: dict) -> None:
-    doc = {"schema_version": SCHEMA_VERSION, "command": command,
-           "seed": config["seed"], "config": config, **payload}
+    doc = {"schema_version": SCHEMA_VERSION, "command": command, "config": config,
+           **payload}
     path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
@@ -191,7 +201,7 @@ def cmd_env(config: dict, outdir: Path) -> int:
     env = sample_environment(kernel, disorder, config["horizon"],
                              derive_seed(config["seed"], "env"))
     write_json(outdir / "environment.json", "env", config,
-               {"environment": env.to_dict(),
+               {"environment": {"tau": env.tau.tolist(), "omega": env.omega.tolist()},
                 "kernel_mean": kernel_mean(kernel)})
     write_csv(outdir / "kernel.csv", ["n", "weight", "tail"],
               [(n + 1, float(kernel.weights[n]), float(kernel.tail[n + 1]))
@@ -209,15 +219,18 @@ def cmd_walk(config: dict, outdir: Path) -> int:
     r = config["r"] or pot.horizon
     if not 1 <= r <= pot.horizon + 1:
         raise ConfigError(f"r must lie in 1..{pot.horizon + 1}")
+    if config["replicas"] < 2:
+        raise ConfigError("need replicas >= 2 for a standard error")
     # refused or failed walks must leave no output behind, so simulate first
-    mean, stderr = mc_visits(pot, r, config["replicas"],
-                             derive_seed(config["seed"], "mc"),
-                             step_budget=config["step_budget"])
+    counts = simulate_visit_counts([pot], r, config["replicas"],
+                                   derive_seed(config["seed"], "mc"),
+                                   step_budget=config["step_budget"])
+    mean, stderr = _mean_stderr(counts[0])
     exact = expected_visits_exact(pot, r)
     payload = {"visits": {"r": r, "exact": exact, "mean": mean, "stderr": stderr}}
     if config["speed"]:
-        stream = sparse_increment_stream(kernel, disorder, params)
-        smean, sse = mc_speed(stream, config["speed_steps"], config["speed_replicas"],
+        smean, sse = mc_speed(kernel, disorder, params, config["speed_steps"],
+                              config["speed_replicas"],
                               derive_seed(config["seed"], "speed"))
         payload["speed"] = {"mean": smean, "stderr": sse}
     p_up = [1.0, *step_prob(pot.increments()).tolist()]

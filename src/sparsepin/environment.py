@@ -242,13 +242,6 @@ class SparseEnvironment:
         object.__setattr__(self, "tau", tau)
         object.__setattr__(self, "omega", np.asarray(self.omega, dtype=float))
 
-    def to_dict(self) -> dict:
-        return {
-            "horizon": self.horizon,
-            "tau": [int(t) for t in self.tau],
-            "omega": [float(w) for w in self.omega],
-        }
-
 
 def sample_environment(kernel: RenewalKernel, spec: DisorderSpec, horizon: int,
                        seed: int) -> SparseEnvironment:

@@ -268,7 +268,7 @@ def grand_canonical(table: PartitionTable, f: float) -> GrandCanonicalReport:
     log_terms = table.log_z - f * np.arange(table.n + 1)
     w = max(8, min(400, (table.n + 1) // 4))
     growth_rate, verdict, tail_bound = _tail_verdict(log_terms, w)
-    log_sum = float(np.logaddexp.reduce(log_terms))
+    log_sum = float(_lse(log_terms))
     with np.errstate(over="ignore"):
         partial = float(np.exp(log_sum))
     return GrandCanonicalReport(log_partial_sum=log_sum, partial_sum=partial,

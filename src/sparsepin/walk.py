@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -40,10 +39,7 @@ __all__ = [
     "ruin_prob",
     "expected_visits_exact",
     "simulate_visit_counts",
-    "simulate_visit_counts_batch",
-    "mc_visits",
     "mc_speed",
-    "sparse_increment_stream",
 ]
 
 DEFAULT_STEP_BUDGET = 10 ** 8
@@ -165,25 +161,13 @@ def expected_visits_exact(potential: Potential, r: int) -> float:
     return scale_values(potential, r)
 
 
-def simulate_visit_counts(potential: Potential, r: int, replicas: int, seed: int,
+def simulate_visit_counts(potentials, r: int, replicas: int, seed: int,
                           step_budget: int = DEFAULT_STEP_BUDGET,
                           censor: bool = False) -> np.ndarray:
-    """Visit counts of `replicas` independent folded trajectories.
-
-    From 0 the chain moves to 1 with probability one; from 1 <= i < R it
-    moves up with probability step_prob(V_i - V_{i-1}); R absorbs.  This is
-    simulate_visit_counts_batch over the single potential, so the returned
-    array depends only on (potential, r, replicas, seed).
-    """
-    return simulate_visit_counts_batch([potential], r, replicas, seed,
-                                       step_budget=step_budget, censor=censor)[0]
-
-
-def simulate_visit_counts_batch(potentials, r: int, replicas: int, seed: int,
-                                step_budget: int = DEFAULT_STEP_BUDGET,
-                                censor: bool = False) -> np.ndarray:
     """Visit counts of `replicas` folded trajectories in each potential.
 
+    From 0 the chain moves to 1 with probability one; from 1 <= i < R it
+    moves up with probability step_prob(V_i - V_{i-1}); R absorbs.
     `potentials` is any iterable; it is read once, so a generator keeps
     only one potential alive at a time.  Returns an (n_potentials,
     replicas) array.  Walkers are ordered by potential, then replica, and
@@ -307,47 +291,33 @@ def _mean_stderr(x: np.ndarray) -> tuple[float, float]:
     return mean, stderr
 
 
-def mc_visits(potential: Potential, r: int, replicas: int, seed: int,
-              step_budget: int = DEFAULT_STEP_BUDGET) -> tuple[float, float]:
-    """(mean, stderr) of the visit count over independent replicas."""
-    if replicas < 2:
-        raise ValueError("need replicas >= 2 for a standard error")
-    return _mean_stderr(simulate_visit_counts(potential, r, replicas, seed,
-                                              step_budget=step_budget))
-
-
 # ---------------------------------------------------------------------------
 # speed of the unfolded walk on the integers
 
-def sparse_increment_stream(kernel, spec, params: WalkParams) -> Callable:
-    """Two-sided sparse environment increments, one fresh draw per replica.
+def _sparse_increments(kernel, spec, params: WalkParams, rng: np.random.Generator,
+                       n_sites: int) -> np.ndarray:
+    """Delta V_i for i = -n_sites..n_sites, laid out at index n_sites + i.
 
     Sites i >= 1 and i <= 0 carry independent renewal/disorder layers with
     the same law, so every increment of the potential on Z is distributed as
     (h + beta*omega) * [site in tau] - f.
     """
-
-    def stream(replica: int, rng: np.random.Generator, n_sites: int) -> np.ndarray:
-        dv = np.full(2 * n_sites + 1, -params.f)
-        for side in (1, -1):
-            tau = _renewal_points(kernel, n_sites, rng)
-            kick = params.h + params.beta * _draw_disorder(spec, n_sites + 1, rng)
-            # Delta V_i sits at index n_sites + i.  Right layer: sites
-            # tau_1, tau_2, ...; left layer: sites 0, -tau_1, ..., where
-            # site 0 is a renewal point by convention
-            sel = tau[1:] if side == 1 else tau
-            dv[n_sites + side * sel] += kick[sel]
-        return dv
-
-    return stream
+    dv = np.full(2 * n_sites + 1, -params.f)
+    for side in (1, -1):
+        tau = _renewal_points(kernel, n_sites, rng)
+        kick = params.h + params.beta * _draw_disorder(spec, n_sites + 1, rng)
+        # Right layer: sites tau_1, tau_2, ...; left layer: sites 0, -tau_1,
+        # ..., where site 0 is a renewal point by convention
+        sel = tau[1:] if side == 1 else tau
+        dv[n_sites + side * sel] += kick[sel]
+    return dv
 
 
-def mc_speed(increment_stream: Callable, n_steps: int, replicas: int,
+def mc_speed(kernel, spec, params: WalkParams, n_steps: int, replicas: int,
              seed: int) -> tuple[float, float]:
     """(mean, stderr) of X_n / n for the walk on Z.
 
-    `increment_stream(replica, rng, n_sites)` must return Delta V_i for
-    i = -n_sites..n_sites, laid out at index n_sites + i.
+    Each replica walks in its own fresh two-sided sparse environment.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -359,7 +329,8 @@ def mc_speed(increment_stream: Callable, n_steps: int, replicas: int,
         size = min(block, replicas - start)
         p_up = np.empty((size, 2 * n_steps + 1))
         for j in range(size):
-            dv = increment_stream(start + j, rng_for(seed, "speed-env", start + j), n_steps)
+            dv = _sparse_increments(kernel, spec, params,
+                                    rng_for(seed, "speed-env", start + j), n_steps)
             p_up[j] = step_prob(dv)
         rng = rng_for(seed, "speed-walk", start // block)
         pos = np.zeros(size, dtype=np.int64)

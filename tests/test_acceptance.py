@@ -13,12 +13,13 @@ import pytest
 
 from sparsepin import (DisorderSpec, Potential, WalkParams, brute_force_partition,
                        build_potential, expected_visits_exact, free_energy_estimate,
-                       homogeneous_free_energy, kernel_mean, make_kernel, mc_visits,
+                       homogeneous_free_energy, kernel_mean, make_kernel,
                        pinned_recursion, quenched_critical_point_estimate, ruin_prob,
-                       sample_disorder, sample_environment, step_prob,
-                       tau_mean_lower_bound, verify_key_relation)
+                       sample_disorder, sample_environment, simulate_visit_counts,
+                       step_prob, tau_mean_lower_bound, verify_key_relation)
 from sparsepin._rng import derive_seed
 from sparsepin.experiments import KeyRelationConfig, ScanConfig, regime_scan
+from sparsepin.walk import _mean_stderr
 
 GAUSS = DisorderSpec("gaussian")
 
@@ -46,7 +47,8 @@ def test_criterion_1_finite_r_visits_identity():
         pot = build_potential(env, params)
         r = int(rng.integers(10, 51))
         exact = expected_visits_exact(pot, r)
-        mean, se = mc_visits(pot, r, 100000, derive_seed(77, "acc1-mc", i))
+        counts = simulate_visit_counts([pot], r, 100000, derive_seed(77, "acc1-mc", i))
+        mean, se = _mean_stderr(counts[0])
         hits += abs(mean - exact) <= 3 * se
     _report(1, hits >= 19, f"{hits}/20 potentials within 3 stderr at 1e5 replicas",
             t0, 60)

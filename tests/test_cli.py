@@ -256,7 +256,7 @@ def test_result_blocks_hold_results_only(tmp_path):
     # maps to its exact key set (None marks a plain value)
     runs = [
         (("env", "--horizon", "10"), "environment.json", {
-            "environment": {"horizon", "tau", "omega"}, "kernel_mean": None}),
+            "environment": {"tau", "omega"}, "kernel_mean": None}),
         (("walk", "--horizon", "20", "--replicas", "100", "--speed",
           "--speed-steps", "50", "--speed-replicas", "10"), "visits.json", {
             "visits": {"r", "exact", "mean", "stderr"},
@@ -292,7 +292,7 @@ def test_result_blocks_hold_results_only(tmp_path):
         assert run(tmp_path, *args) == EXIT_PASS, args
         doc = read_json(tmp_path, name)
         top = {k for k in blocks if "." not in k}
-        assert set(doc) == {"schema_version", "command", "seed", "config", *top}, name
+        assert set(doc) == {"schema_version", "command", "config", *top}, name
         assert set(doc["config"]) == set(cli._SCHEMAS[args[0]]), name
         for path, keys in blocks.items():
             nodes = [doc]
@@ -344,11 +344,11 @@ def test_config_file_and_flag_precedence(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# walk config\nkernel = dirac\nstep = 1\nhorizon = 5\nseed = 9\n")
     assert main(["env", "--config", str(cfg), "--outdir", str(tmp_path)]) == EXIT_PASS
-    assert read_json(tmp_path, "environment.json")["environment"]["horizon"] == 5
+    assert len(read_json(tmp_path, "environment.json")["environment"]["omega"]) == 5
     # flag overrides the file
     assert main(["env", "--config", str(cfg), "--horizon", "3",
                  "--outdir", str(tmp_path)]) == EXIT_PASS
-    assert read_json(tmp_path, "environment.json")["environment"]["horizon"] == 3
+    assert len(read_json(tmp_path, "environment.json")["environment"]["omega"]) == 3
 
 
 def test_rerun_from_embedded_config_is_byte_identical(tmp_path):
@@ -376,8 +376,14 @@ def test_config_errors_exit_64(tmp_path, capsys):
     malformed = tmp_path / "malformed.cfg"
     malformed.write_text("just a line\n")
     assert main(["env", "--config", str(malformed), "--outdir", str(tmp_path)]) == EXIT_CONFIG
+    # JSON values go through the same parser as key=value text
+    json_cfgs = [tmp_path / f"bad{i}.json" for i in range(4)]
+    for path, block in zip(json_cfgs, ({"seed": None}, {"horizon": 1.5}, {"seed": True},
+                                       [1])):
+        path.write_text(json.dumps({"config": block}))
     # library ValueErrors on bad values, refused before any long run
-    for args in (("walk", "--f", "nan", "--step-budget", "2000"),
+    for args in (*(("env", "--config", str(path)) for path in json_cfgs),
+                 ("walk", "--f", "nan", "--step-budget", "2000"),
                  ("walk", "--beta", "-1"),
                  ("walk", "--replicas", "1"),
                  ("verify", "--n-tau", "1"),

@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from sparsepin import (DisorderSpec, Potential, make_kernel, mc_visits,
+from sparsepin import (DisorderSpec, Potential, make_kernel, simulate_visit_counts,
                        tau_mean_lower_bound, verify_key_relation)
 from sparsepin._rng import derive_seed
 from sparsepin.experiments import (KeyRelationConfig, ScanConfig,
                                    annealed_transience_check, regime_scan)
+from sparsepin.walk import _mean_stderr
 
 
 GAUSS = DisorderSpec("gaussian")
@@ -135,7 +136,8 @@ def recurrence_signature(r_values, replicas, seed=0):
     out = {}
     for r in r_values:
         pot = Potential(values=np.zeros(max(r_values) + 1))
-        mean, se = mc_visits(pot, r, replicas, derive_seed(seed, "recurrence", r))
+        counts = simulate_visit_counts([pot], r, replicas, derive_seed(seed, "recurrence", r))
+        mean, se = _mean_stderr(counts[0])
         out[int(r)] = {"mean": mean, "stderr": se}
     return out
 

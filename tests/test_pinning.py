@@ -176,6 +176,14 @@ def test_grand_canonical_verdicts_match_closed_form():
     for h in (-1.0, -0.3, -0.05, 0.05, 0.2, 0.5, 1.0):
         table = pinned_recursion(np.zeros(n), k, 0.0, h, n)
         free_energy = homogeneous_free_energy(k, h).free_energy
+        # what the regime scan's labels imply, so it records no annealed
+        # verdicts: below the annealed curve (h < 0) every f >= 0 converges,
+        # above it the series diverges at half the free energy
+        if h < 0:
+            assert homogeneous_series_verdict(k, h, 0.0) == "converged", h
+            assert homogeneous_series_verdict(k, h, 0.05) == "converged", h
+        else:
+            assert homogeneous_series_verdict(k, h, 0.5 * free_energy) == "diverging", h
         for f in (0.0, 0.02, 0.05, 0.1, 0.2, 0.4, 0.8):
             if abs(f - free_energy) < 0.02:
                 continue

@@ -9,11 +9,10 @@ from hypothesis import strategies as st
 
 from sparsepin import (DisorderSpec, Potential, SparseEnvironment, StepBudgetError,
                        WalkParams, build_potential, expected_visits_exact,
-                       make_kernel, mc_speed, mc_visits, ruin_prob, sample_environment,
-                       scale_values, simulate_visit_counts, simulate_visit_counts_batch,
-                       step_prob)
+                       make_kernel, mc_speed, ruin_prob, sample_environment,
+                       scale_values, simulate_visit_counts, step_prob)
 from sparsepin._rng import rng_for
-from sparsepin.walk import sparse_increment_stream
+from sparsepin.walk import _mean_stderr, _sparse_increments
 
 
 def flat(m):
@@ -32,15 +31,6 @@ def fast(m):
 def trap(m):
     """Steeply uphill: every up-probability is exactly 0, never absorbed."""
     return Potential(values=800.0 * np.arange(m + 1.0))
-
-
-def homogeneous_increment_stream(params):
-    """Increment stream with Delta V_i = -f at every site of Z (beta = h = 0)."""
-
-    def stream(replica, rng, n_sites):
-        return np.full(2 * n_sites + 1, -params.f)
-
-    return stream
 
 
 # ---------------------------------------------------------------------------
@@ -89,8 +79,7 @@ def test_integer_params_match_float_params():
     ints, floats = WalkParams(beta=1, h=-1, f=0), WalkParams(beta=1.0, h=-1.0, f=0.0)
     assert np.array_equal(build_potential(env, ints).values,
                           build_potential(env, floats).values)
-    streams = [sparse_increment_stream(k, spec, p) for p in (ints, floats)]
-    dvs = [s(0, rng_for(4, "stream"), 30) for s in streams]
+    dvs = [_sparse_increments(k, spec, p, rng_for(4, "stream"), 30) for p in (ints, floats)]
     assert dvs[0].dtype == float and np.array_equal(*dvs)
 
 
@@ -210,15 +199,19 @@ def test_expected_visits_exact():
 # ---------------------------------------------------------------------------
 # Monte Carlo
 
+def visits_mean_stderr(pot, r, replicas, seed):
+    return _mean_stderr(simulate_visit_counts([pot], r, replicas, seed)[0])
+
+
 def test_simulate_visits_deterministic_and_positive():
     pot = drifted(math.log(3.0), 30)
-    a = simulate_visit_counts(pot, 30, 1, seed=11)
-    assert a.shape == (1,) and a[0] >= 1
-    assert np.array_equal(a, simulate_visit_counts(pot, 30, 1, seed=11))
+    a = simulate_visit_counts([pot], 30, 1, seed=11)
+    assert a.shape == (1, 1) and a[0, 0] >= 1
+    assert np.array_equal(a, simulate_visit_counts([pot], 30, 1, seed=11))
 
 
 def test_mc_visits_flat_oracle():
-    mean, se = mc_visits(flat(20), 10, 100000, seed=3)
+    mean, se = visits_mean_stderr(flat(20), 10, 100000, seed=3)
     assert abs(mean - 10.0) <= 3 * se
 
 
@@ -226,15 +219,17 @@ def test_mc_visits_drift_oracle():
     pot = drifted(math.log(3.0), 40)
     exact = expected_visits_exact(pot, 30)
     assert exact == pytest.approx(1.5, abs=1e-9)
-    mean, se = mc_visits(pot, 30, 100000, seed=4)
+    mean, se = visits_mean_stderr(pot, 30, 100000, seed=4)
     assert abs(mean - exact) <= 3 * se
 
 
 def test_mc_visits_deterministic_pair():
     pot = drifted(0.3, 20)
-    assert mc_visits(pot, 15, 2, seed=8) == mc_visits(pot, 15, 2, seed=8)
-    with pytest.raises(ValueError):
-        mc_visits(pot, 15, 1, seed=8)
+    assert (visits_mean_stderr(pot, 15, 2, seed=8)
+            == visits_mean_stderr(pot, 15, 2, seed=8))
+    # one replica has a mean but no standard error
+    mean, se = visits_mean_stderr(pot, 15, 1, seed=8)
+    assert mean >= 1 and math.isnan(se)
 
 
 def test_visit_counts_geometric_mean_and_variance():
@@ -243,7 +238,7 @@ def test_visit_counts_geometric_mean_and_variance():
     pot = build_potential(env, WalkParams(beta=0.5, h=-0.6, f=0.15))
     r = 35
     w = expected_visits_exact(pot, r)
-    counts = simulate_visit_counts(pot, r, 50000, seed=22).astype(float)
+    counts = simulate_visit_counts([pot], r, 50000, seed=22)[0].astype(float)
     n = len(counts)
     mean, var = counts.mean(), counts.var(ddof=1)
     se_mean = counts.std(ddof=1) / math.sqrt(n)
@@ -259,9 +254,10 @@ def test_visit_counts_geometric_mean_and_variance():
 def test_same_seed_repeats_across_chunks():
     # 30000 replicas span four 8192-replica chunks, each on its own substream
     pot = drifted(0.25, 60)
-    assert mc_visits(pot, 50, 30000, seed=5) == mc_visits(pot, 50, 30000, seed=5)
-    c1 = simulate_visit_counts(pot, 50, 30000, seed=5)
-    assert np.array_equal(c1, simulate_visit_counts(pot, 50, 30000, seed=5))
+    assert (visits_mean_stderr(pot, 50, 30000, seed=5)
+            == visits_mean_stderr(pot, 50, 30000, seed=5))
+    c1 = simulate_visit_counts([pot], 50, 30000, seed=5)[0]
+    assert np.array_equal(c1, simulate_visit_counts([pot], 50, 30000, seed=5)[0])
     assert not np.array_equal(c1[:8192], c1[8192:16384])
 
 
@@ -324,11 +320,9 @@ def _two_step_reference_counts(potential, r, replicas, seed):
 @pytest.mark.parametrize("r", [1, 2, 3, 30])
 def test_batch_of_one_matches_per_potential_walk(replicas, r):
     pot = drifted(0.3, 40)
-    batch = simulate_visit_counts_batch([pot], r, replicas, seed=12)
+    batch = simulate_visit_counts([pot], r, replicas, seed=12)
     assert batch.shape == (1, replicas)
-    ref = _two_step_reference_counts(pot, r, replicas, seed=12)
-    assert np.array_equal(batch[0], ref)
-    assert np.array_equal(simulate_visit_counts(pot, r, replicas, seed=12), ref)
+    assert np.array_equal(batch[0], _two_step_reference_counts(pot, r, replicas, seed=12))
 
 
 def _chi2_sf(stat, dof):
@@ -376,7 +370,7 @@ def test_visit_count_histogram_is_geometric(r):
     pot = build_potential(env, WalkParams(beta=0.5, h=-0.6, f=0.15))
     w = expected_visits_exact(pot, r)
     w_other = expected_visits_exact(pot, 21 - r)
-    for counts in (simulate_visit_counts(pot, r, 100000, seed=23),
+    for counts in (simulate_visit_counts([pot], r, 100000, seed=23)[0],
                    _reference_visit_counts(pot, r, 100000, seed=23)):
         assert counts.min() >= 1
         assert _geometric_chi2_pvalue(counts, w) > 1e-3
@@ -386,35 +380,35 @@ def test_visit_count_histogram_is_geometric(r):
 def test_batch_rows_follow_their_own_potential():
     # 5 x 3000 walkers: chunk 0 holds rows 0-1 and part of row 2
     pots = [drifted(0.3, 40), flat(40), drifted(0.6, 40), flat(40), drifted(0.3, 40)]
-    counts = simulate_visit_counts_batch(pots, 25, 3000, seed=13)
+    counts = simulate_visit_counts(pots, 25, 3000, seed=13)
     assert counts.shape == (5, 3000)
-    assert np.array_equal(counts, simulate_visit_counts_batch(pots, 25, 3000, seed=13))
+    assert np.array_equal(counts, simulate_visit_counts(pots, 25, 3000, seed=13))
     for pot, row in zip(pots, counts):
         se = row.std(ddof=1) / math.sqrt(len(row))
         assert abs(row.mean() - expected_visits_exact(pot, 25)) <= 3 * se
     # deterministic rows: a fast row is all ones, a trapped one all censored
-    mixed = simulate_visit_counts_batch([fast(40), trap(40), fast(40)], 25, 5000,
-                                        seed=13, step_budget=64, censor=True)
+    mixed = simulate_visit_counts([fast(40), trap(40), fast(40)], 25, 5000,
+                                  seed=13, step_budget=64, censor=True)
     assert np.all(mixed[[0, 2]] == 1) and np.all(mixed[1] == -1)
 
 
 def test_batch_step_budget_error_names_global_replica():
     # the first trapped walker, 0-based walker 10000, sits in the second chunk
     with pytest.raises(StepBudgetError) as err:
-        simulate_visit_counts_batch([fast(40), fast(40), trap(40)], 25, 5000,
-                                    seed=14, step_budget=64)
+        simulate_visit_counts([fast(40), fast(40), trap(40)], 25, 5000,
+                              seed=14, step_budget=64)
     assert err.value.replica == 10000
 
 
 def test_batch_input_validation():
     with pytest.raises(ValueError):
-        simulate_visit_counts_batch([], 5, 10, seed=1)
+        simulate_visit_counts([], 5, 10, seed=1)
     with pytest.raises(ValueError):
-        simulate_visit_counts_batch([flat(20)], 5, 0, seed=1)
+        simulate_visit_counts([flat(20)], 5, 0, seed=1)
     with pytest.raises(ValueError):
-        simulate_visit_counts_batch([flat(20), flat(5)], 10, 10, seed=1)
+        simulate_visit_counts([flat(20), flat(5)], 10, 10, seed=1)
     with pytest.raises(ValueError):
-        simulate_visit_counts_batch([flat(20)], 0, 10, seed=1)
+        simulate_visit_counts([flat(20)], 0, 10, seed=1)
 
 
 def test_visit_count_z_scores_are_standard_normal():
@@ -430,7 +424,7 @@ def test_visit_count_z_scores_are_standard_normal():
     pots = [build_potential(sample_environment(kern, DisorderSpec("gaussian"), r, seed=e),
                             params) for e in range(m)]
     w = np.array([expected_visits_exact(pot, r) for pot in pots])
-    counts = simulate_visit_counts_batch(pots, r, n, seed=1)
+    counts = simulate_visit_counts(pots, r, n, seed=1)
     z = (counts.mean(axis=1) - w) / (counts.std(axis=1, ddof=1) / math.sqrt(n))
     p = 1.0 / w
     skew_bias = float(np.mean((2.0 - p) / np.sqrt(1.0 - p))) / (2.0 * math.sqrt(n))
@@ -448,45 +442,48 @@ def test_visit_count_z_scores_are_standard_normal():
 def test_step_budget_error_and_censoring():
     pot = flat(400)
     with pytest.raises(StepBudgetError) as err:
-        simulate_visit_counts(pot, 400, 100, seed=6, step_budget=500)
+        simulate_visit_counts([pot], 400, 100, seed=6, step_budget=500)
     assert err.value.replica >= 0
-    censored = simulate_visit_counts(pot, 400, 100, seed=6, step_budget=500, censor=True)
+    censored = simulate_visit_counts([pot], 400, 100, seed=6, step_budget=500,
+                                     censor=True)
     assert np.all(censored == -1)
 
 
 def test_step_budget_below_one_sweep_is_enforced():
     # every walker needs two steps to reach R = 2, even where going up is certain
-    counts = simulate_visit_counts_batch([fast(10)], 2, 1000, seed=3, step_budget=1,
-                                         censor=True)
+    counts = simulate_visit_counts([fast(10)], 2, 1000, seed=3, step_budget=1,
+                                   censor=True)
     assert np.all(counts == -1)
     with pytest.raises(StepBudgetError):
-        simulate_visit_counts_batch([fast(10)], 2, 1000, seed=3, step_budget=1)
-    assert np.all(simulate_visit_counts_batch([fast(10)], 2, 1000, seed=3,
-                                              step_budget=2) == 1)
+        simulate_visit_counts([fast(10)], 2, 1000, seed=3, step_budget=1)
+    assert np.all(simulate_visit_counts([fast(10)], 2, 1000, seed=3,
+                                        step_budget=2) == 1)
 
 
 def test_odd_step_budget_is_exact():
     # R = 3 is hit at step 3, inside the second step pair
-    assert np.all(simulate_visit_counts_batch([fast(10)], 3, 1000, seed=3,
-                                              step_budget=3) == 1)
-    counts = simulate_visit_counts_batch([fast(10)], 3, 1000, seed=3, step_budget=2,
-                                         censor=True)
+    assert np.all(simulate_visit_counts([fast(10)], 3, 1000, seed=3,
+                                        step_budget=3) == 1)
+    counts = simulate_visit_counts([fast(10)], 3, 1000, seed=3, step_budget=2,
+                                   censor=True)
     assert np.all(counts == -1)
 
 
 # ---------------------------------------------------------------------------
 # speed of the walk on Z
 
+# at beta = h = 0 every increment is -f, whatever the environment
+HOMOGENEOUS = (make_kernel("power_law", alpha=1.0, n_max=6), DisorderSpec("gaussian"))
+
+
 def test_mc_speed_symmetric_zero():
-    stream = homogeneous_increment_stream(WalkParams())
-    mean, se = mc_speed(stream, 400, 600, seed=1)
+    mean, se = mc_speed(*HOMOGENEOUS, WalkParams(), 400, 600, seed=1)
     assert abs(mean) <= 3 * se
 
 
 def test_mc_speed_homogeneous_drift():
     f = 0.4
-    stream = homogeneous_increment_stream(WalkParams(f=f))
-    mean, se = mc_speed(stream, 1500, 800, seed=2)
+    mean, se = mc_speed(*HOMOGENEOUS, WalkParams(f=f), 1500, 800, seed=2)
     assert abs(mean - math.tanh(f / 2.0)) <= 3 * se
 
 
@@ -497,6 +494,5 @@ def test_mc_speed_sparse_positive():
     spec = DisorderSpec("gaussian")
     beta, h = 0.6, -0.8
     assert h < -0.5 * beta ** 2
-    stream = sparse_increment_stream(kern, spec, WalkParams(beta=beta, h=h))
-    mean, se = mc_speed(stream, 2000, 300, seed=3)
+    mean, se = mc_speed(kern, spec, WalkParams(beta=beta, h=h), 2000, 300, seed=3)
     assert mean > 3 * se
