@@ -15,11 +15,11 @@ from .experiments import (KeyRelationConfig, KeyRelationReport, RegimeReport,
                           ScanConfig, annealed_transience_check, regime_scan,
                           tau_mean_lower_bound, verify_key_relation)
 from .pinning import (BracketError, GrandCanonicalReport, HomogeneousSolution,
-                      PartitionTable, annealed_critical_point, brute_force_partition,
-                      free_energy_estimate, free_partition, grand_canonical,
-                      homogeneous_free_energy, homogeneous_series_verdict,
-                      pinned_recursion, pinned_recursions,
-                      quenched_critical_point_estimate, relevance_classifier)
+                      PartitionTable, annealed_critical_point, free_energy_estimate,
+                      free_partition, grand_canonical, homogeneous_free_energy,
+                      homogeneous_series_verdict, pinned_recursions,
+                      quenched_critical_point_estimate,
+                      quenched_critical_point_estimates)
 from .walk import (Potential, StepBudgetError, WalkParams, build_potential,
                    expected_visits_exact, mc_speed, ruin_prob, scale_values,
                    simulate_visit_counts, step_prob)

@@ -31,7 +31,7 @@ from .environment import (DisorderSpec, kernel_mean, make_kernel, sample_disorde
 from .experiments import (KeyRelationConfig, ScanConfig, annealed_transience_check,
                           regime_scan, tau_mean_lower_bound, verify_key_relation)
 from .pinning import (BracketError, annealed_critical_point, free_energy_estimate,
-                      grand_canonical, homogeneous_free_energy, pinned_recursion,
+                      grand_canonical, homogeneous_free_energy, pinned_recursions,
                       quenched_critical_point_estimate)
 from .walk import (StepBudgetError, WalkParams, _mean_stderr, build_potential,
                    expected_visits_exact, mc_speed, simulate_visit_counts, step_prob)
@@ -245,7 +245,7 @@ def cmd_pinning(config: dict, outdir: Path) -> int:
     disorder = build_disorder(config)
     n = config["n"]
     omega = sample_disorder(disorder, n, derive_seed(config["seed"], "omega"))
-    table = pinned_recursion(omega, kernel, config["beta"], config["h"], n)
+    (table,) = pinned_recursions([config["beta"] * omega + config["h"]], kernel)
     # refused runs must leave no output behind, so compute everything first
     payload = {
         "free_energy": asdict(free_energy_estimate(table)),

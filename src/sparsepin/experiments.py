@@ -22,8 +22,7 @@ from .environment import (DisorderSpec, RenewalKernel, SparseEnvironment,
                           sample_renewal)
 from .pinning import (BracketError, GrandCanonicalReport, _lse, free_energy_estimate,
                       grand_canonical, homogeneous_free_energy, homogeneous_series_verdict,
-                      pinned_recursion, pinned_recursions,
-                      quenched_critical_point_estimate)
+                      pinned_recursions, quenched_critical_point_estimates)
 from .walk import (WalkParams, _mean_stderr, build_potential, expected_visits_exact,
                    simulate_visit_counts)
 
@@ -99,7 +98,8 @@ def verify_key_relation(cfg: KeyRelationConfig) -> KeyRelationReport:
         raise ValueError("need n_tau >= 2 for a standard error")
     n = cfg.resolved_n()
     omega = sample_disorder(cfg.disorder, n, derive_seed(cfg.seed, "omega"))
-    gc = grand_canonical(pinned_recursion(omega, cfg.kernel, cfg.beta, cfg.h, n), cfg.f)
+    (table,) = pinned_recursions([cfg.beta * omega + cfg.h], cfg.kernel)
+    gc = grand_canonical(table, cfg.f)
     converged = gc.verdict == "converged"
     # a non-convergent series leaves both sides infinite (or undecidable),
     # so no MC time is spent on it
@@ -151,7 +151,7 @@ def tau_mean_lower_bound(kernel: RenewalKernel, disorder: DisorderSpec, beta: fl
     if n < kernel.n_max:
         raise ValueError("need n_terms >= n_max for the saturated bound")
     omega = sample_disorder(disorder, n, derive_seed(seed, "omega"))
-    table = pinned_recursion(omega, kernel, beta, h, n)
+    (table,) = pinned_recursions([beta * omega + h], kernel)
     s = math.exp(float(_lse(table.log_z)))
     mean_gap = kernel_mean(kernel)
     # beyond n_max the tail is 0, so no log Z_m can fall below it
@@ -205,7 +205,8 @@ class RegimeReport:
 
 def regime_scan(beta_grid, h_grid, cfg: ScanConfig) -> RegimeReport:
     """Classify each (beta, h) against the annealed curve -lambda(beta) and
-    the quenched bracket (quenched_critical_point_estimate at n_fe, crit_tol).
+    the quenched bracket (quenched_critical_point_estimates at n_fe, crit_tol,
+    every beta > 0 in one lockstep search).
 
     case1: between the quenched bracket and 0 (walk still transient per
     environment, renewal-averaged count diverging below the free energy);
@@ -219,33 +220,39 @@ def regime_scan(beta_grid, h_grid, cfg: ScanConfig) -> RegimeReport:
     annealed ones follow from the label.  The report's `critical` list
     holds each beta's bracket and bisection trail (or the bracket error).
     """
-    points, critical = [], []
+    # every beta's quenched search in one lockstep multisection; only the
+    # brackets are used, so no replica spread is computed
+    searches = [(beta, derive_seed(cfg.seed, "crit", i_beta))
+                for i_beta, beta in enumerate(beta_grid) if beta > 0]
+    found = iter(quenched_critical_point_estimates(cfg.disorder, cfg.kernel, searches,
+                                                   cfg.n_fe, 1, cfg.crit_tol))
+    critical, cases, rows = [], [], []
+    blocks = [np.empty((0, cfg.n_gc))]
     for i_beta, beta in enumerate(beta_grid):
-        lam = log_mgf(cfg.disorder, beta)
-        h_ann = -lam
         search = {"beta": beta, "bracket": None, "trail": [], "error": None}
-        if beta > 0:
-            try:
-                # only the bracket is used, so no replica spread is computed
-                est = quenched_critical_point_estimate(
-                    cfg.disorder, cfg.kernel, beta, cfg.n_fe, 1, cfg.crit_tol,
-                    seed=derive_seed(cfg.seed, "crit", i_beta))
-                search.update(bracket=est.bracket, trail=est.trail)
-            except BracketError as err:
-                search["error"] = str(err)
+        est = next(found) if beta > 0 else None
+        if isinstance(est, BracketError):
+            search["error"] = str(est)
+        elif est is not None:
+            search.update(bracket=est.bracket, trail=est.trail)
         critical.append(search)
-        bracket = search["bracket"]
-        cases = [_classify(beta, h, h_ann, bracket) for h in h_grid]
-        # the quenched tables of the whole row come from one batched call
+        h_ann = -log_mgf(cfg.disorder, beta)
+        cases.append([_classify(beta, h, h_ann, search["bracket"]) for h in h_grid])
         omega_row = sample_disorder(cfg.disorder, cfg.n_gc,
                                     derive_seed(cfg.seed, "scan-omega", i_beta))
-        quenched = [h for h, case in zip(h_grid, cases) if case in ("case1", "case2")]
-        tables = dict(zip(quenched, pinned_recursions(omega_row, cfg.kernel, beta,
-                                                      quenched, cfg.n_gc)))
-        for h, case in zip(h_grid, cases):
-            diag, ok = _point_diagnostics(cfg, beta, h, lam, case, tables.get(h), bracket)
-            points.append(RegimePoint(beta=beta, h=h, h_c_annealed=h_ann,
-                                      bracket=bracket, case=case,
+        quenched = [h for h, case in zip(h_grid, cases[-1]) if case in ("case1", "case2")]
+        blocks.append(beta * omega_row + np.asarray(quenched, dtype=float)[:, None])
+        rows += [(i_beta, h) for h in quenched]
+    # the quenched tables of the whole grid come from one engine pass
+    tables = dict(zip(rows, pinned_recursions(np.concatenate(blocks), cfg.kernel)))
+    points = []
+    for i_beta, (beta, search) in enumerate(zip(beta_grid, critical)):
+        lam = log_mgf(cfg.disorder, beta)
+        for h, case in zip(h_grid, cases[i_beta]):
+            diag, ok = _point_diagnostics(cfg, beta, h, lam, case,
+                                          tables.get((i_beta, h)), search["bracket"])
+            points.append(RegimePoint(beta=beta, h=h, h_c_annealed=-lam,
+                                      bracket=search["bracket"], case=case,
                                       diagnostics=diag, consistent=ok))
     return RegimeReport(points=points, critical=critical)
 

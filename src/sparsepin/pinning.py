@@ -12,7 +12,15 @@ and the free one decomposes over the last renewal point before n,
 Tables are returned in the log domain (values pass e^700 in localized
 scans).  The recursion itself runs in linear arithmetic on a window scaled
 by a running log-normaliser per row, the scaling trick of the HMM forward
-algorithm, and is batched over rows of contact energies.
+algorithm.  `pinned_recursions` is the one engine entry: it takes a (B, n)
+array of contact energies beta*omega_m + h, any mix of omega, beta and h
+per row, and runs it in as few engine calls as a cell budget allows
+(rows * (n + 1 + n_max) <= _CELLS, 32 rows at n = 8000, n_max = 40).  An
+engine call costs about as much per site for one row as for thirty, so the
+quenched critical-point search runs in lockstep: each multisection pass is
+one engine call for every unfinished (beta, seed) search, and the first
+pass also evaluates the first bisection levels below CRIT_H_HI on
+speculation.
 Z_0 = 1 is the empty-product convention: it makes the grand-canonical sum
 sum_n Z_n e^{-fn} equal, term by term, the renewal-averaged expected visit
 count of the walk, time-0 visit included.
@@ -28,8 +36,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ._rng import derive_seed
-from .environment import (DisorderSpec, RenewalKernel, kernel_tail, log_mgf,
-                          sample_disorder)
+from .environment import DisorderSpec, RenewalKernel, log_mgf, sample_disorder
 
 __all__ = [
     "PartitionTable",
@@ -38,23 +45,20 @@ __all__ = [
     "FreeEnergyEstimate",
     "CriticalPointEstimate",
     "BracketError",
-    "pinned_recursion",
     "pinned_recursions",
     "free_partition",
-    "brute_force_partition",
     "grand_canonical",
     "free_energy_estimate",
     "homogeneous_free_energy",
     "homogeneous_series_verdict",
     "annealed_critical_point",
     "quenched_critical_point_estimate",
-    "relevance_classifier",
+    "quenched_critical_point_estimates",
 ]
 
-BRUTE_FORCE_LIMIT = 14
 GC_SLOPE_TOL = 1e-3
 CRIT_H_HI = 0.25  # first upper end tried by the quenched bisection
-_ROWS = 8  # rows per engine call, so (rows, n) buffers stay small at large n
+_CELLS = 2 ** 18  # rows * (n + 1 + n_max) per engine call: two 2-MB buffers
 _SCALE_LIMIT = 200.0  # a window sum outside e^{+-200} is rebuilt from the logs
 _MULTISECTION_LEVELS = 3  # bisection levels evaluated per batched pass
 
@@ -183,77 +187,42 @@ def _log_zc_rows(contact: np.ndarray, kernel: RenewalKernel) -> np.ndarray:
     return logs[:, width:]
 
 
-def _contact_rows(omega: np.ndarray, beta: float, hs, n: int) -> np.ndarray:
-    """beta * omega_m + h for m = 1..n, one row per h."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if len(omega) < n:
-        raise ValueError(f"omega holds {len(omega)} sites, need {n}")
-    return beta * np.asarray(omega[:n], dtype=float) + np.asarray(hs, dtype=float)[:, None]
+def _contact_rows(omega: np.ndarray, beta: float, hs) -> np.ndarray:
+    """beta * omega_m + h at every site of omega, one row per h."""
+    return beta * omega + np.asarray(hs, dtype=float)[:, None]
 
 
-def pinned_recursion(omega: np.ndarray, kernel: RenewalKernel, beta: float,
-                     h: float, n: int) -> PartitionTable:
-    """Fill log z^c_0..n by the last-gap renewal recursion, O(n * n_max)."""
-    log_zc = _log_zc_rows(_contact_rows(omega, beta, [h], n), kernel)[0]
-    return PartitionTable(n=n, kernel=kernel, log_zc=log_zc)
+def pinned_recursions(contact, kernel: RenewalKernel) -> list[PartitionTable]:
+    """log z^c_0..n for each row of a (B, n) array of contact energies.
 
-
-def pinned_recursions(omega: np.ndarray, kernel: RenewalKernel, beta: float,
-                      hs, n: int) -> list[PartitionTable]:
-    """pinned_recursion at every h of `hs`, batched; each table is equal
-    element for element to its pinned_recursion call."""
-    contact = _contact_rows(omega, beta, hs, n)
+    Row b holds beta*omega_m + h for m = 1..n, so rows may mix disorder
+    draws, betas and biases.  The rows run in engine calls of at most
+    _CELLS // (n + 1 + n_max) rows; a row's table does not depend on the
+    other rows of its call, so any batching returns the same tables.
+    """
+    contact = np.asarray(contact, dtype=float)
+    if contact.ndim != 2:
+        raise ValueError("contact energies must be a (rows, n) array")
+    n = contact.shape[1]
+    step = max(1, _CELLS // (n + 1 + kernel.n_max))
     return [PartitionTable(n=n, kernel=kernel, log_zc=log_zc)
-            for start in range(0, len(contact), _ROWS)
-            for log_zc in _log_zc_rows(contact[start : start + _ROWS], kernel)]
+            for start in range(0, len(contact), step)
+            for log_zc in _log_zc_rows(contact[start : start + step], kernel)]
 
 
 def free_partition(table: PartitionTable) -> np.ndarray:
     """log Z_0..n from the pinned column via the last-renewal decomposition.
 
     log Z_m is a log-sum-exp of log z^c_{m-j} + log P(tau_1 > j) over
-    j < n_max, taken over sliding windows in blocks of rows.
+    j < min(n_max, n + 1), taken over sliding windows in blocks of rows.
     """
-    width = table.kernel.n_max
+    width = min(table.kernel.n_max, table.n + 1)
     padded = np.concatenate([np.full(width - 1, -np.inf), table.log_zc])
     windows = sliding_window_view(padded, width)
     log_tail_rev = table.kernel.log_tail[width - 1 :: -1]
     block = max(1, 2 ** 15 // width)
     return np.concatenate([_lse(windows[start : start + block] + log_tail_rev)
                            for start in range(0, table.n + 1, block)])
-
-
-def brute_force_partition(omega: np.ndarray, kernel: RenewalKernel, beta: float,
-                          h: float, n: int) -> tuple[float, float]:
-    """(Z_n, z^c_n) by enumerating every renewal path 0 = t_0 < t_1 <= ... <= n.
-
-    Exponential in n; guarded at n <= 14.  This is the independent oracle
-    for the recursions, sharing nothing with them but K and omega.
-    """
-    if n > BRUTE_FORCE_LIMIT:
-        raise ValueError(f"brute force is guarded at n <= {BRUTE_FORCE_LIMIT}")
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n == 0:
-        return 1.0, 1.0
-    free_terms = [kernel_tail(kernel, n)]  # the empty path: tau stays at 0
-    pinned_terms = [0.0]
-    stack = [(0, 1.0)]
-    while stack:
-        last, w = stack.pop()
-        for k in range(1, min(kernel.n_max, n - last) + 1):
-            kw = float(kernel.weights[k - 1])
-            if kw == 0.0:
-                continue
-            t = last + k
-            w2 = w * kw * math.exp(beta * omega[t - 1] + h)
-            free_terms.append(w2 * kernel_tail(kernel, n - t))
-            if t == n:
-                pinned_terms.append(w2)
-            else:
-                stack.append((t, w2))
-    return math.fsum(free_terms), math.fsum(pinned_terms)
 
 
 def grand_canonical(table: PartitionTable, f: float) -> GrandCanonicalReport:
@@ -357,86 +326,124 @@ def annealed_critical_point(spec: DisorderSpec, beta: float) -> float:
 def quenched_critical_point_estimate(spec: DisorderSpec, kernel: RenewalKernel,
                                      beta: float, n: int, replicas: int,
                                      tol: float, seed: int = 0) -> CriticalPointEstimate:
-    """Bisect h for the sign change of raw = (1/n) log z^c_n on one disorder draw.
+    """The quenched search of quenched_critical_point_estimates for one
+    (beta, seed); raises its BracketError."""
+    (est,) = quenched_critical_point_estimates(spec, kernel, [(beta, seed)], n,
+                                               replicas, tol)
+    if isinstance(est, BracketError):
+        raise est
+    return est
+
+
+def quenched_critical_point_estimates(spec: DisorderSpec, kernel: RenewalKernel,
+                                      searches, n: int, replicas: int,
+                                      tol: float) -> list:
+    """Bisect h for the sign change of raw = (1/n) log z^c_n on one disorder
+    draw, for each (beta, seed) of `searches`.
 
     For fixed disorder log z^c_n rises strictly in h (every path carries a
     contact factor e^h), so the bracket holds this sample's root exactly.
     It starts from the annealed critical point, a rigorous lower bound, and
     the first of CRIT_H_HI + 0.5 i, i = 0..4, with raw > 0, and narrows to
-    width <= tol.  The search runs as a multisection: one batched pass
-    evaluates both start ends, and each later pass every midpoint of the
-    next _MULTISECTION_LEVELS bisection levels, so the bracket and the trail
-    are the ones the one-h-at-a-time bisection gives.  The spread of raw at
-    the midpoint across `replicas` independent sequences is reported as the
-    error bar.
+    width <= tol.  The searches run in lockstep as a multisection: each pass
+    is one pinned_recursions call for every unfinished search, evaluating
+    every midpoint of its next _MULTISECTION_LEVELS bisection levels.  The
+    first pass evaluates the six start ends and, on speculation, the
+    midpoints below CRIT_H_HI; they are dropped when a higher upper end
+    wins.  So each bracket and trail is the one the one-h-at-a-time
+    bisection gives.  The spread of raw at the midpoint across `replicas`
+    independent sequences is reported as the error bar.
+
+    Returns one entry per search, in order: its CriticalPointEstimate, or
+    the BracketError that ended it, which leaves the other searches running.
     """
     if not (tol > 0 and replicas >= 1):
         raise ValueError("need tol > 0 and replicas >= 1")
     if n < 2:
         raise ValueError("free energy estimation needs n >= 2")
 
-    def omega(r):
+    def omega(seed, r):
         return sample_disorder(spec, n, derive_seed(seed, "crit-omega", r))
 
-    def raws(contact):
-        return [float(v) for v in _log_zc_rows(contact, kernel)[:, n] / n]
+    def raws(blocks):
+        """raw at each row of each contact block, one engine pass for all."""
+        if not blocks:
+            return []
+        tables = iter(pinned_recursions(np.concatenate(blocks), kernel))
+        return [[float(next(tables).log_zc[n] / n) for _ in block] for block in blocks]
 
-    omega0 = omega(0)
-    lo = annealed_critical_point(spec, beta)
-    starts = [lo] + [CRIT_H_HI + 0.5 * i for i in range(5)]
-    first = raws(_contact_rows(omega0, beta, starts, n))
-    if first[0] > 0:
-        raise BracketError(lo, CRIT_H_HI, "already localized at the annealed critical point")
-    trail = [(lo, first[0])]
-    for h, raw in zip(starts[1:], first[1:]):
-        trail.append((h, raw))
-        if raw > 0:
-            break
-    else:
-        raise BracketError(lo, starts[-1], "no localized phase found")
-    hi = trail[-1][0]
-    while hi - lo > tol:
-        # every midpoint the next levels can visit, by the bisection's own arithmetic
-        mids, level = [], [(lo, hi)]
-        for _ in range(_MULTISECTION_LEVELS):
-            below = []
-            for a, b in level:
-                if b - a > tol:
-                    mid = 0.5 * (a + b)
-                    mids.append(mid)
-                    below += [(a, mid), (mid, b)]
-            level = below
-        raw_at = dict(zip(mids, raws(_contact_rows(omega0, beta, mids, n))))
-        for _ in range(_MULTISECTION_LEVELS):
-            if not hi - lo > tol:
+    draws = [omega(seed, 0) for _, seed in searches]
+    starts = [[annealed_critical_point(spec, beta)] + [CRIT_H_HI + 0.5 * i for i in range(5)]
+              for beta, _ in searches]
+    speculative = [_midpoints(hs[0], CRIT_H_HI, tol) for hs in starts]
+    first = raws([_contact_rows(draw, beta, hs + mids)
+                  for (beta, _), draw, hs, mids in zip(searches, draws, starts, speculative)])
+    out = [None] * len(searches)
+    brackets, trails = {}, {}  # of the searches still running, by index
+    for i, (hs, mids, vals) in enumerate(zip(starts, speculative, first)):
+        lo = hs[0]
+        if vals[0] > 0:
+            out[i] = BracketError(lo, CRIT_H_HI,
+                                  "already localized at the annealed critical point")
+            continue
+        trail = [(lo, vals[0])]
+        for h, raw in zip(hs[1:], vals[1:6]):
+            trail.append((h, raw))
+            if raw > 0:
                 break
-            mid = 0.5 * (lo + hi)
-            trail.append((mid, raw_at[mid]))
-            if raw_at[mid] > 0:
-                hi = mid
-            else:
-                lo = mid
-    h_hat = 0.5 * (lo + hi)
-    vals = [0.0]
+        else:
+            out[i] = BracketError(lo, hs[-1], "no localized phase found")
+            continue
+        hi = trail[-1][0]
+        if hi == CRIT_H_HI:
+            lo, hi = _descend(lo, hi, dict(zip(mids, vals[6:])), trail, tol)
+        brackets[i], trails[i] = (lo, hi), trail
+    while todo := [i for i, (lo, hi) in brackets.items() if hi - lo > tol]:
+        mids = [_midpoints(*brackets[i], tol) for i in todo]
+        vals = raws([_contact_rows(draws[i], searches[i][0], hs)
+                     for i, hs in zip(todo, mids)])
+        for i, hs, v in zip(todo, mids, vals):
+            brackets[i] = _descend(*brackets[i], dict(zip(hs, v)), trails[i], tol)
+    h_hats = {i: 0.5 * (lo + hi) for i, (lo, hi) in brackets.items()}
+    spreads = [[0.0]] * len(h_hats)
     if replicas > 1:
-        # one row per disorder draw, in engine calls of _ROWS draws
-        vals = []
-        for start in range(0, replicas, _ROWS):
-            draws = np.stack([omega(r) for r in range(start, min(start + _ROWS, replicas))])
-            vals += raws(beta * draws + h_hat)
-    return CriticalPointEstimate(h_hat=h_hat, bracket=(lo, hi),
-                                 replica_spread=float(max(vals) - min(vals)), n=n,
-                                 trail=trail)
+        # one row per disorder draw
+        spreads = raws([searches[i][0] * np.stack([omega(searches[i][1], r)
+                                                   for r in range(replicas)]) + h_hat
+                        for i, h_hat in h_hats.items()])
+    for (i, h_hat), vals in zip(h_hats.items(), spreads):
+        out[i] = CriticalPointEstimate(h_hat=h_hat, bracket=brackets[i],
+                                       replica_spread=float(max(vals) - min(vals)), n=n,
+                                       trail=trails[i])
+    return out
 
 
-def relevance_classifier(alpha: float) -> str:
-    """Disorder relevance for a constant slowly varying prefactor.
+def _midpoints(lo: float, hi: float, tol: float) -> list[float]:
+    """Every midpoint the next _MULTISECTION_LEVELS bisection levels of
+    (lo, hi) can visit, by the bisection's own arithmetic."""
+    mids, level = [], [(lo, hi)]
+    for _ in range(_MULTISECTION_LEVELS):
+        below = []
+        for a, b in level:
+            if b - a > tol:
+                mid = 0.5 * (a + b)
+                mids.append(mid)
+                below += [(a, mid), (mid, b)]
+        level = below
+    return mids
 
-    The critical point shifts for arbitrarily weak disorder exactly when the
-    intersection of two independent renewal copies is transient, i.e. when
-    sum_n n^{-2(1-alpha)} diverges: alpha >= 1/2, the marginal alpha = 1/2
-    included for a constant prefactor.
-    """
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
-    return "relevant" if alpha >= 0.5 else "irrelevant"
+
+def _descend(lo: float, hi: float, raw_at: dict, trail: list,
+             tol: float) -> tuple[float, float]:
+    """Take the next _MULTISECTION_LEVELS bisection steps from raw_at,
+    appending each decided (h, raw) to trail."""
+    for _ in range(_MULTISECTION_LEVELS):
+        if not hi - lo > tol:
+            break
+        mid = 0.5 * (lo + hi)
+        trail.append((mid, raw_at[mid]))
+        if raw_at[mid] > 0:
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi

@@ -11,10 +11,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sparsepin import (DisorderSpec, Potential, WalkParams, brute_force_partition,
-                       build_potential, expected_visits_exact, free_energy_estimate,
+from oracles import brute_force_partition, pinned_table
+from sparsepin import (DisorderSpec, Potential, WalkParams, build_potential,
+                       expected_visits_exact, free_energy_estimate,
                        homogeneous_free_energy, kernel_mean, make_kernel,
-                       pinned_recursion, quenched_critical_point_estimate, ruin_prob,
+                       pinned_recursions, quenched_critical_point_estimate, ruin_prob,
                        sample_disorder, sample_environment, simulate_visit_counts,
                        step_prob, tau_mean_lower_bound, verify_key_relation)
 from sparsepin._rng import derive_seed
@@ -98,7 +99,7 @@ def test_criterion_3_partition_recursions_vs_brute_force():
             kern = make_kernel("dirac", step=n_max)
         beta, h = float(rng.uniform(0, 1.5)), float(rng.uniform(-2, 2))
         omega = rng.normal(size=12)
-        table = pinned_recursion(omega, kern, beta, h, 12)
+        table = pinned_table(omega, kern, beta, h, 12)
         for n in range(13):
             z_free, z_pin = brute_force_partition(omega, kern, beta, h, n)
             worst = max(worst, abs(math.exp(table.log_z[n]) - z_free) / z_free)
@@ -113,7 +114,7 @@ def test_criterion_4_last_renewal_decomposition():
     n = 10000
     kern = make_kernel("power_law", alpha=0.8, n_max=8)
     omega = sample_disorder(GAUSS, n, seed=13)
-    table = pinned_recursion(omega, kern, 0.7, -0.3, n)
+    table = pinned_table(omega, kern, 0.7, -0.3, n)
     worst = 0.0
     for m in range(n + 1):
         k_lo = max(0, m - kern.n_max + 1)
@@ -151,7 +152,7 @@ def test_criterion_5_key_relation():
 def test_criterion_6_homogeneous_free_energy():
     t0 = time.time()
     kern = make_kernel("geometric", q=0.5, n_max=64)
-    est = free_energy_estimate(pinned_recursion(np.zeros(20000), kern, 0.0, math.log(2.0),
+    est = free_energy_estimate(pinned_table(np.zeros(20000), kern, 0.0, math.log(2.0),
                                                 20000))
     err = abs(est.f_hat - math.log(1.5))
     _report(6, err <= 1e-3, f"|f_hat - log(3/2)| = {err:.2e} at n=2e4", t0, 30)
@@ -161,11 +162,11 @@ def test_criterion_7_annealed_consistency():
     t0 = time.time()
     n, beta, h = 200, 1.0, -1.0
     kern = make_kernel("power_law", alpha=1.0, n_max=400)
-    zs = np.empty(1000)
-    for r in range(1000):
-        om = sample_disorder(GAUSS, n, derive_seed(11, "ann", r))
-        zs[r] = math.exp(pinned_recursion(om, kern, beta, h, n).log_z[n])
-    hom = pinned_recursion(np.zeros(n), kern, 0.0, h + 0.5, n)
+    # one contact row per disorder draw, in engine calls the cell budget sizes
+    contact = np.stack([beta * sample_disorder(GAUSS, n, derive_seed(11, "ann", r)) + h
+                        for r in range(1000)])
+    zs = np.array([math.exp(table.log_z[n]) for table in pinned_recursions(contact, kern)])
+    hom = pinned_table(np.zeros(n), kern, 0.0, h + 0.5, n)
     target = math.exp(hom.log_z[n])
     mean, se = float(zs.mean()), float(zs.std(ddof=1) / math.sqrt(len(zs)))
     z = (mean - target) / se
@@ -188,7 +189,7 @@ def test_criterion_8_critical_points():
 def test_criterion_9_tau_mean_bound():
     t0 = time.time()
     kern = make_kernel("power_law", alpha=0.7, n_max=24)
-    table = pinned_recursion(np.zeros(96), kern, 0.0, -1000.0, 96)
+    table = pinned_table(np.zeros(96), kern, 0.0, -1000.0, 96)
     target = kernel_mean(kern)
     partial = np.exp(np.logaddexp.accumulate(table.log_z))
     worst = float(np.max(np.abs(partial[kern.n_max:] - target)))

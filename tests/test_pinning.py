@@ -8,14 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sparsepin.pinning
-from sparsepin import (BracketError, DisorderSpec, annealed_critical_point,
-                       brute_force_partition, free_energy_estimate, free_partition,
-                       grand_canonical, homogeneous_free_energy,
-                       homogeneous_series_verdict, kernel_mean,
-                       log_mgf, make_kernel, pinned_recursion,
-                       quenched_critical_point_estimate, relevance_classifier,
-                       sample_disorder)
+from oracles import brute_force_partition, pinned_table
+from sparsepin import (BracketError, DisorderSpec, SparseEnvironment, WalkParams,
+                       annealed_critical_point, build_potential, expected_visits_exact,
+                       free_energy_estimate, free_partition, grand_canonical,
+                       homogeneous_free_energy, homogeneous_series_verdict, kernel_mean,
+                       kernel_tail, log_mgf, make_kernel, pinned_recursions,
+                       quenched_critical_point_estimate,
+                       quenched_critical_point_estimates, sample_disorder)
 from sparsepin._rng import derive_seed
+from sparsepin.experiments import ScanConfig, regime_scan
 from sparsepin.pinning import CRIT_H_HI
 
 
@@ -35,21 +37,21 @@ def random_kernel(rng):
 def test_pinned_single_step():
     k = make_kernel("power_law", alpha=0.7, n_max=3)
     omega = np.array([0.4, -1.0, 0.2])
-    t = pinned_recursion(omega, k, 1.3, -0.2, 3)
+    t = pinned_table(omega, k, 1.3, -0.2, 3)
     assert math.exp(t.log_zc[1]) == pytest.approx(
         float(k.weights[0]) * math.exp(1.3 * 0.4 - 0.2), rel=1e-13)
 
 
 def test_dirac_unit_kernel_trivial():
     k = make_kernel("dirac", step=1)
-    t = pinned_recursion(np.zeros(20), k, 0.0, 0.0, 20)
+    t = pinned_table(np.zeros(20), k, 0.0, 0.0, 20)
     assert np.allclose(t.log_zc, 0.0, atol=1e-13)
     assert np.allclose(t.log_z, t.log_zc, atol=1e-13)
 
 
 def test_free_is_one_without_energy():
     k = make_kernel("power_law", alpha=0.9, n_max=5)
-    t = pinned_recursion(np.zeros(60), k, 0.0, 0.0, 60)
+    t = pinned_table(np.zeros(60), k, 0.0, 0.0, 60)
     assert np.allclose(t.log_z, 0.0, atol=1e-12)
 
 
@@ -59,7 +61,7 @@ def test_recursions_match_brute_force():
         kern = random_kernel(rng)
         beta, h = float(rng.uniform(0, 1.5)), float(rng.uniform(-2, 2))
         omega = rng.normal(size=12)
-        table = pinned_recursion(omega, kern, beta, h, 12)
+        table = pinned_table(omega, kern, beta, h, 12)
         for n in range(13):
             z_free, z_pin = brute_force_partition(omega, kern, beta, h, n)
             assert math.exp(table.log_z[n]) == pytest.approx(z_free, rel=1e-10)
@@ -92,13 +94,43 @@ def test_recursions_match_brute_force_property(kind, n_max, shape, beta, h, n, s
             "geometric": lambda: make_kernel("geometric", q=shape, n_max=n_max),
             "dirac": lambda: make_kernel("dirac", step=n_max)}[kind]()
     omega = np.random.default_rng(seed).normal(size=n)
-    table = pinned_recursion(omega, kern, beta, h, n)
+    table = pinned_table(omega, kern, beta, h, n)
     z_free, z_pin = brute_force_partition(omega, kern, beta, h, n)
     assert math.exp(table.log_z[n]) == pytest.approx(z_free, rel=1e-10)
     if z_pin > 0:
         assert math.exp(table.log_zc[n]) == pytest.approx(z_pin, rel=1e-10)
     else:
         assert table.log_zc[n] == -math.inf
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["power_law", "geometric", "dirac"]),
+       n_max=st.integers(1, 5), shape=st.floats(0.05, 0.95),
+       beta=st.floats(0.0, 1.5), h=st.floats(-2.0, 2.0), f=st.floats(0.0, 1.0),
+       n=st.integers(0, 10), seed=st.integers(0, 2 ** 32 - 1))
+def test_identity_is_exact_over_every_renewal_set(kind, n_max, shape, beta, h, f, n,
+                                                  seed):
+    # the paper's identity at finite N: averaged over every renewal set
+    # tau in [1, N], the walk's exact visit count W_tau(N + 1) equals the
+    # grand-canonical partial sum S_N = sum_{m <= N} Z_m e^{-fm}
+    kern = _kernel(kind, n_max, shape)
+    omega = np.random.default_rng(seed).normal(size=n)
+    params = WalkParams(beta=beta, h=h, f=f)
+    terms = []
+    for mask in range(2 ** n):
+        tau = np.array([0] + [i for i in range(1, n + 1) if mask >> (i - 1) & 1])
+        gaps = np.diff(tau)
+        if gaps.size and gaps.max() > kern.n_max:
+            continue
+        # P(tau) = prod K(gaps) * P(tau_1 > N - last point)
+        weight = math.prod(float(kern.weights[g - 1]) for g in gaps)
+        weight *= kernel_tail(kern, n - int(tau[-1]))
+        if weight > 0:
+            pot = build_potential(SparseEnvironment(horizon=n, tau=tau, omega=omega), params)
+            terms.append(weight * expected_visits_exact(pot, n + 1))
+    (table,) = pinned_recursions([beta * omega + h], kern)
+    assert math.fsum(terms) == pytest.approx(grand_canonical(table, f).partial_sum,
+                                             rel=1e-12)
 
 
 def test_free_column_is_computed_once(monkeypatch):
@@ -111,7 +143,7 @@ def test_free_column_is_computed_once(monkeypatch):
 
     monkeypatch.setattr(sparsepin.pinning, "free_partition", counting)
     k = make_kernel("power_law", alpha=1.0, n_max=4)
-    t = pinned_recursion(np.zeros(50), k, 0.0, -0.5, 50)
+    t = pinned_table(np.zeros(50), k, 0.0, -0.5, 50)
     assert not calls
     first = grand_canonical(t, 0.1)
     second = grand_canonical(t, 0.0)
@@ -121,8 +153,9 @@ def test_free_column_is_computed_once(monkeypatch):
 
 def test_recursion_input_validation():
     k = make_kernel("dirac", step=1)
-    with pytest.raises(ValueError):
-        pinned_recursion(np.zeros(3), k, 0.0, 0.0, 5)
+    for contact in (np.zeros(5), np.zeros((2, 3, 5))):
+        with pytest.raises(ValueError):
+            pinned_recursions(contact, k)
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +164,7 @@ def test_recursion_input_validation():
 def test_grand_canonical_large_f_keeps_origin_term():
     k = make_kernel("power_law", alpha=1.0, n_max=4)
     omega = sample_disorder(DisorderSpec("gaussian"), 200, seed=3)
-    t = pinned_recursion(omega, k, 1.0, 0.5, 200)
+    t = pinned_table(omega, k, 1.0, 0.5, 200)
     rep = grand_canonical(t, 50.0)
     assert rep.partial_sum == pytest.approx(1.0, abs=1e-12)
     assert rep.verdict == "converged"
@@ -139,7 +172,7 @@ def test_grand_canonical_large_f_keeps_origin_term():
 
 def test_grand_canonical_saturates_at_tau_mean():
     k = make_kernel("power_law", alpha=0.7, n_max=24)
-    t = pinned_recursion(np.zeros(96), k, 0.0, -1000.0, 96)
+    t = pinned_table(np.zeros(96), k, 0.0, -1000.0, 96)
     rep = grand_canonical(t, 0.0)
     assert rep.verdict == "converged"
     assert rep.partial_sum == pytest.approx(kernel_mean(k), abs=1e-11)
@@ -148,7 +181,7 @@ def test_grand_canonical_saturates_at_tau_mean():
 
 def test_grand_canonical_divergence_rate_matches_free_energy():
     k = make_kernel("power_law", alpha=1.0, n_max=8)
-    t = pinned_recursion(np.zeros(1500), k, 0.0, 1.0, 1500)
+    t = pinned_table(np.zeros(1500), k, 0.0, 1.0, 1500)
     rep = grand_canonical(t, 0.0)
     assert rep.verdict == "diverging"
     target = homogeneous_free_energy(k, 1.0).free_energy
@@ -158,7 +191,7 @@ def test_grand_canonical_divergence_rate_matches_free_energy():
 def test_grand_canonical_monotone_in_f():
     k = make_kernel("geometric", q=0.4, n_max=10)
     omega = sample_disorder(DisorderSpec("rademacher"), 400, seed=9)
-    t = pinned_recursion(omega, k, 0.8, -0.3, 400)
+    t = pinned_table(omega, k, 0.8, -0.3, 400)
     sums = [grand_canonical(t, f).partial_sum for f in (0.2, 0.5, 1.0, 2.0)]
     assert all(a > b for a, b in zip(sums, sums[1:]))
     # term-wise: every n >= 1 term strictly shrinks when f grows
@@ -174,7 +207,7 @@ def test_grand_canonical_verdicts_match_closed_form():
     k = make_kernel("power_law", alpha=0.6, n_max=40)
     n = 3000
     for h in (-1.0, -0.3, -0.05, 0.05, 0.2, 0.5, 1.0):
-        table = pinned_recursion(np.zeros(n), k, 0.0, h, n)
+        table = pinned_table(np.zeros(n), k, 0.0, h, n)
         free_energy = homogeneous_free_energy(k, h).free_energy
         # what the regime scan's labels imply, so it records no annealed
         # verdicts: below the annealed curve (h < 0) every f >= 0 converges,
@@ -199,7 +232,7 @@ def test_grand_canonical_verdicts_match_closed_form():
 def test_last_renewal_identity_internal():
     k = make_kernel("power_law", alpha=0.8, n_max=8)
     omega = sample_disorder(DisorderSpec("gaussian"), 2000, seed=13)
-    t = pinned_recursion(omega, k, 0.7, -0.3, 2000)
+    t = pinned_table(omega, k, 0.7, -0.3, 2000)
     for n in range(2001):
         k_lo = max(0, n - k.n_max + 1)
         shift = float(np.max(t.log_zc[k_lo : n + 1]))
@@ -213,7 +246,7 @@ def test_tau_mean_factorization_at_zero_drift():
     # convergent configuration: free sum = E(tau_1) * pinned sum
     k = make_kernel("power_law", alpha=1.0, n_max=6)
     omega = sample_disorder(DisorderSpec("gaussian"), 3000, seed=5)
-    t = pinned_recursion(omega, k, 0.7, -1.5, 3000)
+    t = pinned_table(omega, k, 0.7, -1.5, 3000)
     s_free = grand_canonical(t, 0.0)
     s_pin = math.exp(np.logaddexp.reduce(t.log_zc))
     assert s_free.verdict == "converged"
@@ -226,7 +259,7 @@ def test_tau_mean_factorization_at_zero_drift():
 def test_free_energy_zero_below_criticality():
     k = make_kernel("power_law", alpha=1.0, n_max=8)
     for h in (0.0, -0.4):
-        est = free_energy_estimate(pinned_recursion(np.zeros(20000), k, 0.0, h, 20000))
+        est = free_energy_estimate(pinned_table(np.zeros(20000), k, 0.0, h, 20000))
         assert est.f_hat <= 1e-2
         assert est.f_hat >= 0.0
 
@@ -234,7 +267,7 @@ def test_free_energy_zero_below_criticality():
 def test_free_energy_matches_homogeneous_solution():
     k = make_kernel("power_law", alpha=1.0, n_max=8)
     h = 0.4
-    est = free_energy_estimate(pinned_recursion(np.zeros(20000), k, 0.0, h, 20000))
+    est = free_energy_estimate(pinned_table(np.zeros(20000), k, 0.0, h, 20000))
     target = homogeneous_free_energy(k, h).free_energy
     assert est.f_hat == pytest.approx(target, abs=1e-3)
     assert est.raw >= -est.window_spread
@@ -245,7 +278,7 @@ def test_free_energy_jensen_annealed_bound():
     spec = DisorderSpec("gaussian")
     beta, h = 1.0, 0.2
     omega = sample_disorder(spec, 20000, seed=31)
-    est = free_energy_estimate(pinned_recursion(omega, k, beta, h, 20000))
+    est = free_energy_estimate(pinned_table(omega, k, beta, h, 20000))
     annealed = homogeneous_free_energy(k, h + log_mgf(spec, beta)).free_energy
     assert est.f_hat <= annealed + 1e-2
 
@@ -254,7 +287,7 @@ def test_free_energy_monotone_in_h():
     k = make_kernel("power_law", alpha=1.0, n_max=8)
     omega = sample_disorder(DisorderSpec("gaussian"), 8000, seed=32)
     hs = [-0.5, -0.1, 0.2, 0.6, 1.2]
-    ests = [free_energy_estimate(pinned_recursion(omega, k, 0.8, h, 8000))
+    ests = [free_energy_estimate(pinned_table(omega, k, 0.8, h, 8000))
             for h in hs]
     tol = max(e.window_spread for e in ests)
     for a, b in zip(ests, ests[1:]):
@@ -296,7 +329,7 @@ def test_quenched_critical_point_smoke():
 def _crit_raw(spec, kernel, beta, n, seed, h, replica=0):
     # raw free energy on the estimator's own disorder draw (replica 0 bisects)
     omega = sample_disorder(spec, n, derive_seed(seed, "crit-omega", replica))
-    return free_energy_estimate(pinned_recursion(omega, kernel, beta, h, n)).raw
+    return free_energy_estimate(pinned_table(omega, kernel, beta, h, n)).raw
 
 
 def test_quenched_critical_point_bracket_failure():
@@ -330,8 +363,8 @@ def test_log_zc_strictly_increasing_in_h(kind, n_max, shape, beta, h, dh, n, see
             "geometric": lambda: make_kernel("geometric", q=shape, n_max=n_max),
             "dirac": lambda: make_kernel("dirac", step=n_max)}[kind]()
     omega = np.random.default_rng(seed).normal(size=n)
-    lo = pinned_recursion(omega, kern, beta, h, n).log_zc
-    hi = pinned_recursion(omega, kern, beta, h + dh, n).log_zc
+    lo = pinned_table(omega, kern, beta, h, n).log_zc
+    hi = pinned_table(omega, kern, beta, h + dh, n).log_zc
     finite = np.isfinite(lo)
     assert np.array_equal(finite, np.isfinite(hi))
     assert np.all(hi[1:][finite[1:]] > lo[1:][finite[1:]])
@@ -382,14 +415,6 @@ def test_quenched_replica_spread_uses_raw():
     raws = [_crit_raw(spec, k, 1.0, 2000, 5, est.h_hat, r) for r in range(3)]
     assert min(raws) < 0
     assert est.replica_spread == max(raws) - min(raws)
-
-
-def test_relevance_classifier():
-    assert relevance_classifier(0.3) == "irrelevant"
-    assert relevance_classifier(0.6) == "relevant"
-    assert relevance_classifier(0.5) == "relevant"
-    with pytest.raises(ValueError):
-        relevance_classifier(-0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +476,7 @@ def _close_in_log(new, ref):
 def test_scaled_engine_matches_log_domain_loop(kind, n_max, shape, beta, h, n, seed):
     kern = _kernel(kind, n_max, shape)
     omega = np.random.default_rng(seed).normal(size=n)
-    table = pinned_recursion(omega, kern, beta, h, n)
+    table = pinned_table(omega, kern, beta, h, n)
     ref = _reference_log_zc(beta * omega + h, kern)
     _close_in_log(table.log_zc, ref)
 
@@ -470,8 +495,16 @@ def test_scaled_engine_extreme_contacts():
                           _reference_log_zc(contact, kern))
 
 
-def test_engine_rows_do_not_depend_on_their_batch():
+def test_engine_rows_do_not_depend_on_their_batch(monkeypatch):
+    calls = []
     engine = sparsepin.pinning._log_zc_rows
+
+    def counting(contact, kernel):
+        calls.append(len(contact))
+        return engine(contact, kernel)
+
+    monkeypatch.setattr(sparsepin.pinning, "_log_zc_rows", counting)
+    cells = sparsepin.pinning._CELLS
     rng = np.random.default_rng(8)
     for kern in (make_kernel("power_law", alpha=0.6, n_max=40),
                  make_kernel("geometric", q=0.5, n_max=5),
@@ -480,15 +513,21 @@ def test_engine_rows_do_not_depend_on_their_batch():
         hs = np.array([-2.2, -0.7, -0.05, 0.0, 0.3, 5.0, -1000.0])
         betas = np.array([1.0, 2.0, 0.5, 0.0, 1.0, 30.0, 1.0])
         contact = betas[:, None] * omega + hs[:, None]
-        batch = engine(contact, kern)
-        assert batch.shape == (7, 3001)
+        calls.clear()
+        batch = [table.log_zc for table in pinned_recursions(contact, kern)]
+        assert calls == [7] and batch[0].shape == (3001,)
         for b in range(7):
-            assert np.array_equal(batch[b], engine(contact[b : b + 1], kern)[0])
-            assert np.array_equal(batch[b], engine(contact[[b, 6 - b]], kern)[0])
-        tables = sparsepin.pinning.pinned_recursions(omega, kern, 1.0, hs, 3000)
-        for h, table in zip(hs, tables):
-            assert np.array_equal(table.log_zc,
-                                  pinned_recursion(omega, kern, 1.0, h, 3000).log_zc)
+            assert np.array_equal(batch[b], pinned_recursions(contact[b : b + 1], kern)[0].log_zc)
+            assert np.array_equal(batch[b],
+                                  pinned_recursions(contact[[b, 6 - b]], kern)[0].log_zc)
+        # a three-row cell budget splits the batch into engine calls of 3, 3 and 1 rows
+        monkeypatch.setattr(sparsepin.pinning, "_CELLS", 3 * (3001 + kern.n_max))
+        calls.clear()
+        split = pinned_recursions(contact, kern)
+        assert calls == [3, 3, 1]
+        for table, log_zc in zip(split, batch, strict=True):
+            assert np.array_equal(table.log_zc, log_zc)
+        monkeypatch.setattr(sparsepin.pinning, "_CELLS", cells)
 
 
 def test_vectorised_free_column_matches_loop():
@@ -498,7 +537,7 @@ def test_vectorised_free_column_matches_loop():
                     (make_kernel("geometric", q=0.4, n_max=30), 5000),
                     (make_kernel("dirac", step=3), 1000)):
         omega = rng.normal(size=n)
-        table = pinned_recursion(omega, kern, 0.7, -0.3, n)
+        table = pinned_table(omega, kern, 0.7, -0.3, n)
         ref = _reference_free(table.log_zc, kern)
         assert np.array_equal(np.isfinite(table.log_z), np.isfinite(ref))
         err = np.abs(table.log_z - ref) / np.maximum(1.0, np.abs(ref))
@@ -510,7 +549,7 @@ def _sequential_bisection(spec, kernel, beta, n, tol, seed):
     omega = sample_disorder(spec, n, derive_seed(seed, "crit-omega", 0))
 
     def raw(h):
-        return free_energy_estimate(pinned_recursion(omega, kernel, beta, h, n)).raw
+        return free_energy_estimate(pinned_table(omega, kernel, beta, h, n)).raw
 
     lo = annealed_critical_point(spec, beta)
     trail = [(lo, raw(lo))]
@@ -549,3 +588,44 @@ def test_replica_spread_is_one_batch_of_sequential_raws():
     est = quenched_critical_point_estimate(spec, k, 1.0, 1000, 11, 0.05, seed=9)
     raws = [_crit_raw(spec, k, 1.0, 1000, 9, est.h_hat, r) for r in range(11)]
     assert est.replica_spread == max(raws) - min(raws)
+
+
+def test_lockstep_searches_match_one_search_at_a_time():
+    # at n = 10, seed 23 is already localized on the annealed curve at
+    # beta = 1, and beta = 2, seed 1 has raw(CRIT_H_HI) <= 0, so its
+    # speculative first-pass midpoints are thrown away
+    k = make_kernel("power_law", alpha=1.0, n_max=4)
+    spec = DisorderSpec("gaussian")
+    n, tol = 10, 1e-4
+    assert not _crit_raw(spec, k, 2.0, n, 1, CRIT_H_HI) > 0
+    searches = [(0.5, 0), (1.0, 23), (2.0, 1), (1.0, 0), (0.5, 4)]
+    lockstep = quenched_critical_point_estimates(spec, k, searches, n, 3, tol)
+    assert [isinstance(est, BracketError) for est in lockstep] == [False, True, False,
+                                                                   False, False]
+    for (beta, seed), est in zip(searches, lockstep, strict=True):
+        try:
+            alone = quenched_critical_point_estimate(spec, k, beta, n, 3, tol, seed=seed)
+        except BracketError as err:
+            assert str(est) == str(err) and est.scanned == err.scanned
+            continue
+        assert est == alone
+        assert (est.bracket, est.trail) == _sequential_bisection(spec, k, beta, n, tol, seed)
+    assert lockstep[2].trail[1] == (CRIT_H_HI, _crit_raw(spec, k, 2.0, n, 1, CRIT_H_HI))
+
+
+def test_default_scan_makes_two_engine_calls_at_n_fe_and_one_at_n_gc(monkeypatch):
+    calls = []
+    engine = sparsepin.pinning._log_zc_rows
+
+    def counting(contact, kernel):
+        calls.append(contact.shape[1])
+        return engine(contact, kernel)
+
+    monkeypatch.setattr(sparsepin.pinning, "_log_zc_rows", counting)
+    # the CLI defaults of scan
+    cfg = ScanConfig(kernel=make_kernel("power_law", alpha=0.6, n_max=40),
+                     disorder=DisorderSpec("gaussian"), n_fe=8000, crit_tol=0.04,
+                     n_gc=3000, eps_small=0.05, seed=1)
+    report = regime_scan([0.0, 1.0, 2.0], [-2.2, -1.4, -1.2, -0.35, -0.05], cfg)
+    assert [c["bracket"] is not None for c in report.critical] == [False, True, True]
+    assert calls == [8000, 8000, 3000]
