@@ -21,7 +21,7 @@ from .pinning import (BracketError, GrandCanonicalReport, HomogeneousSolution,
                       quenched_critical_point_estimate,
                       quenched_critical_point_estimates)
 from .walk import (Potential, StepBudgetError, WalkParams, build_potential,
-                   expected_visits_exact, mc_speed, ruin_prob, scale_values,
+                   expected_visits_exact, ruin_prob, scale_values,
                    simulate_visit_counts, step_prob)
 
 __version__ = "0.1.0"

@@ -34,7 +34,7 @@ from .pinning import (BracketError, annealed_critical_point, free_energy_estimat
                       grand_canonical, homogeneous_free_energy, pinned_recursions,
                       quenched_critical_point_estimate)
 from .walk import (StepBudgetError, WalkParams, _mean_stderr, build_potential,
-                   expected_visits_exact, mc_speed, simulate_visit_counts, step_prob)
+                   expected_visits_exact, simulate_visit_counts, step_prob)
 
 SCHEMA_VERSION = 1
 
@@ -75,9 +75,7 @@ _ENERGY = {"beta": (float, 0.0), "h": (float, 0.0)}
 _SCHEMAS = {
     "env": {**_COMMON, "horizon": (int, 50)},
     "walk": {**_COMMON, **_ENERGY, "f": (float, 0.0), "horizon": (int, 50),
-             "r": (int, 0), "replicas": (int, 10000), "step_budget": (int, 10 ** 8),
-             "speed": (bool, False), "speed_steps": (int, 1000),
-             "speed_replicas": (int, 400)},
+             "r": (int, 0), "replicas": (int, 10000), "step_budget": (int, 10 ** 8)},
     "pinning": {**_COMMON, **_ENERGY, "n": (int, 2000), "gc_f": (float, None),
                 "critical": (bool, False), "crit_tol": (float, 0.02),
                 "crit_replicas": (int, 3), "crit_n": (int, 0)},
@@ -227,16 +225,11 @@ def cmd_walk(config: dict, outdir: Path) -> int:
                                    step_budget=config["step_budget"])
     mean, stderr = _mean_stderr(counts[0])
     exact = expected_visits_exact(pot, r)
-    payload = {"visits": {"r": r, "exact": exact, "mean": mean, "stderr": stderr}}
-    if config["speed"]:
-        smean, sse = mc_speed(kernel, disorder, params, config["speed_steps"],
-                              config["speed_replicas"],
-                              derive_seed(config["seed"], "speed"))
-        payload["speed"] = {"mean": smean, "stderr": sse}
     p_up = [1.0, *step_prob(pot.increments()).tolist()]
     write_csv(outdir / "potential.csv", ["i", "V", "step_prob_up"],
               [(i, float(pot.values[i]), p_up[i]) for i in range(pot.horizon + 1)])
-    write_json(outdir / "visits.json", "walk", config, payload)
+    write_json(outdir / "visits.json", "walk", config,
+               {"visits": {"r": r, "exact": exact, "mean": mean, "stderr": stderr}})
     return EXIT_PASS
 
 

@@ -198,12 +198,13 @@ def _draw_disorder(spec: DisorderSpec, n: int, rng: np.random.Generator) -> np.n
 
 def log_mgf(spec: DisorderSpec, beta: float) -> float:
     """lambda(beta) = log E exp(beta * omega_1), in closed form per family."""
-    if beta < 0:
+    if not beta >= 0:
         raise ValueError("beta must be >= 0")
     if beta == 0.0:
         return 0.0
     if spec.family == "gaussian":
-        return 0.5 * (beta * spec.sigma) ** 2
+        x = beta * spec.sigma
+        return 0.5 * x * x  # inf, not OverflowError, past sqrt(2 * max float)
     if spec.family == "rademacher":
         # log cosh(beta), safe for large beta
         return beta + math.log1p(math.exp(-2.0 * beta)) - math.log(2.0)

@@ -11,16 +11,18 @@ and the free one decomposes over the last renewal point before n,
 
 Tables are returned in the log domain (values pass e^700 in localized
 scans).  The recursion itself runs in linear arithmetic on a window scaled
-by a running log-normaliser per row, the scaling trick of the HMM forward
-algorithm.  `pinned_recursions` is the one engine entry: it takes a (B, n)
-array of contact energies beta*omega_m + h, any mix of omega, beta and h
-per row, and runs it in as few engine calls as a cell budget allows
+by a log-normaliser per row, the scaling trick of the HMM forward
+algorithm.  The rows run site-major, so a site costs two numpy calls for
+all rows at once, and the logs are written once per block of sites.
+`pinned_recursions` is the one engine entry: it takes a (B, n) array of
+finite contact energies beta*omega_m + h, any mix of omega, beta and h per
+row, and runs it in as few engine calls as a cell budget allows
 (rows * (n + 1 + n_max) <= _CELLS, 32 rows at n = 8000, n_max = 40).  An
-engine call costs about as much per site for one row as for thirty, so the
-quenched critical-point search runs in lockstep: each multisection pass is
-one engine call for every unfinished (beta, seed) search, and the first
-pass also evaluates the first bisection levels below CRIT_H_HI on
-speculation.
+engine call of 32 rows costs about twice as much per site as one of a
+single row, so the quenched critical-point search runs in lockstep: each
+multisection pass is one engine call for every unfinished (beta, seed)
+search, and the first pass also evaluates the first bisection levels below
+CRIT_H_HI on speculation.
 Z_0 = 1 is the empty-product convention: it makes the grand-canonical sum
 sum_n Z_n e^{-fn} equal, term by term, the renewal-averaged expected visit
 count of the walk, time-0 visit included.
@@ -58,8 +60,10 @@ __all__ = [
 
 GC_SLOPE_TOL = 1e-3
 CRIT_H_HI = 0.25  # first upper end tried by the quenched bisection
-_CELLS = 2 ** 18  # rows * (n + 1 + n_max) per engine call: two 2-MB buffers
+_CELLS = 2 ** 18  # rows * (n + 1 + n_max) per engine call: a 2-MB log table
 _SCALE_LIMIT = 200.0  # a window sum outside e^{+-200} is rebuilt from the logs
+_BLOCK = 64  # sites between window renormalisations
+_LN2 = math.log(2.0)
 _MULTISECTION_LEVELS = 3  # bisection levels evaluated per batched pass
 
 
@@ -148,42 +152,71 @@ def _lse(a: np.ndarray) -> np.ndarray:
 def _log_zc_rows(contact: np.ndarray, kernel: RenewalKernel) -> np.ndarray:
     """log z^c_0..n for each row of a (B, n) array of contact energies.
 
-    Row b keeps u[b, j] = z^c_j e^{-s_b} for a running normaliser s_b, so a
-    site costs one kernel-weighted window sum in linear arithmetic.  When a
-    row's window sum leaves e^{+-_SCALE_LIMIT} (or over/underflows), that row
-    alone takes the site from its stored logs by a log-sum-exp and restarts
-    its window at the new normaliser.  Each row is reduced along its own
-    contiguous window, so a row's result does not depend on its batch.
+    The rows run site-major: buf[j, b] = z^c e^{-scale_b} at site m0 + 1 +
+    j - n_max of row b, for a block of _BLOCK sites after its window.  A
+    site costs one matmul of the reversed kernel with the window, for all
+    rows, and one multiply by exp(contact).  At each block start every
+    row's window is scaled by a power of two to a maximum in [1/2, 1), and
+    the block's logs are written at once as log(sum) + contact + scale.
+    When a row's window sum leaves e^{+-_SCALE_LIMIT} (or over/underflows)
+    inside a block, the block is redone site by site from its first such
+    site: that row alone takes the site from its stored logs by a
+    log-sum-exp and restarts its window at the new normaliser.  The
+    reversed kernel view keeps matmul on numpy's own loop, which sums each
+    row's window in a fixed order, so a row's result does not depend on its
+    batch.
     """
     rows, n = contact.shape
     width = kernel.n_max
     wrev = kernel.weights[::-1]
     log_wrev = kernel.log_weights[::-1]
     # site j sits at index j + width; the entries before site 0 are empty
-    u = np.zeros((rows, n + 1 + width))
-    u[:, width] = 1.0
     logs = np.full((rows, n + 1 + width), -np.inf)
     logs[:, width] = 0.0
-    scale = np.zeros(rows)
-    prod = np.empty((rows, width))
-    acc, spare = np.empty(rows), np.empty(rows)
+    buf = np.zeros((width + _BLOCK, rows))
+    buf[width - 1] = 1.0
+    acc, gain = np.empty((_BLOCK, rows)), np.empty((_BLOCK, rows))
+    # per-site views, made once: slicing in the site loop costs as much as the sum
+    windows, sums = [buf[i : i + width] for i in range(_BLOCK)], list(acc)
+    targets, gains = list(buf[width:]), list(gain)
+    # scale = base + shift * log 2: base from the last rescue, shift from the
+    # power-of-two renormalisations since, so no rounding accumulates
+    base, shift = np.zeros(rows), np.zeros(rows, dtype=np.int64)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for m in range(1, n + 1):
-            np.multiply(u[:, m : m + width], wrev, out=prod)
-            np.add.reduce(prod, axis=1, out=acc)
-            np.log(acc, out=acc)  # log of the window sum, relative to scale
-            if not np.maximum.reduce(np.abs(acc, out=spare)) <= _SCALE_LIMIT:
-                for b in np.flatnonzero(~(spare <= _SCALE_LIMIT)):
+        for m0 in range(0, n, _BLOCK):
+            size = min(_BLOCK, n - m0)
+            # exponent 0 leaves a zero or inf window as it is: its next site is rescued
+            _, exponent = np.frexp(buf[:width].max(axis=0))
+            np.ldexp(buf[:width], -exponent, out=buf[:width])
+            shift += exponent
+            scale = base + shift * _LN2
+            block = np.ascontiguousarray(contact[:, m0 : m0 + size].T)
+            np.exp(block, out=gain[:size])
+            for i in range(size):
+                np.matmul(wrev, windows[i], sums[i])
+                np.multiply(sums[i], gains[i], targets[i])
+            log_acc = np.log(acc[:size])
+            bad = np.flatnonzero(~(np.abs(log_acc) <= _SCALE_LIMIT).all(axis=1))
+            clean = int(bad[0]) if len(bad) else size
+            log_acc[:clean] += block[:clean]
+            log_acc[:clean] += scale
+            logs[:, m0 + 1 + width : m0 + 1 + width + clean] = log_acc[:clean].T
+            for i in range(clean, size):
+                m = m0 + 1 + i
+                np.matmul(wrev, windows[i], sums[i])
+                np.multiply(sums[i], gains[i], targets[i])
+                log_sum = np.log(sums[i])
+                for b in np.flatnonzero(~(np.abs(log_sum) <= _SCALE_LIMIT)):
                     window = logs[b, m : m + width]
                     total = float(_lse(window + log_wrev))
                     if math.isfinite(total):
-                        scale[b], acc[b] = total, 0.0
-                        u[b, m : m + width] = np.exp(window - total)
-                    else:
-                        acc[b] = total  # no renewal path ends at site m
-            acc += contact[:, m - 1]
-            np.add(acc, scale, out=logs[:, m + width])
-            np.exp(acc, out=u[:, m + width])
+                        base[b], shift[b], scale[b] = total, 0, total
+                        buf[i : i + width, b] = np.exp(window - total)
+                        log_sum[b], buf[width + i, b] = 0.0, gain[i, b]
+                    else:  # no renewal path ends at site m
+                        log_sum[b], buf[width + i, b] = total, 0.0
+                logs[:, m + width] = log_sum + block[i] + scale
+            buf[:width] = buf[size : size + width]
     return logs[:, width:]
 
 
@@ -203,6 +236,8 @@ def pinned_recursions(contact, kernel: RenewalKernel) -> list[PartitionTable]:
     contact = np.asarray(contact, dtype=float)
     if contact.ndim != 2:
         raise ValueError("contact energies must be a (rows, n) array")
+    if not np.isfinite(contact).all():
+        raise ValueError("contact energies must be finite")
     n = contact.shape[1]
     step = max(1, _CELLS // (n + 1 + kernel.n_max))
     return [PartitionTable(n=n, kernel=kernel, log_zc=log_zc)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import rng_for
-from .environment import SparseEnvironment, _draw_disorder, _renewal_points
+from .environment import SparseEnvironment
 from .pinning import _lse
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "ruin_prob",
     "expected_visits_exact",
     "simulate_visit_counts",
-    "mc_speed",
 ]
 
 DEFAULT_STEP_BUDGET = 10 ** 8
@@ -289,55 +288,3 @@ def _mean_stderr(x: np.ndarray) -> tuple[float, float]:
     mean = float(np.mean(x)) if len(x) else math.nan
     stderr = float(np.std(x, ddof=1) / math.sqrt(len(x))) if len(x) > 1 else math.nan
     return mean, stderr
-
-
-# ---------------------------------------------------------------------------
-# speed of the unfolded walk on the integers
-
-def _sparse_increments(kernel, spec, params: WalkParams, rng: np.random.Generator,
-                       n_sites: int) -> np.ndarray:
-    """Delta V_i for i = -n_sites..n_sites, laid out at index n_sites + i.
-
-    Sites i >= 1 and i <= 0 carry independent renewal/disorder layers with
-    the same law, so every increment of the potential on Z is distributed as
-    (h + beta*omega) * [site in tau] - f.
-    """
-    dv = np.full(2 * n_sites + 1, -params.f)
-    for side in (1, -1):
-        tau = _renewal_points(kernel, n_sites, rng)
-        kick = params.h + params.beta * _draw_disorder(spec, n_sites + 1, rng)
-        # Right layer: sites tau_1, tau_2, ...; left layer: sites 0, -tau_1,
-        # ..., where site 0 is a renewal point by convention
-        sel = tau[1:] if side == 1 else tau
-        dv[n_sites + side * sel] += kick[sel]
-    return dv
-
-
-def mc_speed(kernel, spec, params: WalkParams, n_steps: int, replicas: int,
-             seed: int) -> tuple[float, float]:
-    """(mean, stderr) of X_n / n for the walk on Z.
-
-    Each replica walks in its own fresh two-sided sparse environment.
-    """
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-    if replicas < 2:
-        raise ValueError("need replicas >= 2")
-    ratios = np.empty(replicas)
-    block = 256
-    for start in range(0, replicas, block):
-        size = min(block, replicas - start)
-        p_up = np.empty((size, 2 * n_steps + 1))
-        for j in range(size):
-            dv = _sparse_increments(kernel, spec, params,
-                                    rng_for(seed, "speed-env", start + j), n_steps)
-            p_up[j] = step_prob(dv)
-        rng = rng_for(seed, "speed-walk", start // block)
-        pos = np.zeros(size, dtype=np.int64)
-        rows = np.arange(size)
-        for _ in range(n_steps):
-            u = rng.random(size)
-            up = u < p_up[rows, pos + n_steps]
-            pos += np.where(up, 1, -1)
-        ratios[start : start + size] = pos / n_steps
-    return _mean_stderr(ratios)

@@ -5,11 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from sparsepin import (DisorderSpec, SparseEnvironment, WalkParams, kernel_mean,
+from sparsepin import (DisorderSpec, SparseEnvironment, kernel_mean,
                        kernel_tail, log_mgf, make_kernel, sample_disorder,
                        sample_environment, sample_renewal)
 from sparsepin._rng import rng_for
-from sparsepin.walk import _sparse_increments
 
 
 def test_power_law_weights_hand_normalized():
@@ -140,24 +139,6 @@ def test_sample_renewal_matches_reference_loop():
                 fast = sample_renewal(k, horizon, seed)
                 ref = _renewal_loop(k, horizon, rng_for(seed, "renewal"))
                 assert fast.dtype == ref.dtype and np.array_equal(fast, ref)
-
-
-def test_sparse_increment_stream_matches_reference_loop():
-    k = make_kernel("power_law", alpha=0.8, n_max=12)
-    spec = DisorderSpec("gaussian", sigma=0.7)
-    params = WalkParams(beta=0.9, h=-0.6, f=0.2)
-    n_sites = 500
-    rng = rng_for(3, "stream")
-    ref = np.full(2 * n_sites + 1, -params.f)
-    for side in (1, -1):
-        contact = np.zeros(n_sites + 1, dtype=bool)
-        contact[_renewal_loop(k, n_sites, rng)] = True
-        contact[0] = side == -1
-        kick = params.h + params.beta * rng.normal(0.0, spec.sigma, size=n_sites + 1)
-        for i in np.nonzero(contact)[0]:
-            ref[n_sites + side * i] += kick[i]
-    assert np.array_equal(_sparse_increments(k, spec, params, rng_for(3, "stream"), n_sites),
-                          ref)
 
 
 def test_sample_disorder_families():

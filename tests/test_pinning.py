@@ -1,6 +1,7 @@
 """Partition recursions vs enumeration, free energy, critical points."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -153,9 +154,16 @@ def test_free_column_is_computed_once(monkeypatch):
 
 def test_recursion_input_validation():
     k = make_kernel("dirac", step=1)
-    for contact in (np.zeros(5), np.zeros((2, 3, 5))):
+    for contact in (np.zeros(5), np.zeros((2, 3, 5)), [[0.0, math.nan]],
+                    [[0.0, 1.0], [-math.inf, 0.0]]):
         with pytest.raises(ValueError):
             pinned_recursions(contact, k)
+    # a NaN beta is refused like a negative one, not reported as a bracket failure
+    spec = DisorderSpec("gaussian")
+    with pytest.raises(ValueError, match="beta"):
+        log_mgf(spec, math.nan)
+    with pytest.raises(ValueError, match="beta"):
+        quenched_critical_point_estimate(spec, k, math.nan, 100, 1, 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -528,6 +536,65 @@ def test_engine_rows_do_not_depend_on_their_batch(monkeypatch):
         for table, log_zc in zip(split, batch, strict=True):
             assert np.array_equal(table.log_zc, log_zc)
         monkeypatch.setattr(sparsepin.pinning, "_CELLS", cells)
+
+
+def test_engine_rescues_at_block_edges(monkeypatch):
+    # a contact of +1000 overflows exp(contact), so the next site's window
+    # sum is inf and that row alone is rebuilt from its logs by one
+    # log-sum-exp: a spike at site s rescues site s + 1, here the last site
+    # of block 0, the first of block 1 and the last of block 1
+    calls = []
+    lse = sparsepin.pinning._lse
+
+    def counting(a):
+        calls.append(len(a))
+        return lse(a)
+
+    monkeypatch.setattr(sparsepin.pinning, "_lse", counting)
+    block = sparsepin.pinning._BLOCK
+    kern = make_kernel("power_law", alpha=0.6, n_max=40)
+    rng = np.random.default_rng(6)
+    for site in (block - 1, block, 2 * block - 1):
+        contact = 0.3 * rng.normal(size=(3, 3 * block)) - 0.2
+        contact[1, site - 1] = 1000.0
+        calls.clear()
+        out = sparsepin.pinning._log_zc_rows(contact, kern)
+        assert calls == [kern.n_max]
+        for b in range(3):
+            _close_in_log(out[b], _reference_log_zc(contact[b], kern))
+            assert np.array_equal(out[b],
+                                  sparsepin.pinning._log_zc_rows(contact[b : b + 1], kern)[0])
+
+
+@pytest.mark.parametrize("rows", [1, 5, 9, 33])
+def test_engine_mixes_rescued_and_clean_rows(rows):
+    # rows at h = -1000 take a rescue at every site once z_0 leaves their
+    # window; the dirac kernel rescues every row at the sites it cannot reach
+    block = sparsepin.pinning._BLOCK
+    rng = np.random.default_rng(rows)
+    for kern in (make_kernel("power_law", alpha=0.6, n_max=40), make_kernel("dirac", step=3)):
+        for n in (block - 1, block, block + 1, 3 * block + 7):
+            contact = 0.8 * rng.normal(size=(rows, n)) - 0.3
+            contact[::3] -= 1000.0
+            out = sparsepin.pinning._log_zc_rows(contact, kern)
+            for b in range(rows):
+                _close_in_log(out[b], _reference_log_zc(contact[b], kern))
+                assert np.array_equal(
+                    out[b], sparsepin.pinning._log_zc_rows(contact[b : b + 1], kern)[0])
+
+
+def test_engine_memory_is_one_output_table():
+    # the site-major window is O((n_max + block) * rows) beside the output
+    kern = make_kernel("power_law", alpha=0.6, n_max=40)
+    contact = np.random.default_rng(3).normal(size=(32, 8000)) - 0.3
+    tracemalloc.start()
+    try:
+        out = sparsepin.pinning._log_zc_rows(contact, kern)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (32, 8001)
+    assert peak <= 1.25 * out.nbytes + 2 ** 20, peak / out.nbytes
 
 
 def test_vectorised_free_column_matches_loop():

@@ -1,4 +1,4 @@
-"""Exact walk formulas, their Monte Carlo counterparts, and the speed estimator."""
+"""Exact walk formulas and their Monte Carlo counterparts."""
 
 import math
 
@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from sparsepin import (DisorderSpec, Potential, SparseEnvironment, StepBudgetError,
                        WalkParams, build_potential, expected_visits_exact,
-                       make_kernel, mc_speed, ruin_prob, sample_environment,
+                       make_kernel, ruin_prob, sample_environment,
                        scale_values, simulate_visit_counts, step_prob)
 from sparsepin._rng import rng_for
-from sparsepin.walk import _mean_stderr, _sparse_increments
+from sparsepin.walk import _mean_stderr
 
 
 def flat(m):
@@ -79,8 +79,6 @@ def test_integer_params_match_float_params():
     ints, floats = WalkParams(beta=1, h=-1, f=0), WalkParams(beta=1.0, h=-1.0, f=0.0)
     assert np.array_equal(build_potential(env, ints).values,
                           build_potential(env, floats).values)
-    dvs = [_sparse_increments(k, spec, p, rng_for(4, "stream"), 30) for p in (ints, floats)]
-    assert dvs[0].dtype == float and np.array_equal(*dvs)
 
 
 # ---------------------------------------------------------------------------
@@ -467,32 +465,3 @@ def test_odd_step_budget_is_exact():
     counts = simulate_visit_counts([fast(10)], 3, 1000, seed=3, step_budget=2,
                                    censor=True)
     assert np.all(counts == -1)
-
-
-# ---------------------------------------------------------------------------
-# speed of the walk on Z
-
-# at beta = h = 0 every increment is -f, whatever the environment
-HOMOGENEOUS = (make_kernel("power_law", alpha=1.0, n_max=6), DisorderSpec("gaussian"))
-
-
-def test_mc_speed_symmetric_zero():
-    mean, se = mc_speed(*HOMOGENEOUS, WalkParams(), 400, 600, seed=1)
-    assert abs(mean) <= 3 * se
-
-
-def test_mc_speed_homogeneous_drift():
-    f = 0.4
-    mean, se = mc_speed(*HOMOGENEOUS, WalkParams(f=f), 1500, 800, seed=2)
-    assert abs(mean - math.tanh(f / 2.0)) <= 3 * se
-
-
-def test_mc_speed_sparse_positive():
-    # h below the annealed curve with a square-integrable gap law gives
-    # strictly positive speed
-    kern = make_kernel("power_law", alpha=1.0, n_max=6)
-    spec = DisorderSpec("gaussian")
-    beta, h = 0.6, -0.8
-    assert h < -0.5 * beta ** 2
-    mean, se = mc_speed(kern, spec, WalkParams(beta=beta, h=h), 2000, 300, seed=3)
-    assert mean > 3 * se
