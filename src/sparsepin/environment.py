@@ -7,6 +7,13 @@ support 1..n_max and renormalized, so means, tails and all downstream
 identities are exact finite sums.  Infinite-mean ("strongly sparse")
 behavior is only approached by raising n_max at alpha <= 1; that remains an
 approximation and is documented as such.
+
+Renewal sets have one sampler, _renewal_ends.  It draws the gaps of many
+sets at once, each set on its own substream, by the inverse CDF that
+Generator.choice computes, and returns one row of renewal points per set:
+`verify` builds its walk tables from those rows without a
+SparseEnvironment per set, and sample_renewal is the same sampler for one
+set.
 """
 
 from __future__ import annotations
@@ -157,28 +164,33 @@ def sample_renewal(kernel: RenewalKernel, horizon: int, seed: int) -> np.ndarray
     """Renewal points 0 = tau_0 < tau_1 < ... <= horizon, i.i.d. gaps from K."""
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
-    return _renewal_points(kernel, horizon, rng_for(seed, "renewal"))
+    (ends,) = _renewal_ends(kernel, horizon, [seed])
+    cut = int(np.searchsorted(ends, horizon, side="right"))
+    return np.concatenate([np.zeros(1, dtype=np.int64), ends[:cut]])
 
 
-def _renewal_points(kernel: RenewalKernel, horizon: int,
-                    rng: np.random.Generator) -> np.ndarray:
-    """Renewal points up to horizon from gaps drawn on rng.
+def _renewal_ends(kernel: RenewalKernel, horizon: int, seeds) -> np.ndarray:
+    """Renewal points tau_1 < tau_2 < ... of one set per seed, one row each;
+    every row runs past the horizon, and its points beyond it are spare.
 
-    Gaps are drawn in blocks of max(16, horizon // 4 + 1); the block size
-    fixes how many draws a call consumes, so it is part of the stream
-    layout and must not change.
+    Set k draws its gaps on its own substream (seeds[k], "renewal") by the
+    inverse CDF that Generator.choice(p=K) computes, in blocks of
+    max(16, horizon // 4 + 1) uniforms, until every set has passed the
+    horizon.  A set that has passed it still draws the blocks the others
+    need; its generator is then discarded, so a set's points up to the
+    horizon do not depend on the other seeds.
     """
-    support = np.arange(1, kernel.n_max + 1)
-    size = max(16, horizon // 4 + 1)
-    parts = [np.zeros(1, dtype=np.int64)]
-    pos = 0
-    while True:
-        ends = pos + np.cumsum(rng.choice(support, size=size, p=kernel.weights))
-        cut = int(np.searchsorted(ends, horizon, side="right"))
-        parts.append(ends[:cut])
-        if cut < size:
-            return np.concatenate(parts)
-        pos = int(ends[-1])
+    cdf = kernel.weights.cumsum()
+    cdf /= cdf[-1]
+    rngs = [rng_for(seed, "renewal") for seed in seeds]
+    u = np.empty((len(rngs), max(16, horizon // 4 + 1)))
+    parts, last = [], np.zeros((len(rngs), 1), dtype=np.int64)
+    while last.min() <= horizon:
+        for rng, row in zip(rngs, u):
+            rng.random(out=row)
+        parts.append(last + np.cumsum(cdf.searchsorted(u, side="right") + 1, axis=1))
+        last = parts[-1][:, -1:]
+    return np.concatenate(parts, axis=1)
 
 
 def sample_disorder(spec: DisorderSpec, n: int, seed: int) -> np.ndarray:

@@ -161,13 +161,16 @@ def _log_zc_rows(contact: np.ndarray, kernel: RenewalKernel) -> np.ndarray:
     When a row's window sum leaves e^{+-_SCALE_LIMIT} (or over/underflows)
     inside a block, the block is redone site by site from its first such
     site: that row alone takes the site from its stored logs by a
-    log-sum-exp and restarts its window at the new normaliser.  The
-    reversed kernel view keeps matmul on numpy's own loop, which sums each
-    row's window in a fixed order, so a row's result does not depend on its
-    batch.
+    log-sum-exp and restarts its window at the new normaliser.  A gap site,
+    which no renewal path reaches, has z^c = 0 exactly in every row: it is
+    set to 0 and never summed or rescued.  The reversed kernel view
+    keeps matmul on numpy's own loop, which sums each row's window in a
+    fixed order, so a row's result does not depend on its batch.
     """
     rows, n = contact.shape
     width = kernel.n_max
+    unreachable = ~_reachable(kernel, n)
+    gapped = bool(unreachable.any())
     wrev = kernel.weights[::-1]
     log_wrev = kernel.log_weights[::-1]
     # site j sits at index j + width; the entries before site 0 are empty
@@ -192,16 +195,24 @@ def _log_zc_rows(contact: np.ndarray, kernel: RenewalKernel) -> np.ndarray:
             scale = base + shift * _LN2
             block = np.ascontiguousarray(contact[:, m0 : m0 + size].T)
             np.exp(block, out=gain[:size])
-            for i in range(size):
+            # a gap site holds exactly 0 in every row and is never summed
+            gap, live = unreachable[m0 + 1 : m0 + 1 + size], range(size)
+            if gapped:
+                acc[:size][gap] = 0.0
+                buf[width : width + size][gap] = 0.0
+                live = np.flatnonzero(~gap).tolist()
+            for i in live:
                 np.matmul(wrev, windows[i], sums[i])
                 np.multiply(sums[i], gains[i], targets[i])
             log_acc = np.log(acc[:size])
-            bad = np.flatnonzero(~(np.abs(log_acc) <= _SCALE_LIMIT).all(axis=1))
+            bad = np.flatnonzero(~((np.abs(log_acc) <= _SCALE_LIMIT).all(axis=1) | gap))
             clean = int(bad[0]) if len(bad) else size
             log_acc[:clean] += block[:clean]
             log_acc[:clean] += scale
             logs[:, m0 + 1 + width : m0 + 1 + width + clean] = log_acc[:clean].T
             for i in range(clean, size):
+                if gap[i]:
+                    continue  # its logs stay -inf
                 m = m0 + 1 + i
                 np.matmul(wrev, windows[i], sums[i])
                 np.multiply(sums[i], gains[i], targets[i])
@@ -213,16 +224,40 @@ def _log_zc_rows(contact: np.ndarray, kernel: RenewalKernel) -> np.ndarray:
                         base[b], shift[b], scale[b] = total, 0, total
                         buf[i : i + width, b] = np.exp(window - total)
                         log_sum[b], buf[width + i, b] = 0.0, gain[i, b]
-                    else:  # no renewal path ends at site m
+                    else:  # log z^c_m itself is infinite
                         log_sum[b], buf[width + i, b] = total, 0.0
                 logs[:, m + width] = log_sum + block[i] + scale
             buf[:width] = buf[size : size + width]
     return logs[:, width:]
 
 
+def _reachable(kernel: RenewalKernel, n: int) -> np.ndarray:
+    """reach[m]: some renewal path ends at site m, for m = 0..n.
+
+    With finite contacts z^c_m = 0 exactly where reach[m] is False.  A path
+    ending at m is a sum of gaps, so with g the shortest gap, m is reached
+    iff it is at least the least reached site of its residue mod g; those g
+    least sites are shortest paths over the longer gaps (Bellman-Ford).
+    """
+    gaps = np.flatnonzero(kernel.weights) + 1
+    g = int(gaps[0])
+    least = np.full(g, np.inf)
+    least[0] = 0.0
+    for _ in range(g - 1):
+        for k in gaps[1:]:
+            np.minimum(least, np.roll(least, k) + k, out=least)
+    m = np.arange(n + 1)
+    return m >= least[m % g]
+
+
 def _contact_rows(omega: np.ndarray, beta: float, hs) -> np.ndarray:
-    """beta * omega_m + h at every site of omega, one row per h."""
-    return beta * omega + np.asarray(hs, dtype=float)[:, None]
+    """beta * omega_m + h at every site of omega, one row per h.
+
+    An overflow gives inf without a warning: pinned_recursions refuses
+    non-finite contacts with a ValueError, which is the caller's answer.
+    """
+    with np.errstate(over="ignore"):
+        return beta * omega + np.asarray(hs, dtype=float)[:, None]
 
 
 def pinned_recursions(contact, kernel: RenewalKernel) -> list[PartitionTable]:

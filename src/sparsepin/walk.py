@@ -16,11 +16,22 @@ moves a walker two steps: the folded chain starts at 0, so it sits on an
 even site after every step pair, and only there can it visit 0.  The
 two-step tables are products of one-step probabilities, never values of W,
 so the Monte Carlo side stays independent of the exact one.
+
+The chunks run on every CPU the process may use (os.sched_getaffinity).
+The caller forks one helper per extra CPU, at most one per chunk; worker j
+runs chunks c = j mod k in increasing order and writes its counts in place
+into an anonymous shared mmap, and each helper sends back only its first
+step-budget failure, as two integers over a pipe.  A chunk draws from its
+own substream whoever runs it, so the counts are the same for any number
+of workers; without fork or with one usable CPU nothing is forked.
+`verify` hands the engine up-step tables of all its renewal sets built as
+2-D arrays (_renewal_up_probs), bit for bit the per-Potential ones.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,6 +118,25 @@ def build_potential(env: SparseEnvironment, params: WalkParams) -> Potential:
     return Potential(values=values)
 
 
+def _renewal_up_probs(ends: np.ndarray, contact: np.ndarray, f: float) -> np.ndarray:
+    """step_prob of the potential increments of many renewal sets at once.
+
+    Row k of ends holds the renewal points of set k (environment's
+    _renewal_ends; points past the horizon len(contact) are ignored), and
+    contact holds h + beta*omega_i at every site.  Row k of the result is
+    bit for bit step_prob(build_potential(env, params).increments()) for
+    that set: the same increments, summed into V and differenced back.
+    """
+    f = float(f)
+    incr = np.full((len(ends), len(contact)), -f)
+    rows, cols = np.nonzero(ends <= len(contact))
+    sites = ends[rows, cols] - 1
+    incr[rows, sites] += contact[sites]
+    v = np.zeros((len(ends), len(contact) + 1))
+    np.cumsum(incr, axis=1, out=v[:, 1:])
+    return step_prob(np.diff(v, axis=1))
+
+
 def step_prob(delta_v):
     """Up-step probability 1/(1 + exp(delta_v)), overflow-safe, in (0,1).
 
@@ -167,57 +197,142 @@ def simulate_visit_counts(potentials, r: int, replicas: int, seed: int,
 
     From 0 the chain moves to 1 with probability one; from 1 <= i < R it
     moves up with probability step_prob(V_i - V_{i-1}); R absorbs.
-    `potentials` is any iterable; it is read once, so a generator keeps
-    only one potential alive at a time.  Returns an (n_potentials,
-    replicas) array.  Walkers are ordered by potential, then replica, and
-    simulated in fixed chunks of 8192 that may span several potentials;
-    chunk c uses the substream (seed, "visits", c), so the result depends
-    only on (potentials, r, replicas, seed).
+    `potentials` is any iterable of Potentials; it is read once, so a
+    generator keeps only one potential alive at a time.  It may instead be
+    a 2-D array whose row k holds potential k's up-step probabilities at
+    sites 1..R-1, which is how `verify` hands over renewal sets it never
+    builds as Potentials.  Returns an (n_potentials, replicas) array.
+    Walkers are ordered by potential, then replica, and simulated in fixed
+    chunks of 8192 that may span several potentials; chunk c uses the
+    substream (seed, "visits", c), so the result depends only on
+    (potentials, r, replicas, seed), never on how many CPUs share the
+    chunks (see _run_workers).
 
     A trajectory that exhausts the step budget raises StepBudgetError with
-    its global replica index, k * replicas + j for replica j of potential k;
-    with censor=True it instead reports -1, which the transience
-    diagnostics use to measure the absorbed fraction.
+    its global replica index, k * replicas + j for replica j of potential k,
+    from the lowest chunk that has one; with censor=True it instead reports
+    -1, which the transience diagnostics use to measure the absorbed
+    fraction.
     """
+    import mmap  # here, so importing sparsepin stays as fast as before
+
     if replicas < 1:
         raise ValueError("need at least one replica")
     if step_budget < 1:
         raise ValueError("step_budget must be >= 1")
-    lo, hi = _two_step_tables(potentials, r)
+    lo, hi = _two_step_tables(_up_probs(potentials, r), r)
     n_pot, width = lo.shape
     total = n_pot * replicas
-    counts = np.empty(total, dtype=np.int64)
     lo, hi = lo.ravel(), hi.ravel()
-    for c, start in enumerate(range(0, total, _CHUNK)):
-        stop = min(start + _CHUNK, total)
-        base = np.arange(start, stop) // replicas * width
-        _visits_chunk(lo, hi, base, r, counts[start:stop], rng_for(seed, "visits", c),
-                      step_budget, start, censor)
+    n_chunks = -(-total // _CHUNK)
+    workers = min(_usable_cpus(), n_chunks)
+    # shared with the forked helpers, which write their chunks in place
+    counts = np.frombuffer(mmap.mmap(-1, 8 * total), dtype=np.int64)
+
+    def run(worker: int):
+        """Chunks c = worker mod workers in increasing order; the first
+        budget failure as (chunk, global replica), else None."""
+        for c in range(worker, n_chunks, workers):
+            start = c * _CHUNK
+            stop = min(start + _CHUNK, total)
+            base = np.arange(start, stop) // replicas * width
+            try:
+                _visits_chunk(lo, hi, base, r, counts[start:stop], rng_for(seed, "visits", c),
+                              step_budget, start, censor)
+            except StepBudgetError as err:
+                return c, err.replica
+        return None
+
+    failures = [f for f in _run_workers(run, workers) if f is not None]
+    if failures:
+        raise StepBudgetError(min(failures)[1], step_budget)
     return counts.reshape(n_pot, replicas)
 
 
-def _two_step_tables(potentials, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """Two-step thresholds (lo, hi), one row per potential, over even sites.
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 where it cannot fork helpers."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
 
-    Entry j of a row belongs to site 2j.  With one-step up-probabilities p
-    (p_0 = 1 for the forced 0 -> 1 step, step_prob at 1..R-1 and p = 1 at
-    every site >= R) and q = 1 - p, lo = q_{2j} q_{2j-1} is the chance of
-    down-down and hi = 1 - p_{2j} p_{2j+1} that of anything but up-up, so a
-    uniform u < lo moves two sites down, u >= hi two sites up, and anything
-    between returns to 2j.  The rows run a whole sweep past R, where lo =
-    hi = 0 and walkers only climb.
+
+def _run_workers(run, workers: int) -> list:
+    """[run(0), ..., run(workers - 1)]: run(0) here, the rest in forked helpers.
+
+    Each result is None or a pair of ints, which a helper writes to its pipe
+    as two int64 words: an exception would have to be pickled, and
+    StepBudgetError's arguments do not round-trip.  A helper never returns
+    into the caller's stack; it leaves through os._exit, with status 1 and
+    a traceback on stderr if run raised.  A helper that ends without its
+    report is a RuntimeError here, never silently missing counts.
     """
-    half = (r + 1) // 2 + _SWEEP // 2
+    helpers, results = [], []
+    try:
+        for worker in range(1, workers):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(read)
+                    result = run(worker)
+                    os.write(write, np.array(result or (-1, -1), dtype=np.int64).tobytes())
+                    status = 0
+                except BaseException:
+                    import traceback
+                    traceback.print_exc()
+                finally:
+                    os._exit(status)
+            os.close(write)
+            helpers.append((pid, read))
+        results.append(run(0))
+    finally:
+        reports = []
+        for pid, read in helpers:
+            with os.fdopen(read, "rb") as pipe:
+                report = pipe.read()
+            reports.append((pid, report, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])))
+    for pid, report, status in reports:
+        if status or len(report) != 16:
+            raise RuntimeError(f"walk helper {pid} exited with status {status} "
+                               "without reporting its chunks")
+        chunk, replica = np.frombuffer(report, dtype=np.int64).tolist()
+        results.append(None if chunk < 0 else (chunk, replica))
+    return results
+
+
+def _up_probs(potentials, r: int) -> np.ndarray:
+    """Up-step probabilities at sites 1..R-1, one row per potential."""
+    if isinstance(potentials, np.ndarray):
+        if r < 1 or potentials.ndim != 2 or potentials.shape[1] < r - 1:
+            raise ValueError("need R >= 1 and a (potentials, >= R-1) array")
+        if not len(potentials):
+            raise ValueError("need at least one potential")
+        return potentials[:, : r - 1]
     rows = []
     for pot in potentials:
         if not 1 <= r <= pot.horizon + 1:
             raise ValueError("need 1 <= R <= M+1 for every potential")
-        row = np.ones(2 * half)
-        row[1:r] = step_prob(pot.increments()[: r - 1])
-        rows.append(row)
+        rows.append(step_prob(pot.increments()[: r - 1]))
     if not rows:
         raise ValueError("need at least one potential")
-    p = np.stack(rows)
+    return np.stack(rows)
+
+
+def _two_step_tables(up: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two-step thresholds (lo, hi), one row per potential, over even sites.
+
+    Entry j of a row belongs to site 2j.  With one-step up-probabilities p
+    (p_0 = 1 for the forced 0 -> 1 step, the rows of `up` at 1..R-1 and
+    p = 1 at every site >= R) and q = 1 - p, lo = q_{2j} q_{2j-1} is the
+    chance of down-down and hi = 1 - p_{2j} p_{2j+1} that of anything but
+    up-up, so a uniform u < lo moves two sites down, u >= hi two sites up,
+    and anything between returns to 2j.  The rows run a whole sweep past
+    R, where lo = hi = 0 and walkers only climb.
+    """
+    half = (r + 1) // 2 + _SWEEP // 2
+    p = np.ones((len(up), 2 * half))
+    p[:, 1:r] = up
     q = 1.0 - p
     lo = np.zeros((len(p), half))
     lo[:, 1:] = q[:, 2::2] * q[:, 1:-1:2]

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import pytest
 
@@ -204,6 +205,17 @@ def test_refused_runs_leave_outdir_empty(tmp_path, monkeypatch, args):
 
     monkeypatch.setattr(cli, "regime_scan", no_scan)
     assert run(tmp_path, *args) == EXIT_CONFIG
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["pinning", "verify"])
+def test_overflowing_contacts_are_refused_without_a_warning(tmp_path, command):
+    # beta * omega overflows to inf; the refusal is the engine's finiteness
+    # check, not numpy's overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(tmp_path, command, "--n" if command == "pinning" else "--n-series",
+                   "100", "--beta", "1e308") == EXIT_CONFIG
     assert not any(tmp_path.iterdir())
 
 

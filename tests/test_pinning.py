@@ -566,10 +566,31 @@ def test_engine_rescues_at_block_edges(monkeypatch):
                                   sparsepin.pinning._log_zc_rows(contact[b : b + 1], kern)[0])
 
 
+@pytest.mark.parametrize("step", [2, 3])
+def test_gap_sites_of_a_dirac_kernel_take_no_rescue(monkeypatch, step):
+    # z^c = 0 at every site that is not a multiple of the step: that is
+    # exact, not an underflow, so no row of any block is rebuilt from its logs
+    calls = []
+    lse = sparsepin.pinning._lse
+
+    def counting(a):
+        calls.append(len(a))
+        return lse(a)
+
+    monkeypatch.setattr(sparsepin.pinning, "_lse", counting)
+    kern = make_kernel("dirac", step=step)
+    contact = 0.8 * np.random.default_rng(step).normal(size=(8, 3 * step * 64 + 5)) - 0.3
+    out = sparsepin.pinning._log_zc_rows(contact, kern)
+    assert calls == []
+    for b in range(8):
+        _close_in_log(out[b], _reference_log_zc(contact[b], kern))
+        assert np.all(np.isneginf(out[b][np.arange(contact.shape[1] + 1) % step != 0]))
+
+
 @pytest.mark.parametrize("rows", [1, 5, 9, 33])
 def test_engine_mixes_rescued_and_clean_rows(rows):
     # rows at h = -1000 take a rescue at every site once z_0 leaves their
-    # window; the dirac kernel rescues every row at the sites it cannot reach
+    # window; the dirac kernel's gap sites sit in every block
     block = sparsepin.pinning._BLOCK
     rng = np.random.default_rng(rows)
     for kern in (make_kernel("power_law", alpha=0.6, n_max=40), make_kernel("dirac", step=3)):

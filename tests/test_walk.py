@@ -1,12 +1,14 @@
 """Exact walk formulas and their Monte Carlo counterparts."""
 
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sparsepin.walk
 from sparsepin import (DisorderSpec, Potential, SparseEnvironment, StepBudgetError,
                        WalkParams, build_potential, expected_visits_exact,
                        make_kernel, ruin_prob, sample_environment,
@@ -390,12 +392,58 @@ def test_batch_rows_follow_their_own_potential():
     assert np.all(mixed[[0, 2]] == 1) and np.all(mixed[1] == -1)
 
 
-def test_batch_step_budget_error_names_global_replica():
-    # the first trapped walker, 0-based walker 10000, sits in the second chunk
+def test_batch_step_budget_error_names_global_replica(monkeypatch):
+    # the first trapped walker, 0-based walker 10000, sits in the second
+    # chunk, which a forked helper runs when there are two workers
+    for workers in (1, 2):
+        monkeypatch.setattr(sparsepin.walk, "_usable_cpus", lambda w=workers: w)
+        with pytest.raises(StepBudgetError) as err:
+            simulate_visit_counts([fast(40), fast(40), trap(40)], 25, 5000,
+                                  seed=14, step_budget=64)
+        assert err.value.replica == 10000
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_counts_do_not_depend_on_worker_count(monkeypatch, workers):
+    # 7 x 3000 walkers make three chunks; with 2 workers this process runs
+    # chunks 0 and 2 and a forked helper chunk 1
+    pots = [drifted(0.3, 40), flat(40), drifted(0.6, 40), trap(40), flat(40),
+            drifted(0.1, 40), fast(40)]
+    runs = {}
+    for count in (1, workers):
+        monkeypatch.setattr(sparsepin.walk, "_usable_cpus", lambda w=count: w)
+        runs[count] = (simulate_visit_counts(pots[:3] + pots[4:], 25, 3000, seed=15),
+                       simulate_visit_counts(pots, 25, 3000, seed=15, step_budget=200,
+                                             censor=True))
+    for serial, parallel in zip(runs[1], runs[workers]):
+        assert np.array_equal(serial, parallel)
+    assert np.all(runs[1][1][3] == -1)
+    # chunks 1 and 2 both fail; the error names the lower one's walker
     with pytest.raises(StepBudgetError) as err:
-        simulate_visit_counts([fast(40), fast(40), trap(40)], 25, 5000,
+        simulate_visit_counts([fast(40), fast(40), trap(40), trap(40)], 25, 5000,
                               seed=14, step_budget=64)
     assert err.value.replica == 10000
+
+
+def test_helper_failure_reaches_the_parent(monkeypatch):
+    parent, chunk = os.getpid(), sparsepin.walk._visits_chunk
+    monkeypatch.setattr(sparsepin.walk, "_usable_cpus", lambda: 2)
+    pots = [flat(20)] * 3
+
+    def failing(*args):
+        if os.getpid() != parent:
+            raise MemoryError("helper out of memory")
+        chunk(*args)
+
+    def vanishing(*args):
+        if os.getpid() != parent:
+            os._exit(0)  # ends without its report
+        chunk(*args)
+
+    for broken, status in ((failing, 1), (vanishing, 0)):
+        monkeypatch.setattr(sparsepin.walk, "_visits_chunk", broken)
+        with pytest.raises(RuntimeError, match=f"exited with status {status} without"):
+            simulate_visit_counts(pots, 10, 5000, seed=16)
 
 
 def test_batch_input_validation():
@@ -407,6 +455,14 @@ def test_batch_input_validation():
         simulate_visit_counts([flat(20), flat(5)], 10, 10, seed=1)
     with pytest.raises(ValueError):
         simulate_visit_counts([flat(20)], 0, 10, seed=1)
+    # up-step probabilities in place of Potentials: (potentials, >= R-1)
+    for bad in (np.full((0, 9), 0.5), np.full(9, 0.5), np.full((2, 8), 0.5)):
+        with pytest.raises(ValueError):
+            simulate_visit_counts(bad, 10, 10, seed=1)
+    pots = [drifted(0.3, 20), flat(20)]
+    up = np.stack([step_prob(pot.increments()) for pot in pots])
+    assert np.array_equal(simulate_visit_counts(up, 10, 5000, seed=1),
+                          simulate_visit_counts(pots, 10, 5000, seed=1))
 
 
 def test_visit_count_z_scores_are_standard_normal():
