@@ -11,7 +11,7 @@ approximation and is documented as such.
 Renewal sets have one sampler, _renewal_ends.  It draws the gaps of many
 sets at once, each set on its own substream, by the inverse CDF that
 Generator.choice computes, and returns one row of renewal points per set:
-`verify` builds its walk tables from those rows without a
+`verify` builds its potentials from those rows without a
 SparseEnvironment per set, and sample_renewal is the same sampler for one
 set.
 """

@@ -23,7 +23,7 @@ from .pinning import (BracketError, GrandCanonicalReport, _contact_rows, _lse,
                       free_energy_estimate, grand_canonical, homogeneous_free_energy,
                       homogeneous_series_verdict, pinned_recursions,
                       quenched_critical_point_estimates)
-from .walk import (WalkParams, _mean_stderr, _renewal_up_probs, build_potential,
+from .walk import (Potential, WalkParams, _mean_stderr, _potential_rows, build_potential,
                    expected_visits_exact, simulate_visit_counts)
 
 __all__ = [
@@ -42,7 +42,7 @@ __all__ = [
 
 TRANSIENCE_STEP_BUDGET = 10 ** 6
 GROWTH_ENVS = 8  # environments per case-1 visit-sum growth check
-TAU_BLOCK = 25  # renewal sets per batched table build in verify
+TAU_BLOCK = 25  # renewal sets per batched potential build in verify
 
 
 @dataclass(frozen=True)
@@ -99,14 +99,13 @@ def verify_key_relation(cfg: KeyRelationConfig) -> KeyRelationReport:
         raise ValueError("need n_tau >= 2 for a standard error")
     n = cfg.resolved_n()
     omega = sample_disorder(cfg.disorder, n, derive_seed(cfg.seed, "omega"))
-    contact = _contact_rows(omega, cfg.beta, [cfg.h])
-    (table,) = pinned_recursions(contact, cfg.kernel)
+    (table,) = pinned_recursions(_contact_rows(omega, cfg.beta, [cfg.h]), cfg.kernel)
     gc = grand_canonical(table, cfg.f)
     converged = gc.verdict == "converged"
     # a non-convergent series leaves both sides infinite (or undecidable),
     # so no MC time is spent on it
     nan = float("nan")
-    lhs_mean, lhs_se = _mc_visits_over_tau(cfg, contact[0], n) if converged else (nan, nan)
+    lhs_mean, lhs_se = _mc_visits_over_tau(cfg, omega, n) if converged else (nan, nan)
     diff, tol = abs(lhs_mean - gc.partial_sum), 3.0 * lhs_se
     verdict = ("pass" if diff <= tol else "fail") if converged else "inconclusive"
     return KeyRelationReport(n_series=n, r_absorb=n + 1,
@@ -114,30 +113,28 @@ def verify_key_relation(cfg: KeyRelationConfig) -> KeyRelationReport:
                              abs_difference=diff, tolerance=tol, verdict=verdict)
 
 
-def _mc_visits_over_tau(cfg: KeyRelationConfig, contact: np.ndarray,
+def _mc_visits_over_tau(cfg: KeyRelationConfig, omega: np.ndarray,
                         n: int) -> tuple[float, float]:
     """Mean/stderr over renewal replicas of per-replica MC visit means."""
-    counts = simulate_visit_counts(_renewal_up_table(cfg, contact, n), n + 1,
+    counts = simulate_visit_counts(_renewal_potentials(cfg, omega, n), n + 1,
                                    cfg.walk_replicas, derive_seed(cfg.seed, "walk"))
     return _mean_stderr(counts.mean(axis=1))
 
 
-def _renewal_up_table(cfg: KeyRelationConfig, contact: np.ndarray, n: int) -> np.ndarray:
-    """Up-step probabilities at sites 1..n of all n_tau renewal sets.
+def _renewal_potentials(cfg: KeyRelationConfig, omega: np.ndarray, n: int):
+    """Potentials of the n_tau renewal sets over the disorder omega, lazily.
 
-    contact holds beta*omega_m + h at sites 1..n.  The rows are built as
-    2-D arrays, TAU_BLOCK sets at a time so their temporaries stay small,
-    with no Potential per set.  Set t keeps the substream that
-    sample_renewal(kernel, n, derive_seed(seed, "tau", t)) uses, so row t
-    is bit for bit the one its Potential would give.
+    The sets are sampled and their V rows built TAU_BLOCK at a time, with
+    no SparseEnvironment per set.  Set t keeps the substream that
+    sample_renewal(kernel, n, derive_seed(seed, "tau", t)) uses, so its
+    potential is bit for bit the one build_potential gives.
     """
-    up = np.empty((cfg.n_tau, n))
+    params = WalkParams(beta=cfg.beta, h=cfg.h, f=cfg.f)
     for start in range(0, cfg.n_tau, TAU_BLOCK):
-        stop = min(start + TAU_BLOCK, cfg.n_tau)
-        seeds = [derive_seed(cfg.seed, "tau", t) for t in range(start, stop)]
-        up[start:stop] = _renewal_up_probs(_renewal_ends(cfg.kernel, n, seeds),
-                                           contact, cfg.f)
-    return up
+        seeds = [derive_seed(cfg.seed, "tau", t)
+                 for t in range(start, min(start + TAU_BLOCK, cfg.n_tau))]
+        for values in _potential_rows(_renewal_ends(cfg.kernel, n, seeds), omega, params):
+            yield Potential(values=values)
 
 
 @dataclass(frozen=True)

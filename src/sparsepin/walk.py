@@ -17,15 +17,19 @@ even site after every step pair, and only there can it visit 0.  The
 two-step tables are products of one-step probabilities, never values of W,
 so the Monte Carlo side stays independent of the exact one.
 
-The chunks run on every CPU the process may use (os.sched_getaffinity).
-The caller forks one helper per extra CPU, at most one per chunk; worker j
-runs chunks c = j mod k in increasing order and writes its counts in place
-into an anonymous shared mmap, and each helper sends back only its first
+The chunks run on the CPUs the process may use: its affinity mask, capped
+by its cgroup's CPU quota, with at least two chunks per process.  The
+caller forks one helper per extra process; worker j of k runs chunks
+c = j mod k in increasing order and writes its counts in place into an
+anonymous shared mmap, and each helper sends back only its first
 step-budget failure, as two integers over a pipe.  A chunk draws from its
 own substream whoever runs it, so the counts are the same for any number
 of workers; without fork or with one usable CPU nothing is forked.
-`verify` hands the engine up-step tables of all its renewal sets built as
-2-D arrays (_renewal_up_probs), bit for bit the per-Potential ones.
+Threads would be simpler but ran no faster than one process: the hot
+loop is many short numpy calls, and the GIL serialises the Python work
+between them.  V is built in one place,
+_potential_rows, for one set (build_potential) or a block of renewal sets
+over one disorder (`verify`).
 """
 
 from __future__ import annotations
@@ -55,6 +59,7 @@ __all__ = [
 DEFAULT_STEP_BUDGET = 10 ** 8
 _CHUNK = 8192
 _SWEEP = 32  # steps between compaction sweeps
+_MIN_CHUNKS = 2  # chunks per process below which forking a helper does not pay
 
 
 class StepBudgetError(RuntimeError):
@@ -109,32 +114,28 @@ class Potential:
 
 def build_potential(env: SparseEnvironment, params: WalkParams) -> Potential:
     """V_i = V_{i-1} + (h + beta*omega_i) * [i in tau] - f."""
-    m = env.horizon
-    incr = np.full(m, -params.f)
-    contact_sites = env.tau[env.tau >= 1]
-    if len(contact_sites):
-        incr[contact_sites - 1] += params.h + params.beta * env.omega[contact_sites - 1]
-    values = np.concatenate([[0.0], np.cumsum(incr)])
+    (values,) = _potential_rows(env.tau[None, 1:], env.omega, params)
     return Potential(values=values)
 
 
-def _renewal_up_probs(ends: np.ndarray, contact: np.ndarray, f: float) -> np.ndarray:
-    """step_prob of the potential increments of many renewal sets at once.
+def _potential_rows(ends: np.ndarray, omega: np.ndarray, params: WalkParams) -> np.ndarray:
+    """build_potential's V_0..V_n for many renewal sets over one disorder
+    omega_1..omega_n, one row per set.
 
-    Row k of ends holds the renewal points of set k (environment's
-    _renewal_ends; points past the horizon len(contact) are ignored), and
-    contact holds h + beta*omega_i at every site.  Row k of the result is
-    bit for bit step_prob(build_potential(env, params).increments()) for
-    that set: the same increments, summed into V and differenced back.
+    Row k of ends holds the renewal points >= 1 of set k; points past the
+    horizon n = len(omega) are ignored, so the rows of
+    environment._renewal_ends serve as they are.
     """
-    f = float(f)
-    incr = np.full((len(ends), len(contact)), -f)
-    rows, cols = np.nonzero(ends <= len(contact))
-    sites = ends[rows, cols] - 1
-    incr[rows, sites] += contact[sites]
-    v = np.zeros((len(ends), len(contact) + 1))
-    np.cumsum(incr, axis=1, out=v[:, 1:])
-    return step_prob(np.diff(v, axis=1))
+    sets, n = len(ends), len(omega)
+    keep = ends <= n
+    sites = ends[keep] - 1
+    # flat indices into the (sets, n) increments, row k starting at k * n
+    flat = (ends + (n * np.arange(sets) - 1)[:, None])[keep]
+    incr = np.full(sets * n, -params.f)
+    incr[flat] += params.h + params.beta * omega[sites]
+    values = np.zeros((sets, n + 1))
+    np.cumsum(incr.reshape(sets, n), axis=1, out=values[:, 1:])
+    return values
 
 
 def step_prob(delta_v):
@@ -198,15 +199,13 @@ def simulate_visit_counts(potentials, r: int, replicas: int, seed: int,
     From 0 the chain moves to 1 with probability one; from 1 <= i < R it
     moves up with probability step_prob(V_i - V_{i-1}); R absorbs.
     `potentials` is any iterable of Potentials; it is read once, so a
-    generator keeps only one potential alive at a time.  It may instead be
-    a 2-D array whose row k holds potential k's up-step probabilities at
-    sites 1..R-1, which is how `verify` hands over renewal sets it never
-    builds as Potentials.  Returns an (n_potentials, replicas) array.
+    generator keeps only one potential alive at a time.  Returns an
+    (n_potentials, replicas) array.
     Walkers are ordered by potential, then replica, and simulated in fixed
     chunks of 8192 that may span several potentials; chunk c uses the
     substream (seed, "visits", c), so the result depends only on
-    (potentials, r, replicas, seed), never on how many CPUs share the
-    chunks (see _run_workers).
+    (potentials, r, replicas, seed), never on how many processes share
+    the chunks (see _worker_count and _run_workers).
 
     A trajectory that exhausts the step budget raises StepBudgetError with
     its global replica index, k * replicas + j for replica j of potential k,
@@ -225,7 +224,7 @@ def simulate_visit_counts(potentials, r: int, replicas: int, seed: int,
     total = n_pot * replicas
     lo, hi = lo.ravel(), hi.ravel()
     n_chunks = -(-total // _CHUNK)
-    workers = min(_usable_cpus(), n_chunks)
+    workers = _worker_count(n_chunks)
     # shared with the forked helpers, which write their chunks in place
     counts = np.frombuffer(mmap.mmap(-1, 8 * total), dtype=np.int64)
 
@@ -249,11 +248,40 @@ def simulate_visit_counts(potentials, r: int, replicas: int, seed: int,
     return counts.reshape(n_pot, replicas)
 
 
+def _worker_count(n_chunks: int) -> int:
+    """Processes to split n_chunks among: one per usable CPU, but at least
+    _MIN_CHUNKS chunks each, since a fork costs about one chunk of the
+    cheapest walk (on 2 CPUs, 2 chunks ran faster alone and 4 faster split)."""
+    return max(1, min(_usable_cpus(), n_chunks // _MIN_CHUNKS))
+
+
 def _usable_cpus() -> int:
-    """CPUs this process may run on; 1 where it cannot fork helpers."""
+    """CPUs in this process's affinity mask, capped by its cgroup's CPU
+    quota; 1 where it cannot fork helpers."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
-    return len(os.sched_getaffinity(0))
+    cpus = len(os.sched_getaffinity(0))
+    quota = _cgroup_cpu_quota()
+    return max(1, min(cpus, quota)) if quota else cpus
+
+
+def _cgroup_cpu_quota(root: str = "/sys/fs/cgroup") -> int | None:
+    """CPUs' worth of time the cgroup at root may use, rounded up; None
+    without a quota.  cgroup v2 keeps "quota period" in cpu.max ("max" for
+    none), v1 keeps them in cpu/cpu.cfs_quota_us (-1 for none) and
+    cpu/cpu.cfs_period_us."""
+    for names in (("cpu.max",), ("cpu/cpu.cfs_quota_us", "cpu/cpu.cfs_period_us")):
+        try:
+            words = []
+            for name in names:
+                with open(os.path.join(root, name)) as text:
+                    words += text.read().split()
+            if words[0] in ("max", "-1"):
+                return None
+            return -(-int(words[0]) // int(words[1]))
+        except (OSError, IndexError, ValueError):
+            continue
+    return None
 
 
 def _run_workers(run, workers: int) -> list:
@@ -303,12 +331,6 @@ def _run_workers(run, workers: int) -> list:
 
 def _up_probs(potentials, r: int) -> np.ndarray:
     """Up-step probabilities at sites 1..R-1, one row per potential."""
-    if isinstance(potentials, np.ndarray):
-        if r < 1 or potentials.ndim != 2 or potentials.shape[1] < r - 1:
-            raise ValueError("need R >= 1 and a (potentials, >= R-1) array")
-        if not len(potentials):
-            raise ValueError("need at least one potential")
-        return potentials[:, : r - 1]
     rows = []
     for pot in potentials:
         if not 1 <= r <= pot.horizon + 1:

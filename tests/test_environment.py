@@ -9,9 +9,8 @@ from sparsepin import (DisorderSpec, SparseEnvironment, kernel_mean,
                        kernel_tail, log_mgf, make_kernel, sample_disorder,
                        sample_environment, sample_renewal)
 from sparsepin._rng import derive_seed, rng_for
-from sparsepin.experiments import KeyRelationConfig, _renewal_up_table
-from sparsepin.pinning import _contact_rows
-from sparsepin.walk import WalkParams, build_potential, step_prob
+from sparsepin.experiments import KeyRelationConfig, _renewal_potentials
+from sparsepin.walk import WalkParams, build_potential
 
 
 def test_power_law_weights_hand_normalized():
@@ -150,22 +149,24 @@ def test_sample_renewal_matches_reference_loop():
     make_kernel("power_law", alpha=0.4, n_max=300),  # longer than the horizon
     make_kernel("geometric", q=0.6, n_max=20)], ids=lambda k: f"n_max{k.n_max}")
 def test_batched_renewal_tables_match_per_set_potentials(kernel):
-    # verify's up-step table against sample_renewal -> build_potential ->
-    # step_prob one set at a time, bit for bit; n_tau 1, 25 and 26 sit at
-    # the edges of the TAU_BLOCK = 25 set blocks
+    # verify's block-built potentials against sample_renewal ->
+    # build_potential one set at a time, bit for bit, so the walk tables
+    # match too; n_tau 1, 25 and 26 sit at the edges of the TAU_BLOCK = 25
+    # set blocks
     n, seed = 200, 11
     omega = sample_disorder(DisorderSpec("gaussian"), n, seed=3)
     for beta, h, f in ((1.0, -1.0, 0.3), (0.0, -1.0, 0.3), (1.0, -1.0, 0.0)):
         for n_tau in (1, 25, 26):
             cfg = KeyRelationConfig(kernel=kernel, disorder=DisorderSpec("gaussian"),
                                     beta=beta, h=h, f=f, n_tau=n_tau, seed=seed)
-            table = _renewal_up_table(cfg, _contact_rows(omega, beta, [h])[0], n)
+            pots = list(_renewal_potentials(cfg, omega, n))
+            assert len(pots) == n_tau
             params = WalkParams(beta=beta, h=h, f=f)
             for t in range(n_tau):
                 tau = sample_renewal(kernel, n, derive_seed(seed, "tau", t))
                 pot = build_potential(SparseEnvironment(horizon=n, tau=tau, omega=omega),
                                       params)
-                assert np.array_equal(table[t], step_prob(pot.increments()))
+                assert np.array_equal(pots[t].values, pot.values)
 
 
 def test_sample_disorder_families():

@@ -396,7 +396,7 @@ def test_batch_step_budget_error_names_global_replica(monkeypatch):
     # the first trapped walker, 0-based walker 10000, sits in the second
     # chunk, which a forked helper runs when there are two workers
     for workers in (1, 2):
-        monkeypatch.setattr(sparsepin.walk, "_usable_cpus", lambda w=workers: w)
+        monkeypatch.setattr(sparsepin.walk, "_worker_count", lambda n, w=workers: w)
         with pytest.raises(StepBudgetError) as err:
             simulate_visit_counts([fast(40), fast(40), trap(40)], 25, 5000,
                                   seed=14, step_budget=64)
@@ -411,7 +411,7 @@ def test_counts_do_not_depend_on_worker_count(monkeypatch, workers):
             drifted(0.1, 40), fast(40)]
     runs = {}
     for count in (1, workers):
-        monkeypatch.setattr(sparsepin.walk, "_usable_cpus", lambda w=count: w)
+        monkeypatch.setattr(sparsepin.walk, "_worker_count", lambda n, w=count: w)
         runs[count] = (simulate_visit_counts(pots[:3] + pots[4:], 25, 3000, seed=15),
                        simulate_visit_counts(pots, 25, 3000, seed=15, step_budget=200,
                                              censor=True))
@@ -427,7 +427,7 @@ def test_counts_do_not_depend_on_worker_count(monkeypatch, workers):
 
 def test_helper_failure_reaches_the_parent(monkeypatch):
     parent, chunk = os.getpid(), sparsepin.walk._visits_chunk
-    monkeypatch.setattr(sparsepin.walk, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(sparsepin.walk, "_worker_count", lambda n: 2)
     pots = [flat(20)] * 3
 
     def failing(*args):
@@ -446,6 +446,25 @@ def test_helper_failure_reaches_the_parent(monkeypatch):
             simulate_visit_counts(pots, 10, 5000, seed=16)
 
 
+def test_worker_count_needs_two_chunks_per_process(monkeypatch):
+    monkeypatch.setattr(sparsepin.walk, "_usable_cpus", lambda: 8)
+    counts = [sparsepin.walk._worker_count(n) for n in (1, 2, 3, 4, 13, 100)]
+    assert counts == [1, 1, 1, 2, 6, 8]
+
+
+@pytest.mark.parametrize("files, quota", [
+    ({"cpu.max": "200000 100000\n"}, 2), ({"cpu.max": "150000 100000\n"}, 2),
+    ({"cpu.max": "max 100000\n"}, None),
+    ({"cpu/cpu.cfs_quota_us": "50000\n", "cpu/cpu.cfs_period_us": "100000\n"}, 1),
+    ({"cpu/cpu.cfs_quota_us": "-1\n", "cpu/cpu.cfs_period_us": "100000\n"}, None),
+    ({}, None)])
+def test_cgroup_cpu_quota(tmp_path, files, quota):
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_text(text)
+    assert sparsepin.walk._cgroup_cpu_quota(str(tmp_path)) == quota
+
+
 def test_batch_input_validation():
     with pytest.raises(ValueError):
         simulate_visit_counts([], 5, 10, seed=1)
@@ -455,14 +474,6 @@ def test_batch_input_validation():
         simulate_visit_counts([flat(20), flat(5)], 10, 10, seed=1)
     with pytest.raises(ValueError):
         simulate_visit_counts([flat(20)], 0, 10, seed=1)
-    # up-step probabilities in place of Potentials: (potentials, >= R-1)
-    for bad in (np.full((0, 9), 0.5), np.full(9, 0.5), np.full((2, 8), 0.5)):
-        with pytest.raises(ValueError):
-            simulate_visit_counts(bad, 10, 10, seed=1)
-    pots = [drifted(0.3, 20), flat(20)]
-    up = np.stack([step_prob(pot.increments()) for pot in pots])
-    assert np.array_equal(simulate_visit_counts(up, 10, 5000, seed=1),
-                          simulate_visit_counts(pots, 10, 5000, seed=1))
 
 
 def test_visit_count_z_scores_are_standard_normal():
