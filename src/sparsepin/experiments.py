@@ -7,12 +7,23 @@ sum of the pinning partition function (right side).  Tying the absorption
 level to the series length, R = N + 1, makes the two sides equal in
 expectation at every finite N, so the Monte Carlo error is the only gap to
 account for; the geometric tail bound on S_inf - S_N is reported beside it.
+
+The regime scan checks case 1 (per-environment transience between the
+quenched curve and 0) by the growth of the scale sum W over sampled
+environments.  Only beta > 0 and -lambda(beta) < h < 0 can be case 1,
+and that set is known before the quenched search, so with two usable
+CPUs one forked helper computes the growth of that whole set while the
+caller runs the search, the classification and the series verdicts.
+Values for points that end up in another case are thrown away; with one
+usable CPU nothing is forked and only case-1 points are checked.  The
+reports are the same either way.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -23,8 +34,9 @@ from .pinning import (BracketError, GrandCanonicalReport, _contact_rows, _lse,
                       free_energy_estimate, grand_canonical, homogeneous_free_energy,
                       homogeneous_series_verdict, pinned_recursions,
                       quenched_critical_point_estimates)
-from .walk import (Potential, WalkParams, _mean_stderr, _potential_rows, build_potential,
-                   expected_visits_exact, simulate_visit_counts)
+from .walk import (Potential, WalkParams, _mean_stderr, _potential_rows, _run_workers,
+                   _usable_cpus, build_potential, expected_visits_exact,
+                   simulate_visit_counts)
 
 __all__ = [
     "KeyRelationConfig",
@@ -230,7 +242,48 @@ def regime_scan(beta_grid, h_grid, cfg: ScanConfig) -> RegimeReport:
     with the label; those at beta = 0 are exact and only recorded, and the
     annealed ones follow from the label.  The report's `critical` list
     holds each beta's bracket and bisection trail (or the bracket error).
+
+    Every case-1 point also gets its visit-sum growth (_visit_sum_growth).
+    With two usable CPUs a forked helper computes it, on speculation, for
+    every point with beta > 0 and -lambda(beta) < h < 0, the only points
+    _classify can call case 1, while this process runs everything else;
+    it joins the helper only when all other diagnostics are done.  With one
+    usable CPU, or no such point, nothing is forked and the growth is
+    computed here for the case-1 points alone.  The report is the same.
     """
+    candidates = list(dict.fromkeys(
+        (beta, h) for beta in beta_grid if beta > 0
+        for h in h_grid if -log_mgf(cfg.disorder, beta) < h < 0))
+    growth = {}
+    if candidates and _usable_cpus() > 1:
+        import mmap  # here, so importing sparsepin stays as fast as before
+
+        shared = np.frombuffer(mmap.mmap(-1, 8 * len(candidates)))
+        reports = []
+
+        def run(worker: int) -> None:
+            if worker:
+                _speculative_growth(cfg, candidates, shared)
+            else:
+                reports.append(_quenched_scan(beta_grid, h_grid, cfg))
+
+        _run_workers(run, 2)
+        (report,) = reports
+        growth = dict(zip(candidates, shared.tolist()))
+    else:
+        report = _quenched_scan(beta_grid, h_grid, cfg)
+    for i, p in enumerate(report.points):
+        if p.case == "case1":
+            g = growth.get((p.beta, p.h), math.nan)
+            if math.isnan(g):  # not computed, or it raised or warned in the helper
+                g = _visit_sum_growth(cfg, p.beta, p.h)
+            p.diagnostics["visit_sum_growth"] = g
+            report.points[i] = replace(p, consistent=p.consistent and g < 0.05)
+    return report
+
+
+def _quenched_scan(beta_grid, h_grid, cfg: ScanConfig) -> RegimeReport:
+    """regime_scan without the visit-sum growth of its case-1 points."""
     # every beta's quenched search in one lockstep multisection; only the
     # brackets are used, so no replica spread is computed
     searches = [(beta, derive_seed(cfg.seed, "crit", i_beta))
@@ -309,9 +362,7 @@ def _point_diagnostics(cfg: ScanConfig, beta: float, h: float, lam: float,
             gc = grand_canonical(table, 0.5 * est.f_hat)
             diag["quenched_below_f_hat"] = gc.verdict
             expected_ok &= gc.verdict == "diverging"
-        growth = _visit_sum_growth(cfg, beta, h)
-        diag["visit_sum_growth"] = growth
-        expected_ok &= growth < 0.05
+        # regime_scan adds "visit_sum_growth" and its check
     elif case in ("case2", "case23_merged"):
         def verdict(f):
             if table is None:
@@ -330,6 +381,21 @@ def _point_diagnostics(cfg: ScanConfig, beta: float, h: float, lam: float,
             diag["annealed_free_energy"] = homogeneous_free_energy(cfg.kernel,
                                                                    h + lam).free_energy
     return diag, expected_ok
+
+
+def _speculative_growth(cfg: ScanConfig, candidates, out: np.ndarray) -> None:
+    """out[k] = _visit_sum_growth(cfg, *candidates[k]), or nan where that
+    raised or warned.  A candidate need not be case 1, so its error or
+    warning must not surface here; regime_scan recomputes a case-1 point's
+    nan in process, where the error or warning then shows as it would
+    without the helper."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k, (beta, h) in enumerate(candidates):
+            try:
+                out[k] = _visit_sum_growth(cfg, beta, h)
+            except Exception:
+                out[k] = math.nan
 
 
 def _visit_sum_growth(cfg: ScanConfig, beta: float, h: float) -> float:

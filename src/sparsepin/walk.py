@@ -19,17 +19,18 @@ so the Monte Carlo side stays independent of the exact one.
 
 The chunks run on the CPUs the process may use: its affinity mask, capped
 by its cgroup's CPU quota, with at least two chunks per process.  The
-caller forks one helper per extra process; worker j of k runs chunks
-c = j mod k in increasing order and writes its counts in place into an
-anonymous shared mmap, and each helper sends back only its first
-step-budget failure, as two integers over a pipe.  A chunk draws from its
-own substream whoever runs it, so the counts are the same for any number
-of workers; without fork or with one usable CPU nothing is forked.
-Threads would be simpler but ran no faster than one process: the hot
-loop is many short numpy calls, and the GIL serialises the Python work
-between them.  V is built in one place,
-_potential_rows, for one set (build_potential) or a block of renewal sets
-over one disorder (`verify`).
+caller forks one helper per extra process (_run_workers, which `scan`
+also uses to check case-1 growth beside its quenched search); worker j
+of k runs chunks c = j mod k in increasing order and writes its counts
+in place into an anonymous shared mmap, and each helper sends back only
+its first step-budget failure, as two integers over a pipe.  A chunk
+draws from its own substream whoever runs it, so the counts are the same
+for any number of workers; without fork or with one usable CPU nothing
+is forked.  Threads would be simpler but ran no faster than one process:
+the hot loop is many short numpy calls, and the GIL serialises the
+Python work between them.  V is built in one place, _potential_rows, for
+one set (build_potential) or a block of renewal sets over one disorder
+(`verify`), and a Potential with a non-finite value is refused.
 """
 
 from __future__ import annotations
@@ -101,6 +102,8 @@ class Potential:
         v = np.asarray(self.values, dtype=float)
         if len(v) == 0 or v[0] != 0.0:
             raise ValueError("potential must start at V_0 = 0")
+        if not np.isfinite(v).all():
+            raise ValueError("potential values must be finite (is beta * omega too large?)")
         object.__setattr__(self, "values", v)
 
     @property
@@ -132,9 +135,11 @@ def _potential_rows(ends: np.ndarray, omega: np.ndarray, params: WalkParams) -> 
     # flat indices into the (sets, n) increments, row k starting at k * n
     flat = (ends + (n * np.arange(sets) - 1)[:, None])[keep]
     incr = np.full(sets * n, -params.f)
-    incr[flat] += params.h + params.beta * omega[sites]
     values = np.zeros((sets, n + 1))
-    np.cumsum(incr.reshape(sets, n), axis=1, out=values[:, 1:])
+    # an overflow leaves inf or nan in V, which Potential refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        incr[flat] += params.h + params.beta * omega[sites]
+        np.cumsum(incr.reshape(sets, n), axis=1, out=values[:, 1:])
     return values
 
 
@@ -289,10 +294,13 @@ def _run_workers(run, workers: int) -> list:
 
     Each result is None or a pair of ints, which a helper writes to its pipe
     as two int64 words: an exception would have to be pickled, and
-    StepBudgetError's arguments do not round-trip.  A helper never returns
-    into the caller's stack; it leaves through os._exit, with status 1 and
-    a traceback on stderr if run raised.  A helper that ends without its
-    report is a RuntimeError here, never silently missing counts.
+    StepBudgetError's arguments do not round-trip; anything larger goes
+    through memory the caller shares with the helpers, such as an anonymous
+    mmap.  A helper never returns into the caller's stack; it leaves through
+    os._exit, with status 1 and a traceback on stderr if run raised.  A
+    helper that ends without its report is a RuntimeError here, never a
+    silently missing result.  If run(0) raises, the helpers are killed, as
+    their results are moot, and that exception propagates.
     """
     helpers, results = [], []
     try:
@@ -314,6 +322,11 @@ def _run_workers(run, workers: int) -> list:
             os.close(write)
             helpers.append((pid, read))
         results.append(run(0))
+    except BaseException:
+        import signal
+        for pid, _ in helpers:
+            os.kill(pid, signal.SIGKILL)
+        raise
     finally:
         reports = []
         for pid, read in helpers:
@@ -322,8 +335,8 @@ def _run_workers(run, workers: int) -> list:
             reports.append((pid, report, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])))
     for pid, report, status in reports:
         if status or len(report) != 16:
-            raise RuntimeError(f"walk helper {pid} exited with status {status} "
-                               "without reporting its chunks")
+            raise RuntimeError(f"helper {pid} exited with status {status} "
+                               "without reporting")
         chunk, replica = np.frombuffer(report, dtype=np.int64).tolist()
         results.append(None if chunk < 0 else (chunk, replica))
     return results

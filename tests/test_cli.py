@@ -2,7 +2,12 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+import time
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -216,6 +221,26 @@ def test_overflowing_contacts_are_refused_without_a_warning(tmp_path, command):
         warnings.simplefilter("error")
         assert run(tmp_path, command, "--n" if command == "pinning" else "--n-series",
                    "100", "--beta", "1e308") == EXIT_CONFIG
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("args", [
+    ("walk", "--beta", "1e308"),
+    ("scan", "--transience", "--beta", "1e308", "--h=-1"),
+])
+def test_non_finite_potential_is_refused_promptly(tmp_path, args):
+    # V overflows to inf and nan; the walk used to run on toward its step
+    # budget.  A fresh interpreter turns any RuntimeWarning into an error.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]),
+                                                      env.get("PYTHONPATH")]))
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "sparsepin",
+                           *args, "--outdir", str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == EXIT_CONFIG, done.stderr
+    assert "potential values must be finite" in done.stderr
+    assert time.perf_counter() - start < 10
     assert not any(tmp_path.iterdir())
 
 

@@ -1,13 +1,18 @@
 """Cross-pipeline experiments: key relation, mean-gap bound, regimes, transience."""
 
 import math
+import os
+import time
+import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from sparsepin import (DisorderSpec, Potential, make_kernel, simulate_visit_counts,
-                       tau_mean_lower_bound, verify_key_relation)
+from sparsepin import (DisorderSpec, Potential, experiments, make_kernel,
+                       simulate_visit_counts, tau_mean_lower_bound, verify_key_relation)
 from sparsepin._rng import derive_seed
+from sparsepin.environment import log_mgf
 from sparsepin.experiments import (KeyRelationConfig, ScanConfig,
                                    annealed_transience_check, regime_scan)
 from sparsepin.walk import _mean_stderr
@@ -105,6 +110,102 @@ def test_regime_scan_outside_label():
                      crit_tol=0.05, n_gc=1000, seed=13)
     rep = regime_scan([0.0], [0.3], cfg)
     assert rep.points[0].case == "outside"
+
+
+SCAN_KERNEL = make_kernel("power_law", alpha=0.6, n_max=40)
+# the CLI's default scan at seed 1, and a small grid whose speculative
+# growth candidates include a case-2 point (1.5, -1.0) and an unresolved
+# one (0.5, -0.1)
+SCANS = {
+    "default": ([0.0, 1.0, 2.0], [-2.2, -1.4, -1.2, -0.35, -0.05],
+                ScanConfig(kernel=SCAN_KERNEL, disorder=GAUSS, n_fe=8000, n_gc=3000,
+                           crit_tol=0.04, seed=1)),
+    "small": ([0.5, 1.5], [-1.0, -0.6, -0.3, -0.1],
+              ScanConfig(kernel=SCAN_KERNEL, disorder=GAUSS, n_fe=300, n_gc=400,
+                         crit_tol=0.1, seed=1)),
+}
+
+
+def _candidates(betas, hs, cfg):
+    return [(b, h) for b in betas if b > 0 for h in hs
+            if -log_mgf(cfg.disorder, b) < h < 0]
+
+
+@pytest.mark.parametrize("name", sorted(SCANS))
+def test_scan_report_does_not_depend_on_worker_count(monkeypatch, name):
+    betas, hs, cfg = SCANS[name]
+    reports = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
+        reports.append(asdict(regime_scan(betas, hs, cfg)))
+    assert reports[0] == reports[1]
+    cases = {(p["beta"], p["h"]): p["case"] for p in reports[0]["points"]}
+    speculative = {cases[c] for c in _candidates(betas, hs, cfg)}
+    assert "case1" in speculative and len(speculative) > 1
+    for p in reports[0]["points"]:
+        assert ("visit_sum_growth" in p["diagnostics"]) == (p["case"] == "case1")
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_scan_growth_runs_in_the_helper_with_two_cpus(monkeypatch, cpus):
+    betas, hs, cfg = SCANS["small"]
+    parent, growth, calls = os.getpid(), experiments._visit_sum_growth, []
+
+    def counted(*args):
+        if os.getpid() == parent:
+            calls.append(args[1:])
+        return growth(*args)
+
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(experiments, "_visit_sum_growth", counted)
+    rep = regime_scan(betas, hs, cfg)
+    case1 = [(p.beta, p.h) for p in rep.points if p.case == "case1"]
+    assert calls == ([] if cpus == 2 else case1)
+
+
+def test_scan_helper_failure_reaches_the_caller(monkeypatch):
+    betas, hs, cfg = SCANS["small"]
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+
+    def failing(*args):
+        raise MemoryError("helper out of memory")
+
+    def vanishing(*args):
+        os._exit(0)  # ends without its report
+
+    for broken, status in ((failing, 1), (vanishing, 0)):
+        monkeypatch.setattr(experiments, "_speculative_growth", broken)
+        with pytest.raises(RuntimeError, match=f"exited with status {status} without"):
+            regime_scan(betas, hs, cfg)
+
+
+def test_scan_failure_stops_the_helper(monkeypatch):
+    # a refused scan is reported at once, not after the speculative growth
+    betas, hs, cfg = SCANS["small"]
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(experiments, "_speculative_growth", lambda *args: time.sleep(60))
+
+    def refused(*args):
+        raise ValueError("refused")
+
+    monkeypatch.setattr(experiments, "_quenched_scan", refused)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="refused"):
+        regime_scan(betas, hs, cfg)
+    assert time.perf_counter() - start < 30
+
+
+def test_speculative_growth_hides_errors_and_warnings():
+    # a candidate's error or warning becomes nan, which regime_scan recomputes
+    # in process for a case-1 point; beta 1e5 overflows W(2R) / W(R)
+    cfg = SCANS["small"][2]
+    out = np.zeros(3)
+    with warnings.catch_warnings(record=True) as shown:
+        warnings.simplefilter("always")
+        experiments._speculative_growth(cfg, [(1.5, -0.3), (1e5, -1.0), (1e200, -1.0)], out)
+    assert not shown
+    assert out[0] == experiments._visit_sum_growth(cfg, 1.5, -0.3)
+    assert np.isnan(out[1:]).all()
 
 
 def test_transience_check_matches_exact_escape():
