@@ -11,18 +11,16 @@ account for; the geometric tail bound on S_inf - S_N is reported beside it.
 The regime scan checks case 1 (per-environment transience between the
 quenched curve and 0) by the growth of the scale sum W over sampled
 environments.  Only beta > 0 and -lambda(beta) < h < 0 can be case 1,
-and that set is known before the quenched search, so with two usable
-CPUs one forked helper computes the growth of that whole set while the
-caller runs the search, the classification and the series verdicts.
-Values for points that end up in another case are thrown away; with one
-usable CPU nothing is forked and only case-1 points are checked.  The
-reports are the same either way.
+and that set is known before the quenched search, so the growth of the
+whole set is computed: with two usable CPUs by one forked helper while
+the caller runs the search, the classification and the series verdicts,
+with one after them.  Values for points that end up in another case are
+thrown away, and the reports are the same either way.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -243,40 +241,34 @@ def regime_scan(beta_grid, h_grid, cfg: ScanConfig) -> RegimeReport:
     annealed ones follow from the label.  The report's `critical` list
     holds each beta's bracket and bisection trail (or the bracket error).
 
-    Every case-1 point also gets its visit-sum growth (_visit_sum_growth).
-    With two usable CPUs a forked helper computes it, on speculation, for
-    every point with beta > 0 and -lambda(beta) < h < 0, the only points
-    _classify can call case 1, while this process runs everything else;
-    it joins the helper only when all other diagnostics are done.  With one
-    usable CPU, or no such point, nothing is forked and the growth is
-    computed here for the case-1 points alone.  The report is the same.
+    Every case-1 point also gets its visit-sum growth (_visit_sum_growth),
+    computed for every point with beta > 0 and -lambda(beta) < h < 0, the
+    only points _classify can call case 1, into shared memory.  With two
+    usable CPUs a forked helper computes it while this process runs
+    everything else; with one usable CPU, or no such point, nothing is
+    forked and it runs after the search, so a refused scan fails first.
+    The report is the same either way.
     """
+    import mmap  # here, so importing sparsepin stays as fast as before
+
     candidates = list(dict.fromkeys(
         (beta, h) for beta in beta_grid if beta > 0
         for h in h_grid if -log_mgf(cfg.disorder, beta) < h < 0))
-    growth = {}
-    if candidates and _usable_cpus() > 1:
-        import mmap  # here, so importing sparsepin stays as fast as before
+    workers = 2 if candidates and _usable_cpus() > 1 else 1
+    growth = np.frombuffer(mmap.mmap(-1, 8 * max(1, len(candidates))))  # no empty mmap
 
-        shared = np.frombuffer(mmap.mmap(-1, 8 * len(candidates)))
-        reports = []
+    def run(worker: int):
+        report = _quenched_scan(beta_grid, h_grid, cfg) if worker == 0 else None
+        if worker == workers - 1:
+            for k, (beta, h) in enumerate(candidates):
+                growth[k] = _visit_sum_growth(cfg, beta, h)
+        return report
 
-        def run(worker: int) -> None:
-            if worker:
-                _speculative_growth(cfg, candidates, shared)
-            else:
-                reports.append(_quenched_scan(beta_grid, h_grid, cfg))
-
-        _run_workers(run, 2)
-        (report,) = reports
-        growth = dict(zip(candidates, shared.tolist()))
-    else:
-        report = _quenched_scan(beta_grid, h_grid, cfg)
+    report = _run_workers(run, workers)[0]
+    growth_at = dict(zip(candidates, growth.tolist()))
     for i, p in enumerate(report.points):
         if p.case == "case1":
-            g = growth.get((p.beta, p.h), math.nan)
-            if math.isnan(g):  # not computed, or it raised or warned in the helper
-                g = _visit_sum_growth(cfg, p.beta, p.h)
+            g = growth_at[(p.beta, p.h)]
             p.diagnostics["visit_sum_growth"] = g
             report.points[i] = replace(p, consistent=p.consistent and g < 0.05)
     return report
@@ -305,7 +297,7 @@ def _quenched_scan(beta_grid, h_grid, cfg: ScanConfig) -> RegimeReport:
         omega_row = sample_disorder(cfg.disorder, cfg.n_gc,
                                     derive_seed(cfg.seed, "scan-omega", i_beta))
         quenched = [h for h, case in zip(h_grid, cases[-1]) if case in ("case1", "case2")]
-        blocks.append(beta * omega_row + np.asarray(quenched, dtype=float)[:, None])
+        blocks.append(_contact_rows(omega_row, beta, quenched))
         rows += [(i_beta, h) for h in quenched]
     # the quenched tables of the whole grid come from one engine pass
     tables = dict(zip(rows, pinned_recursions(np.concatenate(blocks), cfg.kernel)))
@@ -383,21 +375,6 @@ def _point_diagnostics(cfg: ScanConfig, beta: float, h: float, lam: float,
     return diag, expected_ok
 
 
-def _speculative_growth(cfg: ScanConfig, candidates, out: np.ndarray) -> None:
-    """out[k] = _visit_sum_growth(cfg, *candidates[k]), or nan where that
-    raised or warned.  A candidate need not be case 1, so its error or
-    warning must not surface here; regime_scan recomputes a case-1 point's
-    nan in process, where the error or warning then shows as it would
-    without the helper."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for k, (beta, h) in enumerate(candidates):
-            try:
-                out[k] = _visit_sum_growth(cfg, beta, h)
-            except Exception:
-                out[k] = math.nan
-
-
 def _visit_sum_growth(cfg: ScanConfig, beta: float, h: float) -> float:
     """Worst relative growth of W(2R) over W(R) across sampled environments.
 
@@ -406,18 +383,24 @@ def _visit_sum_growth(cfg: ScanConfig, beta: float, h: float) -> float:
     trajectory simulation.  R scales like beta^2 Var(omega) E(tau)/h^2 so
     the contact drift has beaten the disorder fluctuations by R.  The growth
     (W(2R) - W(R)) / W(R) is one ratio of log-sums over disjoint windows of
-    V, so it neither cancels nor overflows.
+    V, so nothing cancels and W itself never overflows.  The check is total,
+    since regime_scan runs it on points that need not be case 1: for finite
+    beta and h it returns a float, inf where V or the ratio overflows, and
+    never raises or warns (V is no Potential, which would refuse inf).
     """
     params = WalkParams(beta=beta, h=h, f=0.0)
     mean_gap = kernel_mean(cfg.kernel)
-    r_star = 8.0 * max(beta ** 2 * cfg.disorder.variance, 1.0) * mean_gap / h ** 2
+    # products: beta ** 2 can raise OverflowError, h ** 2 underflow to 0
+    r_star = (8.0 * max(params.beta * params.beta * cfg.disorder.variance, 1.0) * mean_gap
+              / params.h / params.h)
     r = int(min(50000, max(600, r_star)))
     worst = 0.0
     for e in range(GROWTH_ENVS):
         env = sample_environment(cfg.kernel, cfg.disorder, 2 * r,
                                  derive_seed(cfg.seed, "scan-env", beta, e))
-        v = build_potential(env, params).values
-        worst = max(worst, float(np.exp(_lse(v[r : 2 * r]) - _lse(v[:r]))))
+        (v,) = _potential_rows(env.tau[None, 1:], env.omega, params)
+        with np.errstate(over="ignore", invalid="ignore"):
+            worst = max(worst, float(np.exp(_lse(v[r : 2 * r]) - _lse(v[:r]))))
     return worst
 
 

@@ -426,6 +426,9 @@ def quenched_critical_point_estimates(spec: DisorderSpec, kernel: RenewalKernel,
 
     Returns one entry per search, in order: its CriticalPointEstimate, or
     the BracketError that ended it, which leaves the other searches running.
+    A bracket still wider than tol whose ends are adjacent floats cannot
+    narrow, and ends its search with such an error (at beta = 1e20 the
+    root is of order -1e20, where adjacent floats are 16384 or more apart).
     """
     if not (tol > 0 and replicas >= 1):
         raise ValueError("need tol > 0 and replicas >= 1")
@@ -469,6 +472,12 @@ def quenched_critical_point_estimates(spec: DisorderSpec, kernel: RenewalKernel,
             lo, hi = _descend(lo, hi, dict(zip(mids, vals[6:])), trail, tol)
         brackets[i], trails[i] = (lo, hi), trail
     while todo := [i for i, (lo, hi) in brackets.items() if hi - lo > tol]:
+        for i in todo:
+            lo, hi = brackets[i]
+            if 0.5 * (lo + hi) in (lo, hi):
+                out[i] = BracketError(lo, hi, "no float lies between the bracket's ends")
+                del brackets[i]
+        todo = [i for i in todo if i in brackets]
         mids = [_midpoints(*brackets[i], tol) for i in todo]
         vals = raws([_contact_rows(draws[i], searches[i][0], hs)
                      for i, hs in zip(todo, mids)])
@@ -478,8 +487,9 @@ def quenched_critical_point_estimates(spec: DisorderSpec, kernel: RenewalKernel,
     spreads = [[0.0]] * len(h_hats)
     if replicas > 1:
         # one row per disorder draw
-        spreads = raws([searches[i][0] * np.stack([omega(searches[i][1], r)
-                                                   for r in range(replicas)]) + h_hat
+        spreads = raws([np.concatenate([_contact_rows(omega(searches[i][1], r),
+                                                      searches[i][0], [h_hat])
+                                        for r in range(replicas)])
                         for i, h_hat in h_hats.items()])
     for (i, h_hat), vals in zip(h_hats.items(), spreads):
         out[i] = CriticalPointEstimate(h_hat=h_hat, bracket=brackets[i],
@@ -506,11 +516,12 @@ def _midpoints(lo: float, hi: float, tol: float) -> list[float]:
 def _descend(lo: float, hi: float, raw_at: dict, trail: list,
              tol: float) -> tuple[float, float]:
     """Take the next _MULTISECTION_LEVELS bisection steps from raw_at,
-    appending each decided (h, raw) to trail."""
+    appending each decided (h, raw) to trail; stop early where the bracket
+    is within tol or its midpoint rounds onto an end."""
     for _ in range(_MULTISECTION_LEVELS):
-        if not hi - lo > tol:
-            break
         mid = 0.5 * (lo + hi)
+        if not hi - lo > tol or mid in (lo, hi):
+            break
         trail.append((mid, raw_at[mid]))
         if raw_at[mid] > 0:
             hi = mid

@@ -9,14 +9,26 @@ import time
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from sparsepin import cli
-from sparsepin.cli import EXIT_CONFIG, EXIT_INCONCLUSIVE, EXIT_PASS, main
+from sparsepin import (BracketError, DisorderSpec, cli, make_kernel,
+                       quenched_critical_point_estimates)
+from sparsepin.cli import EXIT_CONFIG, EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_PASS, main
 
 
 def run(tmp_path, *args):
     return main([*args, "--outdir", str(tmp_path)])
+
+
+def run_fresh(tmp_path, *args):
+    """The CLI in a fresh interpreter that turns any RuntimeWarning into an error."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]),
+                                                      env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "sparsepin",
+                           *args, "--outdir", str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=60)
 
 
 def read_json(tmp_path, name):
@@ -230,18 +242,45 @@ def test_overflowing_contacts_are_refused_without_a_warning(tmp_path, command):
 ])
 def test_non_finite_potential_is_refused_promptly(tmp_path, args):
     # V overflows to inf and nan; the walk used to run on toward its step
-    # budget.  A fresh interpreter turns any RuntimeWarning into an error.
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]),
-                                                      env.get("PYTHONPATH")]))
+    # budget
     start = time.perf_counter()
-    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "sparsepin",
-                           *args, "--outdir", str(tmp_path)],
-                          env=env, capture_output=True, text=True, timeout=60)
+    done = run_fresh(tmp_path, *args)
     assert done.returncode == EXIT_CONFIG, done.stderr
     assert "potential values must be finite" in done.stderr
     assert time.perf_counter() - start < 10
     assert not any(tmp_path.iterdir())
+
+
+def test_bisection_between_adjacent_floats_ends(tmp_path):
+    # at beta 1e20 the bracket narrows to two adjacent floats 16384 or more apart,
+    # far wider than crit_tol; the bisection used to loop there for ever.
+    # n stays small: contacts this large take the engine's per-site rescue
+    start = time.perf_counter()
+    done = run_fresh(tmp_path, "pinning", "--critical", "--beta", "1e20", "--n", "50")
+    assert done.returncode == EXIT_FAIL, done.stderr
+    assert "no float lies between the bracket's ends" in done.stderr
+    assert time.perf_counter() - start < 10
+    kernel = make_kernel("power_law", alpha=1.0, n_max=8)
+    (est,) = quenched_critical_point_estimates(DisorderSpec("gaussian"), kernel, [(1e20, 0)],
+                                               50, 1, 0.04)
+    assert isinstance(est, BracketError)
+    lo, hi = est.scanned
+    assert lo < hi == np.nextafter(lo, math.inf) and hi - lo > 0.04
+    assert run(tmp_path, "scan", "--beta-grid=1e20", "--h-grid=-1", "--n-fe", "50",
+               "--n-gc", "100") == EXIT_PASS
+    (search,) = read_json(tmp_path, "scan.json")["scan"]["critical"]
+    assert "no float lies between" in search["error"] and search["bracket"] is None
+
+
+def test_scan_grows_a_tiny_h_point(tmp_path):
+    # h ** 2 underflowed to 0 and the growth check raised ZeroDivisionError;
+    # it is now computed, and W(2R) / W(R) is huge where R is capped
+    done = run_fresh(tmp_path, "scan", "--beta-grid=1", "--h-grid=-1e-200", "--n-fe", "2000",
+                     "--n-gc", "500")
+    assert done.returncode == EXIT_PASS, done.stderr
+    (point,) = read_json(tmp_path, "scan.json")["scan"]["points"]
+    assert point["case"] == "case1" and not point["consistent"]
+    assert point["diagnostics"]["visit_sum_growth"] > 1e50
 
 
 class _ReadRecorder(dict):

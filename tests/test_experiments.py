@@ -4,7 +4,7 @@ import math
 import os
 import time
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -113,8 +113,8 @@ def test_regime_scan_outside_label():
 
 
 SCAN_KERNEL = make_kernel("power_law", alpha=0.6, n_max=40)
-# the CLI's default scan at seed 1, and a small grid whose speculative
-# growth candidates include a case-2 point (1.5, -1.0) and an unresolved
+# the CLI's default scan at seed 1, and a small grid whose growth
+# candidates include a case-2 point (1.5, -1.0) and an unresolved
 # one (0.5, -0.1)
 SCANS = {
     "default": ([0.0, 1.0, 2.0], [-2.2, -1.4, -1.2, -0.35, -0.05],
@@ -158,9 +158,9 @@ def test_scan_growth_runs_in_the_helper_with_two_cpus(monkeypatch, cpus):
 
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
     monkeypatch.setattr(experiments, "_visit_sum_growth", counted)
-    rep = regime_scan(betas, hs, cfg)
-    case1 = [(p.beta, p.h) for p in rep.points if p.case == "case1"]
-    assert calls == ([] if cpus == 2 else case1)
+    regime_scan(betas, hs, cfg)
+    # with one CPU this process grows every candidate, case 1 or not
+    assert calls == ([] if cpus == 2 else _candidates(betas, hs, cfg))
 
 
 def test_scan_helper_failure_reaches_the_caller(monkeypatch):
@@ -174,16 +174,16 @@ def test_scan_helper_failure_reaches_the_caller(monkeypatch):
         os._exit(0)  # ends without its report
 
     for broken, status in ((failing, 1), (vanishing, 0)):
-        monkeypatch.setattr(experiments, "_speculative_growth", broken)
+        monkeypatch.setattr(experiments, "_visit_sum_growth", broken)
         with pytest.raises(RuntimeError, match=f"exited with status {status} without"):
             regime_scan(betas, hs, cfg)
 
 
 def test_scan_failure_stops_the_helper(monkeypatch):
-    # a refused scan is reported at once, not after the speculative growth
+    # a refused scan is reported at once, not after the helper's growth
     betas, hs, cfg = SCANS["small"]
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(experiments, "_speculative_growth", lambda *args: time.sleep(60))
+    monkeypatch.setattr(experiments, "_visit_sum_growth", lambda *args: time.sleep(60))
 
     def refused(*args):
         raise ValueError("refused")
@@ -195,17 +195,22 @@ def test_scan_failure_stops_the_helper(monkeypatch):
     assert time.perf_counter() - start < 30
 
 
-def test_speculative_growth_hides_errors_and_warnings():
-    # a candidate's error or warning becomes nan, which regime_scan recomputes
-    # in process for a case-1 point; beta 1e5 overflows W(2R) / W(R)
-    cfg = SCANS["small"][2]
-    out = np.zeros(3)
-    with warnings.catch_warnings(record=True) as shown:
-        warnings.simplefilter("always")
-        experiments._speculative_growth(cfg, [(1.5, -0.3), (1e5, -1.0), (1e200, -1.0)], out)
-    assert not shown
-    assert out[0] == experiments._visit_sum_growth(cfg, 1.5, -0.3)
-    assert np.isnan(out[1:]).all()
+@pytest.mark.parametrize("disorder", ["gaussian", "rademacher"])
+def test_visit_sum_growth_is_total(disorder):
+    # regime_scan grows points that need not be case 1, so no finite (beta, h)
+    # may raise or warn: beta 1e5 overflows W(2R) / W(R), beta > 1.3e154
+    # overflows beta ** 2, beta 1e303 overflows V to inf, h = -1e-200
+    # underflows h ** 2 to a zero divisor, and h = -1e300 sends V to -inf
+    cfg = replace(SCANS["small"][2], disorder=DisorderSpec(disorder))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        growth = {(beta, h): experiments._visit_sum_growth(cfg, beta, h)
+                  for beta, h in [(1e5, -1.0), (1e155, -1.0), (1e303, -1.0),
+                                  (1.0, -1e-200), (1.0, -1e300)]}
+    assert all(type(g) is float for g in growth.values())
+    assert growth[(1e5, -1.0)] == growth[(1e155, -1.0)] == growth[(1e303, -1.0)] == math.inf
+    assert 1e50 < growth[(1.0, -1e-200)] < math.inf
+    assert growth[(1.0, -1e300)] == 0.0
 
 
 def test_transience_check_matches_exact_escape():
