@@ -8,20 +8,17 @@ level to the series length, R = N + 1, makes the two sides equal in
 expectation at every finite N, so the Monte Carlo error is the only gap to
 account for; the geometric tail bound on S_inf - S_N is reported beside it.
 
-The regime scan checks case 1 (per-environment transience between the
-quenched curve and 0) by the growth of the scale sum W over sampled
-environments.  Only beta > 0 and -lambda(beta) < h < 0 can be case 1,
-and that set is known before the quenched search, so the growth of the
-whole set is computed: with two usable CPUs by one forked helper while
-the caller runs the search, the classification and the series verdicts,
-with one after them.  Values for points that end up in another case are
-thrown away, and the reports are the same either way.
+The regime scan runs in one process.  It certifies case 1 by a one-sided
+t-test of raw = (1/n) log z^c_n over fresh disorder rows, inside its one
+engine pass at n_gc (_point_diagnostics).  Per-environment transience at
+h < 0 needs no check: the law of large numbers sends V_n / n to
+h / E(tau_1) < 0 in every case.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,12 +26,10 @@ from ._rng import derive_seed
 from .environment import (DisorderSpec, RenewalKernel, _renewal_ends, kernel_mean,
                           log_mgf, sample_disorder, sample_environment)
 from .pinning import (BracketError, GrandCanonicalReport, _contact_rows, _lse,
-                      free_energy_estimate, grand_canonical, homogeneous_free_energy,
-                      homogeneous_series_verdict, pinned_recursions,
-                      quenched_critical_point_estimates)
-from .walk import (Potential, WalkParams, _mean_stderr, _potential_rows, _run_workers,
-                   _usable_cpus, build_potential, expected_visits_exact,
-                   simulate_visit_counts)
+                      grand_canonical, homogeneous_free_energy, homogeneous_series_verdict,
+                      pinned_recursions, quenched_critical_point_estimates)
+from .walk import (Potential, WalkParams, _mean_stderr, _potential_rows, build_potential,
+                   expected_visits_exact, simulate_visit_counts)
 
 __all__ = [
     "KeyRelationConfig",
@@ -51,7 +46,10 @@ __all__ = [
 ]
 
 TRANSIENCE_STEP_BUDGET = 10 ** 6
-GROWTH_ENVS = 8  # environments per case-1 visit-sum growth check
+CASE1_ROWS = 16  # fresh disorder rows per beta for the case-1 test
+# one-sided Student-t quantile, CASE1_ROWS - 1 degrees of freedom, at the
+# one-sided 3-sigma normal tail 0.00135, fixed before any data was seen
+CASE1_T = 3.586
 TAU_BLOCK = 25  # renewal sets per batched potential build in verify
 
 
@@ -229,84 +227,62 @@ def regime_scan(beta_grid, h_grid, cfg: ScanConfig) -> RegimeReport:
     the quenched bracket (quenched_critical_point_estimates at n_fe, crit_tol,
     every beta > 0 in one lockstep search).
 
-    case1: between the quenched bracket and 0 (walk still transient per
-    environment, renewal-averaged count diverging below the free energy);
-    case2: between the annealed curve and the bracket (quenched sums finite,
-    disorder-averaged sums diverging); case3: below the annealed curve
-    (everything finite).  Points inside the bracket are "unresolved", exact
-    ties with the annealed curve "boundary", h >= 0 "outside"; at beta = 0
-    the curves merge into "case23_merged".  `consistent` says whether the
-    quenched series verdicts on a separate n_gc-long disorder row agree
-    with the label; those at beta = 0 are exact and only recorded, and the
+    case1: between the quenched bracket and 0, where the quenched free
+    energy F is certified positive (renewal-averaged count diverging below
+    F, walk still transient per environment); a point there that the test
+    cannot certify is "unresolved".  case2: between the annealed curve and
+    the bracket (quenched sums finite, disorder-averaged sums diverging);
+    case3: below the annealed curve (everything finite).  Points inside the
+    bracket are "unresolved", exact ties with the annealed curve
+    "boundary", h >= 0 "outside"; at beta = 0 the curves merge into
+    "case23_merged".  `consistent` says whether the quenched series
+    verdicts on a separate n_gc-long disorder row per beta agree with a
+    case-2 label; those at beta = 0 are exact and only recorded, and the
     annealed ones follow from the label.  The report's `critical` list
-    holds each beta's bracket and bisection trail (or the bracket error).
-
-    Every case-1 point also gets its visit-sum growth (_visit_sum_growth),
-    computed for every point with beta > 0 and -lambda(beta) < h < 0, the
-    only points _classify can call case 1, into shared memory.  With two
-    usable CPUs a forked helper computes it while this process runs
-    everything else; with one usable CPU, or no such point, nothing is
-    forked and it runs after the search, so a refused scan fails first.
-    The report is the same either way.
+    holds each beta's bracket and bisection trail (or the bracket error
+    and the trail up to it).  The case-2 rows and the CASE1_ROWS test rows
+    of every case-1 point all run in one engine pass at n_gc.
     """
-    import mmap  # here, so importing sparsepin stays as fast as before
-
-    candidates = list(dict.fromkeys(
-        (beta, h) for beta in beta_grid if beta > 0
-        for h in h_grid if -log_mgf(cfg.disorder, beta) < h < 0))
-    workers = 2 if candidates and _usable_cpus() > 1 else 1
-    growth = np.frombuffer(mmap.mmap(-1, 8 * max(1, len(candidates))))  # no empty mmap
-
-    def run(worker: int):
-        report = _quenched_scan(beta_grid, h_grid, cfg) if worker == 0 else None
-        if worker == workers - 1:
-            for k, (beta, h) in enumerate(candidates):
-                growth[k] = _visit_sum_growth(cfg, beta, h)
-        return report
-
-    report = _run_workers(run, workers)[0]
-    growth_at = dict(zip(candidates, growth.tolist()))
-    for i, p in enumerate(report.points):
-        if p.case == "case1":
-            g = growth_at[(p.beta, p.h)]
-            p.diagnostics["visit_sum_growth"] = g
-            report.points[i] = replace(p, consistent=p.consistent and g < 0.05)
-    return report
-
-
-def _quenched_scan(beta_grid, h_grid, cfg: ScanConfig) -> RegimeReport:
-    """regime_scan without the visit-sum growth of its case-1 points."""
-    # every beta's quenched search in one lockstep multisection; only the
-    # brackets are used, so no replica spread is computed
     searches = [(beta, derive_seed(cfg.seed, "crit", i_beta))
                 for i_beta, beta in enumerate(beta_grid) if beta > 0]
     found = iter(quenched_critical_point_estimates(cfg.disorder, cfg.kernel, searches,
                                                    cfg.n_fe, 1, cfg.crit_tol))
-    critical, cases, rows = [], [], []
+    critical, cases, keys = [], [], []
     blocks = [np.empty((0, cfg.n_gc))]
     for i_beta, beta in enumerate(beta_grid):
         search = {"beta": beta, "bracket": None, "trail": [], "error": None}
         est = next(found) if beta > 0 else None
         if isinstance(est, BracketError):
-            search["error"] = str(est)
+            search.update(error=str(est), trail=est.trail)
         elif est is not None:
             search.update(bracket=est.bracket, trail=est.trail)
         critical.append(search)
         h_ann = -log_mgf(cfg.disorder, beta)
         cases.append([_classify(beta, h, h_ann, search["bracket"]) for h in h_grid])
-        omega_row = sample_disorder(cfg.disorder, cfg.n_gc,
+        labels = dict(zip(h_grid, cases[-1]))  # one entry per distinct h
+        case1 = [h for h, case in labels.items() if case == "case1"]
+        case2 = [h for h, case in labels.items() if case == "case2"]
+        if case2:  # one table per point, all on one row
+            omega = sample_disorder(cfg.disorder, cfg.n_gc,
                                     derive_seed(cfg.seed, "scan-omega", i_beta))
-        quenched = [h for h, case in zip(h_grid, cases[-1]) if case in ("case1", "case2")]
-        blocks.append(_contact_rows(omega_row, beta, quenched))
-        rows += [(i_beta, h) for h in quenched]
-    # the quenched tables of the whole grid come from one engine pass
-    tables = dict(zip(rows, pinned_recursions(np.concatenate(blocks), cfg.kernel)))
+            blocks.append(_contact_rows(omega, beta, case2))
+            keys += [(i_beta, h) for h in case2]
+        if case1:  # one table per point on each of CASE1_ROWS fresh rows
+            omegas = sample_disorder(cfg.disorder, CASE1_ROWS * cfg.n_gc,
+                                     derive_seed(cfg.seed, "scan-rows", i_beta))
+            for omega in omegas.reshape(CASE1_ROWS, cfg.n_gc):
+                blocks.append(_contact_rows(omega, beta, case1))
+                keys += [(i_beta, h) for h in case1]
+    tables: dict = {}
+    for key, table in zip(keys, pinned_recursions(np.concatenate(blocks), cfg.kernel)):
+        tables.setdefault(key, []).append(table)
     points = []
     for i_beta, (beta, search) in enumerate(zip(beta_grid, critical)):
         lam = log_mgf(cfg.disorder, beta)
         for h, case in zip(h_grid, cases[i_beta]):
-            diag, ok = _point_diagnostics(cfg, beta, h, lam, case,
-                                          tables.get((i_beta, h)), search["bracket"])
+            case, diag, ok = _point_diagnostics(cfg, beta, h, lam, case,
+                                                tables.get((i_beta, h), []),
+                                                search["bracket"])
             points.append(RegimePoint(beta=beta, h=h, h_c_annealed=-lam,
                                       bracket=search["bracket"], case=case,
                                       diagnostics=diag, consistent=ok))
@@ -335,31 +311,36 @@ def _classify(beta: float, h: float, h_ann: float, bracket) -> str:
 
 
 def _point_diagnostics(cfg: ScanConfig, beta: float, h: float, lam: float,
-                       case: str, table, bracket) -> tuple[dict, bool]:
-    """Convergence verdicts expected for the classified case, plus checks.
+                       case: str, tables, bracket) -> tuple[str, dict, bool]:
+    """The point's final label, its diagnostics and its `consistent` flag.
 
-    `table` is the point's quenched n_gc table (case1 and case2 only).
-    E Z_n is the homogeneous Z_n at h + lambda, whose series converges iff
-    e^{h+lambda} L(f) < 1: at every f >= 0 in case3, and not at half the
-    annealed free energy in case2, so the label fixes the annealed verdicts.
-    At beta = 0 the quenched table is the homogeneous one at h, so only the
-    quenched slope fits at beta > 0 can fail the check.
+    `tables` are the point's quenched n_gc tables: one per test row for
+    case1, one for case2, none otherwise.  A case-1 label stands when the
+    rows certify F > 0: log z^c is superadditive (Giacomin, Random Polymer
+    Models, 2007), so E raw_n <= F at every n, and a mean raw over
+    independent rows with mean - CASE1_T * se > 0 shows F > 0.  No finite-n
+    raw can show F = 0, so an uncertified point is "unresolved", never
+    inconsistent.  E Z_n is the homogeneous Z_n at h + lambda, whose series
+    converges iff e^{h+lambda} L(f) < 1: at every f >= 0 in case3, and not
+    at half the annealed free energy in case2, so the label fixes the
+    annealed verdicts.  At beta = 0 the quenched table is the homogeneous
+    one at h, so only the quenched slope fits of case 2 at beta > 0 can
+    fail the check.
     """
     diag: dict = {}
     expected_ok = True
     if case == "case1":
-        est = free_energy_estimate(table)
-        diag["f_hat"] = est.f_hat
-        if est.f_hat > 1e-3:
-            gc = grand_canonical(table, 0.5 * est.f_hat)
-            diag["quenched_below_f_hat"] = gc.verdict
-            expected_ok &= gc.verdict == "diverging"
-        # regime_scan adds "visit_sum_growth" and its check
+        raws = np.array([t.log_zc[t.n] / t.n for t in tables])
+        with np.errstate(invalid="ignore"):  # raw = -inf where no path ends at n
+            mean, se = _mean_stderr(raws)
+        diag = {"raw_mean": mean, "raw_se": se, "rows": len(raws)}
+        if not mean - CASE1_T * se > 0:
+            case = "unresolved"
     elif case in ("case2", "case23_merged"):
         def verdict(f):
-            if table is None:
+            if not tables:
                 return homogeneous_series_verdict(cfg.kernel, h, f)
-            return grand_canonical(table, f).verdict
+            return grand_canonical(tables[0], f).verdict
 
         diag["quenched_at_eps"] = verdict(cfg.eps_small)
         expected_ok &= diag["quenched_at_eps"] == "converged"
@@ -372,36 +353,7 @@ def _point_diagnostics(cfg: ScanConfig, beta: float, h: float, lam: float,
         if case == "case2":
             diag["annealed_free_energy"] = homogeneous_free_energy(cfg.kernel,
                                                                    h + lam).free_energy
-    return diag, expected_ok
-
-
-def _visit_sum_growth(cfg: ScanConfig, beta: float, h: float) -> float:
-    """Worst relative growth of W(2R) over W(R) across sampled environments.
-
-    The expected visit count before hitting R is exactly W(R); a stalling
-    scale sum (small growth) evidences per-environment transience without
-    trajectory simulation.  R scales like beta^2 Var(omega) E(tau)/h^2 so
-    the contact drift has beaten the disorder fluctuations by R.  The growth
-    (W(2R) - W(R)) / W(R) is one ratio of log-sums over disjoint windows of
-    V, so nothing cancels and W itself never overflows.  The check is total,
-    since regime_scan runs it on points that need not be case 1: for finite
-    beta and h it returns a float, inf where V or the ratio overflows, and
-    never raises or warns (V is no Potential, which would refuse inf).
-    """
-    params = WalkParams(beta=beta, h=h, f=0.0)
-    mean_gap = kernel_mean(cfg.kernel)
-    # products: beta ** 2 can raise OverflowError, h ** 2 underflow to 0
-    r_star = (8.0 * max(params.beta * params.beta * cfg.disorder.variance, 1.0) * mean_gap
-              / params.h / params.h)
-    r = int(min(50000, max(600, r_star)))
-    worst = 0.0
-    for e in range(GROWTH_ENVS):
-        env = sample_environment(cfg.kernel, cfg.disorder, 2 * r,
-                                 derive_seed(cfg.seed, "scan-env", beta, e))
-        (v,) = _potential_rows(env.tau[None, 1:], env.omega, params)
-        with np.errstate(over="ignore", invalid="ignore"):
-            worst = max(worst, float(np.exp(_lse(v[r : 2 * r]) - _lse(v[:r]))))
-    return worst
+    return case, diag, expected_ok
 
 
 @dataclass(frozen=True)

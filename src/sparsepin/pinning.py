@@ -62,17 +62,20 @@ GC_SLOPE_TOL = 1e-3
 CRIT_H_HI = 0.25  # first upper end tried by the quenched bisection
 _CELLS = 2 ** 18  # rows * (n + 1 + n_max) per engine call: a 2-MB log table
 _SCALE_LIMIT = 200.0  # a window sum outside e^{+-200} is rebuilt from the logs
+_STORE_LIMIT = 700.0  # nor may a stored window value leave e^{+-700}, near subnormal
 _BLOCK = 64  # sites between window renormalisations
 _LN2 = math.log(2.0)
 _MULTISECTION_LEVELS = 3  # bisection levels evaluated per batched pass
 
 
 class BracketError(RuntimeError):
-    """Bisection could not bracket the sign change of the free energy."""
+    """Bisection could not bracket the sign change of the free energy;
+    trail holds the (h, raw) pairs it decided on before it stopped."""
 
-    def __init__(self, h_lo: float, h_hi: float, message: str):
+    def __init__(self, h_lo: float, h_hi: float, message: str, trail=()):
         super().__init__(f"{message} (scanned h in [{h_lo}, {h_hi}])")
         self.scanned = (h_lo, h_hi)
+        self.trail = list(trail)
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,9 +162,12 @@ def _log_zc_rows(contact: np.ndarray, kernel: RenewalKernel) -> np.ndarray:
     row's window is scaled by a power of two to a maximum in [1/2, 1), and
     the block's logs are written at once as log(sum) + contact + scale.
     When a row's window sum leaves e^{+-_SCALE_LIMIT} (or over/underflows)
-    inside a block, the block is redone site by site from its first such
+    inside a block, or the value it would store, sum * exp(contact), leaves
+    e^{+-_STORE_LIMIT}, the block is redone site by site from its first such
     site: that row alone takes the site from its stored logs by a
-    log-sum-exp and restarts its window at the new normaliser.  A gap site,
+    log-sum-exp and restarts its window at log z^c of that site, stored as
+    1.  So no window value is stored subnormal, where the next block-start
+    renormalisation would scale its lost bits up as if exact.  A gap site,
     which no renewal path reaches, has z^c = 0 exactly in every row: it is
     set to 0 and never summed or rescued.  The reversed kernel view
     keeps matmul on numpy's own loop, which sums each row's window in a
@@ -205,11 +211,11 @@ def _log_zc_rows(contact: np.ndarray, kernel: RenewalKernel) -> np.ndarray:
                 np.matmul(wrev, windows[i], sums[i])
                 np.multiply(sums[i], gains[i], targets[i])
             log_acc = np.log(acc[:size])
-            bad = np.flatnonzero(~((np.abs(log_acc) <= _SCALE_LIMIT).all(axis=1) | gap))
+            log_new = log_acc + block  # log of the stored window value
+            bad = np.flatnonzero(~(_in_range(log_acc, log_new).all(axis=1) | gap))
             clean = int(bad[0]) if len(bad) else size
-            log_acc[:clean] += block[:clean]
-            log_acc[:clean] += scale
-            logs[:, m0 + 1 + width : m0 + 1 + width + clean] = log_acc[:clean].T
+            log_new[:clean] += scale
+            logs[:, m0 + 1 + width : m0 + 1 + width + clean] = log_new[:clean].T
             for i in range(clean, size):
                 if gap[i]:
                     continue  # its logs stay -inf
@@ -217,18 +223,27 @@ def _log_zc_rows(contact: np.ndarray, kernel: RenewalKernel) -> np.ndarray:
                 np.matmul(wrev, windows[i], sums[i])
                 np.multiply(sums[i], gains[i], targets[i])
                 log_sum = np.log(sums[i])
-                for b in np.flatnonzero(~(np.abs(log_sum) <= _SCALE_LIMIT)):
+                log_new = log_sum + block[i]
+                logs[:, m + width] = log_new + scale
+                for b in np.flatnonzero(~_in_range(log_sum, log_new)):
                     window = logs[b, m : m + width]
-                    total = float(_lse(window + log_wrev))
-                    if math.isfinite(total):
-                        base[b], shift[b], scale[b] = total, 0, total
-                        buf[i : i + width, b] = np.exp(window - total)
-                        log_sum[b], buf[width + i, b] = 0.0, gain[i, b]
+                    log_zc = float(_lse(window + log_wrev)) + block[i, b]
+                    logs[b, m + width] = log_zc
+                    if math.isfinite(log_zc):
+                        # the window restarts at log z^c_m, stored as 1
+                        base[b], shift[b], scale[b] = log_zc, 0, log_zc
+                        buf[i : i + width, b] = np.exp(window - log_zc)
+                        buf[width + i, b] = 1.0
                     else:  # log z^c_m itself is infinite
-                        log_sum[b], buf[width + i, b] = total, 0.0
-                logs[:, m + width] = log_sum + block[i] + scale
+                        buf[width + i, b] = 0.0
             buf[:width] = buf[size : size + width]
     return logs[:, width:]
+
+
+def _in_range(log_sum: np.ndarray, log_new: np.ndarray) -> np.ndarray:
+    """Where a site's scaled window sum and its stored value z^c e^{-scale}
+    are both safely inside the float range; False where either is nan."""
+    return (np.abs(log_sum) <= _SCALE_LIMIT) & (np.abs(log_new) <= _STORE_LIMIT)
 
 
 def _reachable(kernel: RenewalKernel, n: int) -> np.ndarray:
@@ -425,10 +440,11 @@ def quenched_critical_point_estimates(spec: DisorderSpec, kernel: RenewalKernel,
     independent sequences is reported as the error bar.
 
     Returns one entry per search, in order: its CriticalPointEstimate, or
-    the BracketError that ended it, which leaves the other searches running.
-    A bracket still wider than tol whose ends are adjacent floats cannot
-    narrow, and ends its search with such an error (at beta = 1e20 the
-    root is of order -1e20, where adjacent floats are 16384 or more apart).
+    the BracketError that ended it, carrying the trail so far, which leaves
+    the other searches running.  A bracket still wider than tol whose ends
+    are adjacent floats cannot narrow, and ends its search with such an
+    error (at beta = 1e20 the root is of order -1e20, where adjacent floats
+    are 16384 or more apart).
     """
     if not (tol > 0 and replicas >= 1):
         raise ValueError("need tol > 0 and replicas >= 1")
@@ -457,7 +473,8 @@ def quenched_critical_point_estimates(spec: DisorderSpec, kernel: RenewalKernel,
         lo = hs[0]
         if vals[0] > 0:
             out[i] = BracketError(lo, CRIT_H_HI,
-                                  "already localized at the annealed critical point")
+                                  "already localized at the annealed critical point",
+                                  [(lo, vals[0])])
             continue
         trail = [(lo, vals[0])]
         for h, raw in zip(hs[1:], vals[1:6]):
@@ -465,7 +482,7 @@ def quenched_critical_point_estimates(spec: DisorderSpec, kernel: RenewalKernel,
             if raw > 0:
                 break
         else:
-            out[i] = BracketError(lo, hs[-1], "no localized phase found")
+            out[i] = BracketError(lo, hs[-1], "no localized phase found", trail)
             continue
         hi = trail[-1][0]
         if hi == CRIT_H_HI:
@@ -475,7 +492,8 @@ def quenched_critical_point_estimates(spec: DisorderSpec, kernel: RenewalKernel,
         for i in todo:
             lo, hi = brackets[i]
             if 0.5 * (lo + hi) in (lo, hi):
-                out[i] = BracketError(lo, hi, "no float lies between the bracket's ends")
+                out[i] = BracketError(lo, hi, "no float lies between the bracket's ends",
+                                      trails[i])
                 del brackets[i]
         todo = [i for i in todo if i in brackets]
         mids = [_midpoints(*brackets[i], tol) for i in todo]

@@ -19,19 +19,17 @@ so the Monte Carlo side stays independent of the exact one.
 
 The chunks run on the CPUs the process may use: its affinity mask, capped
 by its cgroup's CPU quota, with at least two chunks per process.  The
-caller forks one helper per extra process (_run_workers, which `scan`
-also uses to grow its case-1 candidates beside its quenched search);
-worker j of k runs chunks c = j mod k in increasing order and writes its
-counts in place into an anonymous shared mmap, and each helper sends
-back only its first step-budget failure, as two integers over a pipe.  A
-chunk draws from its own substream whoever runs it, so the counts are
-the same for any number of workers; without fork or with one usable CPU
-nothing is forked.  Threads would be simpler but ran no faster than one
+caller forks one helper per extra process (_run_workers); worker j of k
+runs chunks c = j mod k in increasing order and writes its counts in
+place into an anonymous shared mmap, and each helper sends back only its
+first step-budget failure, as two integers over a pipe.  A chunk draws
+from its own substream whoever runs it, so the counts are the same for
+any number of workers; without fork or with one usable CPU nothing is
+forked.  Threads would be simpler but ran no faster than one
 process: the hot loop is many short numpy calls, and the GIL serialises
 the Python work between them.  V is built in one place, _potential_rows,
 for one set (build_potential) or a block of renewal sets over one
-disorder (`verify`), and a Potential with a non-finite value is refused;
-`scan`'s growth check takes the rows as they are, inf or nan included.
+disorder (`verify`), and a Potential with a non-finite value is refused.
 """
 
 from __future__ import annotations
@@ -293,11 +291,11 @@ def _cgroup_cpu_quota(root: str = "/sys/fs/cgroup") -> int | None:
 def _run_workers(run, workers: int) -> list:
     """[run(0), ..., run(workers - 1)]: run(0) here, the rest in forked helpers.
 
-    run(0)'s value is returned as is.  A helper's result must be None or a
-    pair of ints, which it writes to its pipe as two int64 words: an
-    exception would have to be pickled, and StepBudgetError's arguments do
-    not round-trip; anything larger goes through memory the caller shares
-    with the helpers, such as an anonymous mmap.  A helper never returns
+    A result must be None or a pair of ints, which a helper writes to its
+    pipe as two int64 words: an exception would have to be pickled, and
+    StepBudgetError's arguments do not round-trip; anything larger goes
+    through memory the caller shares with the helpers, such as an
+    anonymous mmap.  A helper never returns
     into the caller's stack; it leaves through os._exit, with status 1 and
     a traceback on stderr if run raised.  A helper that ends without its
     report is a RuntimeError here, never a silently missing result.  If

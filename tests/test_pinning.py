@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sparsepin.pinning
@@ -481,6 +481,13 @@ def _close_in_log(new, ref):
        n_max=st.integers(1, 12), shape=st.floats(0.05, 0.95),
        beta=st.floats(0.0, 400.0), h=st.floats(-1000.0, 1000.0),
        n=st.integers(0, 300), seed=st.integers(0, 2 ** 32 - 1))
+# window values that fell subnormal: the fast path stored sum * exp(contact)
+# below e^-700 with a sum in range, and the per-site rescue stored
+# exp(contact) itself; the next block start scaled their lost bits up
+@example(kind="dirac", n_max=5, shape=0.5, beta=211.0, h=-425.0, n=65, seed=188)
+@example(kind="power_law", n_max=3, shape=0.5, beta=116.0, h=-762.0, n=65, seed=1)
+@example(kind="dirac", n_max=7, shape=0.5, beta=362.0, h=0.0, n=70, seed=2446222008)
+@example(kind="power_law", n_max=1, shape=0.5, beta=0.0, h=-732.0, n=65, seed=0)
 def test_scaled_engine_matches_log_domain_loop(kind, n_max, shape, beta, h, n, seed):
     kern = _kernel(kind, n_max, shape)
     omega = np.random.default_rng(seed).normal(size=n)
