@@ -30,7 +30,7 @@ from .environment import (DisorderSpec, kernel_mean, make_kernel, sample_disorde
                           sample_environment)
 from .experiments import (KeyRelationConfig, ScanConfig, annealed_transience_check,
                           regime_scan, tau_mean_lower_bound, verify_key_relation)
-from .pinning import (BracketError, _contact_rows, annealed_critical_point,
+from .pinning import (BracketError, _contact_rows, _require_reachable, annealed_critical_point,
                       free_energy_estimate, grand_canonical, homogeneous_free_energy,
                       pinned_recursions, quenched_critical_point_estimate)
 from .walk import (StepBudgetError, WalkParams, _mean_stderr, build_potential,
@@ -237,6 +237,9 @@ def cmd_pinning(config: dict, outdir: Path) -> int:
     kernel = build_kernel(config)
     disorder = build_disorder(config)
     n = config["n"]
+    if config["critical"]:
+        key = "crit_n" if config["crit_n"] else "n"
+        _require_reachable(kernel, config[key], key)
     omega = sample_disorder(disorder, n, derive_seed(config["seed"], "omega"))
     (table,) = pinned_recursions(_contact_rows(omega, config["beta"], [config["h"]]), kernel)
     # refused runs must leave no output behind, so compute everything first

@@ -25,7 +25,7 @@ import numpy as np
 from ._rng import derive_seed
 from .environment import (DisorderSpec, RenewalKernel, _renewal_ends, kernel_mean,
                           log_mgf, sample_disorder, sample_environment)
-from .pinning import (BracketError, GrandCanonicalReport, _contact_rows, _lse,
+from .pinning import (BracketError, GrandCanonicalReport, _contact_rows, _lse, _require_reachable,
                       grand_canonical, homogeneous_free_energy, homogeneous_series_verdict,
                       pinned_recursions, quenched_critical_point_estimates)
 from .walk import (Potential, WalkParams, _mean_stderr, _potential_rows, build_potential,
@@ -198,6 +198,8 @@ class ScanConfig:
         if not (self.crit_tol > 0 and self.eps_small > 0
                 and min(self.n_fe, self.n_gc) >= 2):
             raise ValueError("need crit_tol > 0, eps_small > 0, n_fe >= 2 and n_gc >= 2")
+        _require_reachable(self.kernel, self.n_fe, "n_fe")
+        _require_reachable(self.kernel, self.n_gc, "n_gc")
 
 
 @dataclass(frozen=True)

@@ -265,6 +265,16 @@ def _reachable(kernel: RenewalKernel, n: int) -> np.ndarray:
     return m >= least[m % g]
 
 
+def _require_reachable(kernel: RenewalKernel, n: int, key: str) -> None:
+    """Refuse a search length n >= 0 that no renewal path reaches: z^c_n = 0
+    there, so raw = (1/n) log z^c_n is -inf at every h, and a search there
+    can only end "no localized phase found".  key names n in the error; a
+    negative n is left to the caller's range check."""
+    if n >= 0 and not _reachable(kernel, n)[n]:
+        raise ValueError(f"{key} = {n}: no renewal path of this kernel ends at site {n}, "
+                         "so log z^c_n is -inf at every h")
+
+
 def _contact_rows(omega: np.ndarray, beta: float, hs) -> np.ndarray:
     """beta * omega_m + h at every site of omega, one row per h.
 

@@ -15,21 +15,27 @@ costs a few large chunks rather than hundreds of small ones.  One uniform
 moves a walker two steps: the folded chain starts at 0, so it sits on an
 even site after every step pair, and only there can it visit 0.  The
 two-step tables are products of one-step probabilities, never values of W,
-so the Monte Carlo side stays independent of the exact one.
+so the Monte Carlo side stays independent of the exact one.  A step pair
+is one draw, one gather and one comparison per table, and one add of the
+comparisons' int8 difference to the position.
 
 The chunks run on the CPUs the process may use: its affinity mask, capped
 by its cgroup's CPU quota, with at least two chunks per process.  The
 caller forks one helper per extra process (_run_workers); worker j of k
-runs chunks c = j mod k in increasing order and writes its counts in
-place into an anonymous shared mmap, and each helper sends back only its
-first step-budget failure, as two integers over a pipe.  A chunk draws
-from its own substream whoever runs it, so the counts are the same for
-any number of workers; without fork or with one usable CPU nothing is
-forked.  Threads would be simpler but ran no faster than one
-process: the hot loop is many short numpy calls, and the GIL serialises
-the Python work between them.  V is built in one place, _potential_rows,
-for one set (build_potential) or a block of renewal sets over one
-disorder (`verify`), and a Potential with a non-finite value is refused.
+runs chunks c = j mod k two at a time in increasing order, each pair in
+lockstep in one buffer (_visits_chunks), which halves the per-call
+overhead of the shrinking tails (a lockstep of all of a worker's chunks
+ran no faster and took more memory).  Counts are written in place into
+an anonymous shared mmap, and each helper sends back only its first
+step-budget failure, as one integer over a pipe.  A chunk draws from its
+own substream whoever runs it and whichever chunk shares its buffer, so
+the counts are the same for any number of workers; without fork or with
+one usable CPU nothing is forked.  Threads would be simpler but ran no
+faster than one process: the hot loop is many short numpy calls, and the
+GIL serialises the Python work between them.  V is built in one place,
+_potential_rows, for one set (build_potential) or a block of renewal sets
+over one disorder (`verify`), and a Potential with a non-finite value is
+refused.
 """
 
 from __future__ import annotations
@@ -149,9 +155,14 @@ def step_prob(delta_v):
     is 1 to within one ulp because both branches share the denominator.
     """
     dv = np.asarray(delta_v, dtype=float)
+    # in place, so a table costs three arrays of its size: dv, e and p
+    e = np.abs(dv, out=np.empty_like(dv))
+    np.negative(e, out=e)
     with np.errstate(over="ignore"):
-        e = np.exp(-np.abs(dv))
-    p = np.where(dv >= 0, e / (1.0 + e), 1.0 / (1.0 + e))
+        np.exp(e, out=e)
+    p = np.where(dv >= 0, e, 1.0)
+    e += 1.0
+    p /= e
     if np.isscalar(delta_v) or dv.ndim == 0:
         return float(p)
     return p
@@ -233,22 +244,22 @@ def simulate_visit_counts(potentials, r: int, replicas: int, seed: int,
     counts = np.frombuffer(mmap.mmap(-1, 8 * total), dtype=np.int64)
 
     def run(worker: int):
-        """Chunks c = worker mod workers in increasing order; the first
-        budget failure as (chunk, global replica), else None."""
-        for c in range(worker, n_chunks, workers):
-            start = c * _CHUNK
-            stop = min(start + _CHUNK, total)
-            base = np.arange(start, stop) // replicas * width
+        """Chunks c = worker mod workers, two at a time in increasing order;
+        the global replica of the first budget failure, else None."""
+        mine = range(worker, n_chunks, workers)
+        for i in range(0, len(mine), 2):
             try:
-                _visits_chunk(lo, hi, base, r, counts[start:stop], rng_for(seed, "visits", c),
-                              step_budget, start, censor)
+                _visits_chunks(lo, hi, mine[i:i + 2], replicas, width, r, counts, seed,
+                               step_budget, censor)
             except StepBudgetError as err:
-                return c, err.replica
+                return err.replica
         return None
 
+    # chunks hold consecutive walkers, so the lowest failing chunk's walker
+    # is the lowest of all
     failures = [f for f in _run_workers(run, workers) if f is not None]
     if failures:
-        raise StepBudgetError(min(failures)[1], step_budget)
+        raise StepBudgetError(min(failures), step_budget)
     return counts.reshape(n_pot, replicas)
 
 
@@ -291,8 +302,8 @@ def _cgroup_cpu_quota(root: str = "/sys/fs/cgroup") -> int | None:
 def _run_workers(run, workers: int) -> list:
     """[run(0), ..., run(workers - 1)]: run(0) here, the rest in forked helpers.
 
-    A result must be None or a pair of ints, which a helper writes to its
-    pipe as two int64 words: an exception would have to be pickled, and
+    A result must be None or an int >= 0, which a helper writes to its pipe
+    as one int64 word (-1 for None): an exception would have to be pickled, and
     StepBudgetError's arguments do not round-trip; anything larger goes
     through memory the caller shares with the helpers, such as an
     anonymous mmap.  A helper never returns
@@ -312,7 +323,7 @@ def _run_workers(run, workers: int) -> list:
                 try:
                     os.close(read)
                     result = run(worker)
-                    os.write(write, np.array(result or (-1, -1), dtype=np.int64).tobytes())
+                    os.write(write, np.int64(-1 if result is None else result).tobytes())
                     status = 0
                 except BaseException:
                     import traceback
@@ -334,24 +345,28 @@ def _run_workers(run, workers: int) -> list:
                 report = pipe.read()
             reports.append((pid, report, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])))
     for pid, report, status in reports:
-        if status or len(report) != 16:
+        if status or len(report) != 8:
             raise RuntimeError(f"helper {pid} exited with status {status} "
                                "without reporting")
-        chunk, replica = np.frombuffer(report, dtype=np.int64).tolist()
-        results.append(None if chunk < 0 else (chunk, replica))
+        (value,) = np.frombuffer(report, dtype=np.int64).tolist()
+        results.append(None if value < 0 else value)
     return results
 
 
 def _up_probs(potentials, r: int) -> np.ndarray:
-    """Up-step probabilities at sites 1..R-1, one row per potential."""
+    """Up-step probabilities at sites 1..R-1, one row per potential, in one
+    step_prob pass over the stacked increments.  Increments are a fresh
+    array, so a generator of potentials keeps only one potential alive."""
     rows = []
     for pot in potentials:
         if not 1 <= r <= pot.horizon + 1:
             raise ValueError("need 1 <= R <= M+1 for every potential")
-        rows.append(step_prob(pot.increments()[: r - 1]))
+        rows.append(pot.increments()[: r - 1])
     if not rows:
         raise ValueError("need at least one potential")
-    return np.stack(rows)
+    dv = np.stack(rows)
+    del rows  # step_prob's temporaries need not sit beside the rows
+    return step_prob(dv)
 
 
 def _two_step_tables(up: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
@@ -374,63 +389,86 @@ def _two_step_tables(up: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
     return lo, 1.0 - p[:, 0::2] * p[:, 1::2]
 
 
-def _visits_chunk(lo: np.ndarray, hi: np.ndarray, base: np.ndarray, r: int,
-                  counts: np.ndarray, rng: np.random.Generator, step_budget: int,
-                  replica_offset: int, censor: bool) -> None:
-    """Synchronous vectorized evolution of one chunk of folded walkers.
+def _visits_chunks(lo: np.ndarray, hi: np.ndarray, chunks: range, replicas: int, width: int,
+                   r: int, counts: np.ndarray, seed: int, step_budget: int,
+                   censor: bool) -> None:
+    """Synchronous vectorized evolution of a few chunks of folded walkers,
+    in lockstep in one buffer.
 
     Every iteration advances each walker two steps with one uniform.  The
     chain starts at 0, so between iterations it sits on an even site 2i,
     where it can only visit 0; walker w keeps i at flat position base[w] + i
-    of the (lo, hi) rows and its visit count in counts[w].  A uniform below
-    lo steps down-down (from 2 that is a visit), one at or above hi up-up,
-    anything else back to 2i (from 0 that is the forced step up and back, a
-    visit).  Walkers that cross R march upward on sentinels until the next
+    of the (lo, hi) rows, width entries each.  A uniform below lo steps
+    down-down (from 2 that is a visit), one at or above hi up-up, anything
+    else back to 2i (from 0 that is the forced step up and back, a visit):
+    the step is the int8 difference of the two comparisons, one add.
+    Walkers that cross R march upward on sentinels until the next
     compaction sweep collects them, so the hot loop has no per-step
-    branching at all.  Compaction moves the running walkers to the front of
-    buffers allocated once per chunk (base among them), and every step
-    writes into those: fresh temporaries of ever-smaller sizes fragment the
-    heap, and the resident set then grows run after run.
+    branching at all.  A sweep counts its visits in uint8 (at most
+    _SWEEP // 2 per walker) and adds them to the int64 totals once.
+
+    The chunks' walkers lie in chunk order, each chunk a segment that draws
+    its uniforms from its own substream (seed, "visits", c) exactly as it
+    would alone, and compaction keeps the segments apart; so every count,
+    and the first walker of the lowest unfinished chunk that a StepBudgetError
+    names, equals that of a one-chunk-at-a-time run.  Counts go to
+    counts[w] for global walker w.  Compaction moves the running walkers to
+    the front of buffers allocated once per call, and every step writes into
+    those: fresh temporaries of ever-smaller sizes fragment the heap, and
+    the resident set then grows run after run.
     """
-    size = len(base)
-    pos, visits, idx = base.copy(), np.ones(size, dtype=np.int64), np.arange(size)
-    u, t_lo, t_hi = np.empty(size), np.empty(size), np.empty(size)
-    rel = np.empty(size, dtype=np.int64)
-    b_lo, b_hi = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
+    spans = [range(c * _CHUNK, min((c + 1) * _CHUNK, len(counts))) for c in chunks]
+    rngs = [rng_for(seed, "visits", c) for c in chunks]
+    idx = np.concatenate([np.arange(span.start, span.stop) for span in spans])
+    base = idx // replicas * width
+    sizes = [len(span) for span in spans]
+    size = len(idx)
+    pos, visits = base.copy(), np.ones(size, dtype=np.int64)
+    # one gather buffer for lo and hi; rel reuses it at the end of a sweep
+    u, gather = np.empty(size), np.empty(size)
+    rel = gather.view(np.int64)
+    down, up = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
+    hits = np.empty(size, dtype=np.uint8)
     n = size
     steps = 0
     while True:
-        pos_n, base_n, visits_n, u_n = pos[:n], base[:n], visits[:n], u[:n]
-        lo_n, hi_n, rel_n, b_lo_n, b_hi_n = t_lo[:n], t_hi[:n], rel[:n], b_lo[:n], b_hi[:n]
+        pos_n, base_n, u_n, g_n = pos[:n], base[:n], u[:n], gather[:n]
+        down_n, up_n, hits_n = down[:n], up[:n], hits[:n]
+        down_8, up_8 = down_n.view(np.int8), up_n.view(np.int8)
+        ends = np.cumsum(sizes)
+        draws = [(rng, u[end - k:end]) for rng, k, end in zip(rngs, sizes, ends) if k]
+        hits_n.fill(0)
         # the last sweep stops at the budget, rounded up to an even step
         for _ in range(min(_SWEEP, step_budget - steps + 1) // 2):
             steps += 2
-            rng.random(out=u_n)
+            for rng, u_k in draws:
+                rng.random(out=u_k)
             # positions never leave the table, so clipping never acts
-            lo.take(pos_n, out=lo_n, mode="clip")
-            hi.take(pos_n, out=hi_n, mode="clip")
-            pos_n += np.greater_equal(u_n, lo_n, out=b_lo_n)
-            pos_n += np.greater_equal(u_n, hi_n, out=b_hi_n)
-            pos_n -= 1
-            visits_n += np.equal(pos_n, base_n, out=b_lo_n)
+            lo.take(pos_n, out=g_n, mode="clip")
+            np.less(u_n, g_n, out=down_n)
+            hi.take(pos_n, out=g_n, mode="clip")
+            np.greater_equal(u_n, g_n, out=up_n)
+            pos_n += np.subtract(up_8, down_8, out=down_8)
+            hits_n += np.equal(pos_n, base_n, out=up_n)
+        visits[:n] += hits_n
         # a walker at 2 rel >= R hit R at time steps - (2 rel - R), which
         # must lie within the budget; only an odd budget's last sweep passes it
         need = (r + max(0, steps - step_budget) + 1) // 2
-        absorbed = np.greater_equal(np.subtract(pos_n, base_n, out=rel_n), need, out=b_hi_n)
+        absorbed = np.greater_equal(np.subtract(pos_n, base_n, out=rel[:n]), need, out=up_n)
         if absorbed.any():
-            counts[idx[:n][absorbed]] = visits_n[absorbed]
-            keep = np.logical_not(absorbed, out=b_lo_n)
-            alive = int(np.count_nonzero(keep))
+            counts[idx[:n][absorbed]] = visits[:n][absorbed]
+            keep = np.logical_not(absorbed, out=down_n)
+            sizes = [int(np.count_nonzero(keep[end - k:end])) for k, end in zip(sizes, ends)]
             for buf in (pos, base, visits, idx):
-                buf[:alive] = buf[:n][keep]
-            n = alive
+                buf[:sum(sizes)] = buf[:n][keep]
+            n = sum(sizes)
             if not n:
                 return
         if steps >= step_budget:
             if censor:
                 counts[idx[:n]] = -1
                 return
-            raise StepBudgetError(int(replica_offset + idx[0]), step_budget)
+            raise StepBudgetError(int(idx[0]), step_budget)
 
 
 def _mean_stderr(x: np.ndarray) -> tuple[float, float]:

@@ -210,6 +210,8 @@ def test_refused_walk_leaves_outdir_empty(tmp_path):
     ("pinning", "--n", "100", "--critical", "--beta", "1e200"),
     ("pinning", "--n", "100", "--critical", "--crit-replicas", "0"),
     ("pinning", "--n", "100", "--critical", "--crit-replicas", "-3"),
+    ("pinning", "--n", "-5", "--critical"),
+    ("pinning", "--n", "100", "--critical", "--crit-n", "-3"),
     ("scan", "--transience", "--h=-1", "--trans-walks", "1"),
     ("scan", "--eps-small", "-1"),
     ("scan", "--crit-tol", "0"),
@@ -223,6 +225,21 @@ def test_refused_runs_leave_outdir_empty(tmp_path, monkeypatch, args):
     monkeypatch.setattr(cli, "regime_scan", no_scan)
     assert run(tmp_path, *args) == EXIT_CONFIG
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("args, key", [
+    (("scan", "--n-fe", "3000", "--n-gc", "1000"), "n_gc"),
+    (("scan", "--n-fe", "3001"), "n_fe"),
+    (("pinning", "--critical", "--beta", "1", "--h=-0.5", "--n", "3001"), "n"),
+    (("pinning", "--critical", "--n", "300", "--crit-n", "301"), "crit_n"),
+])
+def test_unreachable_search_length_is_refused(tmp_path, capsys, args, key):
+    # a dirac step-3 kernel ends renewal paths only at multiples of 3, so at
+    # any other length raw = log z^c_n / n is -inf at every h: scan used to
+    # report raw_mean -inf or "no localized phase found", pinning exit 1
+    assert run(tmp_path, *args, "--kernel", "dirac", "--step", "3") == EXIT_CONFIG
+    assert not any(tmp_path.iterdir())
+    assert f"config error: {key} = " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["pinning", "verify"])

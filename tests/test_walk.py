@@ -287,33 +287,48 @@ def _reference_visit_counts(potential, r, replicas, seed):
     return counts
 
 
-def _two_step_reference_counts(potential, r, replicas, seed):
-    """Per-potential two-step loop on sites: one uniform per step pair,
-    chunks of 8192, sweeps of 16 pairs."""
-    counts = np.ones(replicas, dtype=np.int64)
+def _two_step_reference_counts(potentials, r, replicas, seed, step_budget=None,
+                               censor=False):
+    """One-chunk-at-a-time two-step loop on sites over stacked per-potential
+    tables: one uniform per step pair, chunks of 8192 walkers ordered by
+    potential, then replica, chunk c on (seed, "visits", c), sweeps of 16
+    pairs.  An even step budget ends the last sweep at the budget; walkers
+    still running then count -1 with censor, else the first of them is
+    named by StepBudgetError."""
+    assert step_budget is None or step_budget % 2 == 0
+    total = len(potentials) * replicas
+    counts = np.ones(total, dtype=np.int64)
     if r == 1:
-        return counts
-    p = np.ones(r + 40)
-    p[1:r] = step_prob(potential.increments()[: r - 1])
+        return counts.reshape(len(potentials), replicas)
+    p = np.ones((len(potentials), r + 40))
+    p[:, 1:r] = [step_prob(pot.increments()[: r - 1]) for pot in potentials]
     q = 1.0 - p
-    for c, start in enumerate(range(0, replicas, 8192)):
+    for c, start in enumerate(range(0, total, 8192)):
         rng = rng_for(seed, "visits", c)
-        size = min(8192, replicas - start)
-        pos = np.zeros(size, dtype=np.int64)
-        visits = np.ones(size, dtype=np.int64)
-        idx = np.arange(start, start + size)
+        idx = np.arange(start, min(start + 8192, total))
+        row, pos = idx // replicas, np.zeros(len(idx), dtype=np.int64)
+        visits = np.ones(len(idx), dtype=np.int64)
+        steps = 0
         while len(pos):
-            for _ in range(16):
+            pairs = 16 if step_budget is None else min(16, (step_budget - steps) // 2)
+            for _ in range(pairs):
+                steps += 2
                 u = rng.random(len(pos))
                 # q[-1] at site 0 reads a sentinel; q_0 = 0 decides anyway
-                down_down = u < q[pos] * q[pos - 1]
-                up_up = u >= 1.0 - p[pos] * p[pos + 1]
+                down_down = u < q[row, pos] * q[row, pos - 1]
+                up_up = u >= 1.0 - p[row, pos] * p[row, pos + 1]
                 pos += 2 * up_up - 2 * down_down
                 visits += pos == 0
             absorbed = pos >= r
             counts[idx[absorbed]] = visits[absorbed]
-            pos, visits, idx = pos[~absorbed], visits[~absorbed], idx[~absorbed]
-    return counts
+            keep = ~absorbed
+            idx, row, pos, visits = idx[keep], row[keep], pos[keep], visits[keep]
+            if len(idx) and step_budget is not None and steps >= step_budget:
+                if not censor:
+                    raise StepBudgetError(int(idx[0]), step_budget)
+                counts[idx] = -1
+                break
+    return counts.reshape(len(potentials), replicas)
 
 
 @pytest.mark.parametrize("replicas", [1, 8191, 8192, 20000])
@@ -322,7 +337,42 @@ def test_batch_of_one_matches_per_potential_walk(replicas, r):
     pot = drifted(0.3, 40)
     batch = simulate_visit_counts([pot], r, replicas, seed=12)
     assert batch.shape == (1, replicas)
-    assert np.array_equal(batch[0], _two_step_reference_counts(pot, r, replicas, seed=12))
+    assert np.array_equal(batch[0], _two_step_reference_counts([pot], r, replicas, seed=12)[0])
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_batch_matches_one_chunk_at_a_time(monkeypatch, workers):
+    # 7 x 5000 walkers make five chunks of very different lifetimes (chunk 0
+    # is mostly fast walkers, chunk 1 ends in trapped ones): two workers run
+    # chunks (0, 2) as a lockstep pair and then 4 alone, three run (0, 3),
+    # (1, 4) and 2 alone.  Without the trapped row, six rows make four chunks
+    monkeypatch.setattr(sparsepin.walk, "_worker_count", lambda n: workers)
+    pots = [fast(40), flat(40), drifted(0.3, 40), trap(40), drifted(0.6, 40), fast(40),
+            flat(40)]
+    free = pots[:3] + pots[4:]
+    assert np.array_equal(simulate_visit_counts(free, 25, 5000, seed=17),
+                          _two_step_reference_counts(free, 25, 5000, seed=17))
+    censored = simulate_visit_counts(pots, 25, 5000, seed=17, step_budget=1000, censor=True)
+    assert np.array_equal(censored, _two_step_reference_counts(pots, 25, 5000, seed=17,
+                                                               step_budget=1000, censor=True))
+    assert np.all(censored[3] == -1) and np.any(censored[1] == -1)
+    # with one worker, chunks 0 and 1 share a lockstep pair and both exhaust
+    # the budget; the error names chunk 0's first trapped walker
+    monkeypatch.setattr(sparsepin.walk, "_worker_count", lambda n: 1)
+    trapped = [fast(40), trap(40), trap(40), fast(40)]
+    for walk in (simulate_visit_counts, _two_step_reference_counts):
+        with pytest.raises(StepBudgetError) as err:
+            walk(trapped, 25, 5000, seed=14, step_budget=64)
+        assert err.value.replica == 5000
+
+
+def test_sweep_visit_counter_does_not_wrap():
+    # gently uphill: W(30) is about 68, and the most frequent walkers of
+    # 20000 return to 0 several hundred times, past a uint8's range
+    pot = Potential(values=0.05 * np.arange(41.0))
+    counts = simulate_visit_counts([pot], 30, 20000, seed=18)
+    assert counts.max() > 255
+    assert np.array_equal(counts, _two_step_reference_counts([pot], 30, 20000, seed=18))
 
 
 def _chi2_sf(stat, dof):
@@ -426,7 +476,7 @@ def test_counts_do_not_depend_on_worker_count(monkeypatch, workers):
 
 
 def test_helper_failure_reaches_the_parent(monkeypatch):
-    parent, chunk = os.getpid(), sparsepin.walk._visits_chunk
+    parent, chunk = os.getpid(), sparsepin.walk._visits_chunks
     monkeypatch.setattr(sparsepin.walk, "_worker_count", lambda n: 2)
     pots = [flat(20)] * 3
 
@@ -441,7 +491,7 @@ def test_helper_failure_reaches_the_parent(monkeypatch):
         chunk(*args)
 
     for broken, status in ((failing, 1), (vanishing, 0)):
-        monkeypatch.setattr(sparsepin.walk, "_visits_chunk", broken)
+        monkeypatch.setattr(sparsepin.walk, "_visits_chunks", broken)
         with pytest.raises(RuntimeError, match=f"exited with status {status} without"):
             simulate_visit_counts(pots, 10, 5000, seed=16)
 
