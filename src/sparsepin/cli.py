@@ -25,16 +25,19 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
+
 from ._rng import derive_seed
 from .environment import (DisorderSpec, kernel_mean, make_kernel, sample_disorder,
                           sample_environment)
 from .experiments import (KeyRelationConfig, ScanConfig, annealed_transience_check,
                           regime_scan, tau_mean_lower_bound, verify_key_relation)
-from .pinning import (BracketError, _contact_rows, _require_reachable, annealed_critical_point,
-                      free_energy_estimate, grand_canonical, homogeneous_free_energy,
-                      pinned_recursions, quenched_critical_point_estimate)
-from .walk import (StepBudgetError, WalkParams, _mean_stderr, build_potential,
-                   expected_visits_exact, simulate_visit_counts, step_prob)
+from .pinning import (BracketError, _contact_rows, _fresh_rows, _mean_stderr,
+                      _require_reachable, annealed_critical_point, free_energy_estimate,
+                      grand_canonical, homogeneous_free_energy, pinned_recursions,
+                      quenched_critical_point_estimate)
+from .walk import (StepBudgetError, WalkParams, build_potential, expected_visits_exact,
+                   simulate_visit_counts, step_prob)
 
 SCHEMA_VERSION = 1
 
@@ -77,8 +80,7 @@ _SCHEMAS = {
     "walk": {**_COMMON, **_ENERGY, "f": (float, 0.0), "horizon": (int, 50),
              "r": (int, 0), "replicas": (int, 10000), "step_budget": (int, 10 ** 8)},
     "pinning": {**_COMMON, **_ENERGY, "n": (int, 2000), "gc_f": (float, None),
-                "critical": (bool, False), "crit_tol": (float, 0.02),
-                "crit_replicas": (int, 3), "crit_n": (int, 0)},
+                "critical": (bool, False), "crit_tol": (float, 0.02), "crit_n": (int, 0)},
     "verify": {**_COMMON, "beta": (float, 1.0), "h": (float, -1.0),
                "f": (float, 0.3), "n_tau": (int, 200),
                "walk_replicas": (int, 500), "n_series": (int, 0)},
@@ -236,28 +238,33 @@ def cmd_walk(config: dict, outdir: Path) -> int:
 def cmd_pinning(config: dict, outdir: Path) -> int:
     kernel = build_kernel(config)
     disorder = build_disorder(config)
-    n = config["n"]
-    if config["critical"]:
-        key = "crit_n" if config["crit_n"] else "n"
-        _require_reachable(kernel, config[key], key)
-    omega = sample_disorder(disorder, n, derive_seed(config["seed"], "omega"))
-    (table,) = pinned_recursions(_contact_rows(omega, config["beta"], [config["h"]]), kernel)
+    beta, h, n, seed = config["beta"], config["h"], config["n"], config["seed"]
+    _require_reachable(kernel, n, "n")
+    if config["critical"] and config["crit_n"]:
+        _require_reachable(kernel, config["crit_n"], "crit_n")
+    omega = sample_disorder(disorder, n, derive_seed(seed, "omega"))
+    # the seeded row of partition.csv and the estimate's fresh rows, in one engine call
+    table, *fresh = pinned_recursions(np.concatenate(
+        [_contact_rows(omega, beta, [h]),
+         *_fresh_rows(disorder, n, beta, [h], derive_seed(seed, "fe-rows"))]), kernel)
     # refused runs must leave no output behind, so compute everything first
     payload = {
-        "free_energy": asdict(free_energy_estimate(table)),
-        "homogeneous": asdict(homogeneous_free_energy(kernel, config["h"])),
+        "free_energy": asdict(free_energy_estimate(fresh)),
+        "homogeneous": asdict(homogeneous_free_energy(kernel, h)),
         "critical_points": {
-            "annealed": annealed_critical_point(disorder, config["beta"]),
+            "annealed": annealed_critical_point(disorder, beta),
         },
     }
     if config["gc_f"] is not None:
         payload["grand_canonical"] = asdict(grand_canonical(table, config["gc_f"]))
     if config["critical"]:
-        est = quenched_critical_point_estimate(
-            disorder, kernel, config["beta"], config["crit_n"] or n,
-            config["crit_replicas"], config["crit_tol"],
-            seed=derive_seed(config["seed"], "critical"))
-        payload["critical_points"]["quenched"] = asdict(est)
+        est = quenched_critical_point_estimate(disorder, kernel, beta, config["crit_n"] or n,
+                                               config["crit_tol"],
+                                               seed=derive_seed(seed, "critical"))
+        rows = _fresh_rows(disorder, est.n, beta, [est.h_hat], derive_seed(seed, "crit-rows"))
+        at_root = free_energy_estimate(pinned_recursions(np.concatenate(rows), kernel))
+        payload["critical_points"]["quenched"] = dict(
+            asdict(est), raw_mean=at_root.raw_mean, raw_se=at_root.raw_se, rows=at_root.rows)
     write_csv(outdir / "partition.csv", ["n", "log_zc", "log_z"],
               [(m, float(table.log_zc[m]), float(table.log_z[m]))
                for m in range(n + 1)])

@@ -9,9 +9,9 @@ expectation at every finite N, so the Monte Carlo error is the only gap to
 account for; the geometric tail bound on S_inf - S_N is reported beside it.
 
 The regime scan runs in one process.  It certifies case 1 by a one-sided
-t-test of raw = (1/n) log z^c_n over fresh disorder rows, inside its one
-engine pass at n_gc (_point_diagnostics).  Per-environment transience at
-h < 0 needs no check: the law of large numbers sends V_n / n to
+t-test of pinning.free_energy_estimate over fresh disorder rows, inside its
+one engine pass at n_gc (_point_diagnostics).  Per-environment transience
+at h < 0 needs no check: the law of large numbers sends V_n / n to
 h / E(tau_1) < 0 in every case.
 """
 
@@ -25,10 +25,11 @@ import numpy as np
 from ._rng import derive_seed
 from .environment import (DisorderSpec, RenewalKernel, _renewal_ends, kernel_mean,
                           log_mgf, sample_disorder, sample_environment)
-from .pinning import (BracketError, GrandCanonicalReport, _contact_rows, _lse, _require_reachable,
-                      grand_canonical, homogeneous_free_energy, homogeneous_series_verdict,
-                      pinned_recursions, quenched_critical_point_estimates)
-from .walk import (Potential, WalkParams, _mean_stderr, _potential_rows, build_potential,
+from .pinning import (BracketError, GrandCanonicalReport, _contact_rows, _fresh_rows, _lse,
+                      _mean_stderr, _require_reachable, free_energy_estimate, grand_canonical,
+                      homogeneous_free_energy, homogeneous_series_verdict, pinned_recursions,
+                      quenched_critical_point_estimates)
+from .walk import (Potential, WalkParams, _potential_rows, build_potential,
                    expected_visits_exact, simulate_visit_counts)
 
 __all__ = [
@@ -46,9 +47,8 @@ __all__ = [
 ]
 
 TRANSIENCE_STEP_BUDGET = 10 ** 6
-CASE1_ROWS = 16  # fresh disorder rows per beta for the case-1 test
-# one-sided Student-t quantile, CASE1_ROWS - 1 degrees of freedom, at the
-# one-sided 3-sigma normal tail 0.00135, fixed before any data was seen
+# one-sided Student-t quantile, pinning.FE_ROWS - 1 degrees of freedom, at
+# the one-sided 3-sigma normal tail 0.00135, fixed before any data was seen
 CASE1_T = 3.586
 TAU_BLOCK = 25  # renewal sets per batched potential build in verify
 
@@ -242,13 +242,13 @@ def regime_scan(beta_grid, h_grid, cfg: ScanConfig) -> RegimeReport:
     case-2 label; those at beta = 0 are exact and only recorded, and the
     annealed ones follow from the label.  The report's `critical` list
     holds each beta's bracket and bisection trail (or the bracket error
-    and the trail up to it).  The case-2 rows and the CASE1_ROWS test rows
+    and the trail up to it).  The case-2 rows and the FE_ROWS test rows
     of every case-1 point all run in one engine pass at n_gc.
     """
     searches = [(beta, derive_seed(cfg.seed, "crit", i_beta))
                 for i_beta, beta in enumerate(beta_grid) if beta > 0]
     found = iter(quenched_critical_point_estimates(cfg.disorder, cfg.kernel, searches,
-                                                   cfg.n_fe, 1, cfg.crit_tol))
+                                                   cfg.n_fe, cfg.crit_tol))
     critical, cases, keys = [], [], []
     blocks = [np.empty((0, cfg.n_gc))]
     for i_beta, beta in enumerate(beta_grid):
@@ -269,12 +269,11 @@ def regime_scan(beta_grid, h_grid, cfg: ScanConfig) -> RegimeReport:
                                     derive_seed(cfg.seed, "scan-omega", i_beta))
             blocks.append(_contact_rows(omega, beta, case2))
             keys += [(i_beta, h) for h in case2]
-        if case1:  # one table per point on each of CASE1_ROWS fresh rows
-            omegas = sample_disorder(cfg.disorder, CASE1_ROWS * cfg.n_gc,
-                                     derive_seed(cfg.seed, "scan-rows", i_beta))
-            for omega in omegas.reshape(CASE1_ROWS, cfg.n_gc):
-                blocks.append(_contact_rows(omega, beta, case1))
-                keys += [(i_beta, h) for h in case1]
+        if case1:  # one table per point on each fresh row
+            rows = _fresh_rows(cfg.disorder, cfg.n_gc, beta, case1,
+                               derive_seed(cfg.seed, "scan-rows", i_beta))
+            blocks += rows
+            keys += [(i_beta, h) for _ in rows for h in case1]
     tables: dict = {}
     for key, table in zip(keys, pinned_recursions(np.concatenate(blocks), cfg.kernel)):
         tables.setdefault(key, []).append(table)
@@ -318,10 +317,9 @@ def _point_diagnostics(cfg: ScanConfig, beta: float, h: float, lam: float,
 
     `tables` are the point's quenched n_gc tables: one per test row for
     case1, one for case2, none otherwise.  A case-1 label stands when the
-    rows certify F > 0: log z^c is superadditive (Giacomin, Random Polymer
-    Models, 2007), so E raw_n <= F at every n, and a mean raw over
-    independent rows with mean - CASE1_T * se > 0 shows F > 0.  No finite-n
-    raw can show F = 0, so an uncertified point is "unresolved", never
+    rows certify F > 0: E raw_n <= F at every n (see FreeEnergyEstimate),
+    so raw_mean - CASE1_T * raw_se > 0 shows F > 0.  No finite-n raw can
+    show F = 0, so an uncertified point is "unresolved", never
     inconsistent.  E Z_n is the homogeneous Z_n at h + lambda, whose series
     converges iff e^{h+lambda} L(f) < 1: at every f >= 0 in case3, and not
     at half the annealed free energy in case2, so the label fixes the
@@ -332,11 +330,9 @@ def _point_diagnostics(cfg: ScanConfig, beta: float, h: float, lam: float,
     diag: dict = {}
     expected_ok = True
     if case == "case1":
-        raws = np.array([t.log_zc[t.n] / t.n for t in tables])
-        with np.errstate(invalid="ignore"):  # raw = -inf where no path ends at n
-            mean, se = _mean_stderr(raws)
-        diag = {"raw_mean": mean, "raw_se": se, "rows": len(raws)}
-        if not mean - CASE1_T * se > 0:
+        est = free_energy_estimate(tables)
+        diag = {"raw_mean": est.raw_mean, "raw_se": est.raw_se, "rows": est.rows}
+        if not est.raw_mean - CASE1_T * est.raw_se > 0:
             case = "unresolved"
     elif case in ("case2", "case23_merged"):
         def verdict(f):

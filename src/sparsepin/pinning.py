@@ -23,6 +23,9 @@ single row, so the quenched critical-point search runs in lockstep: each
 multisection pass is one engine call for every unfinished (beta, seed)
 search, and the first pass also evaluates the first bisection levels below
 CRIT_H_HI on speculation.
+One estimate serves every finite-n free energy (`pinning`, `pinning
+--critical`, scan's case-1 test): the mean and standard error of
+raw = (1/n) log z^c_n over the FE_ROWS fresh disorder rows of _fresh_rows.
 Z_0 = 1 is the empty-product convention: it makes the grand-canonical sum
 sum_n Z_n e^{-fn} equal, term by term, the renewal-averaged expected visit
 count of the walk, time-0 visit included.
@@ -59,6 +62,7 @@ __all__ = [
 ]
 
 GC_SLOPE_TOL = 1e-3
+FE_ROWS = 16  # fresh disorder rows per free-energy estimate
 CRIT_H_HI = 0.25  # first upper end tried by the quenched bisection
 _CELLS = 2 ** 18  # rows * (n + 1 + n_max) per engine call: a 2-MB log table
 _SCALE_LIMIT = 200.0  # a window sum outside e^{+-200} is rebuilt from the logs
@@ -119,28 +123,37 @@ class HomogeneousSolution:
 
 @dataclass(frozen=True)
 class FreeEnergyEstimate:
-    """(1/n) log z^c_n clamped at 0, with a convergence diagnostic.
+    """Mean and standard error of raw = (1/n) log z^c_n over `rows`
+    independent disorder rows, and f_hat = max(0, raw_mean).
 
-    window_spread is the max-min of (1/m) log z^c_m over m in [n/2, n]; the
-    raw (unclamped) value is kept for the f_hat >= -spread sanity check.
+    log z^c is superadditive (Giacomin, Random Polymer Models, 2007), so
+    E raw_n <= F at every n: raw_mean estimates F from below, and raw_se is
+    its error bar.
     """
 
     f_hat: float
-    window_spread: float
-    raw: float
+    raw_mean: float
+    raw_se: float
+    rows: int
 
 
 @dataclass(frozen=True)
 class CriticalPointEstimate:
     """Bisection output: bracket (lo, hi) with raw(lo) <= 0 < raw(hi), its
-    midpoint h_hat, the max-min of raw at h_hat across replicas, and the
-    trail of (h, raw) pairs the bisection decided on, start ends included."""
+    midpoint h_hat, and the trail of (h, raw) pairs the bisection decided
+    on, start ends included."""
 
     h_hat: float
     bracket: tuple[float, float]
-    replica_spread: float
     n: int
     trail: list = field(default_factory=list)
+
+
+def _mean_stderr(x: np.ndarray) -> tuple[float, float]:
+    """Sample mean and standard error of the mean; nan where x is too short."""
+    mean = float(np.mean(x)) if len(x) else math.nan
+    stderr = float(np.std(x, ddof=1) / math.sqrt(len(x))) if len(x) > 1 else math.nan
+    return mean, stderr
 
 
 def _lse(a: np.ndarray) -> np.ndarray:
@@ -266,10 +279,10 @@ def _reachable(kernel: RenewalKernel, n: int) -> np.ndarray:
 
 
 def _require_reachable(kernel: RenewalKernel, n: int, key: str) -> None:
-    """Refuse a search length n >= 0 that no renewal path reaches: z^c_n = 0
-    there, so raw = (1/n) log z^c_n is -inf at every h, and a search there
-    can only end "no localized phase found".  key names n in the error; a
-    negative n is left to the caller's range check."""
+    """Refuse a length n >= 0 that no renewal path reaches: z^c_n = 0 there,
+    so raw = (1/n) log z^c_n is -inf at every h, which no estimate or search
+    can use.  key names n in the error; a negative n is left to the caller's
+    range check."""
     if n >= 0 and not _reachable(kernel, n)[n]:
         raise ValueError(f"{key} = {n}: no renewal path of this kernel ends at site {n}, "
                          "so log z^c_n is -inf at every h")
@@ -283,6 +296,13 @@ def _contact_rows(omega: np.ndarray, beta: float, hs) -> np.ndarray:
     """
     with np.errstate(over="ignore"):
         return beta * omega + np.asarray(hs, dtype=float)[:, None]
+
+
+def _fresh_rows(spec: DisorderSpec, n: int, beta: float, hs, seed: int) -> list[np.ndarray]:
+    """FE_ROWS disorder rows of length n, drawn as one array from seed, as
+    one contact block per row, one contact row per h."""
+    omegas = sample_disorder(spec, FE_ROWS * n, seed)
+    return [_contact_rows(omega, beta, hs) for omega in omegas.reshape(FE_ROWS, n)]
 
 
 def pinned_recursions(contact, kernel: RenewalKernel) -> list[PartitionTable]:
@@ -361,17 +381,19 @@ def _tail_verdict(log_terms: np.ndarray, w: int) -> tuple[float, str, float | No
     return float(slope), "diverging" if slope > GC_SLOPE_TOL else "inconclusive", None
 
 
-def free_energy_estimate(table: PartitionTable) -> FreeEnergyEstimate:
-    """f_hat = max(0, (1/n) log z^c_n) plus the trailing-window spread."""
-    n = table.n
-    if n < 2:
+def free_energy_estimate(tables) -> FreeEnergyEstimate:
+    """The FreeEnergyEstimate of a list of tables of length n, one per
+    independent disorder row, such as the FE_ROWS rows of _fresh_rows."""
+    if not tables or tables[0].n < 2:
         raise ValueError("free energy estimation needs n >= 2")
-    raw = float(table.log_zc[n] / n)
-    ms = np.arange(max(1, n // 2), n + 1)
-    vals = table.log_zc[ms] / ms
-    return FreeEnergyEstimate(f_hat=max(0.0, raw),
-                              window_spread=float(vals.max() - vals.min()),
-                              raw=raw)
+    raws = np.array([t.log_zc[t.n] / t.n for t in tables])
+    # raws beyond 2^500 (beta near 1e150) are scaled by an exact power of
+    # two, so that their squares stay finite
+    scale = 2.0 ** max(0, int(np.frexp(np.abs(raws).max())[1]) - 500)
+    with np.errstate(invalid="ignore"):  # raw = -inf where no path ends at n
+        mean, se = _mean_stderr(raws / scale)
+    return FreeEnergyEstimate(f_hat=max(0.0, mean * scale), raw_mean=mean * scale,
+                              raw_se=se * scale, rows=len(tables))
 
 
 def _kernel_laplace(kernel: RenewalKernel, f: float) -> float:
@@ -419,20 +441,18 @@ def annealed_critical_point(spec: DisorderSpec, beta: float) -> float:
 
 
 def quenched_critical_point_estimate(spec: DisorderSpec, kernel: RenewalKernel,
-                                     beta: float, n: int, replicas: int,
-                                     tol: float, seed: int = 0) -> CriticalPointEstimate:
+                                     beta: float, n: int, tol: float,
+                                     seed: int = 0) -> CriticalPointEstimate:
     """The quenched search of quenched_critical_point_estimates for one
     (beta, seed); raises its BracketError."""
-    (est,) = quenched_critical_point_estimates(spec, kernel, [(beta, seed)], n,
-                                               replicas, tol)
+    (est,) = quenched_critical_point_estimates(spec, kernel, [(beta, seed)], n, tol)
     if isinstance(est, BracketError):
         raise est
     return est
 
 
 def quenched_critical_point_estimates(spec: DisorderSpec, kernel: RenewalKernel,
-                                      searches, n: int, replicas: int,
-                                      tol: float) -> list:
+                                      searches, n: int, tol: float) -> list:
     """Bisect h for the sign change of raw = (1/n) log z^c_n on one disorder
     draw, for each (beta, seed) of `searches`.
 
@@ -446,8 +466,7 @@ def quenched_critical_point_estimates(spec: DisorderSpec, kernel: RenewalKernel,
     first pass evaluates the six start ends and, on speculation, the
     midpoints below CRIT_H_HI; they are dropped when a higher upper end
     wins.  So each bracket and trail is the one the one-h-at-a-time
-    bisection gives.  The spread of raw at the midpoint across `replicas`
-    independent sequences is reported as the error bar.
+    bisection gives.
 
     Returns one entry per search, in order: its CriticalPointEstimate, or
     the BracketError that ended it, carrying the trail so far, which leaves
@@ -456,13 +475,10 @@ def quenched_critical_point_estimates(spec: DisorderSpec, kernel: RenewalKernel,
     error (at beta = 1e20 the root is of order -1e20, where adjacent floats
     are 16384 or more apart).
     """
-    if not (tol > 0 and replicas >= 1):
-        raise ValueError("need tol > 0 and replicas >= 1")
+    if not tol > 0:
+        raise ValueError("need tol > 0")
     if n < 2:
         raise ValueError("free energy estimation needs n >= 2")
-
-    def omega(seed, r):
-        return sample_disorder(spec, n, derive_seed(seed, "crit-omega", r))
 
     def raws(blocks):
         """raw at each row of each contact block, one engine pass for all."""
@@ -471,7 +487,8 @@ def quenched_critical_point_estimates(spec: DisorderSpec, kernel: RenewalKernel,
         tables = iter(pinned_recursions(np.concatenate(blocks), kernel))
         return [[float(next(tables).log_zc[n] / n) for _ in block] for block in blocks]
 
-    draws = [omega(seed, 0) for _, seed in searches]
+    draws = [sample_disorder(spec, n, derive_seed(seed, "crit-omega", 0))
+             for _, seed in searches]
     starts = [[annealed_critical_point(spec, beta)] + [CRIT_H_HI + 0.5 * i for i in range(5)]
               for beta, _ in searches]
     speculative = [_midpoints(hs[0], CRIT_H_HI, tol) for hs in starts]
@@ -511,17 +528,8 @@ def quenched_critical_point_estimates(spec: DisorderSpec, kernel: RenewalKernel,
                      for i, hs in zip(todo, mids)])
         for i, hs, v in zip(todo, mids, vals):
             brackets[i] = _descend(*brackets[i], dict(zip(hs, v)), trails[i], tol)
-    h_hats = {i: 0.5 * (lo + hi) for i, (lo, hi) in brackets.items()}
-    spreads = [[0.0]] * len(h_hats)
-    if replicas > 1:
-        # one row per disorder draw
-        spreads = raws([np.concatenate([_contact_rows(omega(searches[i][1], r),
-                                                      searches[i][0], [h_hat])
-                                        for r in range(replicas)])
-                        for i, h_hat in h_hats.items()])
-    for (i, h_hat), vals in zip(h_hats.items(), spreads):
-        out[i] = CriticalPointEstimate(h_hat=h_hat, bracket=brackets[i],
-                                       replica_spread=float(max(vals) - min(vals)), n=n,
+    for i, (lo, hi) in brackets.items():
+        out[i] = CriticalPointEstimate(h_hat=0.5 * (lo + hi), bracket=(lo, hi), n=n,
                                        trail=trails[i])
     return out
 

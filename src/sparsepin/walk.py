@@ -26,8 +26,8 @@ runs chunks c = j mod k two at a time in increasing order, each pair in
 lockstep in one buffer (_visits_chunks), which halves the per-call
 overhead of the shrinking tails (a lockstep of all of a worker's chunks
 ran no faster and took more memory).  Counts are written in place into
-an anonymous shared mmap, and each helper sends back only its first
-step-budget failure, as one integer over a pipe.  A chunk draws from its
+an anonymous shared mmap, and each worker writes its first step-budget
+failure into its own slot after them.  A chunk draws from its
 own substream whoever runs it and whichever chunk shares its buffer, so
 the counts are the same for any number of workers; without fork or with
 one usable CPU nothing is forked.  Threads would be simpler but ran no
@@ -66,6 +66,7 @@ DEFAULT_STEP_BUDGET = 10 ** 8
 _CHUNK = 8192
 _SWEEP = 32  # steps between compaction sweeps
 _MIN_CHUNKS = 2  # chunks per process below which forking a helper does not pay
+_UNREPORTED = -2  # a worker's report slot until it reports; -1 reports no failure
 
 
 class StepBudgetError(RuntimeError):
@@ -240,12 +241,15 @@ def simulate_visit_counts(potentials, r: int, replicas: int, seed: int,
     lo, hi = lo.ravel(), hi.ravel()
     n_chunks = -(-total // _CHUNK)
     workers = _worker_count(n_chunks)
-    # shared with the forked helpers, which write their chunks in place
-    counts = np.frombuffer(mmap.mmap(-1, 8 * total), dtype=np.int64)
+    # shared with the forked helpers, which write their chunks in place:
+    # the counts, then one report slot per worker
+    shared = np.frombuffer(mmap.mmap(-1, 8 * (total + workers)), dtype=np.int64)
+    counts, reports = shared[:total], shared[total:]
+    reports.fill(_UNREPORTED)
 
-    def run(worker: int):
+    def run(worker: int) -> int:
         """Chunks c = worker mod workers, two at a time in increasing order;
-        the global replica of the first budget failure, else None."""
+        the global replica of the first budget failure, else -1."""
         mine = range(worker, n_chunks, workers)
         for i in range(0, len(mine), 2):
             try:
@@ -253,13 +257,14 @@ def simulate_visit_counts(potentials, r: int, replicas: int, seed: int,
                                step_budget, censor)
             except StepBudgetError as err:
                 return err.replica
-        return None
+        return -1
 
+    _run_workers(run, reports)
     # chunks hold consecutive walkers, so the lowest failing chunk's walker
     # is the lowest of all
-    failures = [f for f in _run_workers(run, workers) if f is not None]
-    if failures:
-        raise StepBudgetError(min(failures), step_budget)
+    failures = reports[reports >= 0]
+    if len(failures):
+        raise StepBudgetError(int(failures.min()), step_budget)
     return counts.reshape(n_pot, replicas)
 
 
@@ -299,58 +304,46 @@ def _cgroup_cpu_quota(root: str = "/sys/fs/cgroup") -> int | None:
     return None
 
 
-def _run_workers(run, workers: int) -> list:
-    """[run(0), ..., run(workers - 1)]: run(0) here, the rest in forked helpers.
+def _run_workers(run, reports: np.ndarray) -> None:
+    """reports[j] = run(j) for each worker j: run(0) here, the rest in
+    forked helpers.
 
-    A result must be None or an int >= 0, which a helper writes to its pipe
-    as one int64 word (-1 for None): an exception would have to be pickled, and
-    StepBudgetError's arguments do not round-trip; anything larger goes
-    through memory the caller shares with the helpers, such as an
-    anonymous mmap.  A helper never returns
-    into the caller's stack; it leaves through os._exit, with status 1 and
-    a traceback on stderr if run raised.  A helper that ends without its
-    report is a RuntimeError here, never a silently missing result.  If
-    run(0) raises, the helpers are killed, as their results are moot, and
-    that exception propagates.
+    reports is memory the caller shares with the helpers, such as an
+    anonymous mmap, filled with _UNREPORTED; run(j) returns an int >= -1.
+    A helper never returns into the caller's stack; it leaves through
+    os._exit, with status 1 and a traceback on stderr if run raised.  A
+    helper that ends without its report is a RuntimeError here, never a
+    silently missing result.  If run(0) raises, the helpers are killed, as
+    their results are moot, and that exception propagates.
     """
-    helpers, results = [], []
+    helpers = []
     try:
-        for worker in range(1, workers):
-            read, write = os.pipe()
+        for worker in range(1, len(reports)):
             pid = os.fork()
             if pid == 0:
                 status = 1
                 try:
-                    os.close(read)
-                    result = run(worker)
-                    os.write(write, np.int64(-1 if result is None else result).tobytes())
+                    reports[worker] = run(worker)
                     status = 0
                 except BaseException:
                     import traceback
                     traceback.print_exc()
                 finally:
                     os._exit(status)
-            os.close(write)
-            helpers.append((pid, read))
-        results.append(run(0))
+            helpers.append((worker, pid))
+        reports[0] = run(0)
     except BaseException:
         import signal
-        for pid, _ in helpers:
+        for _, pid in helpers:
             os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        reports = []
-        for pid, read in helpers:
-            with os.fdopen(read, "rb") as pipe:
-                report = pipe.read()
-            reports.append((pid, report, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])))
-    for pid, report, status in reports:
-        if status or len(report) != 8:
+        ends = [(worker, pid, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+                for worker, pid in helpers]
+    for worker, pid, status in ends:
+        if status or reports[worker] == _UNREPORTED:
             raise RuntimeError(f"helper {pid} exited with status {status} "
                                "without reporting")
-        (value,) = np.frombuffer(report, dtype=np.int64).tolist()
-        results.append(None if value < 0 else value)
-    return results
 
 
 def _up_probs(potentials, r: int) -> np.ndarray:
@@ -470,9 +463,3 @@ def _visits_chunks(lo: np.ndarray, hi: np.ndarray, chunks: range, replicas: int,
                 return
             raise StepBudgetError(int(idx[0]), step_budget)
 
-
-def _mean_stderr(x: np.ndarray) -> tuple[float, float]:
-    """Sample mean and standard error of the mean; nan where x is too short."""
-    mean = float(np.mean(x)) if len(x) else math.nan
-    stderr = float(np.std(x, ddof=1) / math.sqrt(len(x))) if len(x) > 1 else math.nan
-    return mean, stderr

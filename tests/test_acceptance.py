@@ -20,7 +20,7 @@ from sparsepin import (DisorderSpec, Potential, WalkParams, build_potential,
                        step_prob, tau_mean_lower_bound, verify_key_relation)
 from sparsepin._rng import derive_seed
 from sparsepin.experiments import KeyRelationConfig, ScanConfig, regime_scan
-from sparsepin.walk import _mean_stderr
+from sparsepin.pinning import _mean_stderr
 
 GAUSS = DisorderSpec("gaussian")
 
@@ -152,8 +152,8 @@ def test_criterion_5_key_relation():
 def test_criterion_6_homogeneous_free_energy():
     t0 = time.time()
     kern = make_kernel("geometric", q=0.5, n_max=64)
-    est = free_energy_estimate(pinned_table(np.zeros(20000), kern, 0.0, math.log(2.0),
-                                                20000))
+    est = free_energy_estimate([pinned_table(np.zeros(20000), kern, 0.0, math.log(2.0),
+                                             20000)])
     err = abs(est.f_hat - math.log(1.5))
     _report(6, err <= 1e-3, f"|f_hat - log(3/2)| = {err:.2e} at n=2e4", t0, 30)
 
@@ -178,9 +178,9 @@ def test_criterion_7_annealed_consistency():
 def test_criterion_8_critical_points():
     t0 = time.time()
     kern = make_kernel("power_law", alpha=1.0, n_max=40)
-    est0 = quenched_critical_point_estimate(GAUSS, kern, 0.0, 20000, 3, 0.01, seed=42)
+    est0 = quenched_critical_point_estimate(GAUSS, kern, 0.0, 20000, 0.01, seed=42)
     ok = abs(est0.h_hat) <= 0.02
-    est1 = quenched_critical_point_estimate(GAUSS, kern, 1.0, 20000, 3, 0.02, seed=42)
+    est1 = quenched_critical_point_estimate(GAUSS, kern, 1.0, 20000, 0.02, seed=42)
     ok &= -0.5 <= est1.h_hat < 0.0
     _report(8, ok, f"beta=0: {est0.h_hat:+.4f} (|.| <= 0.02); "
                    f"beta=1: {est1.h_hat:+.4f} in [-0.5, 0)", t0, 600)

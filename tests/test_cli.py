@@ -12,9 +12,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import pinned_table
 from sparsepin import (BracketError, DisorderSpec, cli, make_kernel,
-                       quenched_critical_point_estimates)
+                       quenched_critical_point_estimates, sample_disorder)
+from sparsepin._rng import derive_seed
 from sparsepin.cli import EXIT_CONFIG, EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_PASS, main
+from sparsepin.experiments import ScanConfig, regime_scan
+from sparsepin.pinning import _mean_stderr
 
 
 def run(tmp_path, *args):
@@ -110,14 +114,14 @@ def test_pinning_zero_energy_and_homogeneous(tmp_path):
 def test_pinning_quenched_critical(tmp_path):
     assert run(tmp_path, "pinning", "--kernel", "power_law", "--alpha", "1",
                "--n-max", "20", "--beta", "0", "--n", "4000", "--critical",
-               "--crit-tol", "0.02", "--crit-replicas", "2") == EXIT_PASS
+               "--crit-tol", "0.02") == EXIT_PASS
     doc = read_json(tmp_path, "pinning.json")
     assert abs(doc["critical_points"]["quenched"]["h_hat"]) <= 0.05
 
 
 def test_bisection_trail_in_reports(tmp_path):
     args = ("pinning", "--n-max", "20", "--beta", "1", "--n", "1500", "--critical",
-            "--crit-tol", "0.05", "--crit-replicas", "1")
+            "--crit-tol", "0.05")
     assert run(tmp_path, *args) == EXIT_PASS
     quenched = read_json(tmp_path, "pinning.json")["critical_points"]["quenched"]
     # the annealed lower end, then the first upper end, then the midpoints
@@ -208,8 +212,8 @@ def test_refused_walk_leaves_outdir_empty(tmp_path):
     ("scan", "--transience", "--h", "0"),
     ("pinning", "--n", "100", "--beta", "1e308"),
     ("pinning", "--n", "100", "--critical", "--beta", "1e200"),
-    ("pinning", "--n", "100", "--critical", "--crit-replicas", "0"),
-    ("pinning", "--n", "100", "--critical", "--crit-replicas", "-3"),
+    ("pinning", "--n", "100", "--critical", "--crit-replicas", "3"),  # a removed flag
+    ("pinning", "--n", "100", "--kernel", "dirac", "--step", "3"),
     ("pinning", "--n", "-5", "--critical"),
     ("pinning", "--n", "100", "--critical", "--crit-n", "-3"),
     ("scan", "--transience", "--h=-1", "--trans-walks", "1"),
@@ -232,11 +236,13 @@ def test_refused_runs_leave_outdir_empty(tmp_path, monkeypatch, args):
     (("scan", "--n-fe", "3001"), "n_fe"),
     (("pinning", "--critical", "--beta", "1", "--h=-0.5", "--n", "3001"), "n"),
     (("pinning", "--critical", "--n", "300", "--crit-n", "301"), "crit_n"),
+    (("pinning", "--beta", "1", "--h=-0.5", "--n", "3001"), "n"),
 ])
 def test_unreachable_search_length_is_refused(tmp_path, capsys, args, key):
     # a dirac step-3 kernel ends renewal paths only at multiples of 3, so at
     # any other length raw = log z^c_n / n is -inf at every h: scan used to
-    # report raw_mean -inf or "no localized phase found", pinning exit 1
+    # report raw_mean -inf or "no localized phase found", pinning exit 1, and
+    # pinning without --critical a free energy of -inf
     assert run(tmp_path, *args, "--kernel", "dirac", "--step", "3") == EXIT_CONFIG
     assert not any(tmp_path.iterdir())
     assert f"config error: {key} = " in capsys.readouterr().err
@@ -279,7 +285,7 @@ def test_bisection_between_adjacent_floats_ends(tmp_path):
     assert time.perf_counter() - start < 10
     kernel = make_kernel("power_law", alpha=1.0, n_max=8)
     (est,) = quenched_critical_point_estimates(DisorderSpec("gaussian"), kernel, [(1e20, 0)],
-                                               50, 1, 0.04)
+                                               50, 0.04)
     assert isinstance(est, BracketError)
     lo, hi = est.scanned
     assert lo < hi == np.nextafter(lo, math.inf) and hi - lo > 0.04
@@ -305,6 +311,42 @@ def test_scan_grows_a_tiny_h_point(tmp_path):
     assert diag["rows"] == 16 and diag["raw_mean"] - 3.586 * diag["raw_se"] > 0
 
 
+def test_free_energy_estimates_are_sequential_raws_of_fresh_rows(tmp_path):
+    # pinning's free_energy, pinning --critical's raw at h_hat and scan's
+    # case-1 diagnostics are one estimate: _mean_stderr of raw = log z^c_n / n
+    # taken one row at a time on 16 fresh disorder rows drawn as one array
+    spec, kernel = DisorderSpec("gaussian"), make_kernel("power_law", alpha=1.0, n_max=8)
+
+    def one_at_a_time(n, beta, h, seed):
+        omegas = sample_disorder(spec, 16 * n, seed).reshape(16, n)
+        raws = [pinned_table(omega, kernel, beta, h, n).log_zc[n] / n for omega in omegas]
+        mean, se = _mean_stderr(np.array(raws))
+        return {"raw_mean": mean, "raw_se": se, "rows": 16}
+
+    assert run(tmp_path, "pinning", "--beta", "1", "--h=-0.3", "--n", "500", "--critical",
+               "--crit-n", "400", "--crit-tol", "0.05", "--seed", "4") == EXIT_PASS
+    doc = read_json(tmp_path, "pinning.json")
+    fe = doc["free_energy"]
+    assert fe == {**one_at_a_time(500, 1.0, -0.3, derive_seed(4, "fe-rows")),
+                  "f_hat": max(0.0, fe["raw_mean"])}
+    quenched = doc["critical_points"]["quenched"]
+    assert ({key: quenched[key] for key in ("raw_mean", "raw_se", "rows")}
+            == one_at_a_time(400, 1.0, quenched["h_hat"], derive_seed(4, "crit-rows")))
+    cfg = ScanConfig(kernel=kernel, disorder=spec, n_fe=400, n_gc=300, crit_tol=0.05, seed=4)
+    point = regime_scan([0.0, 1.0], [-0.05], cfg).points[1]
+    assert point.bracket[1] < -0.05 and point.case == "case1"
+    assert point.diagnostics == one_at_a_time(300, 1.0, -0.05,
+                                              derive_seed(4, "scan-rows", 1))
+
+
+def test_free_energy_error_bar_stays_finite_at_huge_beta(tmp_path):
+    # raw is near 4e199 at beta 1e200, so its squares overflow unless scaled
+    done = run_fresh(tmp_path, "pinning", "--n", "100", "--beta", "1e200")
+    assert done.returncode == EXIT_PASS, done.stderr
+    fe = read_json(tmp_path, "pinning.json")["free_energy"]
+    assert 1e197 < fe["raw_se"] < fe["raw_mean"] < 1e201
+
+
 class _ReadRecorder(dict):
     """A config dict that records which keys a command reads."""
 
@@ -320,8 +362,7 @@ class _ReadRecorder(dict):
 @pytest.mark.parametrize("command, flags", [
     ("env", {"horizon": 10}),
     ("walk", {"horizon": 20, "replicas": 100}),
-    ("pinning", {"n": 300, "gc_f": 0.0, "critical": True, "crit_tol": 0.2,
-                 "crit_replicas": 2}),
+    ("pinning", {"n": 300, "gc_f": 0.0, "critical": True, "crit_tol": 0.2}),
     ("verify", {"n_tau": 4, "walk_replicas": 20, "n_series": 40}),
     ("scan", {"beta_grid": "0,1", "h_grid": "-0.5", "n_fe": 300, "n_gc": 200,
               "crit_tol": 0.2, "transience": True, "h": -1.0, "trans_envs": 2,
@@ -347,12 +388,12 @@ def test_result_blocks_hold_results_only(tmp_path):
         (("walk", "--horizon", "20", "--replicas", "100"), "visits.json", {
             "visits": {"r", "exact", "mean", "stderr"}}),
         (("pinning", "--beta", "1", "--n", "300", "--critical", "--crit-tol", "0.2",
-          "--crit-replicas", "2", "--gc-f", "0"), "pinning.json", {
-            "free_energy": {"f_hat", "window_spread", "raw"},
+          "--gc-f", "0"), "pinning.json", {
+            "free_energy": {"f_hat", "raw_mean", "raw_se", "rows"},
             "homogeneous": {"free_energy", "residual"},
             "critical_points": {"annealed", "quenched"},
-            "critical_points.quenched": {"h_hat", "bracket", "replica_spread", "n",
-                                         "trail"},
+            "critical_points.quenched": {"h_hat", "bracket", "n", "trail", "raw_mean",
+                                         "raw_se", "rows"},
             "grand_canonical": _GC_KEYS}),
         (("verify", "--n-tau", "4", "--walk-replicas", "20", "--n-series", "40"),
          "verify.json", {
@@ -458,6 +499,11 @@ def test_config_errors_exit_64(tmp_path, capsys):
     old_scan = tmp_path / "old_scan.cfg"
     old_scan.write_text("h_hi = 0.25\n")
     assert main(["scan", "--config", str(old_scan), "--outdir", str(tmp_path)]) == EXIT_CONFIG
+    # and as in a pinning report saved before the replica spread went
+    old_pinning = tmp_path / "old_pinning.json"
+    old_pinning.write_text(json.dumps({"config": {"n": 100, "crit_replicas": 3}}))
+    assert main(["pinning", "--config", str(old_pinning),
+                 "--outdir", str(tmp_path)]) == EXIT_CONFIG
     malformed = tmp_path / "malformed.cfg"
     malformed.write_text("just a line\n")
     assert main(["env", "--config", str(malformed), "--outdir", str(tmp_path)]) == EXIT_CONFIG

@@ -11,8 +11,7 @@ from sparsepin import (DisorderSpec, Potential, experiments, make_kernel,
 from sparsepin._rng import derive_seed
 from sparsepin.experiments import (KeyRelationConfig, ScanConfig,
                                    annealed_transience_check, regime_scan)
-from sparsepin.pinning import CriticalPointEstimate
-from sparsepin.walk import _mean_stderr
+from sparsepin.pinning import FE_ROWS, CriticalPointEstimate, _mean_stderr
 
 
 GAUSS = DisorderSpec("gaussian")
@@ -139,9 +138,9 @@ def test_scan_has_no_inconsistent_point():
 def test_scan_never_certifies_a_zero_free_energy(monkeypatch, seed):
     # a bracket forced far below the quenched critical point of beta = 2
     # puts h = -1.8 and -1.4, where F = 0, above it: they must not be case 1
-    def forced(spec, kernel, searches, n, replicas, tol):
-        return [CriticalPointEstimate(h_hat=-1.96, bracket=(-1.98, -1.94),
-                                      replica_spread=0.0, n=n) for _ in searches]
+    def forced(spec, kernel, searches, n, tol):
+        return [CriticalPointEstimate(h_hat=-1.96, bracket=(-1.98, -1.94), n=n)
+                for _ in searches]
 
     monkeypatch.setattr(experiments, "quenched_critical_point_estimates", forced)
     rep = regime_scan([2.0], [-1.8, -1.4], _scan_cfg(seed))
@@ -149,7 +148,7 @@ def test_scan_never_certifies_a_zero_free_energy(monkeypatch, seed):
         assert p.bracket == (-1.98, -1.94)
         assert p.case == "unresolved" and p.consistent
         d = p.diagnostics
-        assert d["rows"] == experiments.CASE1_ROWS
+        assert d["rows"] == FE_ROWS
         assert d["raw_mean"] - experiments.CASE1_T * d["raw_se"] <= 0
 
 
@@ -158,7 +157,7 @@ def test_case1_quantile_is_the_one_sided_three_sigma_t_quantile():
     level = stats.norm.sf(3.0)
     assert level == pytest.approx(0.00135, abs=1e-6)
     assert experiments.CASE1_T == pytest.approx(
-        stats.t.isf(0.00135, experiments.CASE1_ROWS - 1), abs=5e-4)
+        stats.t.isf(0.00135, FE_ROWS - 1), abs=5e-4)
 
 
 def test_scan_edge_grid_raises_and_warns_nothing():

@@ -19,7 +19,7 @@ from sparsepin import (BracketError, DisorderSpec, SparseEnvironment, WalkParams
                        quenched_critical_point_estimates, sample_disorder)
 from sparsepin._rng import derive_seed
 from sparsepin.experiments import ScanConfig, regime_scan
-from sparsepin.pinning import CRIT_H_HI
+from sparsepin.pinning import CRIT_H_HI, FE_ROWS, _fresh_rows, _mean_stderr
 
 
 def random_kernel(rng):
@@ -163,7 +163,7 @@ def test_recursion_input_validation():
     with pytest.raises(ValueError, match="beta"):
         log_mgf(spec, math.nan)
     with pytest.raises(ValueError, match="beta"):
-        quenched_critical_point_estimate(spec, k, math.nan, 100, 1, 0.1)
+        quenched_critical_point_estimate(spec, k, math.nan, 100, 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +267,7 @@ def test_tau_mean_factorization_at_zero_drift():
 def test_free_energy_zero_below_criticality():
     k = make_kernel("power_law", alpha=1.0, n_max=8)
     for h in (0.0, -0.4):
-        est = free_energy_estimate(pinned_table(np.zeros(20000), k, 0.0, h, 20000))
+        est = free_energy_estimate([pinned_table(np.zeros(20000), k, 0.0, h, 20000)])
         assert est.f_hat <= 1e-2
         assert est.f_hat >= 0.0
 
@@ -275,10 +275,10 @@ def test_free_energy_zero_below_criticality():
 def test_free_energy_matches_homogeneous_solution():
     k = make_kernel("power_law", alpha=1.0, n_max=8)
     h = 0.4
-    est = free_energy_estimate(pinned_table(np.zeros(20000), k, 0.0, h, 20000))
+    est = free_energy_estimate([pinned_table(np.zeros(20000), k, 0.0, h, 20000)])
     target = homogeneous_free_energy(k, h).free_energy
     assert est.f_hat == pytest.approx(target, abs=1e-3)
-    assert est.raw >= -est.window_spread
+    assert est.f_hat == est.raw_mean and est.rows == 1 and math.isnan(est.raw_se)
 
 
 def test_free_energy_jensen_annealed_bound():
@@ -286,7 +286,7 @@ def test_free_energy_jensen_annealed_bound():
     spec = DisorderSpec("gaussian")
     beta, h = 1.0, 0.2
     omega = sample_disorder(spec, 20000, seed=31)
-    est = free_energy_estimate(pinned_table(omega, k, beta, h, 20000))
+    est = free_energy_estimate([pinned_table(omega, k, beta, h, 20000)])
     annealed = homogeneous_free_energy(k, h + log_mgf(spec, beta)).free_energy
     assert est.f_hat <= annealed + 1e-2
 
@@ -295,11 +295,11 @@ def test_free_energy_monotone_in_h():
     k = make_kernel("power_law", alpha=1.0, n_max=8)
     omega = sample_disorder(DisorderSpec("gaussian"), 8000, seed=32)
     hs = [-0.5, -0.1, 0.2, 0.6, 1.2]
-    ests = [free_energy_estimate(pinned_table(omega, k, 0.8, h, 8000))
+    ests = [free_energy_estimate([pinned_table(omega, k, 0.8, h, 8000)])
             for h in hs]
-    tol = max(e.window_spread for e in ests)
+    # raw rises strictly in h for fixed disorder, so no tolerance is needed
     for a, b in zip(ests, ests[1:]):
-        assert b.f_hat >= a.f_hat - tol
+        assert b.raw_mean > a.raw_mean and b.f_hat >= a.f_hat
 
 
 def test_homogeneous_free_energy_closed_form():
@@ -329,15 +329,20 @@ def test_annealed_critical_point_values():
 def test_quenched_critical_point_smoke():
     k = make_kernel("power_law", alpha=1.0, n_max=20)
     est = quenched_critical_point_estimate(DisorderSpec("gaussian"), k, 0.0,
-                                           6000, 2, 0.02, seed=3)
+                                           6000, 0.02, seed=3)
     assert abs(est.h_hat) <= 0.05
     assert est.bracket[0] <= est.h_hat <= est.bracket[1]
 
 
-def _crit_raw(spec, kernel, beta, n, seed, h, replica=0):
-    # raw free energy on the estimator's own disorder draw (replica 0 bisects)
-    omega = sample_disorder(spec, n, derive_seed(seed, "crit-omega", replica))
-    return free_energy_estimate(pinned_table(omega, kernel, beta, h, n)).raw
+def _raw(omega, kernel, beta, h, n):
+    # raw = (1/n) log z^c_n on one disorder row
+    return pinned_table(omega, kernel, beta, h, n).log_zc[n] / n
+
+
+def _crit_raw(spec, kernel, beta, n, seed, h):
+    # raw on the estimator's own disorder draw
+    omega = sample_disorder(spec, n, derive_seed(seed, "crit-omega", 0))
+    return _raw(omega, kernel, beta, h, n)
 
 
 def test_quenched_critical_point_bracket_failure():
@@ -346,7 +351,7 @@ def test_quenched_critical_point_bracket_failure():
     k = make_kernel("dirac", step=2)
     with pytest.raises(BracketError, match="no localized phase") as err:
         quenched_critical_point_estimate(DisorderSpec("gaussian"), k, 0.5,
-                                         11, 2, 0.02, seed=3)
+                                         11, 0.02, seed=3)
     assert err.value.scanned == (-0.125, 2.25)
 
 
@@ -356,7 +361,7 @@ def test_quenched_critical_point_already_localized():
     spec = DisorderSpec("gaussian")
     assert _crit_raw(spec, k, 1.0, 10, 23, -0.5) > 0
     with pytest.raises(BracketError, match="already localized") as err:
-        quenched_critical_point_estimate(spec, k, 1.0, 10, 1, 0.02, seed=23)
+        quenched_critical_point_estimate(spec, k, 1.0, 10, 0.02, seed=23)
     assert err.value.scanned == (-0.5, 0.25)
 
 
@@ -389,7 +394,7 @@ def test_quenched_bracket_holds_the_sign_change(kind, n_max, shape, beta, family
             else make_kernel("geometric", q=shape, n_max=n_max))
     spec = DisorderSpec(family)
     try:
-        est = quenched_critical_point_estimate(spec, kern, beta, n, 1, tol, seed=seed)
+        est = quenched_critical_point_estimate(spec, kern, beta, n, tol, seed=seed)
     except BracketError as err:
         lo, hi = err.scanned
         assert (_crit_raw(spec, kern, beta, n, seed, lo) > 0
@@ -399,7 +404,7 @@ def test_quenched_bracket_holds_the_sign_change(kind, n_max, shape, beta, family
     assert annealed_critical_point(spec, beta) <= lo < hi <= lo + tol
     assert _crit_raw(spec, kern, beta, n, seed, lo) <= 0 < _crit_raw(spec, kern, beta,
                                                                       n, seed, hi)
-    assert est.h_hat == 0.5 * (lo + hi) and est.replica_spread == 0.0
+    assert est.h_hat == 0.5 * (lo + hi)
 
 
 def test_quenched_critical_point_respects_jensen():
@@ -407,22 +412,33 @@ def test_quenched_critical_point_respects_jensen():
     # used to put two of these five brackets above 0
     k = make_kernel("power_law", alpha=0.6, n_max=40)
     ests = [quenched_critical_point_estimate(DisorderSpec("gaussian"), k, 1.0,
-                                             8000, 1, 0.04, seed=s)
+                                             8000, 0.04, seed=s)
             for s in range(1, 6)]
     assert all(e.bracket[1] <= 0 for e in ests), [e.bracket for e in ests]
     mids = [e.h_hat for e in ests]
     assert max(mids) - min(mids) <= 0.1
 
 
+def _raws_at_root(spec, kernel, beta, n, seed, h):
+    # raw at h on each of the FE_ROWS fresh rows, one row at a time
+    omegas = sample_disorder(spec, FE_ROWS * n, seed).reshape(FE_ROWS, n)
+    return np.array([_raw(omega, kernel, beta, h, n) for omega in omegas])
+
+
 def test_quenched_replica_spread_uses_raw():
-    # f_hat is clamped at 0, so a spread of f_hat would hide every replica
-    # that falls below 0 at h_hat
+    # the error bar at h_hat is taken over raw: f_hat is clamped at 0, so an
+    # error bar of f_hat would hide every row that falls below 0 at h_hat
     k = make_kernel("power_law", alpha=1.0, n_max=8)
     spec = DisorderSpec("gaussian")
-    est = quenched_critical_point_estimate(spec, k, 1.0, 2000, 3, 0.02, seed=5)
-    raws = [_crit_raw(spec, k, 1.0, 2000, 5, est.h_hat, r) for r in range(3)]
-    assert min(raws) < 0
-    assert est.replica_spread == max(raws) - min(raws)
+    est = quenched_critical_point_estimate(spec, k, 1.0, 2000, 0.02, seed=5)
+    seed = derive_seed(5, "crit-rows")
+    rows = _fresh_rows(spec, 2000, 1.0, [est.h_hat], seed)
+    at_root = free_energy_estimate(pinned_recursions(np.concatenate(rows), k))
+    raws = _raws_at_root(spec, k, 1.0, 2000, seed, est.h_hat)
+    assert min(raws) < 0 < max(raws)
+    assert (at_root.raw_mean, at_root.raw_se) == _mean_stderr(raws)
+    assert at_root.raw_se != _mean_stderr(np.maximum(raws, 0.0))[1]
+    assert at_root.f_hat == max(0.0, at_root.raw_mean) and at_root.rows == FE_ROWS
 
 
 # ---------------------------------------------------------------------------
@@ -644,7 +660,7 @@ def _sequential_bisection(spec, kernel, beta, n, tol, seed):
     omega = sample_disorder(spec, n, derive_seed(seed, "crit-omega", 0))
 
     def raw(h):
-        return free_energy_estimate(pinned_table(omega, kernel, beta, h, n)).raw
+        return _raw(omega, kernel, beta, h, n)
 
     lo = annealed_critical_point(spec, beta)
     trail = [(lo, raw(lo))]
@@ -670,19 +686,36 @@ def _sequential_bisection(spec, kernel, beta, n, tol, seed):
 def test_multisection_bracket_equals_sequential_bisection(beta, n, tol, seed):
     k = make_kernel("power_law", alpha=0.6, n_max=40)
     spec = DisorderSpec("gaussian")
-    est = quenched_critical_point_estimate(spec, k, beta, n, 1, tol, seed=seed)
+    est = quenched_critical_point_estimate(spec, k, beta, n, tol, seed=seed)
     bracket, trail = _sequential_bisection(spec, k, beta, n, tol, seed)
     assert est.bracket == bracket
     assert est.trail == trail
     assert est.h_hat == 0.5 * (bracket[0] + bracket[1])
 
 
-def test_replica_spread_is_one_batch_of_sequential_raws():
+def test_replica_spread_is_one_batch_of_sequential_raws(monkeypatch):
+    # the FE_ROWS rows at h_hat run in one engine call and give raws equal
+    # to those of one row at a time
+    calls = []
+    engine = sparsepin.pinning._log_zc_rows
+
+    def counting(contact, kernel):
+        calls.append(contact.shape)
+        return engine(contact, kernel)
+
     k = make_kernel("power_law", alpha=1.0, n_max=8)
     spec = DisorderSpec("gaussian")
-    est = quenched_critical_point_estimate(spec, k, 1.0, 1000, 11, 0.05, seed=9)
-    raws = [_crit_raw(spec, k, 1.0, 1000, 9, est.h_hat, r) for r in range(11)]
-    assert est.replica_spread == max(raws) - min(raws)
+    est = quenched_critical_point_estimate(spec, k, 1.0, 1000, 0.05, seed=9)
+    seed = derive_seed(9, "crit-rows")
+    monkeypatch.setattr(sparsepin.pinning, "_log_zc_rows", counting)
+    tables = pinned_recursions(np.concatenate(_fresh_rows(spec, 1000, 1.0, [est.h_hat],
+                                                          seed)), k)
+    assert calls == [(FE_ROWS, 1000)]
+    raws = _raws_at_root(spec, k, 1.0, 1000, seed, est.h_hat)
+    assert np.array_equal([t.log_zc[1000] / 1000 for t in tables], raws)
+    assert free_energy_estimate(tables) == free_energy_estimate(
+        [pinned_table(omega, k, 1.0, est.h_hat, 1000)
+         for omega in sample_disorder(spec, FE_ROWS * 1000, seed).reshape(FE_ROWS, 1000)])
 
 
 def test_lockstep_searches_match_one_search_at_a_time():
@@ -694,12 +727,12 @@ def test_lockstep_searches_match_one_search_at_a_time():
     n, tol = 10, 1e-4
     assert not _crit_raw(spec, k, 2.0, n, 1, CRIT_H_HI) > 0
     searches = [(0.5, 0), (1.0, 23), (2.0, 1), (1.0, 0), (0.5, 4)]
-    lockstep = quenched_critical_point_estimates(spec, k, searches, n, 3, tol)
+    lockstep = quenched_critical_point_estimates(spec, k, searches, n, tol)
     assert [isinstance(est, BracketError) for est in lockstep] == [False, True, False,
                                                                    False, False]
     for (beta, seed), est in zip(searches, lockstep, strict=True):
         try:
-            alone = quenched_critical_point_estimate(spec, k, beta, n, 3, tol, seed=seed)
+            alone = quenched_critical_point_estimate(spec, k, beta, n, tol, seed=seed)
         except BracketError as err:
             assert str(est) == str(err) and est.scanned == err.scanned
             continue

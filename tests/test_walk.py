@@ -14,7 +14,7 @@ from sparsepin import (DisorderSpec, Potential, SparseEnvironment, StepBudgetErr
                        make_kernel, ruin_prob, sample_environment,
                        scale_values, simulate_visit_counts, step_prob)
 from sparsepin._rng import rng_for
-from sparsepin.walk import _mean_stderr
+from sparsepin.pinning import _mean_stderr
 
 
 def flat(m):
