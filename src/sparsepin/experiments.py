@@ -105,6 +105,8 @@ def verify_key_relation(cfg: KeyRelationConfig) -> KeyRelationReport:
     """
     if cfg.n_tau < 2:
         raise ValueError("need n_tau >= 2 for a standard error")
+    if cfg.walk_replicas < 1:
+        raise ValueError("need walk_replicas >= 1")
     n = cfg.resolved_n()
     omega = sample_disorder(cfg.disorder, n, derive_seed(cfg.seed, "omega"))
     (table,) = pinned_recursions(_contact_rows(omega, cfg.beta, [cfg.h]), cfg.kernel)

@@ -16,13 +16,11 @@ algorithm.  The rows run site-major, so a site costs two numpy calls for
 all rows at once, and the logs are written once per block of sites.
 `pinned_recursions` is the one engine entry: it takes a (B, n) array of
 finite contact energies beta*omega_m + h, any mix of omega, beta and h per
-row, and runs it in as few engine calls as a cell budget allows
-(rows * (n + 1 + n_max) <= _CELLS, 32 rows at n = 8000, n_max = 40).  An
-engine call of 32 rows costs about twice as much per site as one of a
-single row, so the quenched critical-point search runs in lockstep: each
-multisection pass is one engine call for every unfinished (beta, seed)
-search, and the first pass also evaluates the first bisection levels below
-CRIT_H_HI on speculation.
+row, and runs it in one engine call.  An engine call of 32 rows costs
+about twice as much per site as one of a single row, so the quenched
+critical-point search runs in lockstep: each multisection pass is one
+engine call for every unfinished (beta, seed) search, and the first pass
+also evaluates the first bisection levels below CRIT_H_HI on speculation.
 One estimate serves every finite-n free energy (`pinning`, `pinning
 --critical`, scan's case-1 test): the mean and standard error of
 raw = (1/n) log z^c_n over the FE_ROWS fresh disorder rows of _fresh_rows.
@@ -64,7 +62,6 @@ __all__ = [
 GC_SLOPE_TOL = 1e-3
 FE_ROWS = 16  # fresh disorder rows per free-energy estimate
 CRIT_H_HI = 0.25  # first upper end tried by the quenched bisection
-_CELLS = 2 ** 18  # rows * (n + 1 + n_max) per engine call: a 2-MB log table
 _SCALE_LIMIT = 200.0  # a window sum outside e^{+-200} is rebuilt from the logs
 _STORE_LIMIT = 700.0  # nor may a stored window value leave e^{+-700}, near subnormal
 _BLOCK = 64  # sites between window renormalisations
@@ -309,9 +306,8 @@ def pinned_recursions(contact, kernel: RenewalKernel) -> list[PartitionTable]:
     """log z^c_0..n for each row of a (B, n) array of contact energies.
 
     Row b holds beta*omega_m + h for m = 1..n, so rows may mix disorder
-    draws, betas and biases.  The rows run in engine calls of at most
-    _CELLS // (n + 1 + n_max) rows; a row's table does not depend on the
-    other rows of its call, so any batching returns the same tables.
+    draws, betas and biases.  All rows run in one engine call; a row's
+    table does not depend on the other rows of its call.
     """
     contact = np.asarray(contact, dtype=float)
     if contact.ndim != 2:
@@ -319,10 +315,8 @@ def pinned_recursions(contact, kernel: RenewalKernel) -> list[PartitionTable]:
     if not np.isfinite(contact).all():
         raise ValueError("contact energies must be finite")
     n = contact.shape[1]
-    step = max(1, _CELLS // (n + 1 + kernel.n_max))
     return [PartitionTable(n=n, kernel=kernel, log_zc=log_zc)
-            for start in range(0, len(contact), step)
-            for log_zc in _log_zc_rows(contact[start : start + step], kernel)]
+            for log_zc in _log_zc_rows(contact, kernel)]
 
 
 def free_partition(table: PartitionTable) -> np.ndarray:

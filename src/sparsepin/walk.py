@@ -20,22 +20,19 @@ is one draw, one gather and one comparison per table, and one add of the
 comparisons' int8 difference to the position.
 
 The chunks run on the CPUs the process may use: its affinity mask, capped
-by its cgroup's CPU quota, with at least two chunks per process.  The
-caller forks one helper per extra process (_run_workers); worker j of k
-runs chunks c = j mod k two at a time in increasing order, each pair in
-lockstep in one buffer (_visits_chunks), which halves the per-call
-overhead of the shrinking tails (a lockstep of all of a worker's chunks
-ran no faster and took more memory).  Counts are written in place into
-an anonymous shared mmap, and each worker writes its first step-budget
-failure into its own slot after them.  A chunk draws from its
-own substream whoever runs it and whichever chunk shares its buffer, so
-the counts are the same for any number of workers; without fork or with
-one usable CPU nothing is forked.  Threads would be simpler but ran no
-faster than one process: the hot loop is many short numpy calls, and the
-GIL serialises the Python work between them.  V is built in one place,
-_potential_rows, for one set (build_potential) or a block of renewal sets
-over one disorder (`verify`), and a Potential with a non-finite value is
-refused.
+by its cgroup's CPU quota and by the walker total over _CHUNK, halves
+rounded down (_worker_count).  The caller forks one helper per extra
+process (_run_workers); worker j of k runs chunks c = j mod k in
+increasing order, one engine call each (_visits_chunk).  Counts are
+written in place into an anonymous shared mmap, and each worker writes
+its first step-budget failure into its own slot after them.  A chunk
+draws from its own substream whoever runs it, so the counts are the same
+for any number of workers; without fork or with one usable CPU nothing
+is forked.  Threads would be simpler but ran no faster than one process:
+the hot loop is many short numpy calls, and the GIL serialises the
+Python work between them.  V is built in one place, _potential_rows, for
+one set (build_potential) or a block of renewal sets over one disorder
+(`verify`), and a Potential with a non-finite value is refused.
 """
 
 from __future__ import annotations
@@ -63,9 +60,8 @@ __all__ = [
 ]
 
 DEFAULT_STEP_BUDGET = 10 ** 8
-_CHUNK = 8192
+_CHUNK = 16384
 _SWEEP = 32  # steps between compaction sweeps
-_MIN_CHUNKS = 2  # chunks per process below which forking a helper does not pay
 _UNREPORTED = -2  # a worker's report slot until it reports; -1 reports no failure
 
 
@@ -218,10 +214,10 @@ def simulate_visit_counts(potentials, r: int, replicas: int, seed: int,
     generator keeps only one potential alive at a time.  Returns an
     (n_potentials, replicas) array.
     Walkers are ordered by potential, then replica, and simulated in fixed
-    chunks of 8192 that may span several potentials; chunk c uses the
-    substream (seed, "visits", c), so the result depends only on
-    (potentials, r, replicas, seed), never on how many processes share
-    the chunks (see _worker_count and _run_workers).
+    chunks of 16384 that may span several potentials, one engine call each
+    (_visits_chunk); chunk c uses the substream (seed, "visits", c), so the
+    result depends only on (potentials, r, replicas, seed), never on how
+    many processes share the chunks (see _worker_count and _run_workers).
 
     A trajectory that exhausts the step budget raises StepBudgetError with
     its global replica index, k * replicas + j for replica j of potential k,
@@ -240,7 +236,7 @@ def simulate_visit_counts(potentials, r: int, replicas: int, seed: int,
     total = n_pot * replicas
     lo, hi = lo.ravel(), hi.ravel()
     n_chunks = -(-total // _CHUNK)
-    workers = _worker_count(n_chunks)
+    workers = _worker_count(total)
     # shared with the forked helpers, which write their chunks in place:
     # the counts, then one report slot per worker
     shared = np.frombuffer(mmap.mmap(-1, 8 * (total + workers)), dtype=np.int64)
@@ -248,13 +244,11 @@ def simulate_visit_counts(potentials, r: int, replicas: int, seed: int,
     reports.fill(_UNREPORTED)
 
     def run(worker: int) -> int:
-        """Chunks c = worker mod workers, two at a time in increasing order;
-        the global replica of the first budget failure, else -1."""
-        mine = range(worker, n_chunks, workers)
-        for i in range(0, len(mine), 2):
+        """Chunks c = worker mod workers in increasing order; the global
+        replica of the first budget failure, else -1."""
+        for c in range(worker, n_chunks, workers):
             try:
-                _visits_chunks(lo, hi, mine[i:i + 2], replicas, width, r, counts, seed,
-                               step_budget, censor)
+                _visits_chunk(lo, hi, c, replicas, width, r, counts, seed, step_budget, censor)
             except StepBudgetError as err:
                 return err.replica
         return -1
@@ -268,11 +262,12 @@ def simulate_visit_counts(potentials, r: int, replicas: int, seed: int,
     return counts.reshape(n_pot, replicas)
 
 
-def _worker_count(n_chunks: int) -> int:
-    """Processes to split n_chunks among: one per usable CPU, but at least
-    _MIN_CHUNKS chunks each, since a fork costs about one chunk of the
-    cheapest walk (on 2 CPUs, 2 chunks ran faster alone and 4 faster split)."""
-    return max(1, min(_usable_cpus(), n_chunks // _MIN_CHUNKS))
+def _worker_count(total: int) -> int:
+    """Processes to split `total` walkers among: one per usable CPU, but at
+    most total / _CHUNK rounded half down, since a fork costs about half a
+    chunk of the cheapest walk (on 2 CPUs, 16,384 walkers ran faster alone
+    and 32,768 faster split)."""
+    return max(1, min(_usable_cpus(), (total + _CHUNK // 2 - 1) // _CHUNK))
 
 
 def _usable_cpus() -> int:
@@ -382,11 +377,11 @@ def _two_step_tables(up: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
     return lo, 1.0 - p[:, 0::2] * p[:, 1::2]
 
 
-def _visits_chunks(lo: np.ndarray, hi: np.ndarray, chunks: range, replicas: int, width: int,
-                   r: int, counts: np.ndarray, seed: int, step_budget: int,
-                   censor: bool) -> None:
-    """Synchronous vectorized evolution of a few chunks of folded walkers,
-    in lockstep in one buffer.
+def _visits_chunk(lo: np.ndarray, hi: np.ndarray, c: int, replicas: int, width: int,
+                  r: int, counts: np.ndarray, seed: int, step_budget: int,
+                  censor: bool) -> None:
+    """Synchronous vectorized evolution of chunk c of folded walkers, the
+    global walkers c * _CHUNK onwards, on its substream (seed, "visits", c).
 
     Every iteration advances each walker two steps with one uniform.  The
     chain starts at 0, so between iterations it sits on an even site 2i,
@@ -400,21 +395,15 @@ def _visits_chunks(lo: np.ndarray, hi: np.ndarray, chunks: range, replicas: int,
     branching at all.  A sweep counts its visits in uint8 (at most
     _SWEEP // 2 per walker) and adds them to the int64 totals once.
 
-    The chunks' walkers lie in chunk order, each chunk a segment that draws
-    its uniforms from its own substream (seed, "visits", c) exactly as it
-    would alone, and compaction keeps the segments apart; so every count,
-    and the first walker of the lowest unfinished chunk that a StepBudgetError
-    names, equals that of a one-chunk-at-a-time run.  Counts go to
-    counts[w] for global walker w.  Compaction moves the running walkers to
-    the front of buffers allocated once per call, and every step writes into
-    those: fresh temporaries of ever-smaller sizes fragment the heap, and
-    the resident set then grows run after run.
+    Counts go to counts[w] for global walker w; a StepBudgetError names the
+    chunk's first unfinished walker.  Compaction moves the running walkers
+    to the front of buffers allocated once per call, and every step writes
+    into those: fresh temporaries of ever-smaller sizes fragment the heap,
+    and the resident set then grows run after run.
     """
-    spans = [range(c * _CHUNK, min((c + 1) * _CHUNK, len(counts))) for c in chunks]
-    rngs = [rng_for(seed, "visits", c) for c in chunks]
-    idx = np.concatenate([np.arange(span.start, span.stop) for span in spans])
+    rng = rng_for(seed, "visits", c)
+    idx = np.arange(c * _CHUNK, min((c + 1) * _CHUNK, len(counts)))
     base = idx // replicas * width
-    sizes = [len(span) for span in spans]
     size = len(idx)
     pos, visits = base.copy(), np.ones(size, dtype=np.int64)
     # one gather buffer for lo and hi; rel reuses it at the end of a sweep
@@ -428,14 +417,11 @@ def _visits_chunks(lo: np.ndarray, hi: np.ndarray, chunks: range, replicas: int,
         pos_n, base_n, u_n, g_n = pos[:n], base[:n], u[:n], gather[:n]
         down_n, up_n, hits_n = down[:n], up[:n], hits[:n]
         down_8, up_8 = down_n.view(np.int8), up_n.view(np.int8)
-        ends = np.cumsum(sizes)
-        draws = [(rng, u[end - k:end]) for rng, k, end in zip(rngs, sizes, ends) if k]
         hits_n.fill(0)
         # the last sweep stops at the budget, rounded up to an even step
         for _ in range(min(_SWEEP, step_budget - steps + 1) // 2):
             steps += 2
-            for rng, u_k in draws:
-                rng.random(out=u_k)
+            rng.random(out=u_n)
             # positions never leave the table, so clipping never acts
             lo.take(pos_n, out=g_n, mode="clip")
             np.less(u_n, g_n, out=down_n)
@@ -451,10 +437,10 @@ def _visits_chunks(lo: np.ndarray, hi: np.ndarray, chunks: range, replicas: int,
         if absorbed.any():
             counts[idx[:n][absorbed]] = visits[:n][absorbed]
             keep = np.logical_not(absorbed, out=down_n)
-            sizes = [int(np.count_nonzero(keep[end - k:end])) for k, end in zip(sizes, ends)]
+            alive = int(np.count_nonzero(keep))
             for buf in (pos, base, visits, idx):
-                buf[:sum(sizes)] = buf[:n][keep]
-            n = sum(sizes)
+                buf[:alive] = buf[:n][keep]
+            n = alive
             if not n:
                 return
         if steps >= step_budget:
@@ -462,4 +448,3 @@ def _visits_chunks(lo: np.ndarray, hi: np.ndarray, chunks: range, replicas: int,
                 counts[idx[:n]] = -1
                 return
             raise StepBudgetError(int(idx[0]), step_budget)
-

@@ -162,7 +162,7 @@ def test_criterion_7_annealed_consistency():
     t0 = time.time()
     n, beta, h = 200, 1.0, -1.0
     kern = make_kernel("power_law", alpha=1.0, n_max=400)
-    # one contact row per disorder draw, in engine calls the cell budget sizes
+    # one contact row per disorder draw, all in one engine call
     contact = np.stack([beta * sample_disorder(GAUSS, n, derive_seed(11, "ann", r)) + h
                         for r in range(1000)])
     zs = np.array([math.exp(table.log_z[n]) for table in pinned_recursions(contact, kern)])

@@ -221,6 +221,7 @@ def test_refused_walk_leaves_outdir_empty(tmp_path):
     ("scan", "--crit-tol", "0"),
     ("scan", "--n-gc", "1"),
     ("walk", "--step-budget", "0"),
+    ("verify", "--walk-replicas", "0", "--f", "0.01", "--h", "0.5"),
 ])
 def test_refused_runs_leave_outdir_empty(tmp_path, monkeypatch, args):
     def no_scan(*_):

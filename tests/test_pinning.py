@@ -535,7 +535,6 @@ def test_engine_rows_do_not_depend_on_their_batch(monkeypatch):
         return engine(contact, kernel)
 
     monkeypatch.setattr(sparsepin.pinning, "_log_zc_rows", counting)
-    cells = sparsepin.pinning._CELLS
     rng = np.random.default_rng(8)
     for kern in (make_kernel("power_law", alpha=0.6, n_max=40),
                  make_kernel("geometric", q=0.5, n_max=5),
@@ -551,14 +550,12 @@ def test_engine_rows_do_not_depend_on_their_batch(monkeypatch):
             assert np.array_equal(batch[b], pinned_recursions(contact[b : b + 1], kern)[0].log_zc)
             assert np.array_equal(batch[b],
                                   pinned_recursions(contact[[b, 6 - b]], kern)[0].log_zc)
-        # a three-row cell budget splits the batch into engine calls of 3, 3 and 1 rows
-        monkeypatch.setattr(sparsepin.pinning, "_CELLS", 3 * (3001 + kern.n_max))
-        calls.clear()
-        split = pinned_recursions(contact, kern)
-        assert calls == [3, 3, 1]
-        for table, log_zc in zip(split, batch, strict=True):
-            assert np.array_equal(table.log_zc, log_zc)
-        monkeypatch.setattr(sparsepin.pinning, "_CELLS", cells)
+    # a batch that a budget of 2^18 cells, rows * (n + 1 + n_max), would cut
+    # into 13 + 4 rows is still one engine call
+    calls.clear()
+    tables = pinned_recursions(rng.normal(size=(17, 20000)) - 0.5,
+                               make_kernel("power_law", alpha=0.6, n_max=8))
+    assert calls == [17] and len(tables) == 17
 
 
 def test_engine_rescues_at_block_edges(monkeypatch):

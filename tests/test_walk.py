@@ -252,25 +252,25 @@ def test_visit_counts_geometric_mean_and_variance():
 
 
 def test_same_seed_repeats_across_chunks():
-    # 30000 replicas span four 8192-replica chunks, each on its own substream
+    # 40000 replicas span three 16384-replica chunks, each on its own substream
     pot = drifted(0.25, 60)
-    assert (visits_mean_stderr(pot, 50, 30000, seed=5)
-            == visits_mean_stderr(pot, 50, 30000, seed=5))
-    c1 = simulate_visit_counts([pot], 50, 30000, seed=5)[0]
-    assert np.array_equal(c1, simulate_visit_counts([pot], 50, 30000, seed=5)[0])
-    assert not np.array_equal(c1[:8192], c1[8192:16384])
+    assert (visits_mean_stderr(pot, 50, 40000, seed=5)
+            == visits_mean_stderr(pot, 50, 40000, seed=5))
+    c1 = simulate_visit_counts([pot], 50, 40000, seed=5)[0]
+    assert np.array_equal(c1, simulate_visit_counts([pot], 50, 40000, seed=5)[0])
+    assert not np.array_equal(c1[:16384], c1[16384:32768])
 
 
 def _reference_visit_counts(potential, r, replicas, seed):
-    """Per-potential one-step walker loop: chunks of 8192, sweeps of 32 steps."""
+    """Per-potential one-step walker loop: chunks of 16384, sweeps of 32 steps."""
     counts = np.ones(replicas, dtype=np.int64)
     if r == 1:
         return counts
     pad = np.full(r + 34, 9.0)
     pad[1:r] = step_prob(potential.increments()[: r - 1])
-    for c, start in enumerate(range(0, replicas, 8192)):
+    for c, start in enumerate(range(0, replicas, 16384)):
         rng = rng_for(seed, "visits", c)
-        size = min(8192, replicas - start)
+        size = min(16384, replicas - start)
         pos = np.zeros(size, dtype=np.int64)
         visits = np.ones(size, dtype=np.int64)
         idx = np.arange(start, start + size)
@@ -290,7 +290,7 @@ def _reference_visit_counts(potential, r, replicas, seed):
 def _two_step_reference_counts(potentials, r, replicas, seed, step_budget=None,
                                censor=False):
     """One-chunk-at-a-time two-step loop on sites over stacked per-potential
-    tables: one uniform per step pair, chunks of 8192 walkers ordered by
+    tables: one uniform per step pair, chunks of 16384 walkers ordered by
     potential, then replica, chunk c on (seed, "visits", c), sweeps of 16
     pairs.  An even step budget ends the last sweep at the budget; walkers
     still running then count -1 with censor, else the first of them is
@@ -303,9 +303,9 @@ def _two_step_reference_counts(potentials, r, replicas, seed, step_budget=None,
     p = np.ones((len(potentials), r + 40))
     p[:, 1:r] = [step_prob(pot.increments()[: r - 1]) for pot in potentials]
     q = 1.0 - p
-    for c, start in enumerate(range(0, total, 8192)):
+    for c, start in enumerate(range(0, total, 16384)):
         rng = rng_for(seed, "visits", c)
-        idx = np.arange(start, min(start + 8192, total))
+        idx = np.arange(start, min(start + 16384, total))
         row, pos = idx // replicas, np.zeros(len(idx), dtype=np.int64)
         visits = np.ones(len(idx), dtype=np.int64)
         steps = 0
@@ -331,7 +331,7 @@ def _two_step_reference_counts(potentials, r, replicas, seed, step_budget=None,
     return counts.reshape(len(potentials), replicas)
 
 
-@pytest.mark.parametrize("replicas", [1, 8191, 8192, 20000])
+@pytest.mark.parametrize("replicas", [1, 8191, 8192, 16383, 16384, 20000, 40000])
 @pytest.mark.parametrize("r", [1, 2, 3, 30])
 def test_batch_of_one_matches_per_potential_walk(replicas, r):
     pot = drifted(0.3, 40)
@@ -342,28 +342,28 @@ def test_batch_of_one_matches_per_potential_walk(replicas, r):
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_batch_matches_one_chunk_at_a_time(monkeypatch, workers):
-    # 7 x 5000 walkers make five chunks of very different lifetimes (chunk 0
-    # is mostly fast walkers, chunk 1 ends in trapped ones): two workers run
-    # chunks (0, 2) as a lockstep pair and then 4 alone, three run (0, 3),
-    # (1, 4) and 2 alone.  Without the trapped row, six rows make four chunks
+    # 7 x 10000 walkers make five chunks of very different lifetimes (chunk 0
+    # is mostly fast walkers, chunks 1 and 2 hold trapped ones): two workers run
+    # chunks 0, 2, 4 and 1, 3, three run 0, 3 and 1, 4 and 2.  Without the
+    # trapped row, six rows make four chunks
     monkeypatch.setattr(sparsepin.walk, "_worker_count", lambda n: workers)
     pots = [fast(40), flat(40), drifted(0.3, 40), trap(40), drifted(0.6, 40), fast(40),
             flat(40)]
     free = pots[:3] + pots[4:]
-    assert np.array_equal(simulate_visit_counts(free, 25, 5000, seed=17),
-                          _two_step_reference_counts(free, 25, 5000, seed=17))
-    censored = simulate_visit_counts(pots, 25, 5000, seed=17, step_budget=1000, censor=True)
-    assert np.array_equal(censored, _two_step_reference_counts(pots, 25, 5000, seed=17,
+    assert np.array_equal(simulate_visit_counts(free, 25, 10000, seed=17),
+                          _two_step_reference_counts(free, 25, 10000, seed=17))
+    censored = simulate_visit_counts(pots, 25, 10000, seed=17, step_budget=1000, censor=True)
+    assert np.array_equal(censored, _two_step_reference_counts(pots, 25, 10000, seed=17,
                                                                step_budget=1000, censor=True))
     assert np.all(censored[3] == -1) and np.any(censored[1] == -1)
-    # with one worker, chunks 0 and 1 share a lockstep pair and both exhaust
-    # the budget; the error names chunk 0's first trapped walker
+    # with one worker, chunks 0 and 1 both hold trapped walkers; the error
+    # names chunk 0's first
     monkeypatch.setattr(sparsepin.walk, "_worker_count", lambda n: 1)
     trapped = [fast(40), trap(40), trap(40), fast(40)]
     for walk in (simulate_visit_counts, _two_step_reference_counts):
         with pytest.raises(StepBudgetError) as err:
-            walk(trapped, 25, 5000, seed=14, step_budget=64)
-        assert err.value.replica == 5000
+            walk(trapped, 25, 10000, seed=14, step_budget=64)
+        assert err.value.replica == 10000
 
 
 def test_sweep_visit_counter_does_not_wrap():
@@ -428,7 +428,7 @@ def test_visit_count_histogram_is_geometric(r):
 
 
 def test_batch_rows_follow_their_own_potential():
-    # 5 x 3000 walkers: chunk 0 holds rows 0-1 and part of row 2
+    # 5 x 3000 walkers: one chunk holds all five rows
     pots = [drifted(0.3, 40), flat(40), drifted(0.6, 40), flat(40), drifted(0.3, 40)]
     counts = simulate_visit_counts(pots, 25, 3000, seed=13)
     assert counts.shape == (5, 3000)
@@ -443,20 +443,22 @@ def test_batch_rows_follow_their_own_potential():
 
 
 def test_batch_step_budget_error_names_global_replica(monkeypatch):
-    # the first trapped walker, 0-based walker 10000, sits in the second
-    # chunk, which a forked helper runs when there are two workers
+    # the first trapped walker is 0-based walker 10000 inside chunk 0, or
+    # walker 20000 in chunk 1, which a forked helper runs when there are two
+    # workers
     for workers in (1, 2):
         monkeypatch.setattr(sparsepin.walk, "_worker_count", lambda n, w=workers: w)
-        with pytest.raises(StepBudgetError) as err:
-            simulate_visit_counts([fast(40), fast(40), trap(40)], 25, 5000,
-                                  seed=14, step_budget=64)
-        assert err.value.replica == 10000
+        for fasts, first in ((2, 10000), (4, 20000)):
+            with pytest.raises(StepBudgetError) as err:
+                simulate_visit_counts([fast(40)] * fasts + [trap(40)], 25, 5000,
+                                      seed=14, step_budget=64)
+            assert err.value.replica == first
 
 
 @pytest.mark.parametrize("workers", [2, 3])
 def test_counts_do_not_depend_on_worker_count(monkeypatch, workers):
-    # 7 x 3000 walkers make three chunks; with 2 workers this process runs
-    # chunks 0 and 2 and a forked helper chunk 1
+    # 7 x 3000 walkers make two chunks; with 2 workers this process runs
+    # chunk 0 and a forked helper chunk 1
     pots = [drifted(0.3, 40), flat(40), drifted(0.6, 40), trap(40), flat(40),
             drifted(0.1, 40), fast(40)]
     runs = {}
@@ -468,7 +470,7 @@ def test_counts_do_not_depend_on_worker_count(monkeypatch, workers):
     for serial, parallel in zip(runs[1], runs[workers]):
         assert np.array_equal(serial, parallel)
     assert np.all(runs[1][1][3] == -1)
-    # chunks 1 and 2 both fail; the error names the lower one's walker
+    # chunks 0 and 1 both fail; the error names the lower one's walker
     with pytest.raises(StepBudgetError) as err:
         simulate_visit_counts([fast(40), fast(40), trap(40), trap(40)], 25, 5000,
                               seed=14, step_budget=64)
@@ -476,9 +478,10 @@ def test_counts_do_not_depend_on_worker_count(monkeypatch, workers):
 
 
 def test_helper_failure_reaches_the_parent(monkeypatch):
-    parent, chunk = os.getpid(), sparsepin.walk._visits_chunks
+    parent, chunk = os.getpid(), sparsepin.walk._visits_chunk
     monkeypatch.setattr(sparsepin.walk, "_worker_count", lambda n: 2)
-    pots = [flat(20)] * 3
+    # 4 x 5000 walkers make two chunks, so the helper runs chunk 1
+    pots = [flat(20)] * 4
 
     def failing(*args):
         if os.getpid() != parent:
@@ -491,15 +494,16 @@ def test_helper_failure_reaches_the_parent(monkeypatch):
         chunk(*args)
 
     for broken, status in ((failing, 1), (vanishing, 0)):
-        monkeypatch.setattr(sparsepin.walk, "_visits_chunks", broken)
+        monkeypatch.setattr(sparsepin.walk, "_visits_chunk", broken)
         with pytest.raises(RuntimeError, match=f"exited with status {status} without"):
             simulate_visit_counts(pots, 10, 5000, seed=16)
 
 
-def test_worker_count_needs_two_chunks_per_process(monkeypatch):
+def test_worker_count_equals_two_8192_walker_chunks_per_process(monkeypatch):
+    # the count that 8192-walker chunks gave, at least two of them a process
     monkeypatch.setattr(sparsepin.walk, "_usable_cpus", lambda: 8)
-    counts = [sparsepin.walk._worker_count(n) for n in (1, 2, 3, 4, 13, 100)]
-    assert counts == [1, 1, 1, 2, 6, 8]
+    for total in range(1, 300001):
+        assert sparsepin.walk._worker_count(total) == max(1, min(8, -(-total // 8192) // 2))
 
 
 @pytest.mark.parametrize("files, quota", [
