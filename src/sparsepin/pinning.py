@@ -466,8 +466,13 @@ def quenched_critical_point_estimates(spec: DisorderSpec, kernel: RenewalKernel,
     the BracketError that ended it, carrying the trail so far, which leaves
     the other searches running.  A bracket still wider than tol whose ends
     are adjacent floats cannot narrow, and ends its search with such an
-    error (at beta = 1e20 the root is of order -1e20, where adjacent floats
-    are 16384 or more apart).
+    error.  So does a root below `sparse`, the power of two between
+    -2^53 tol and -2^52 tol below which adjacent floats lie more than tol
+    apart (at beta = 1e20 the root is of order -1e20, where they are 16384
+    or more apart): when the annealed start lies below that bound, the
+    first pass evaluates raw there too, and a positive raw ends the search
+    with that point last in its trail.  Otherwise the point is dropped, so
+    every bracket and trail is the one the bisection gives.
     """
     if not tol > 0:
         raise ValueError("need tol > 0")
@@ -486,11 +491,17 @@ def quenched_critical_point_estimates(spec: DisorderSpec, kernel: RenewalKernel,
     starts = [[annealed_critical_point(spec, beta)] + [CRIT_H_HI + 0.5 * i for i in range(5)]
               for beta, _ in searches]
     speculative = [_midpoints(hs[0], CRIT_H_HI, tol) for hs in starts]
-    first = raws([_contact_rows(draw, beta, hs + mids)
-                  for (beta, _), draw, hs, mids in zip(searches, draws, starts, speculative)])
+    # below `sparse` adjacent floats lie more than tol apart, so no bracket
+    # with its upper end there can narrow to tol; a start below it is
+    # probed there too, and a positive raw ends that search at once
+    sparse = -math.ldexp(1.0, math.frexp(tol)[1] + 52)
+    probes = [[sparse] if hs[0] < sparse else [] for hs in starts]
+    first = raws([_contact_rows(draw, beta, hs + mids + probe)
+                  for (beta, _), draw, hs, mids, probe
+                  in zip(searches, draws, starts, speculative, probes)])
     out = [None] * len(searches)
     brackets, trails = {}, {}  # of the searches still running, by index
-    for i, (hs, mids, vals) in enumerate(zip(starts, speculative, first)):
+    for i, (hs, mids, probe, vals) in enumerate(zip(starts, speculative, probes, first)):
         lo = hs[0]
         if vals[0] > 0:
             out[i] = BracketError(lo, CRIT_H_HI,
@@ -505,9 +516,14 @@ def quenched_critical_point_estimates(spec: DisorderSpec, kernel: RenewalKernel,
         else:
             out[i] = BracketError(lo, hs[-1], "no localized phase found", trail)
             continue
+        if probe and vals[-1] > 0:
+            trail.append((sparse, vals[-1]))
+            out[i] = BracketError(lo, sparse, "the sign change lies where floats are more "
+                                  "than tol apart", trail)
+            continue
         hi = trail[-1][0]
         if hi == CRIT_H_HI:
-            lo, hi = _descend(lo, hi, dict(zip(mids, vals[6:])), trail, tol)
+            lo, hi = _descend(lo, hi, dict(zip(mids, vals[6:6 + len(mids)])), trail, tol)
         brackets[i], trails[i] = (lo, hi), trail
     while todo := [i for i, (lo, hi) in brackets.items() if hi - lo > tol]:
         for i in todo:

@@ -11,19 +11,26 @@ Monte Carlo counterparts are chunk-vectorized with one labeled substream
 per fixed-size chunk, which makes every statistic bit-identical for a given
 master seed.  Walkers of many potentials advance in one synchronous loop
 over stacked tables, so a renewal average over hundreds of environments
-costs a few large chunks rather than hundreds of small ones.  One uniform
-moves a walker two steps: the folded chain starts at 0, so it sits on an
-even site after every step pair, and only there can it visit 0.  The
-two-step tables are products of one-step probabilities, never values of W,
-so the Monte Carlo side stays independent of the exact one.  A step pair
-is one draw, one gather and one comparison per table, and one add of the
-comparisons' int8 difference to the position.
+costs a few large chunks rather than hundreds of small ones.  One draw
+moves a walker eight steps, four step pairs: the folded chain starts at 0,
+so it sits on an even site after every step pair, and only there can it
+visit 0.  The two-step tables are products of one-step probabilities,
+never values of W, so the Monte Carlo side stays independent of the exact
+one.  An exact dynamic program over them gives, for every even start, the
+joint law of the end site and the visits to 0 over the four pairs (at
+most 15 outcomes, and only starts within eight sites of 0 can visit it),
+and each law is stored as a 16-column alias table (Walker 1977, Vose
+1991), built per chunk for the potentials it holds (_move_tables).  A move
+is four bits of a column uniform, one coin uniform, one threshold gather
+and comparison, and two gathers: the next state and the move's visits.
 
 The chunks run on the CPUs the process may use: its affinity mask, capped
 by its cgroup's CPU quota and by the walker total over _CHUNK, halves
 rounded down (_worker_count).  The caller forks one helper per extra
 process (_run_workers); worker j of k runs chunks c = j mod k in
-increasing order, one engine call each (_visits_chunk).  Counts are
+increasing order, one engine call each (_visits_chunk), and builds each
+chunk's move tables itself, keeping them for its next chunk when that
+holds the same potentials.  Counts are
 written in place into an anonymous shared mmap, and each worker writes
 its first step-budget failure into its own slot after them.  A chunk
 draws from its own substream whoever runs it, so the counts are the same
@@ -37,6 +44,7 @@ one set (build_potential) or a block of renewal sets over one disorder
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -62,6 +70,10 @@ __all__ = [
 DEFAULT_STEP_BUDGET = 10 ** 8
 _CHUNK = 16384
 _SWEEP = 32  # steps between compaction sweeps
+_PAIRS = 4  # step pairs per move, one alias draw each
+_MOVE = 2 * _PAIRS  # steps per move
+_COLUMNS = 16  # alias columns per start; a move has at most 15 outcomes
+_NEAR = _PAIRS + 1  # starts 2j < 2 * _NEAR can visit 0 within a move
 _UNREPORTED = -2  # a worker's report slot until it reports; -1 reports no failure
 
 
@@ -232,9 +244,8 @@ def simulate_visit_counts(potentials, r: int, replicas: int, seed: int,
     if step_budget < 1:
         raise ValueError("step_budget must be >= 1")
     lo, hi = _two_step_tables(_up_probs(potentials, r), r)
-    n_pot, width = lo.shape
+    n_pot = len(lo)
     total = n_pot * replicas
-    lo, hi = lo.ravel(), hi.ravel()
     n_chunks = -(-total // _CHUNK)
     workers = _worker_count(total)
     # shared with the forked helpers, which write their chunks in place:
@@ -245,10 +256,18 @@ def simulate_visit_counts(potentials, r: int, replicas: int, seed: int,
 
     def run(worker: int) -> int:
         """Chunks c = worker mod workers in increasing order; the global
-        replica of the first budget failure, else -1."""
+        replica of the first budget failure, else -1.  Each chunk walks on
+        the move tables of the potentials it holds, built here unless the
+        worker's last chunk held the same ones."""
+        held = tables = None
         for c in range(worker, n_chunks, workers):
+            rows = slice(c * _CHUNK // replicas, (min((c + 1) * _CHUNK, total) - 1) // replicas + 1)
+            if rows != held:
+                tables = None  # the last chunk's tables go before the next are built
+                held, tables = rows, _move_tables(lo[rows], hi[rows])
             try:
-                _visits_chunk(lo, hi, c, replicas, width, r, counts, seed, step_budget, censor)
+                _visits_chunk(tables, rows.start, c, replicas, r, counts, seed, step_budget,
+                              censor)
             except StepBudgetError as err:
                 return err.replica
         return -1
@@ -264,9 +283,11 @@ def simulate_visit_counts(potentials, r: int, replicas: int, seed: int,
 
 def _worker_count(total: int) -> int:
     """Processes to split `total` walkers among: one per usable CPU, but at
-    most total / _CHUNK rounded half down, since a fork costs about half a
-    chunk of the cheapest walk (on 2 CPUs, 16,384 walkers ran faster alone
-    and 32,768 faster split)."""
+    most total / _CHUNK rounded half down.  On 2 CPUs a fork and join cost
+    about 2.5 ms, some one chunk of the cheapest walk (every step up to
+    R = 50): 16,384 walkers ran faster alone; at 32,768 that walk ran about
+    1 ms slower split and a drift-0.3 walk about as fast (the box was too
+    noisy to say more); from 49,152 on split ran as fast or faster."""
     return max(1, min(_usable_cpus(), (total + _CHUNK // 2 - 1) // _CHUNK))
 
 
@@ -364,9 +385,10 @@ def _two_step_tables(up: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
     (p_0 = 1 for the forced 0 -> 1 step, the rows of `up` at 1..R-1 and
     p = 1 at every site >= R) and q = 1 - p, lo = q_{2j} q_{2j-1} is the
     chance of down-down and hi = 1 - p_{2j} p_{2j+1} that of anything but
-    up-up, so a uniform u < lo moves two sites down, u >= hi two sites up,
-    and anything between returns to 2j.  The rows run a whole sweep past
-    R, where lo = hi = 0 and walkers only climb.
+    up-up, so a step pair from 2j moves two sites down with probability
+    lo, two up with 1 - hi, and returns to 2j otherwise (_move_tables).
+    The rows run a whole sweep past R, where lo = hi = 0 and walkers only
+    climb.
     """
     half = (r + 1) // 2 + _SWEEP // 2
     p = np.ones((len(up), 2 * half))
@@ -377,72 +399,239 @@ def _two_step_tables(up: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
     return lo, 1.0 - p[:, 0::2] * p[:, 1::2]
 
 
-def _visits_chunk(lo: np.ndarray, hi: np.ndarray, c: int, replicas: int, width: int,
-                  r: int, counts: np.ndarray, seed: int, step_budget: int,
-                  censor: bool) -> None:
+@functools.cache
+def _near_support() -> np.ndarray:
+    """Cells (end offset + 4) * 5 + visits that a move from site 2j, j <= 4,
+    can end in, one row of _COLUMNS per j.
+
+    A move is four step pairs of -2, 0 or +2 sites, never below 0, and
+    counts a visit whenever a pair ends at 0.  Unused slots hold cell 4, an
+    end eight sites down with four visits, which no start reaches.
+    """
+    support = np.full((_NEAR, _COLUMNS), 4, dtype=np.int64)
+    for j in range(_NEAR):
+        ends = {(j, 0)}
+        for _ in range(_PAIRS):
+            ends = {(s + d, v + (s + d == 0)) for s, v in ends for d in (-1, 0, 1)
+                    if s + d >= 0}
+        cells = sorted((s - j + _PAIRS) * (_PAIRS + 1) + v for s, v in ends)
+        support[j, :len(cells)] = cells  # at most 15 cells, so a 16th is spare
+    support.flags.writeable = False  # one array serves every call
+    return support
+
+
+def _move_tables(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Alias tables (thr, nxt, vis) of one move, _PAIRS step pairs, from
+    every even site of the (lo, hi) rows of _two_step_tables.
+
+    State s = row * half + j stands for site 2j of that row.  A move from
+    it ends at site 2j + 2d, d = -4..4, and visits 0 up to four times; an
+    exact dynamic program over the pair laws (down lo, stay hi - lo, up
+    1 - hi) gives that joint law.  Only starts j < _NEAR can reach 0, so
+    the others carry 9 end cells and no visit axis.  Each law is split into
+    _COLUMNS equal columns (_alias).  Entry 16 s + c of thr holds column
+    c's threshold, and entries 32 s + 2 c + b of nxt and vis its outcome, b
+    = 0 below the threshold and 1 at or above it: 16 times the next state,
+    and the visits.  Ends past the top of a row stop at its last state,
+    since a move never starts within four sites of the top (_visits_chunk).
+    Each table ends in spare entries that no walker reads.
+    """
+    rows, half = lo.shape
+    states = rows * half
+    cells = 2 * _PAIRS + 1
+    # laws[x, row, i]: down, stay or up at state i - _PAIRS; above the
+    # table the chain keeps climbing
+    laws = np.zeros((3, rows, half + 2 * _PAIRS))
+    inside = slice(_PAIRS, _PAIRS + half)
+    laws[0, :, inside] = lo
+    np.subtract(hi, lo, out=laws[1, :, inside])
+    np.subtract(1.0, hi, out=laws[2, :, inside])
+    laws[2, :, _PAIRS + half:] = 1.0
+    # window[x][k, row, j]: the law at state j + k - _PAIRS, end cell k of start j
+    window = np.moveaxis(np.lib.stride_tricks.sliding_window_view(laws, half, axis=2), 2, 1)
+
+    def pair(p, cell, down, stay, up):
+        """One more step pair of the end-cell laws p, in place, over the
+        cells `cell`: all that have mass, and their neighbours."""
+        q = p[cell] * stay[cell]
+        q[:-1] += p[cell][1:] * down[cell][1:]
+        q[1:] += p[cell][:-1] * up[cell][:-1]
+        p[cell] = q
+
+    # masses[c, row, j], each law scaled to sum to _COLUMNS, then two spare
+    # entries for _alias
+    flat = np.zeros(_COLUMNS * states + 2)
+    masses = flat[:-2].reshape(_COLUMNS, rows, half)
+    far = masses[:cells]
+    far[_PAIRS] = _COLUMNS
+    for t in range(1, _PAIRS + 1):
+        pair(far, slice(_PAIRS - t, _PAIRS + t + 1), *window)
+    # starts j < _NEAR again, with a visit axis last: a pair that ends at 0,
+    # cell _PAIRS - j, moves that cell's mass up one visit
+    near = np.zeros((cells, rows, _NEAR, _PAIRS + 1))
+    near[_PAIRS, ..., 0] = _COLUMNS
+    j = np.arange(_NEAR)
+    for _ in range(_PAIRS):
+        pair(near, slice(None), *(law[:, :, :_NEAR, None] for law in window))
+        at_zero = near[_PAIRS - j, :, j]
+        near[_PAIRS - j, :, j] = 0.0
+        near[_PAIRS - j, :, j, 1:] = at_zero[..., :-1]
+    support = _near_support()
+    by_start = near.transpose(2, 0, 3, 1).reshape(_NEAR, -1, rows)  # (j, cell, row)
+    masses[:, :, :_NEAR] = by_start[j[:, None], support].transpose(1, 2, 0)
+    partner = _alias(flat)[:-2].reshape(_COLUMNS, rows, half)
+    size = _COLUMNS * states
+    thr = np.zeros(size + 1)
+    thr[:-1].reshape(rows, half, _COLUMNS)[...] = np.moveaxis(masses, 0, 2)
+    del flat, masses, far
+    # outcomes: column c of start j ends at state ends[j, c] of its row,
+    # with seen[j, c] visits
+    ends = np.arange(half)[:, None] + np.minimum(np.arange(_COLUMNS), cells - 1) - _PAIRS
+    ends[:, cells:] = np.arange(half)[:, None]  # empty columns stay put
+    ends[:_NEAR] = j[:, None] + support // (_PAIRS + 1) - _PAIRS
+    np.clip(ends, 0, half - 1, out=ends)
+    ends *= _COLUMNS
+    seen = np.zeros((half, _COLUMNS), dtype=np.uint8)
+    seen[:_NEAR] = support % (_PAIRS + 1)
+    row = (_COLUMNS * half * np.arange(rows))[:, None]
+    nxt = np.zeros(2 * size + 2, dtype=np.int64)
+    vis = np.zeros(2 * size + 2, dtype=np.uint8)
+    nxt_at, vis_at = (t[:-2].reshape(rows, half, _COLUMNS, 2) for t in (nxt, vis))
+    np.add(row[:, :, None], ends, out=nxt_at[..., 0])
+    vis_at[..., 0] = seen
+    start = _COLUMNS * np.arange(half)
+    for c in range(_COLUMNS):
+        alias = partner[c] // states + start  # entry of ends and seen
+        np.add(row, ends.ravel()[alias], out=nxt_at[:, :, c, 1])
+        vis_at[:, :, c, 1] = seen.ravel()[alias]
+    return thr, nxt, vis
+
+
+def _alias(flat: np.ndarray) -> np.ndarray:
+    """Walker's alias tables, in place: flat holds _COLUMNS rows of masses,
+    flat[c * states + s] for column c of law s, each law summing to
+    _COLUMNS, then two spare entries.  On return it holds each column's
+    threshold, and the returned array each column's alias, as its entry.
+
+    Column c keeps its own outcome below the threshold.  A small outcome
+    (mass below 1) keeps its mass and takes the rest from a large one.
+    This is Vose's sweep in column order: the current small outcome is
+    filled from the current large one, and a large one whose remaining mass
+    drops below 1 is finished like a small one, filled from the next large
+    one.  Each round finishes one column of every law, all laws at once.
+    """
+    spare = len(flat) - 2
+    dump = spare + 1  # takes the writes of laws with nothing to finish
+    states = spare // _COLUMNS
+    small = flat[:spare].reshape(_COLUMNS, states) < 1.0
+    # first[kind, c, s]: the entry of law s's first small (kind 0) or large
+    # (kind 1) outcome at column c or later, the spare entry if none; so
+    # rows 1.. hold the next one after each entry
+    index = np.int32 if spare < 2 ** 31 - 2 else np.int64  # half the memory where it fits
+    first = np.full((2, _COLUMNS + 2, states), spare, dtype=index)
+    for c in range(_COLUMNS - 1, -1, -1):
+        entry = np.arange(c * states, (c + 1) * states, dtype=index)
+        first[0, c] = np.where(small[c], entry, first[0, c + 1])
+        first[1, c] = np.where(small[c], first[1, c + 1], entry)
+    next_small, next_large = first[:, 1:].reshape(2, -1)
+    low, big = first[:, 0].copy()
+    del first, small
+    partner = np.arange(spare + 2, dtype=index)
+    flat[spare] = 1.0  # an exhausted small outcome lends nothing
+    rest = flat[big]  # what the current large outcome has left
+    for _ in range(_COLUMNS - 1):
+        following = next_large[big]
+        # a large outcome left below 1 is finished, unless it is the last
+        spent = (rest < 1.0) & (following < spare)
+        done = np.where(spent, big, dump)
+        flat[done] = rest
+        partner[done] = following
+        partner[np.where(spent, dump, low)] = big
+        rest += np.where(spent, flat[following], flat[low])
+        rest -= 1.0
+        big = np.where(spent, following, big)
+        low = np.where(spent, low, next_small[low])
+    flat[big] = 1.0
+    return partner
+
+
+def _visits_chunk(tables: tuple, first: int, c: int, replicas: int, r: int,
+                  counts: np.ndarray, seed: int, step_budget: int, censor: bool) -> None:
     """Synchronous vectorized evolution of chunk c of folded walkers, the
     global walkers c * _CHUNK onwards, on its substream (seed, "visits", c).
 
-    Every iteration advances each walker two steps with one uniform.  The
-    chain starts at 0, so between iterations it sits on an even site 2i,
-    where it can only visit 0; walker w keeps i at flat position base[w] + i
-    of the (lo, hi) rows, width entries each.  A uniform below lo steps
-    down-down (from 2 that is a visit), one at or above hi up-up, anything
-    else back to 2i (from 0 that is the forced step up and back, a visit):
-    the step is the int8 difference of the two comparisons, one add.
-    Walkers that cross R march upward on sentinels until the next
-    compaction sweep collects them, so the hot loop has no per-step
-    branching at all.  A sweep counts its visits in uint8 (at most
-    _SWEEP // 2 per walker) and adds them to the int64 totals once.
+    tables are the move tables (_move_tables) of the potentials the chunk
+    holds, potential `first` onwards.  Every iteration moves each walker
+    eight steps by one alias draw: a column from four bits of the sweep's
+    column uniform, a coin from its own uniform (all 53 bits), the
+    threshold gathered and compared, and the next state and the move's
+    visits to 0 gathered from the chosen slot.  Walker w keeps 16 times its
+    state; each potential's states run _SWEEP // 2 past its even sites
+    below R, so the walkers that cross R march upward on sentinels until
+    the next compaction sweep collects them, and the hot loop has no
+    per-walker branching at all.  A sweep draws one column uniform per
+    walker, then one coin per walker and move, counts its visits in uint8
+    (at most _SWEEP // 2 per walker) and adds them to the int64 totals
+    once.
 
     Counts go to counts[w] for global walker w; a StepBudgetError names the
-    chunk's first unfinished walker.  Compaction moves the running walkers
-    to the front of buffers allocated once per call, and every step writes
-    into those: fresh temporaries of ever-smaller sizes fragment the heap,
-    and the resident set then grows run after run.
+    chunk's first unfinished walker.  Compaction takes the running walkers
+    through one index array into a scratch buffer and back, and a move
+    writes only into buffers allocated once per call: fresh temporaries of
+    ever-smaller sizes fragment the heap, and the resident set then grows
+    run after run.
     """
+    thr, nxt, vis = tables
     rng = rng_for(seed, "visits", c)
     idx = np.arange(c * _CHUNK, min((c + 1) * _CHUNK, len(counts)))
-    base = idx // replicas * width
     size = len(idx)
+    row = idx // replicas - first
+    # thr holds 16 entries per state and one spare
+    base = row * ((len(thr) - 1) // (row[-1] + 1))
     pos, visits = base.copy(), np.ones(size, dtype=np.int64)
-    # one gather buffer for lo and hi; rel reuses it at the end of a sweep
-    u, gather = np.empty(size), np.empty(size)
-    rel = gather.view(np.int64)
-    down, up = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
-    hits = np.empty(size, dtype=np.uint8)
+    slot, bits = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)
+    u, cut = np.empty(size), np.empty(size)
+    coin = np.empty(size, dtype=bool)
+    hits, seen = np.empty(size, dtype=np.uint8), np.empty(size, dtype=np.uint8)
     n = size
     steps = 0
     while True:
-        pos_n, base_n, u_n, g_n = pos[:n], base[:n], u[:n], gather[:n]
-        down_n, up_n, hits_n = down[:n], up[:n], hits[:n]
-        down_8, up_8 = down_n.view(np.int8), up_n.view(np.int8)
+        pos_n, slot_n, bits_n, u_n, cut_n = pos[:n], slot[:n], bits[:n], u[:n], cut[:n]
+        coin_n, hits_n, seen_n = coin[:n], hits[:n], seen[:n]
         hits_n.fill(0)
-        # the last sweep stops at the budget, rounded up to an even step
-        for _ in range(min(_SWEEP, step_budget - steps + 1) // 2):
-            steps += 2
+        # 16 bits a walker: bits 4m..4m+3 pick move m's column
+        rng.random(out=u_n)
+        np.multiply(u_n, 2.0 ** 16, out=bits_n, casting="unsafe")
+        # the last sweep stops at the budget, rounded up to a whole move
+        for m in range(min(_SWEEP, step_budget - steps + _MOVE - 1) // _MOVE):
+            steps += _MOVE
+            np.right_shift(bits_n, 4 * m, out=slot_n)
+            np.bitwise_and(slot_n, _COLUMNS - 1, out=slot_n)
+            slot_n += pos_n
             rng.random(out=u_n)
-            # positions never leave the table, so clipping never acts
-            lo.take(pos_n, out=g_n, mode="clip")
-            np.less(u_n, g_n, out=down_n)
-            hi.take(pos_n, out=g_n, mode="clip")
-            np.greater_equal(u_n, g_n, out=up_n)
-            pos_n += np.subtract(up_8, down_8, out=down_8)
-            hits_n += np.equal(pos_n, base_n, out=up_n)
+            # slots never leave the tables, so clipping never acts
+            thr.take(slot_n, out=cut_n, mode="clip")
+            np.greater_equal(u_n, cut_n, out=coin_n)
+            slot_n += slot_n
+            slot_n += coin_n
+            nxt.take(slot_n, out=pos_n, mode="clip")
+            vis.take(slot_n, out=seen_n, mode="clip")
+            hits_n += seen_n
         visits[:n] += hits_n
-        # a walker at 2 rel >= R hit R at time steps - (2 rel - R), which
-        # must lie within the budget; only an odd budget's last sweep passes it
+        # a walker at 2j >= R hit R at time steps - (2j - R), which must lie
+        # within the budget; only a sweep that ends past the budget passes it
         need = (r + max(0, steps - step_budget) + 1) // 2
-        absorbed = np.greater_equal(np.subtract(pos_n, base_n, out=rel[:n]), need, out=up_n)
+        absorbed = np.greater_equal(np.subtract(pos_n, base[:n], out=slot_n), _COLUMNS * need,
+                                    out=coin_n)
         if absorbed.any():
             counts[idx[:n][absorbed]] = visits[:n][absorbed]
-            keep = np.logical_not(absorbed, out=down_n)
-            alive = int(np.count_nonzero(keep))
-            for buf in (pos, base, visits, idx):
-                buf[:alive] = buf[:n][keep]
-            n = alive
+            keep = np.flatnonzero(np.logical_not(absorbed, out=coin_n))
+            n = len(keep)
             if not n:
                 return
+            for buf in (pos, base, visits, idx):
+                buf.take(keep, out=slot[:n], mode="clip")
+                buf[:n] = slot[:n]
         if steps >= step_budget:
             if censor:
                 counts[idx[:n]] = -1

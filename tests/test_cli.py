@@ -67,6 +67,19 @@ def test_env_kernel_table(tmp_path):
     assert [float(r["weight"]) for r in rows] == pytest.approx([0.8, 0.2], rel=1e-15)
 
 
+def test_parser_is_built_once_per_process(tmp_path, capsys):
+    cli._parser.cache_clear()
+    assert run(tmp_path, "env", "--horizon", "20") == EXIT_PASS
+    first = (tmp_path / "environment.json").read_text()
+    assert run(tmp_path, "walk", "--horizon", "20", "--replicas", "10") == EXIT_PASS
+    assert main(["walk", "--no-such-flag"]) == EXIT_CONFIG
+    assert "unrecognized arguments: --no-such-flag" in capsys.readouterr().err
+    assert run(tmp_path, "env", "--horizon", "20") == EXIT_PASS
+    assert (tmp_path / "environment.json").read_text() == first
+    info = cli._parser.cache_info()
+    assert info.misses == 1 and info.hits == 3
+
+
 def test_walk_flat_exact_and_reproducible(tmp_path):
     args = ("walk", "--beta", "0", "--h", "0", "--f", "0", "--horizon", "20",
             "--r", "10", "--replicas", "4000", "--seed", "5")
@@ -276,28 +289,43 @@ def test_non_finite_potential_is_refused_promptly(tmp_path, args):
 
 
 def test_bisection_between_adjacent_floats_ends(tmp_path):
-    # at beta 1e20 the bracket narrows to two adjacent floats 16384 or more apart,
-    # far wider than crit_tol; the bisection used to loop there for ever.
+    # at beta 1e20 the root is of order -1e20, where adjacent floats are 16384
+    # or more apart, far wider than crit_tol: no bracket there can narrow.  The
+    # first pass probes the negative power of two below which floats lie more
+    # than tol apart, and the search ends there.
     # n stays small: contacts this large take the engine's per-site rescue
     start = time.perf_counter()
     done = run_fresh(tmp_path, "pinning", "--critical", "--beta", "1e20", "--n", "50")
     assert done.returncode == EXIT_FAIL, done.stderr
-    assert "no float lies between the bracket's ends" in done.stderr
+    assert "floats are more than tol apart" in done.stderr
     assert time.perf_counter() - start < 10
     kernel = make_kernel("power_law", alpha=1.0, n_max=8)
     (est,) = quenched_critical_point_estimates(DisorderSpec("gaussian"), kernel, [(1e20, 0)],
                                                50, 0.04)
     assert isinstance(est, BracketError)
     lo, hi = est.scanned
-    assert lo < hi == np.nextafter(lo, math.inf) and hi - lo > 0.04
+    assert lo < hi < 0 and math.ulp(hi) > 0.04
+    # the trail is kept: the start ends, then hi itself, where raw > 0
+    assert est.trail[0][0] == lo and est.trail[-1][0] == hi and est.trail[-1][1] > 0
     assert run(tmp_path, "scan", "--beta-grid=1e20", "--h-grid=-1", "--n-fe", "50",
                "--n-gc", "100") == EXIT_PASS
     (search,) = read_json(tmp_path, "scan.json")["scan"]["critical"]
-    assert "no float lies between" in search["error"] and search["bracket"] is None
-    # the failed search keeps its trail, which ends on the two adjacent floats
-    (a, _), (b, _) = search["trail"][-2:]
-    lo, hi = min(a, b), max(a, b)
-    assert hi == np.nextafter(lo, math.inf) and f"[{lo}, {hi}]" in search["error"]
+    assert "more than tol apart" in search["error"] and search["bracket"] is None
+    (h, raw) = search["trail"][-1]
+    assert h < 0 and math.ulp(h) > 0.04 and raw > 0 and f", {h}]" in search["error"]
+
+
+def test_huge_beta_scan_ends_at_once(tmp_path):
+    # at beta 1e150 a bisection from the annealed point, -5e299, takes some
+    # 550 levels, each a pass of contacts that take the engine's per-site
+    # rescue: more than 120 s at the default n_fe
+    start = time.perf_counter()
+    done = run_fresh(tmp_path, "scan", "--beta-grid=1e150", "--h-grid=-1,-0.5")
+    assert done.returncode == EXIT_PASS, done.stderr
+    assert time.perf_counter() - start < 10
+    (search,) = read_json(tmp_path, "scan.json")["scan"]["critical"]
+    assert "more than tol apart" in search["error"] and search["bracket"] is None
+    assert len(search["trail"]) >= 3 and search["trail"][-1][1] > 0
 
 
 def test_scan_grows_a_tiny_h_point(tmp_path):

@@ -1,5 +1,6 @@
 """Exact walk formulas and their Monte Carlo counterparts."""
 
+import itertools
 import math
 import os
 
@@ -287,42 +288,43 @@ def _reference_visit_counts(potential, r, replicas, seed):
     return counts
 
 
-def _two_step_reference_counts(potentials, r, replicas, seed, step_budget=None,
-                               censor=False):
-    """One-chunk-at-a-time two-step loop on sites over stacked per-potential
-    tables: one uniform per step pair, chunks of 16384 walkers ordered by
-    potential, then replica, chunk c on (seed, "visits", c), sweeps of 16
-    pairs.  An even step budget ends the last sweep at the budget; walkers
-    still running then count -1 with censor, else the first of them is
-    named by StepBudgetError."""
-    assert step_budget is None or step_budget % 2 == 0
+def _move_reference_counts(potentials, r, replicas, seed, step_budget=None, censor=False):
+    """One-chunk-at-a-time loop over the engine's move tables: chunks of
+    16384 walkers ordered by potential, then replica, chunk c on
+    (seed, "visits", c) with the tables of the potentials it holds.  A sweep
+    draws one column uniform a walker, then moves every walker eight steps
+    four times, each move one coin uniform a walker; move m's column is bits
+    4m..4m+3 of the column uniform times 2^16.  A budget that is a whole
+    number of moves ends the last sweep at the budget; walkers still running
+    then count -1 with censor, else the first of them is named by
+    StepBudgetError."""
+    assert step_budget is None or step_budget % 8 == 0
     total = len(potentials) * replicas
     counts = np.ones(total, dtype=np.int64)
-    if r == 1:
-        return counts.reshape(len(potentials), replicas)
-    p = np.ones((len(potentials), r + 40))
-    p[:, 1:r] = [step_prob(pot.increments()[: r - 1]) for pot in potentials]
-    q = 1.0 - p
+    lo, hi = sparsepin.walk._two_step_tables(sparsepin.walk._up_probs(potentials, r), r)
+    half = lo.shape[1]
     for c, start in enumerate(range(0, total, 16384)):
         rng = rng_for(seed, "visits", c)
         idx = np.arange(start, min(start + 16384, total))
-        row, pos = idx // replicas, np.zeros(len(idx), dtype=np.int64)
-        visits = np.ones(len(idx), dtype=np.int64)
+        row = idx // replicas
+        rows = slice(row[0], row[-1] + 1)
+        thr, nxt, vis = sparsepin.walk._move_tables(lo[rows], hi[rows])
+        base = (row - row[0]) * half
+        state, visits = base.copy(), np.ones(len(idx), dtype=np.int64)
         steps = 0
-        while len(pos):
-            pairs = 16 if step_budget is None else min(16, (step_budget - steps) // 2)
-            for _ in range(pairs):
-                steps += 2
-                u = rng.random(len(pos))
-                # q[-1] at site 0 reads a sentinel; q_0 = 0 decides anyway
-                down_down = u < q[row, pos] * q[row, pos - 1]
-                up_up = u >= 1.0 - p[row, pos] * p[row, pos + 1]
-                pos += 2 * up_up - 2 * down_down
-                visits += pos == 0
-            absorbed = pos >= r
+        while len(idx):
+            moves = 4 if step_budget is None else min(4, (step_budget - steps) // 8)
+            bits = (rng.random(len(idx)) * 2.0 ** 16).astype(np.int64)
+            for m in range(moves):
+                steps += 8
+                column = 16 * state + ((bits >> (4 * m)) & 15)
+                slot = 2 * column + (rng.random(len(idx)) >= thr[column])
+                state = nxt[slot] // 16
+                visits += vis[slot]
+            absorbed = 2 * (state - base) >= r
             counts[idx[absorbed]] = visits[absorbed]
             keep = ~absorbed
-            idx, row, pos, visits = idx[keep], row[keep], pos[keep], visits[keep]
+            idx, base, state, visits = idx[keep], base[keep], state[keep], visits[keep]
             if len(idx) and step_budget is not None and steps >= step_budget:
                 if not censor:
                     raise StepBudgetError(int(idx[0]), step_budget)
@@ -331,13 +333,47 @@ def _two_step_reference_counts(potentials, r, replicas, seed, step_budget=None,
     return counts.reshape(len(potentials), replicas)
 
 
+@pytest.mark.parametrize("r", [1, 2, 3, 30, 31])
+def test_move_tables_hold_the_exact_four_pair_law(r):
+    # every start's law of (end site, visits to 0) over one move, read back
+    # from its 16 alias columns, equals the sum over all 3^4 pair paths of
+    # the two-step tables; starts run from 0 through the band above R
+    pots = [flat(40), drifted(0.3, 40), drifted(-0.2, 40), fast(40), trap(40)]
+    lo, hi = sparsepin.walk._two_step_tables(sparsepin.walk._up_probs(pots, r), r)
+    thr, nxt, vis = sparsepin.walk._move_tables(lo, hi)
+    rows, half = lo.shape
+    assert half == (r + 1) // 2 + 16 and len(thr) == 16 * rows * half + 1
+    for row in range(rows):
+        pair = np.stack([lo[row], hi[row] - lo[row], 1.0 - hi[row]])
+        # a move never starts within four sites of the top of the table
+        for j in range(half - 4):
+            law = {}
+            for path in itertools.product((-1, 0, 1), repeat=4):
+                p, site, seen = 1.0, j, 0
+                for step in path:
+                    p *= pair[step + 1, site]
+                    site += step
+                    seen += site == 0
+                # a path through site -2 has lo = 0 at site 0, so p = 0
+                if p > 0:
+                    law[site, seen] = law.get((site, seen), 0.0) + p
+            back = {}
+            for col in range(16):
+                at = 16 * (row * half + j) + col
+                for b, w in ((0, thr[at]), (1, 1.0 - thr[at])):
+                    key = (int(nxt[2 * at + b]) // 16 - row * half, int(vis[2 * at + b]))
+                    back[key] = back.get(key, 0.0) + w / 16
+            for key in law.keys() | back.keys():
+                assert abs(law.get(key, 0.0) - back.get(key, 0.0)) <= 1e-14, (row, j, key)
+
+
 @pytest.mark.parametrize("replicas", [1, 8191, 8192, 16383, 16384, 20000, 40000])
 @pytest.mark.parametrize("r", [1, 2, 3, 30])
 def test_batch_of_one_matches_per_potential_walk(replicas, r):
     pot = drifted(0.3, 40)
     batch = simulate_visit_counts([pot], r, replicas, seed=12)
     assert batch.shape == (1, replicas)
-    assert np.array_equal(batch[0], _two_step_reference_counts([pot], r, replicas, seed=12)[0])
+    assert np.array_equal(batch[0], _move_reference_counts([pot], r, replicas, seed=12)[0])
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -351,16 +387,16 @@ def test_batch_matches_one_chunk_at_a_time(monkeypatch, workers):
             flat(40)]
     free = pots[:3] + pots[4:]
     assert np.array_equal(simulate_visit_counts(free, 25, 10000, seed=17),
-                          _two_step_reference_counts(free, 25, 10000, seed=17))
+                          _move_reference_counts(free, 25, 10000, seed=17))
     censored = simulate_visit_counts(pots, 25, 10000, seed=17, step_budget=1000, censor=True)
-    assert np.array_equal(censored, _two_step_reference_counts(pots, 25, 10000, seed=17,
-                                                               step_budget=1000, censor=True))
+    assert np.array_equal(censored, _move_reference_counts(pots, 25, 10000, seed=17,
+                                                           step_budget=1000, censor=True))
     assert np.all(censored[3] == -1) and np.any(censored[1] == -1)
     # with one worker, chunks 0 and 1 both hold trapped walkers; the error
     # names chunk 0's first
     monkeypatch.setattr(sparsepin.walk, "_worker_count", lambda n: 1)
     trapped = [fast(40), trap(40), trap(40), fast(40)]
-    for walk in (simulate_visit_counts, _two_step_reference_counts):
+    for walk in (simulate_visit_counts, _move_reference_counts):
         with pytest.raises(StepBudgetError) as err:
             walk(trapped, 25, 10000, seed=14, step_budget=64)
         assert err.value.replica == 10000
@@ -372,7 +408,7 @@ def test_sweep_visit_counter_does_not_wrap():
     pot = Potential(values=0.05 * np.arange(41.0))
     counts = simulate_visit_counts([pot], 30, 20000, seed=18)
     assert counts.max() > 255
-    assert np.array_equal(counts, _two_step_reference_counts([pot], 30, 20000, seed=18))
+    assert np.array_equal(counts, _move_reference_counts([pot], 30, 20000, seed=18))
 
 
 def _chi2_sf(stat, dof):
