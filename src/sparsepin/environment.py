@@ -56,10 +56,11 @@ class DisorderSpec:
     def __post_init__(self):
         if self.family not in _DISORDER_FAMILIES:
             raise ValueError(f"unknown disorder family {self.family!r}")
-        if self.family == "gaussian" and not self.sigma > 0:
-            raise ValueError("gaussian sigma must be positive")
-        if self.family == "uniform_centered" and not self.half_width > 0:
-            raise ValueError("uniform half_width must be positive")
+        if self.family == "gaussian" and not 0 < self.sigma < math.inf:
+            raise ValueError("gaussian sigma must be positive and finite")
+        # numpy draws the uniform from its finite width 2 * half_width
+        if self.family == "uniform_centered" and not 0 < 2.0 * self.half_width < math.inf:
+            raise ValueError("uniform half_width must be positive, with 2 * half_width finite")
 
     @property
     def variance(self) -> float:
@@ -197,15 +198,16 @@ def sample_disorder(spec: DisorderSpec, n: int, seed: int) -> np.ndarray:
     """n i.i.d. draws from the disorder family; omega[i-1] is the site-i value."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return _draw_disorder(spec, n, rng_for(seed, "disorder"))
-
-
-def _draw_disorder(spec: DisorderSpec, n: int, rng: np.random.Generator) -> np.ndarray:
+    rng = rng_for(seed, "disorder")
     if spec.family == "gaussian":
-        return rng.normal(0.0, spec.sigma, size=n)
-    if spec.family == "rademacher":
-        return rng.integers(0, 2, size=n).astype(float) * 2.0 - 1.0
-    return rng.uniform(-spec.half_width, spec.half_width, size=n)
+        omega = rng.normal(0.0, spec.sigma, size=n)
+    elif spec.family == "rademacher":
+        omega = rng.integers(0, 2, size=n).astype(float) * 2.0 - 1.0
+    else:
+        omega = rng.uniform(-spec.half_width, spec.half_width, size=n)
+    if not np.isfinite(omega).all():
+        raise ValueError("disorder draws overflow to infinity; sigma is too large")
+    return omega
 
 
 def log_mgf(spec: DisorderSpec, beta: float) -> float:

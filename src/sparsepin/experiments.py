@@ -101,7 +101,8 @@ def verify_key_relation(cfg: KeyRelationConfig) -> KeyRelationReport:
     S_N = sum_{n<=N} Z_n e^{-fn} at every N, so the verdict compares the two
     at 3 Monte Carlo stderr; the geometric tail bound on S_inf - S_N is
     reported as separate evidence.  A non-convergent right side yields
-    verdict "inconclusive", never "fail", and runs no walks.
+    verdict "inconclusive", never "fail", and runs no walks.  A zero stderr
+    passes only an exact match and is "inconclusive" otherwise.
     """
     if cfg.n_tau < 2:
         raise ValueError("need n_tau >= 2 for a standard error")
@@ -117,7 +118,11 @@ def verify_key_relation(cfg: KeyRelationConfig) -> KeyRelationReport:
     nan = float("nan")
     lhs_mean, lhs_se = _mc_visits_over_tau(cfg, omega, n) if converged else (nan, nan)
     diff, tol = abs(lhs_mean - gc.partial_sum), 3.0 * lhs_se
-    verdict = ("pass" if diff <= tol else "fail") if converged else "inconclusive"
+    # a zero stderr (every walk alike) cannot tell a near miss from a failure
+    if not converged or (diff > tol and lhs_se == 0):
+        verdict = "inconclusive"
+    else:
+        verdict = "pass" if diff <= tol else "fail"
     return KeyRelationReport(n_series=n, r_absorb=n + 1,
                              lhs={"mean": lhs_mean, "stderr": lhs_se}, rhs=gc,
                              abs_difference=diff, tolerance=tol, verdict=verdict)

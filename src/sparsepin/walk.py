@@ -14,15 +14,17 @@ over stacked tables, so a renewal average over hundreds of environments
 costs a few large chunks rather than hundreds of small ones.  One draw
 moves a walker eight steps, four step pairs: the folded chain starts at 0,
 so it sits on an even site after every step pair, and only there can it
-visit 0.  The two-step tables are products of one-step probabilities,
+visit 0.  Each chunk builds its move tables straight from the increments
+of the potentials it holds (_move_tables): the one-step probabilities
+step_prob(Delta V) give the three laws of a step pair, products of them,
 never values of W, so the Monte Carlo side stays independent of the exact
-one.  An exact dynamic program over them gives, for every even start, the
-joint law of the end site and the visits to 0 over the four pairs (at
-most 15 outcomes, and only starts within eight sites of 0 can visit it),
-and each law is stored as a 16-column alias table (Walker 1977, Vose
-1991), built per chunk for the potentials it holds (_move_tables).  A move
-is four bits of a column uniform, one coin uniform, one threshold gather
-and comparison, and two gathers: the next state and the move's visits.
+one.  An exact dynamic program over those laws gives, for every even
+start, the joint law of the end site and the visits to 0 over the four
+pairs (at most 15 outcomes, and only starts within eight sites of 0 can
+visit it), and each law is stored as a 16-column alias table (Walker
+1977, Vose 1991).  A move is four bits of a column uniform, one coin
+uniform, one threshold gather and comparison, and two gathers: the next
+state and the move's visits.
 
 The chunks run on the CPUs the process may use: its affinity mask, capped
 by its cgroup's CPU quota and by the walker total over _CHUNK, halves
@@ -164,14 +166,8 @@ def step_prob(delta_v):
     is 1 to within one ulp because both branches share the denominator.
     """
     dv = np.asarray(delta_v, dtype=float)
-    # in place, so a table costs three arrays of its size: dv, e and p
-    e = np.abs(dv, out=np.empty_like(dv))
-    np.negative(e, out=e)
-    with np.errstate(over="ignore"):
-        np.exp(e, out=e)
-    p = np.where(dv >= 0, e, 1.0)
-    e += 1.0
-    p /= e
+    e = np.exp(-np.abs(dv))
+    p = np.where(dv >= 0, e, 1.0) / (1.0 + e)
     if np.isscalar(delta_v) or dv.ndim == 0:
         return float(p)
     return p
@@ -243,8 +239,18 @@ def simulate_visit_counts(potentials, r: int, replicas: int, seed: int,
         raise ValueError("need at least one replica")
     if step_budget < 1:
         raise ValueError("step_budget must be >= 1")
-    lo, hi = _two_step_tables(_up_probs(potentials, r), r)
-    n_pot = len(lo)
+    incs = []
+    for pot in potentials:
+        if not 1 <= r <= pot.horizon + 1:
+            raise ValueError("need 1 <= R <= M+1 for every potential")
+        incs.append(pot.increments()[: r - 1])
+    if not incs:
+        raise ValueError("need at least one potential")
+    # increments are fresh arrays, so a generator of potentials keeps only
+    # one potential alive, and the stack only their first R - 1
+    dv = np.stack(incs)
+    del incs
+    n_pot = len(dv)
     total = n_pot * replicas
     n_chunks = -(-total // _CHUNK)
     workers = _worker_count(total)
@@ -264,7 +270,7 @@ def simulate_visit_counts(potentials, r: int, replicas: int, seed: int,
             rows = slice(c * _CHUNK // replicas, (min((c + 1) * _CHUNK, total) - 1) // replicas + 1)
             if rows != held:
                 tables = None  # the last chunk's tables go before the next are built
-                held, tables = rows, _move_tables(lo[rows], hi[rows])
+                held, tables = rows, _move_tables(dv[rows], r)
             try:
                 _visits_chunk(tables, rows.start, c, replicas, r, counts, seed, step_budget,
                               censor)
@@ -362,43 +368,6 @@ def _run_workers(run, reports: np.ndarray) -> None:
                                "without reporting")
 
 
-def _up_probs(potentials, r: int) -> np.ndarray:
-    """Up-step probabilities at sites 1..R-1, one row per potential, in one
-    step_prob pass over the stacked increments.  Increments are a fresh
-    array, so a generator of potentials keeps only one potential alive."""
-    rows = []
-    for pot in potentials:
-        if not 1 <= r <= pot.horizon + 1:
-            raise ValueError("need 1 <= R <= M+1 for every potential")
-        rows.append(pot.increments()[: r - 1])
-    if not rows:
-        raise ValueError("need at least one potential")
-    dv = np.stack(rows)
-    del rows  # step_prob's temporaries need not sit beside the rows
-    return step_prob(dv)
-
-
-def _two_step_tables(up: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """Two-step thresholds (lo, hi), one row per potential, over even sites.
-
-    Entry j of a row belongs to site 2j.  With one-step up-probabilities p
-    (p_0 = 1 for the forced 0 -> 1 step, the rows of `up` at 1..R-1 and
-    p = 1 at every site >= R) and q = 1 - p, lo = q_{2j} q_{2j-1} is the
-    chance of down-down and hi = 1 - p_{2j} p_{2j+1} that of anything but
-    up-up, so a step pair from 2j moves two sites down with probability
-    lo, two up with 1 - hi, and returns to 2j otherwise (_move_tables).
-    The rows run a whole sweep past R, where lo = hi = 0 and walkers only
-    climb.
-    """
-    half = (r + 1) // 2 + _SWEEP // 2
-    p = np.ones((len(up), 2 * half))
-    p[:, 1:r] = up
-    q = 1.0 - p
-    lo = np.zeros((len(p), half))
-    lo[:, 1:] = q[:, 2::2] * q[:, 1:-1:2]
-    return lo, 1.0 - p[:, 0::2] * p[:, 1::2]
-
-
 @functools.cache
 def _near_support() -> np.ndarray:
     """Cells (end offset + 4) * 5 + visits that a move from site 2j, j <= 4,
@@ -420,14 +389,20 @@ def _near_support() -> np.ndarray:
     return support
 
 
-def _move_tables(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _move_tables(dv: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Alias tables (thr, nxt, vis) of one move, _PAIRS step pairs, from
-    every even site of the (lo, hi) rows of _two_step_tables.
+    every even site of the potentials whose increments at sites 1..R-1
+    are the rows of dv.
 
-    State s = row * half + j stands for site 2j of that row.  A move from
-    it ends at site 2j + 2d, d = -4..4, and visits 0 up to four times; an
-    exact dynamic program over the pair laws (down lo, stay hi - lo, up
-    1 - hi) gives that joint law.  Only starts j < _NEAR can reach 0, so
+    Each row gets half = (R + 1) // 2 + _SWEEP // 2 states: state s = row *
+    half + j stands for site 2j of that row, so the states run a whole sweep
+    past R, where walkers only climb.  With one-step up-probabilities p
+    (p_0 = 1 for the forced 0 -> 1 step, step_prob(dv) at 1..R-1 and p = 1
+    at every site >= R) and q = 1 - p, a step pair from 2j moves two sites
+    down with probability q_{2j} q_{2j-1}, two up with p_{2j} p_{2j+1}, and
+    returns to 2j otherwise.  A move from 2j ends at site 2j + 2d, d =
+    -4..4, and visits 0 up to four times; an exact dynamic program over the
+    pair laws gives that joint law.  Only starts j < _NEAR can reach 0, so
     the others carry 9 end cells and no visit axis.  Each law is split into
     _COLUMNS equal columns (_alias).  Entry 16 s + c of thr holds column
     c's threshold, and entries 32 s + 2 c + b of nxt and vis its outcome, b
@@ -436,16 +411,24 @@ def _move_tables(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray
     since a move never starts within four sites of the top (_visits_chunk).
     Each table ends in spare entries that no walker reads.
     """
-    rows, half = lo.shape
+    rows, half = len(dv), (r + 1) // 2 + _SWEEP // 2
     states = rows * half
     cells = 2 * _PAIRS + 1
+    p = np.ones((rows, 2 * half))
+    p[:, 1:r] = step_prob(dv)
+    q = 1.0 - p
     # laws[x, row, i]: down, stay or up at state i - _PAIRS; above the
     # table the chain keeps climbing
     laws = np.zeros((3, rows, half + 2 * _PAIRS))
-    inside = slice(_PAIRS, _PAIRS + half)
-    laws[0, :, inside] = lo
-    np.subtract(hi, lo, out=laws[1, :, inside])
-    np.subtract(1.0, hi, out=laws[2, :, inside])
+    down, stay, up = laws[:, :, _PAIRS:_PAIRS + half]
+    np.multiply(q[:, 2::2], q[:, 1:-1:2], out=down[:, 1:])
+    # up is taken as 1 - (1 - p_{2j} p_{2j+1}): equal to within one
+    # rounding, and it sums with 1 - p_{2j} p_{2j+1} to exactly 1
+    np.multiply(p[:, 0::2], p[:, 1::2], out=stay)
+    np.subtract(1.0, stay, out=stay)
+    np.subtract(1.0, stay, out=up)
+    stay -= down
+    del p, q
     laws[2, :, _PAIRS + half:] = 1.0
     # window[x][k, row, j]: the law at state j + k - _PAIRS, end cell k of start j
     window = np.moveaxis(np.lib.stride_tricks.sliding_window_view(laws, half, axis=2), 2, 1)

@@ -188,6 +188,16 @@ def test_verify_inconclusive_exit_two(tmp_path):
                "--seed", "3") == EXIT_INCONCLUSIVE
 
 
+@pytest.mark.parametrize("args", [("--f", "15"), ("--n-tau", "2", "--walk-replicas", "1")])
+def test_verify_zero_stderr_miss_is_inconclusive(tmp_path, args):
+    # every walker leaves 0 and never returns, so the stderr and the
+    # tolerance are 0 while S_N lies above 1: no evidence of a failure
+    assert run(tmp_path, "verify", *args, "--seed", "1") == EXIT_INCONCLUSIVE
+    relation = read_json(tmp_path, "verify.json")["key_relation"]
+    assert relation["lhs"] == {"mean": 1.0, "stderr": 0.0}
+    assert relation["abs_difference"] > 0 and relation["verdict"] == "inconclusive"
+
+
 def test_scan_small_grid(tmp_path):
     assert run(tmp_path, "scan", "--beta-grid", "0,1", "--h-grid=-0.6,-0.5,-0.05",
                "--kernel", "power_law", "--alpha", "0.6", "--n-max", "20",
@@ -235,6 +245,8 @@ def test_refused_walk_leaves_outdir_empty(tmp_path):
     ("scan", "--n-gc", "1"),
     ("walk", "--step-budget", "0"),
     ("verify", "--walk-replicas", "0", "--f", "0.01", "--h", "0.5"),
+    ("env", "--disorder", "uniform_centered", "--half-width", "1e308", "--horizon", "3"),
+    ("env", "--sigma", "1e308", "--horizon", "2000"),
 ])
 def test_refused_runs_leave_outdir_empty(tmp_path, monkeypatch, args):
     def no_scan(*_):

@@ -187,6 +187,15 @@ def test_disorder_validation():
         DisorderSpec("gaussian", sigma=0.0)
     with pytest.raises(ValueError):
         DisorderSpec("uniform_centered", half_width=-1.0)
+    # an infinite scale, or a uniform whose width 2 * half_width overflows
+    for family, scale in (("gaussian", dict(sigma=math.inf)),
+                          ("uniform_centered", dict(half_width=math.inf)),
+                          ("uniform_centered", dict(half_width=1e308))):
+        with pytest.raises(ValueError):
+            DisorderSpec(family, **scale)
+    # a finite sigma whose draws overflow is refused when it is sampled
+    with pytest.raises(ValueError, match="overflow"):
+        sample_disorder(DisorderSpec("gaussian", sigma=1e308), 2000, seed=1)
 
 
 def test_log_mgf_closed_forms():

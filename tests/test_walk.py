@@ -301,14 +301,14 @@ def _move_reference_counts(potentials, r, replicas, seed, step_budget=None, cens
     assert step_budget is None or step_budget % 8 == 0
     total = len(potentials) * replicas
     counts = np.ones(total, dtype=np.int64)
-    lo, hi = sparsepin.walk._two_step_tables(sparsepin.walk._up_probs(potentials, r), r)
-    half = lo.shape[1]
+    dv = np.stack([pot.increments()[: r - 1] for pot in potentials])
+    half = (r + 1) // 2 + 16
     for c, start in enumerate(range(0, total, 16384)):
         rng = rng_for(seed, "visits", c)
         idx = np.arange(start, min(start + 16384, total))
         row = idx // replicas
         rows = slice(row[0], row[-1] + 1)
-        thr, nxt, vis = sparsepin.walk._move_tables(lo[rows], hi[rows])
+        thr, nxt, vis = sparsepin.walk._move_tables(dv[rows], r)
         base = (row - row[0]) * half
         state, visits = base.copy(), np.ones(len(idx), dtype=np.int64)
         steps = 0
@@ -337,14 +337,23 @@ def _move_reference_counts(potentials, r, replicas, seed, step_budget=None, cens
 def test_move_tables_hold_the_exact_four_pair_law(r):
     # every start's law of (end site, visits to 0) over one move, read back
     # from its 16 alias columns, equals the sum over all 3^4 pair paths of
-    # the two-step tables; starts run from 0 through the band above R
-    pots = [flat(40), drifted(0.3, 40), drifted(-0.2, 40), fast(40), trap(40)]
-    lo, hi = sparsepin.walk._two_step_tables(sparsepin.walk._up_probs(pots, r), r)
-    thr, nxt, vis = sparsepin.walk._move_tables(lo, hi)
-    rows, half = lo.shape
-    assert half == (r + 1) // 2 + 16 and len(thr) == 16 * rows * half + 1
+    # the pair laws built here from step_prob; starts run from 0 through
+    # the band above R
+    rough = Potential(values=np.concatenate([[0.0], np.cumsum(
+        np.random.default_rng(3).normal(size=40))]))
+    pots = [flat(40), drifted(0.3, 40), drifted(-0.2, 40), fast(40), trap(40), rough]
+    dv = np.stack([pot.increments()[: r - 1] for pot in pots])
+    thr, nxt, vis = sparsepin.walk._move_tables(dv, r)
+    rows, half = len(pots), (r + 1) // 2 + 16
+    assert len(thr) == 16 * rows * half + 1
     for row in range(rows):
-        pair = np.stack([lo[row], hi[row] - lo[row], 1.0 - hi[row]])
+        # p_0 = 1 forces 0 -> 1, and from R on the chain only climbs
+        p_up = np.ones(2 * half)
+        p_up[1:r] = step_prob(dv[row])
+        q_up = 1.0 - p_up
+        down = np.array([q_up[2 * j] * q_up[2 * j - 1] if j else 0.0 for j in range(half)])
+        up = p_up[0:2 * half:2] * p_up[1:2 * half:2]
+        pair = np.stack([down, 1.0 - down - up, up])
         # a move never starts within four sites of the top of the table
         for j in range(half - 4):
             law = {}
@@ -354,7 +363,7 @@ def test_move_tables_hold_the_exact_four_pair_law(r):
                     p *= pair[step + 1, site]
                     site += step
                     seen += site == 0
-                # a path through site -2 has lo = 0 at site 0, so p = 0
+                # a path through site -2 has down = 0 at site 0, so p = 0
                 if p > 0:
                     law[site, seen] = law.get((site, seen), 0.0) + p
             back = {}
