@@ -38,7 +38,7 @@ from .pinning import (BracketError, _contact_rows, _fresh_rows, _mean_stderr,
                       grand_canonical, homogeneous_free_energy, pinned_recursions,
                       quenched_critical_point_estimate)
 from .walk import (StepBudgetError, WalkParams, build_potential, expected_visits_exact,
-                   simulate_visit_counts, step_prob)
+                   move_pairs, simulate_visit_counts, step_prob)
 
 SCHEMA_VERSION = 1
 
@@ -232,7 +232,8 @@ def cmd_walk(config: dict, outdir: Path) -> int:
     write_csv(outdir / "potential.csv", ["i", "V", "step_prob_up"],
               [(i, float(pot.values[i]), p_up[i]) for i in range(pot.horizon + 1)])
     write_json(outdir / "visits.json", "walk", config,
-               {"visits": {"r": r, "exact": exact, "mean": mean, "stderr": stderr}})
+               {"visits": {"r": r, "exact": exact, "mean": mean, "stderr": stderr,
+                           "move_pairs": move_pairs(config["replicas"])}})
     return EXIT_PASS
 
 

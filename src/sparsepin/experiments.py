@@ -30,7 +30,7 @@ from .pinning import (BracketError, GrandCanonicalReport, _contact_rows, _fresh_
                       homogeneous_free_energy, homogeneous_series_verdict, pinned_recursions,
                       quenched_critical_point_estimates)
 from .walk import (Potential, WalkParams, _potential_rows, build_potential,
-                   expected_visits_exact, simulate_visit_counts)
+                   expected_visits_exact, move_pairs, simulate_visit_counts)
 
 __all__ = [
     "KeyRelationConfig",
@@ -78,8 +78,9 @@ class KeyRelationConfig:
 class KeyRelationReport:
     """Both sides of the identity with their uncertainties and the verdict.
 
-    lhs holds the mean and stderr of the renewal-averaged visit count, rhs
-    the grand-canonical partial sum S_N with its verdict.
+    lhs holds the mean and stderr of the renewal-averaged visit count and
+    the walk's step pairs per move (walk.move_pairs), rhs the
+    grand-canonical partial sum S_N with its verdict.
     """
 
     n_series: int
@@ -124,7 +125,8 @@ def verify_key_relation(cfg: KeyRelationConfig) -> KeyRelationReport:
     else:
         verdict = "pass" if diff <= tol else "fail"
     return KeyRelationReport(n_series=n, r_absorb=n + 1,
-                             lhs={"mean": lhs_mean, "stderr": lhs_se}, rhs=gc,
+                             lhs={"mean": lhs_mean, "stderr": lhs_se,
+                                  "move_pairs": move_pairs(cfg.walk_replicas)}, rhs=gc,
                              abs_difference=diff, tolerance=tol, verdict=verdict)
 
 
@@ -367,6 +369,7 @@ class TransienceReport:
 
     absorbed_fraction: float
     within_3se_fraction: float
+    move_pairs: int  # step pairs per walker move (walk.move_pairs)
     env_rows: list
 
 
@@ -397,11 +400,12 @@ def annealed_transience_check(kernel: RenewalKernel, disorder: DisorderSpec,
         exact = expected_visits_exact(pot, r)
         mean, se = _mean_stderr(env_counts[env_counts >= 0])
         z = (mean - exact) / se if se and se > 0 else float("nan")
-        matches = bool(abs(z) <= 3.0) if math.isfinite(z) else False
+        # a zero stderr (every walk alike) is within only on an exact match
+        matches = bool(abs(z) <= 3.0 if math.isfinite(z) else se == 0 and mean == exact)
         within += matches
         rows.append({"env": e, "exact": exact, "mc_mean": mean, "mc_stderr": se,
                      "z": z, "within_3se": matches})
     return TransienceReport(absorbed_fraction=float(np.mean(counts >= 0)),
                             within_3se_fraction=within / n_envs,
-                            env_rows=rows)
+                            move_pairs=move_pairs(walks_per_env), env_rows=rows)
 

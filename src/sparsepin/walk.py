@@ -12,19 +12,25 @@ per fixed-size chunk, which makes every statistic bit-identical for a given
 master seed.  Walkers of many potentials advance in one synchronous loop
 over stacked tables, so a renewal average over hundreds of environments
 costs a few large chunks rather than hundreds of small ones.  One draw
-moves a walker eight steps, four step pairs: the folded chain starts at 0,
-so it sits on an even site after every step pair, and only there can it
-visit 0.  Each chunk builds its move tables straight from the increments
-of the potentials it holds (_move_tables): the one-step probabilities
-step_prob(Delta V) give the three laws of a step pair, products of them,
-never values of W, so the Monte Carlo side stays independent of the exact
-one.  An exact dynamic program over those laws gives, for every even
-start, the joint law of the end site and the visits to 0 over the four
-pairs (at most 15 outcomes, and only starts within eight sites of 0 can
-visit it), and each law is stored as a 16-column alias table (Walker
-1977, Vose 1991).  A move is four bits of a column uniform, one coin
-uniform, one threshold gather and comparison, and two gathers: the next
-state and the move's visits.
+moves a walker a whole number of step pairs: the folded chain starts at
+0, so it sits on an even site after every step pair, and only there can
+it visit 0.  Each chunk builds its move tables straight from the
+increments of the potentials it holds (_move_tables): the one-step
+probabilities step_prob(Delta V) give the three laws of a step pair,
+products of them, never values of W, so the Monte Carlo side stays
+independent of the exact one.  An exact dynamic program over those laws
+gives, for every even start, the joint law of the end site and the visits
+to 0 over the move's pairs (only starts within two sites per pair of 0
+can visit it), and each law is stored as an alias table (Walker 1977, Vose
+1991) with as many columns as the power of two that holds a start's
+outcomes.  A move is a few bits of a column uniform, one coin uniform,
+one threshold gather and comparison, and two gathers: the next state and
+the move's visits.  A call picks its move length once from its walkers
+per potential (move_pairs): 2 steps on 4 columns where a potential has
+few walkers, since a table costs more than a walker-move and few walkers
+share it; 8 steps on 16 columns in between; and 16 steps on 64 columns
+where one potential has so many walkers that its 1,664 bytes of tables
+per state are nothing next to the walk.
 
 The chunks run on the CPUs the process may use: its affinity mask, capped
 by its cgroup's CPU quota and by the walker total over _CHUNK, halves
@@ -67,15 +73,12 @@ __all__ = [
     "ruin_prob",
     "expected_visits_exact",
     "simulate_visit_counts",
+    "move_pairs",
 ]
 
 DEFAULT_STEP_BUDGET = 10 ** 8
 _CHUNK = 16384
 _SWEEP = 32  # steps between compaction sweeps
-_PAIRS = 4  # step pairs per move, one alias draw each
-_MOVE = 2 * _PAIRS  # steps per move
-_COLUMNS = 16  # alias columns per start; a move has at most 15 outcomes
-_NEAR = _PAIRS + 1  # starts 2j < 2 * _NEAR can visit 0 within a move
 _UNREPORTED = -2  # a worker's report slot until it reports; -1 reports no failure
 
 
@@ -254,6 +257,7 @@ def simulate_visit_counts(potentials, r: int, replicas: int, seed: int,
     total = n_pot * replicas
     n_chunks = -(-total // _CHUNK)
     workers = _worker_count(total)
+    pairs = move_pairs(replicas)
     # shared with the forked helpers, which write their chunks in place:
     # the counts, then one report slot per worker
     shared = np.frombuffer(mmap.mmap(-1, 8 * (total + workers)), dtype=np.int64)
@@ -270,10 +274,10 @@ def simulate_visit_counts(potentials, r: int, replicas: int, seed: int,
             rows = slice(c * _CHUNK // replicas, (min((c + 1) * _CHUNK, total) - 1) // replicas + 1)
             if rows != held:
                 tables = None  # the last chunk's tables go before the next are built
-                held, tables = rows, _move_tables(dv[rows], r)
+                held, tables = rows, _move_tables(dv[rows], r, pairs)
             try:
-                _visits_chunk(tables, rows.start, c, replicas, r, counts, seed, step_budget,
-                              censor)
+                _visits_chunk(tables, pairs, rows.start, c, replicas, r, counts, seed,
+                              step_budget, censor)
             except StepBudgetError as err:
                 return err.replica
         return -1
@@ -285,6 +289,29 @@ def simulate_visit_counts(potentials, r: int, replicas: int, seed: int,
     if len(failures):
         raise StepBudgetError(int(failures.min()), step_budget)
     return counts.reshape(n_pot, replicas)
+
+
+def move_pairs(replicas: int) -> int:
+    """Step pairs per walker move for `replicas` walkers per potential: 1
+    below 32, 8 from 10,000 on, else 4.
+
+    A longer move saves walker-moves but costs a larger table per state,
+    which a potential's walkers share.  Walk times on one CPU, medians of
+    3 to 5 interleaved runs on a noisy 2-core box:
+    - 1 against 4 pairs, 100,000 walkers over verify's renewal potentials
+      (beta 1, h -1, f 0.3, R 201): 1.00 against 1.55 s at 20 walkers a
+      potential, 0.99 against 0.99 s at 30, 0.66 against 0.68 s at 40, and
+      0.71 against 0.47 s at 100; at f 0.1 (R 601) and 50,000 walkers,
+      2.31 against 2.56 s at 20 and 1.77 against 1.37 s at 40.
+    - 4 against 8 pairs, one potential of `walk` (beta 1, h -1, f 0.3,
+      R 50): 4.7 against 6.6 ms at 3,000 walkers, 7.2 against 7.2 ms at
+      10,000 and 70 against 51 ms at 100,000; over verify's potentials,
+      201 against 214 ms at 2,000 walkers a potential and 208 against
+      189 ms at 5,000.
+    The choice reads neither the chunks nor the workers, so it is the same
+    for every chunk of a call and for any number of workers.
+    """
+    return 1 if replicas < 32 else 4 if replicas < 10000 else 8
 
 
 def _worker_count(total: int) -> int:
@@ -369,28 +396,36 @@ def _run_workers(run, reports: np.ndarray) -> None:
 
 
 @functools.cache
-def _near_support() -> np.ndarray:
-    """Cells (end offset + 4) * 5 + visits that a move from site 2j, j <= 4,
-    can end in, one row of _COLUMNS per j.
+def _near_support(pairs: int) -> np.ndarray:
+    """Cells (end offset + pairs) * (pairs + 1) + visits that a move of
+    `pairs` step pairs from site 2j, j <= pairs, can end in, one row per j.
 
-    A move is four step pairs of -2, 0 or +2 sites, never below 0, and
-    counts a visit whenever a pair ends at 0.  Unused slots hold cell 4, an
-    end eight sites down with four visits, which no start reaches.
+    A move is `pairs` step pairs of -2, 0 or +2 sites, never below 0, and
+    counts a visit whenever a pair ends at 0.  The row width is the table's
+    column count: the least power of two that holds every row, so 4, 16
+    and 64 for 1, 4 and 8 pairs (at most 3, 15 and 45 cells).  Unused slots
+    hold cell 0, an end `pairs` pairs down with no visit, which no start
+    reaches: from 2j, j <= pairs, that many pairs down end at 0 with a
+    visit, or would pass below 0.
     """
-    support = np.full((_NEAR, _COLUMNS), 4, dtype=np.int64)
-    for j in range(_NEAR):
+    rows = []
+    for j in range(pairs + 1):
         ends = {(j, 0)}
-        for _ in range(_PAIRS):
+        for _ in range(pairs):
             ends = {(s + d, v + (s + d == 0)) for s, v in ends for d in (-1, 0, 1)
                     if s + d >= 0}
-        cells = sorted((s - j + _PAIRS) * (_PAIRS + 1) + v for s, v in ends)
-        support[j, :len(cells)] = cells  # at most 15 cells, so a 16th is spare
+        rows.append(sorted((s - j + pairs) * (pairs + 1) + v for s, v in ends))
+    support = np.zeros((pairs + 1, 1 << (max(map(len, rows)) - 1).bit_length()),
+                       dtype=np.int64)
+    for j, cells in enumerate(rows):
+        support[j, :len(cells)] = cells
     support.flags.writeable = False  # one array serves every call
     return support
 
 
-def _move_tables(dv: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Alias tables (thr, nxt, vis) of one move, _PAIRS step pairs, from
+def _move_tables(dv: np.ndarray, r: int,
+                 pairs: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Alias tables (thr, nxt, vis) of one move, `pairs` step pairs, from
     every even site of the potentials whose increments at sites 1..R-1
     are the rows of dv.
 
@@ -401,26 +436,31 @@ def _move_tables(dv: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.nda
     at every site >= R) and q = 1 - p, a step pair from 2j moves two sites
     down with probability q_{2j} q_{2j-1}, two up with p_{2j} p_{2j+1}, and
     returns to 2j otherwise.  A move from 2j ends at site 2j + 2d, d =
-    -4..4, and visits 0 up to four times; an exact dynamic program over the
-    pair laws gives that joint law.  Only starts j < _NEAR can reach 0, so
-    the others carry 9 end cells and no visit axis.  Each law is split into
-    _COLUMNS equal columns (_alias).  Entry 16 s + c of thr holds column
-    c's threshold, and entries 32 s + 2 c + b of nxt and vis its outcome, b
-    = 0 below the threshold and 1 at or above it: 16 times the next state,
+    -pairs..pairs, and visits 0 up to `pairs` times; an exact dynamic
+    program over the pair laws gives that joint law.  Only starts j <=
+    pairs can reach 0, so the others carry 2 pairs + 1 end cells and no
+    visit axis.  Each law is split into C equal columns (_alias), C =
+    _near_support(pairs).shape[1].  Entry C s + c of thr holds column c's
+    threshold, and entries 2 C s + 2 c + b of nxt and vis its outcome, b
+    = 0 below the threshold and 1 at or above it: C times the next state,
     and the visits.  Ends past the top of a row stop at its last state,
-    since a move never starts within four sites of the top (_visits_chunk).
-    Each table ends in spare entries that no walker reads.
+    since a move never starts within `pairs` states of the top
+    (_visits_chunk).  Each table ends in spare entries that no walker
+    reads.  Per state the tables take 26 C bytes: about 104, 416 and 1,664
+    bytes at 1, 4 and 8 pairs.
     """
+    support = _near_support(pairs)
+    near_starts, columns = support.shape
     rows, half = len(dv), (r + 1) // 2 + _SWEEP // 2
     states = rows * half
-    cells = 2 * _PAIRS + 1
+    cells = 2 * pairs + 1
     p = np.ones((rows, 2 * half))
     p[:, 1:r] = step_prob(dv)
     q = 1.0 - p
-    # laws[x, row, i]: down, stay or up at state i - _PAIRS; above the
+    # laws[x, row, i]: down, stay or up at state i - pairs; above the
     # table the chain keeps climbing
-    laws = np.zeros((3, rows, half + 2 * _PAIRS))
-    down, stay, up = laws[:, :, _PAIRS:_PAIRS + half]
+    laws = np.zeros((3, rows, half + 2 * pairs))
+    down, stay, up = laws[:, :, pairs:pairs + half]
     np.multiply(q[:, 2::2], q[:, 1:-1:2], out=down[:, 1:])
     # up is taken as 1 - (1 - p_{2j} p_{2j+1}): equal to within one
     # rounding, and it sums with 1 - p_{2j} p_{2j+1} to exactly 1
@@ -429,8 +469,8 @@ def _move_tables(dv: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.nda
     np.subtract(1.0, stay, out=up)
     stay -= down
     del p, q
-    laws[2, :, _PAIRS + half:] = 1.0
-    # window[x][k, row, j]: the law at state j + k - _PAIRS, end cell k of start j
+    laws[2, :, pairs + half:] = 1.0
+    # window[x][k, row, j]: the law at state j + k - pairs, end cell k of start j
     window = np.moveaxis(np.lib.stride_tricks.sliding_window_view(laws, half, axis=2), 2, 1)
 
     def pair(p, cell, down, stay, up):
@@ -441,59 +481,58 @@ def _move_tables(dv: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.nda
         q[1:] += p[cell][:-1] * up[cell][:-1]
         p[cell] = q
 
-    # masses[c, row, j], each law scaled to sum to _COLUMNS, then two spare
+    # masses[c, row, j], each law scaled to sum to C, then two spare
     # entries for _alias
-    flat = np.zeros(_COLUMNS * states + 2)
-    masses = flat[:-2].reshape(_COLUMNS, rows, half)
+    flat = np.zeros(columns * states + 2)
+    masses = flat[:-2].reshape(columns, rows, half)
     far = masses[:cells]
-    far[_PAIRS] = _COLUMNS
-    for t in range(1, _PAIRS + 1):
-        pair(far, slice(_PAIRS - t, _PAIRS + t + 1), *window)
-    # starts j < _NEAR again, with a visit axis last: a pair that ends at 0,
-    # cell _PAIRS - j, moves that cell's mass up one visit
-    near = np.zeros((cells, rows, _NEAR, _PAIRS + 1))
-    near[_PAIRS, ..., 0] = _COLUMNS
-    j = np.arange(_NEAR)
-    for _ in range(_PAIRS):
-        pair(near, slice(None), *(law[:, :, :_NEAR, None] for law in window))
-        at_zero = near[_PAIRS - j, :, j]
-        near[_PAIRS - j, :, j] = 0.0
-        near[_PAIRS - j, :, j, 1:] = at_zero[..., :-1]
-    support = _near_support()
-    by_start = near.transpose(2, 0, 3, 1).reshape(_NEAR, -1, rows)  # (j, cell, row)
-    masses[:, :, :_NEAR] = by_start[j[:, None], support].transpose(1, 2, 0)
-    partner = _alias(flat)[:-2].reshape(_COLUMNS, rows, half)
-    size = _COLUMNS * states
+    far[pairs] = columns
+    for t in range(1, pairs + 1):
+        pair(far, slice(pairs - t, pairs + t + 1), *window)
+    # starts j <= pairs again, with a visit axis last: a pair that ends at
+    # 0, cell pairs - j, moves that cell's mass up one visit
+    near = np.zeros((cells, rows, near_starts, pairs + 1))
+    near[pairs, ..., 0] = columns
+    j = np.arange(near_starts)
+    for _ in range(pairs):
+        pair(near, slice(None), *(law[:, :, :near_starts, None] for law in window))
+        at_zero = near[pairs - j, :, j]
+        near[pairs - j, :, j] = 0.0
+        near[pairs - j, :, j, 1:] = at_zero[..., :-1]
+    by_start = near.transpose(2, 0, 3, 1).reshape(near_starts, -1, rows)  # (j, cell, row)
+    masses[:, :, :near_starts] = by_start[j[:, None], support].transpose(1, 2, 0)
+    partner = _alias(flat, columns)[:-2].reshape(columns, rows, half)
+    size = columns * states
     thr = np.zeros(size + 1)
-    thr[:-1].reshape(rows, half, _COLUMNS)[...] = np.moveaxis(masses, 0, 2)
+    thr[:-1].reshape(rows, half, columns)[...] = np.moveaxis(masses, 0, 2)
     del flat, masses, far
     # outcomes: column c of start j ends at state ends[j, c] of its row,
     # with seen[j, c] visits
-    ends = np.arange(half)[:, None] + np.minimum(np.arange(_COLUMNS), cells - 1) - _PAIRS
+    ends = np.arange(half)[:, None] + np.minimum(np.arange(columns), cells - 1) - pairs
     ends[:, cells:] = np.arange(half)[:, None]  # empty columns stay put
-    ends[:_NEAR] = j[:, None] + support // (_PAIRS + 1) - _PAIRS
+    ends[:near_starts] = j[:, None] + support // (pairs + 1) - pairs
     np.clip(ends, 0, half - 1, out=ends)
-    ends *= _COLUMNS
-    seen = np.zeros((half, _COLUMNS), dtype=np.uint8)
-    seen[:_NEAR] = support % (_PAIRS + 1)
-    row = (_COLUMNS * half * np.arange(rows))[:, None]
+    ends *= columns
+    seen = np.zeros((half, columns), dtype=np.uint8)
+    seen[:near_starts] = support % (pairs + 1)
+    row = (columns * half * np.arange(rows))[:, None]
     nxt = np.zeros(2 * size + 2, dtype=np.int64)
     vis = np.zeros(2 * size + 2, dtype=np.uint8)
-    nxt_at, vis_at = (t[:-2].reshape(rows, half, _COLUMNS, 2) for t in (nxt, vis))
+    nxt_at, vis_at = (t[:-2].reshape(rows, half, columns, 2) for t in (nxt, vis))
     np.add(row[:, :, None], ends, out=nxt_at[..., 0])
     vis_at[..., 0] = seen
-    start = _COLUMNS * np.arange(half)
-    for c in range(_COLUMNS):
+    start = columns * np.arange(half)
+    for c in range(columns):
         alias = partner[c] // states + start  # entry of ends and seen
         np.add(row, ends.ravel()[alias], out=nxt_at[:, :, c, 1])
         vis_at[:, :, c, 1] = seen.ravel()[alias]
     return thr, nxt, vis
 
 
-def _alias(flat: np.ndarray) -> np.ndarray:
-    """Walker's alias tables, in place: flat holds _COLUMNS rows of masses,
+def _alias(flat: np.ndarray, columns: int) -> np.ndarray:
+    """Walker's alias tables, in place: flat holds `columns` rows of masses,
     flat[c * states + s] for column c of law s, each law summing to
-    _COLUMNS, then two spare entries.  On return it holds each column's
+    `columns`, then two spare entries.  On return it holds each column's
     threshold, and the returned array each column's alias, as its entry.
 
     Column c keeps its own outcome below the threshold.  A small outcome
@@ -505,14 +544,14 @@ def _alias(flat: np.ndarray) -> np.ndarray:
     """
     spare = len(flat) - 2
     dump = spare + 1  # takes the writes of laws with nothing to finish
-    states = spare // _COLUMNS
-    small = flat[:spare].reshape(_COLUMNS, states) < 1.0
+    states = spare // columns
+    small = flat[:spare].reshape(columns, states) < 1.0
     # first[kind, c, s]: the entry of law s's first small (kind 0) or large
     # (kind 1) outcome at column c or later, the spare entry if none; so
     # rows 1.. hold the next one after each entry
     index = np.int32 if spare < 2 ** 31 - 2 else np.int64  # half the memory where it fits
-    first = np.full((2, _COLUMNS + 2, states), spare, dtype=index)
-    for c in range(_COLUMNS - 1, -1, -1):
+    first = np.full((2, columns + 2, states), spare, dtype=index)
+    for c in range(columns - 1, -1, -1):
         entry = np.arange(c * states, (c + 1) * states, dtype=index)
         first[0, c] = np.where(small[c], entry, first[0, c + 1])
         first[1, c] = np.where(small[c], first[1, c + 1], entry)
@@ -522,7 +561,7 @@ def _alias(flat: np.ndarray) -> np.ndarray:
     partner = np.arange(spare + 2, dtype=index)
     flat[spare] = 1.0  # an exhausted small outcome lends nothing
     rest = flat[big]  # what the current large outcome has left
-    for _ in range(_COLUMNS - 1):
+    for _ in range(columns - 1):
         following = next_large[big]
         # a large outcome left below 1 is finished, unless it is the last
         spent = (rest < 1.0) & (following < spare)
@@ -538,24 +577,26 @@ def _alias(flat: np.ndarray) -> np.ndarray:
     return partner
 
 
-def _visits_chunk(tables: tuple, first: int, c: int, replicas: int, r: int,
+def _visits_chunk(tables: tuple, pairs: int, first: int, c: int, replicas: int, r: int,
                   counts: np.ndarray, seed: int, step_budget: int, censor: bool) -> None:
     """Synchronous vectorized evolution of chunk c of folded walkers, the
     global walkers c * _CHUNK onwards, on its substream (seed, "visits", c).
 
-    tables are the move tables (_move_tables) of the potentials the chunk
-    holds, potential `first` onwards.  Every iteration moves each walker
-    eight steps by one alias draw: a column from four bits of the sweep's
-    column uniform, a coin from its own uniform (all 53 bits), the
-    threshold gathered and compared, and the next state and the move's
-    visits to 0 gathered from the chosen slot.  Walker w keeps 16 times its
-    state; each potential's states run _SWEEP // 2 past its even sites
-    below R, so the walkers that cross R march upward on sentinels until
-    the next compaction sweep collects them, and the hot loop has no
-    per-walker branching at all.  A sweep draws one column uniform per
-    walker, then one coin per walker and move, counts its visits in uint8
-    (at most _SWEEP // 2 per walker) and adds them to the int64 totals
-    once.
+    tables are the move tables (_move_tables) of `pairs` step pairs for the
+    potentials the chunk holds, potential `first` onwards; C is their
+    column count.  Every iteration moves each walker 2 * pairs steps by one
+    alias draw: a column from log2 C bits of the sweep's column uniform, a
+    coin from its own uniform (all 53 bits), the threshold gathered and
+    compared, and the next state and the move's visits to 0 gathered from
+    the chosen slot.  A sweep of _SWEEP steps is 16, 4 or 2 moves at 1, 4
+    or 8 pairs, so its column uniform carries 32, 16 or 12 bits.  Walker w
+    keeps C times its state; each potential's states run _SWEEP // 2 past
+    its even sites below R, so the walkers that cross R march upward on
+    sentinels until the next compaction sweep collects them, and the hot
+    loop has no per-walker branching at all.  A sweep draws one column
+    uniform per walker, then one coin per walker and move, counts its
+    visits in uint8 (at most _SWEEP // 2 per walker, one per pair) and adds
+    them to the int64 totals once.
 
     Counts go to counts[w] for global walker w; a StepBudgetError names the
     chunk's first unfinished walker.  Compaction takes the running walkers
@@ -565,11 +606,13 @@ def _visits_chunk(tables: tuple, first: int, c: int, replicas: int, r: int,
     run after run.
     """
     thr, nxt, vis = tables
+    columns = _near_support(pairs).shape[1]
+    width, move = columns.bit_length() - 1, 2 * pairs  # column bits, steps per move
     rng = rng_for(seed, "visits", c)
     idx = np.arange(c * _CHUNK, min((c + 1) * _CHUNK, len(counts)))
     size = len(idx)
     row = idx // replicas - first
-    # thr holds 16 entries per state and one spare
+    # thr holds C entries per state and one spare
     base = row * ((len(thr) - 1) // (row[-1] + 1))
     pos, visits = base.copy(), np.ones(size, dtype=np.int64)
     slot, bits = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)
@@ -582,14 +625,14 @@ def _visits_chunk(tables: tuple, first: int, c: int, replicas: int, r: int,
         pos_n, slot_n, bits_n, u_n, cut_n = pos[:n], slot[:n], bits[:n], u[:n], cut[:n]
         coin_n, hits_n, seen_n = coin[:n], hits[:n], seen[:n]
         hits_n.fill(0)
-        # 16 bits a walker: bits 4m..4m+3 pick move m's column
+        # bits width * m onwards pick move m's column
         rng.random(out=u_n)
-        np.multiply(u_n, 2.0 ** 16, out=bits_n, casting="unsafe")
+        np.multiply(u_n, 2.0 ** (width * (_SWEEP // move)), out=bits_n, casting="unsafe")
         # the last sweep stops at the budget, rounded up to a whole move
-        for m in range(min(_SWEEP, step_budget - steps + _MOVE - 1) // _MOVE):
-            steps += _MOVE
-            np.right_shift(bits_n, 4 * m, out=slot_n)
-            np.bitwise_and(slot_n, _COLUMNS - 1, out=slot_n)
+        for m in range(min(_SWEEP, step_budget - steps + move - 1) // move):
+            steps += move
+            np.right_shift(bits_n, width * m, out=slot_n)
+            np.bitwise_and(slot_n, columns - 1, out=slot_n)
             slot_n += pos_n
             rng.random(out=u_n)
             # slots never leave the tables, so clipping never acts
@@ -604,7 +647,7 @@ def _visits_chunk(tables: tuple, first: int, c: int, replicas: int, r: int,
         # a walker at 2j >= R hit R at time steps - (2j - R), which must lie
         # within the budget; only a sweep that ends past the budget passes it
         need = (r + max(0, steps - step_budget) + 1) // 2
-        absorbed = np.greater_equal(np.subtract(pos_n, base[:n], out=slot_n), _COLUMNS * need,
+        absorbed = np.greater_equal(np.subtract(pos_n, base[:n], out=slot_n), columns * need,
                                     out=coin_n)
         if absorbed.any():
             counts[idx[:n][absorbed]] = visits[:n][absorbed]

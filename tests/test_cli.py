@@ -194,7 +194,7 @@ def test_verify_zero_stderr_miss_is_inconclusive(tmp_path, args):
     # tolerance are 0 while S_N lies above 1: no evidence of a failure
     assert run(tmp_path, "verify", *args, "--seed", "1") == EXIT_INCONCLUSIVE
     relation = read_json(tmp_path, "verify.json")["key_relation"]
-    assert relation["lhs"] == {"mean": 1.0, "stderr": 0.0}
+    assert (relation["lhs"]["mean"], relation["lhs"]["stderr"]) == (1.0, 0.0)
     assert relation["abs_difference"] > 0 and relation["verdict"] == "inconclusive"
 
 
@@ -427,7 +427,7 @@ def test_result_blocks_hold_results_only(tmp_path):
         (("env", "--horizon", "10"), "environment.json", {
             "environment": {"tau", "omega"}, "kernel_mean": None}),
         (("walk", "--horizon", "20", "--replicas", "100"), "visits.json", {
-            "visits": {"r", "exact", "mean", "stderr"}}),
+            "visits": {"r", "exact", "mean", "stderr", "move_pairs"}}),
         (("pinning", "--beta", "1", "--n", "300", "--critical", "--crit-tol", "0.2",
           "--gc-f", "0"), "pinning.json", {
             "free_energy": {"f_hat", "raw_mean", "raw_se", "rows"},
@@ -440,7 +440,7 @@ def test_result_blocks_hold_results_only(tmp_path):
          "verify.json", {
             "key_relation": {"n_series", "r_absorb", "lhs", "rhs", "abs_difference",
                              "tolerance", "verdict"},
-            "key_relation.lhs": {"mean", "stderr"},
+            "key_relation.lhs": {"mean", "stderr", "move_pairs"},
             "key_relation.rhs": _GC_KEYS,
             "tau_mean_bound": {"n_terms", "partial_sum", "tau_mean", "margin",
                                "term_violations", "passed"}}),
@@ -451,7 +451,8 @@ def test_result_blocks_hold_results_only(tmp_path):
             "scan.points[]": {"beta", "h", "h_c_annealed", "bracket", "case",
                               "diagnostics", "consistent"},
             "scan.critical[]": {"beta", "bracket", "trail", "error"},
-            "transience": {"absorbed_fraction", "within_3se_fraction", "env_rows"},
+            "transience": {"absorbed_fraction", "within_3se_fraction", "move_pairs",
+                           "env_rows"},
             "transience.env_rows[]": {"env", "exact", "mc_mean", "mc_stderr", "z",
                                       "within_3se"}}),
     ]

@@ -191,6 +191,17 @@ def test_transience_every_environment_finite():
     assert rep.absorbed_fraction == 1.0
 
 
+@pytest.mark.parametrize("h, r, within", [(-1.0, 1, 1.0), (-10.0, 20, 0.0)])
+def test_transience_zero_stderr_is_within_only_on_an_exact_match(h, r, within):
+    # every walker of every environment counts one visit, so the stderr is
+    # 0: at R = 1, W(1) = 1 matches exactly; at h = -10 every site pulls the
+    # walker up, and W(20) = 1 + 4.5e-5 + ... misses
+    rep = annealed_transience_check(make_kernel("dirac", step=1), GAUSS, 0.0, h, n_envs=3,
+                                    walks_per_env=10, r=r, seed=1)
+    assert all(row["mc_mean"] == 1.0 and row["mc_stderr"] == 0.0 for row in rep.env_rows)
+    assert rep.within_3se_fraction == within
+
+
 def test_transience_requires_negative_h():
     kern = make_kernel("dirac", step=1)
     with pytest.raises(ValueError):

@@ -1,6 +1,6 @@
 """Exact walk formulas and their Monte Carlo counterparts."""
 
-import itertools
+import functools
 import math
 import os
 
@@ -288,17 +288,21 @@ def _reference_visit_counts(potential, r, replicas, seed):
     return counts
 
 
-def _move_reference_counts(potentials, r, replicas, seed, step_budget=None, censor=False):
-    """One-chunk-at-a-time loop over the engine's move tables: chunks of
-    16384 walkers ordered by potential, then replica, chunk c on
-    (seed, "visits", c) with the tables of the potentials it holds.  A sweep
-    draws one column uniform a walker, then moves every walker eight steps
-    four times, each move one coin uniform a walker; move m's column is bits
-    4m..4m+3 of the column uniform times 2^16.  A budget that is a whole
-    number of moves ends the last sweep at the budget; walkers still running
-    then count -1 with censor, else the first of them is named by
-    StepBudgetError."""
-    assert step_budget is None or step_budget % 8 == 0
+def _move_reference_counts(potentials, r, replicas, seed, pairs, step_budget=None,
+                           censor=False):
+    """One-chunk-at-a-time loop over the engine's move tables of `pairs`
+    step pairs: chunks of 16384 walkers ordered by potential, then replica,
+    chunk c on (seed, "visits", c) with the tables of the potentials it
+    holds.  A move is 2 * pairs steps over C = 4, 16 or 64 alias columns (b = 2, 4 or 6
+    bits) at 1, 4 or 8 pairs.  A sweep draws one column uniform a walker,
+    then makes 32 steps of moves, each move one coin uniform a walker; move
+    m's column is bits b m..b m + b - 1 of the column uniform times
+    2^(b * moves).  The last sweep ends at the budget rounded up to a whole
+    move, e steps past it; a walker then counts as absorbed only at 2j >=
+    R + e, having hit R within the budget.  Walkers still running count -1
+    with censor, else the first of them is named by StepBudgetError."""
+    columns, width = {1: (4, 2), 4: (16, 4), 8: (64, 6)}[pairs]
+    sweep_moves = 16 // pairs
     total = len(potentials) * replicas
     counts = np.ones(total, dtype=np.int64)
     dv = np.stack([pot.increments()[: r - 1] for pot in potentials])
@@ -308,20 +312,22 @@ def _move_reference_counts(potentials, r, replicas, seed, step_budget=None, cens
         idx = np.arange(start, min(start + 16384, total))
         row = idx // replicas
         rows = slice(row[0], row[-1] + 1)
-        thr, nxt, vis = sparsepin.walk._move_tables(dv[rows], r)
+        thr, nxt, vis = sparsepin.walk._move_tables(dv[rows], r, pairs)
         base = (row - row[0]) * half
         state, visits = base.copy(), np.ones(len(idx), dtype=np.int64)
         steps = 0
         while len(idx):
-            moves = 4 if step_budget is None else min(4, (step_budget - steps) // 8)
-            bits = (rng.random(len(idx)) * 2.0 ** 16).astype(np.int64)
+            moves = sweep_moves if step_budget is None else min(
+                sweep_moves, -(-(step_budget - steps) // (2 * pairs)))
+            bits = (rng.random(len(idx)) * 2.0 ** (width * sweep_moves)).astype(np.int64)
             for m in range(moves):
-                steps += 8
-                column = 16 * state + ((bits >> (4 * m)) & 15)
+                steps += 2 * pairs
+                column = columns * state + ((bits >> (width * m)) & (columns - 1))
                 slot = 2 * column + (rng.random(len(idx)) >= thr[column])
-                state = nxt[slot] // 16
+                state = nxt[slot] // columns
                 visits += vis[slot]
-            absorbed = 2 * (state - base) >= r
+            past = 0 if step_budget is None else max(0, steps - step_budget)
+            absorbed = 2 * (state - base) >= r + past
             counts[idx[absorbed]] = visits[absorbed]
             keep = ~absorbed
             idx, base, state, visits = idx[keep], base[keep], state[keep], visits[keep]
@@ -333,19 +339,27 @@ def _move_reference_counts(potentials, r, replicas, seed, step_budget=None, cens
     return counts.reshape(len(potentials), replicas)
 
 
-@pytest.mark.parametrize("r", [1, 2, 3, 30, 31])
-def test_move_tables_hold_the_exact_four_pair_law(r):
-    # every start's law of (end site, visits to 0) over one move, read back
-    # from its 16 alias columns, equals the sum over all 3^4 pair paths of
-    # the pair laws built here from step_prob; starts run from 0 through
-    # the band above R
+def _each_move_length(monkeypatch):
+    """1, 4 and 8, the engine's move lengths in step pairs, each forced on
+    the engine in turn whatever its walkers per potential."""
+    for pairs in (1, 4, 8):
+        monkeypatch.setattr(sparsepin.walk, "move_pairs", lambda replicas, p=pairs: p)
+        yield pairs
+
+
+def _assert_exact_move_law(r, pairs):
+    """Every start's law of (end site, visits to 0) over one move of `pairs`
+    step pairs, read back from its alias columns, equals a dynamic program
+    over the pair laws built here from step_prob, to 1e-14; starts run from
+    0 through the band above R."""
     rough = Potential(values=np.concatenate([[0.0], np.cumsum(
         np.random.default_rng(3).normal(size=40))]))
     pots = [flat(40), drifted(0.3, 40), drifted(-0.2, 40), fast(40), trap(40), rough]
     dv = np.stack([pot.increments()[: r - 1] for pot in pots])
-    thr, nxt, vis = sparsepin.walk._move_tables(dv, r)
+    thr, nxt, vis = sparsepin.walk._move_tables(dv, r, pairs)
+    columns = {1: 4, 4: 16, 8: 64}[pairs]
     rows, half = len(pots), (r + 1) // 2 + 16
-    assert len(thr) == 16 * rows * half + 1
+    assert len(thr) == columns * rows * half + 1
     for row in range(rows):
         # p_0 = 1 forces 0 -> 1, and from R on the chain only climbs
         p_up = np.ones(2 * half)
@@ -354,35 +368,50 @@ def test_move_tables_hold_the_exact_four_pair_law(r):
         down = np.array([q_up[2 * j] * q_up[2 * j - 1] if j else 0.0 for j in range(half)])
         up = p_up[0:2 * half:2] * p_up[1:2 * half:2]
         pair = np.stack([down, 1.0 - down - up, up])
-        # a move never starts within four sites of the top of the table
-        for j in range(half - 4):
-            law = {}
-            for path in itertools.product((-1, 0, 1), repeat=4):
-                p, site, seen = 1.0, j, 0
-                for step in path:
-                    p *= pair[step + 1, site]
-                    site += step
-                    seen += site == 0
-                # a path through site -2 has down = 0 at site 0, so p = 0
-                if p > 0:
-                    law[site, seen] = law.get((site, seen), 0.0) + p
+        # a move never starts within `pairs` states of the top of the table
+        for j in range(half - pairs):
+            law = {(j, 0): 1.0}
+            for _ in range(pairs):
+                after = {}
+                for (site, seen), p in law.items():
+                    for step in (-1, 0, 1):
+                        # down = 0 at site 0, so no mass goes below it
+                        if pair[step + 1, site] > 0:
+                            key = (site + step, seen + (site + step == 0))
+                            after[key] = after.get(key, 0.0) + p * pair[step + 1, site]
+                law = after
             back = {}
-            for col in range(16):
-                at = 16 * (row * half + j) + col
+            for col in range(columns):
+                at = columns * (row * half + j) + col
                 for b, w in ((0, thr[at]), (1, 1.0 - thr[at])):
-                    key = (int(nxt[2 * at + b]) // 16 - row * half, int(vis[2 * at + b]))
-                    back[key] = back.get(key, 0.0) + w / 16
+                    key = (int(nxt[2 * at + b]) // columns - row * half, int(vis[2 * at + b]))
+                    back[key] = back.get(key, 0.0) + w / columns
             for key in law.keys() | back.keys():
                 assert abs(law.get(key, 0.0) - back.get(key, 0.0)) <= 1e-14, (row, j, key)
 
 
+@pytest.mark.parametrize("r", [1, 2, 3, 30, 31])
+def test_move_tables_hold_the_exact_four_pair_law(r):
+    _assert_exact_move_law(r, 4)
+
+
+@pytest.mark.parametrize("pairs", [1, 8])
+@pytest.mark.parametrize("r", [1, 2, 3, 30, 31])
+def test_move_tables_hold_the_exact_one_and_eight_pair_laws(r, pairs):
+    # at 1 pair a start at 0 or 2 has 2 or 3 outcomes in 4 columns, so a
+    # spare column whose cell some start reaches would count that cell twice
+    _assert_exact_move_law(r, pairs)
+
+
 @pytest.mark.parametrize("replicas", [1, 8191, 8192, 16383, 16384, 20000, 40000])
 @pytest.mark.parametrize("r", [1, 2, 3, 30])
-def test_batch_of_one_matches_per_potential_walk(replicas, r):
+def test_batch_of_one_matches_per_potential_walk(monkeypatch, replicas, r):
     pot = drifted(0.3, 40)
-    batch = simulate_visit_counts([pot], r, replicas, seed=12)
-    assert batch.shape == (1, replicas)
-    assert np.array_equal(batch[0], _move_reference_counts([pot], r, replicas, seed=12)[0])
+    for pairs in _each_move_length(monkeypatch):
+        batch = simulate_visit_counts([pot], r, replicas, seed=12)
+        assert batch.shape == (1, replicas)
+        assert np.array_equal(batch[0],
+                              _move_reference_counts([pot], r, replicas, 12, pairs)[0])
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -391,33 +420,38 @@ def test_batch_matches_one_chunk_at_a_time(monkeypatch, workers):
     # is mostly fast walkers, chunks 1 and 2 hold trapped ones): two workers run
     # chunks 0, 2, 4 and 1, 3, three run 0, 3 and 1, 4 and 2.  Without the
     # trapped row, six rows make four chunks
-    monkeypatch.setattr(sparsepin.walk, "_worker_count", lambda n: workers)
     pots = [fast(40), flat(40), drifted(0.3, 40), trap(40), drifted(0.6, 40), fast(40),
             flat(40)]
     free = pots[:3] + pots[4:]
-    assert np.array_equal(simulate_visit_counts(free, 25, 10000, seed=17),
-                          _move_reference_counts(free, 25, 10000, seed=17))
-    censored = simulate_visit_counts(pots, 25, 10000, seed=17, step_budget=1000, censor=True)
-    assert np.array_equal(censored, _move_reference_counts(pots, 25, 10000, seed=17,
-                                                           step_budget=1000, censor=True))
-    assert np.all(censored[3] == -1) and np.any(censored[1] == -1)
-    # with one worker, chunks 0 and 1 both hold trapped walkers; the error
-    # names chunk 0's first
-    monkeypatch.setattr(sparsepin.walk, "_worker_count", lambda n: 1)
     trapped = [fast(40), trap(40), trap(40), fast(40)]
-    for walk in (simulate_visit_counts, _move_reference_counts):
-        with pytest.raises(StepBudgetError) as err:
-            walk(trapped, 25, 10000, seed=14, step_budget=64)
-        assert err.value.replica == 10000
+    for pairs in _each_move_length(monkeypatch):
+        monkeypatch.setattr(sparsepin.walk, "_worker_count", lambda n: workers)
+        assert np.array_equal(simulate_visit_counts(free, 25, 10000, seed=17),
+                              _move_reference_counts(free, 25, 10000, 17, pairs))
+        # 1000 steps are not a whole number of 16-step moves
+        censored = simulate_visit_counts(pots, 25, 10000, seed=17, step_budget=1000,
+                                         censor=True)
+        assert np.array_equal(censored, _move_reference_counts(
+            pots, 25, 10000, 17, pairs, step_budget=1000, censor=True))
+        assert np.all(censored[3] == -1) and np.any(censored[1] == -1)
+        # with one worker, chunks 0 and 1 both hold trapped walkers; the error
+        # names chunk 0's first
+        monkeypatch.setattr(sparsepin.walk, "_worker_count", lambda n: 1)
+        for walk in (simulate_visit_counts,
+                     functools.partial(_move_reference_counts, pairs=pairs)):
+            with pytest.raises(StepBudgetError) as err:
+                walk(trapped, 25, 10000, seed=14, step_budget=64)
+            assert err.value.replica == 10000
 
 
-def test_sweep_visit_counter_does_not_wrap():
+def test_sweep_visit_counter_does_not_wrap(monkeypatch):
     # gently uphill: W(30) is about 68, and the most frequent walkers of
     # 20000 return to 0 several hundred times, past a uint8's range
     pot = Potential(values=0.05 * np.arange(41.0))
-    counts = simulate_visit_counts([pot], 30, 20000, seed=18)
-    assert counts.max() > 255
-    assert np.array_equal(counts, _move_reference_counts([pot], 30, 20000, seed=18))
+    for pairs in _each_move_length(monkeypatch):
+        counts = simulate_visit_counts([pot], 30, 20000, seed=18)
+        assert counts.max() > 255
+        assert np.array_equal(counts, _move_reference_counts([pot], 30, 20000, 18, pairs))
 
 
 def _chi2_sf(stat, dof):
@@ -472,32 +506,34 @@ def test_visit_count_histogram_is_geometric(r):
         assert _geometric_chi2_pvalue(counts, w_other) < 1e-3
 
 
-def test_batch_rows_follow_their_own_potential():
+def test_batch_rows_follow_their_own_potential(monkeypatch):
     # 5 x 3000 walkers: one chunk holds all five rows
     pots = [drifted(0.3, 40), flat(40), drifted(0.6, 40), flat(40), drifted(0.3, 40)]
-    counts = simulate_visit_counts(pots, 25, 3000, seed=13)
-    assert counts.shape == (5, 3000)
-    assert np.array_equal(counts, simulate_visit_counts(pots, 25, 3000, seed=13))
-    for pot, row in zip(pots, counts):
-        se = row.std(ddof=1) / math.sqrt(len(row))
-        assert abs(row.mean() - expected_visits_exact(pot, 25)) <= 3 * se
-    # deterministic rows: a fast row is all ones, a trapped one all censored
-    mixed = simulate_visit_counts([fast(40), trap(40), fast(40)], 25, 5000,
-                                  seed=13, step_budget=64, censor=True)
-    assert np.all(mixed[[0, 2]] == 1) and np.all(mixed[1] == -1)
+    for _ in _each_move_length(monkeypatch):
+        counts = simulate_visit_counts(pots, 25, 3000, seed=13)
+        assert counts.shape == (5, 3000)
+        assert np.array_equal(counts, simulate_visit_counts(pots, 25, 3000, seed=13))
+        for pot, row in zip(pots, counts):
+            se = row.std(ddof=1) / math.sqrt(len(row))
+            assert abs(row.mean() - expected_visits_exact(pot, 25)) <= 3 * se
+        # deterministic rows: a fast row is all ones, a trapped one all censored
+        mixed = simulate_visit_counts([fast(40), trap(40), fast(40)], 25, 5000,
+                                      seed=13, step_budget=64, censor=True)
+        assert np.all(mixed[[0, 2]] == 1) and np.all(mixed[1] == -1)
 
 
 def test_batch_step_budget_error_names_global_replica(monkeypatch):
     # the first trapped walker is 0-based walker 10000 inside chunk 0, or
     # walker 20000 in chunk 1, which a forked helper runs when there are two
     # workers
-    for workers in (1, 2):
-        monkeypatch.setattr(sparsepin.walk, "_worker_count", lambda n, w=workers: w)
-        for fasts, first in ((2, 10000), (4, 20000)):
-            with pytest.raises(StepBudgetError) as err:
-                simulate_visit_counts([fast(40)] * fasts + [trap(40)], 25, 5000,
-                                      seed=14, step_budget=64)
-            assert err.value.replica == first
+    for _ in _each_move_length(monkeypatch):
+        for workers in (1, 2):
+            monkeypatch.setattr(sparsepin.walk, "_worker_count", lambda n, w=workers: w)
+            for fasts, first in ((2, 10000), (4, 20000)):
+                with pytest.raises(StepBudgetError) as err:
+                    simulate_visit_counts([fast(40)] * fasts + [trap(40)], 25, 5000,
+                                          seed=14, step_budget=64)
+                assert err.value.replica == first
 
 
 @pytest.mark.parametrize("workers", [2, 3])
@@ -506,20 +542,21 @@ def test_counts_do_not_depend_on_worker_count(monkeypatch, workers):
     # chunk 0 and a forked helper chunk 1
     pots = [drifted(0.3, 40), flat(40), drifted(0.6, 40), trap(40), flat(40),
             drifted(0.1, 40), fast(40)]
-    runs = {}
-    for count in (1, workers):
-        monkeypatch.setattr(sparsepin.walk, "_worker_count", lambda n, w=count: w)
-        runs[count] = (simulate_visit_counts(pots[:3] + pots[4:], 25, 3000, seed=15),
-                       simulate_visit_counts(pots, 25, 3000, seed=15, step_budget=200,
-                                             censor=True))
-    for serial, parallel in zip(runs[1], runs[workers]):
-        assert np.array_equal(serial, parallel)
-    assert np.all(runs[1][1][3] == -1)
-    # chunks 0 and 1 both fail; the error names the lower one's walker
-    with pytest.raises(StepBudgetError) as err:
-        simulate_visit_counts([fast(40), fast(40), trap(40), trap(40)], 25, 5000,
-                              seed=14, step_budget=64)
-    assert err.value.replica == 10000
+    for _ in _each_move_length(monkeypatch):
+        runs = {}
+        for count in (1, workers):
+            monkeypatch.setattr(sparsepin.walk, "_worker_count", lambda n, w=count: w)
+            runs[count] = (simulate_visit_counts(pots[:3] + pots[4:], 25, 3000, seed=15),
+                           simulate_visit_counts(pots, 25, 3000, seed=15, step_budget=200,
+                                                 censor=True))
+        for serial, parallel in zip(runs[1], runs[workers]):
+            assert np.array_equal(serial, parallel)
+        assert np.all(runs[1][1][3] == -1)
+        # chunks 0 and 1 both fail; the error names the lower one's walker
+        with pytest.raises(StepBudgetError) as err:
+            simulate_visit_counts([fast(40), fast(40), trap(40), trap(40)], 25, 5000,
+                                  seed=14, step_budget=64)
+        assert err.value.replica == 10000
 
 
 def test_helper_failure_reaches_the_parent(monkeypatch):
@@ -542,6 +579,13 @@ def test_helper_failure_reaches_the_parent(monkeypatch):
         monkeypatch.setattr(sparsepin.walk, "_visits_chunk", broken)
         with pytest.raises(RuntimeError, match=f"exited with status {status} without"):
             simulate_visit_counts(pots, 10, 5000, seed=16)
+
+
+def test_move_pairs_bands():
+    # few walkers a potential move by 1 pair; verify's 500 and scan
+    # --transience's 200 by 4; the benchmark walk's 100,000 by 8
+    walkers = [1, 5, 31, 32, 200, 500, 9999, 10000, 100000]
+    assert [sparsepin.walk.move_pairs(n) for n in walkers] == [1, 1, 1, 4, 4, 4, 4, 8, 8]
 
 
 def test_worker_count_equals_two_8192_walker_chunks_per_process(monkeypatch):
@@ -603,31 +647,34 @@ def test_visit_count_z_scores_are_standard_normal():
     assert np.count_nonzero(np.abs(z) > 3.0) <= cap
 
 
-def test_step_budget_error_and_censoring():
+def test_step_budget_error_and_censoring(monkeypatch):
     pot = flat(400)
-    with pytest.raises(StepBudgetError) as err:
-        simulate_visit_counts([pot], 400, 100, seed=6, step_budget=500)
-    assert err.value.replica >= 0
-    censored = simulate_visit_counts([pot], 400, 100, seed=6, step_budget=500,
-                                     censor=True)
-    assert np.all(censored == -1)
+    for _ in _each_move_length(monkeypatch):
+        with pytest.raises(StepBudgetError) as err:
+            simulate_visit_counts([pot], 400, 100, seed=6, step_budget=500)
+        assert err.value.replica >= 0
+        censored = simulate_visit_counts([pot], 400, 100, seed=6, step_budget=500,
+                                         censor=True)
+        assert np.all(censored == -1)
 
 
-def test_step_budget_below_one_sweep_is_enforced():
+def test_step_budget_below_one_sweep_is_enforced(monkeypatch):
     # every walker needs two steps to reach R = 2, even where going up is certain
-    counts = simulate_visit_counts([fast(10)], 2, 1000, seed=3, step_budget=1,
-                                   censor=True)
-    assert np.all(counts == -1)
-    with pytest.raises(StepBudgetError):
-        simulate_visit_counts([fast(10)], 2, 1000, seed=3, step_budget=1)
-    assert np.all(simulate_visit_counts([fast(10)], 2, 1000, seed=3,
-                                        step_budget=2) == 1)
+    for _ in _each_move_length(monkeypatch):
+        counts = simulate_visit_counts([fast(10)], 2, 1000, seed=3, step_budget=1,
+                                       censor=True)
+        assert np.all(counts == -1)
+        with pytest.raises(StepBudgetError):
+            simulate_visit_counts([fast(10)], 2, 1000, seed=3, step_budget=1)
+        assert np.all(simulate_visit_counts([fast(10)], 2, 1000, seed=3,
+                                            step_budget=2) == 1)
 
 
-def test_odd_step_budget_is_exact():
+def test_odd_step_budget_is_exact(monkeypatch):
     # R = 3 is hit at step 3, inside the second step pair
-    assert np.all(simulate_visit_counts([fast(10)], 3, 1000, seed=3,
-                                        step_budget=3) == 1)
-    counts = simulate_visit_counts([fast(10)], 3, 1000, seed=3, step_budget=2,
-                                   censor=True)
-    assert np.all(counts == -1)
+    for _ in _each_move_length(monkeypatch):
+        assert np.all(simulate_visit_counts([fast(10)], 3, 1000, seed=3,
+                                            step_budget=3) == 1)
+        counts = simulate_visit_counts([fast(10)], 3, 1000, seed=3, step_budget=2,
+                                       censor=True)
+        assert np.all(counts == -1)
