@@ -37,8 +37,8 @@ from .pinning import (BracketError, _contact_rows, _fresh_rows, _mean_stderr,
                       _require_reachable, annealed_critical_point, free_energy_estimate,
                       grand_canonical, homogeneous_free_energy, pinned_recursions,
                       quenched_critical_point_estimate)
-from .walk import (StepBudgetError, WalkParams, build_potential, expected_visits_exact,
-                   move_pairs, simulate_visit_counts, step_prob)
+from .walk import (DEFAULT_STEP_BUDGET, StepBudgetError, WalkParams, build_potential,
+                   expected_visits_exact, move_pairs, simulate_visit_counts, step_prob)
 
 SCHEMA_VERSION = 1
 
@@ -79,7 +79,8 @@ _ENERGY = {"beta": (float, 0.0), "h": (float, 0.0)}
 _SCHEMAS = {
     "env": {**_COMMON, "horizon": (int, 50)},
     "walk": {**_COMMON, **_ENERGY, "f": (float, 0.0), "horizon": (int, 50),
-             "r": (int, 0), "replicas": (int, 10000), "step_budget": (int, 10 ** 8)},
+             "r": (int, 0), "replicas": (int, 10000),
+             "step_budget": (int, DEFAULT_STEP_BUDGET)},
     "pinning": {**_COMMON, **_ENERGY, "n": (int, 2000), "gc_f": (float, None),
                 "critical": (bool, False), "crit_tol": (float, 0.02), "crit_n": (int, 0)},
     "verify": {**_COMMON, "beta": (float, 1.0), "h": (float, -1.0),

@@ -62,14 +62,6 @@ class DisorderSpec:
         if self.family == "uniform_centered" and not 0 < 2.0 * self.half_width < math.inf:
             raise ValueError("uniform half_width must be positive, with 2 * half_width finite")
 
-    @property
-    def variance(self) -> float:
-        if self.family == "gaussian":
-            return self.sigma ** 2
-        if self.family == "rademacher":
-            return 1.0
-        return self.half_width ** 2 / 3.0
-
 
 @dataclass(frozen=True, eq=False)
 class RenewalKernel:

@@ -18,9 +18,11 @@ all rows at once, and the logs are written once per block of sites.
 finite contact energies beta*omega_m + h, any mix of omega, beta and h per
 row, and runs it in one engine call.  An engine call of 32 rows costs
 about twice as much per site as one of a single row, so the quenched
-critical-point search runs in lockstep: each multisection pass is one
-engine call for every unfinished (beta, seed) search, and the first pass
-also evaluates the first bisection levels below CRIT_H_HI on speculation.
+critical-point searches run in lockstep.  Each (beta, seed) search is a
+plain bisection written as a generator that asks for the raws it lacks,
+_MULTISECTION_LEVELS levels of midpoints at a time (its first request also
+holds its start ends and, on speculation, the levels below CRIT_H_HI); a
+driver answers every running search's request with one engine call a pass.
 One estimate serves every finite-n free energy (`pinning`, `pinning
 --critical`, scan's case-1 test): the mean and standard error of
 raw = (1/n) log z^c_n over the FE_ROWS fresh disorder rows of _fresh_rows.
@@ -452,96 +454,93 @@ def quenched_critical_point_estimates(spec: DisorderSpec, kernel: RenewalKernel,
 
     For fixed disorder log z^c_n rises strictly in h (every path carries a
     contact factor e^h), so the bracket holds this sample's root exactly.
-    It starts from the annealed critical point, a rigorous lower bound, and
-    the first of CRIT_H_HI + 0.5 i, i = 0..4, with raw > 0, and narrows to
-    width <= tol.  The searches run in lockstep as a multisection: each pass
-    is one pinned_recursions call for every unfinished search, evaluating
-    every midpoint of its next _MULTISECTION_LEVELS bisection levels.  The
-    first pass evaluates the six start ends and, on speculation, the
-    midpoints below CRIT_H_HI; they are dropped when a higher upper end
-    wins.  So each bracket and trail is the one the one-h-at-a-time
-    bisection gives.
+    Each search is the plain bisection of _bisection, a generator that asks
+    for the raws it lacks; this driver draws each search's disorder and
+    runs the searches in lockstep, answering every running search's request
+    with one pinned_recursions call per pass.  A request holds the midpoints
+    of the next _MULTISECTION_LEVELS bisection levels, and the first also
+    the start ends and, on speculation, the levels below CRIT_H_HI.
 
     Returns one entry per search, in order: its CriticalPointEstimate, or
     the BracketError that ended it, carrying the trail so far, which leaves
-    the other searches running.  A bracket still wider than tol whose ends
-    are adjacent floats cannot narrow, and ends its search with such an
-    error.  So does a root below `sparse`, the power of two between
-    -2^53 tol and -2^52 tol below which adjacent floats lie more than tol
-    apart (at beta = 1e20 the root is of order -1e20, where they are 16384
-    or more apart): when the annealed start lies below that bound, the
-    first pass evaluates raw there too, and a positive raw ends the search
-    with that point last in its trail.  Otherwise the point is dropped, so
-    every bracket and trail is the one the bisection gives.
+    the other searches running.
     """
     if not tol > 0:
         raise ValueError("need tol > 0")
     if n < 2:
         raise ValueError("free energy estimation needs n >= 2")
-
-    def raws(blocks):
-        """raw at each row of each contact block, one engine pass for all."""
-        if not blocks:
-            return []
-        tables = iter(pinned_recursions(np.concatenate(blocks), kernel))
-        return [[float(next(tables).log_zc[n] / n) for _ in block] for block in blocks]
-
     draws = [sample_disorder(spec, n, derive_seed(seed, "crit-omega", 0))
              for _, seed in searches]
-    starts = [[annealed_critical_point(spec, beta)] + [CRIT_H_HI + 0.5 * i for i in range(5)]
-              for beta, _ in searches]
-    speculative = [_midpoints(hs[0], CRIT_H_HI, tol) for hs in starts]
-    # below `sparse` adjacent floats lie more than tol apart, so no bracket
-    # with its upper end there can narrow to tol; a start below it is
-    # probed there too, and a positive raw ends that search at once
-    sparse = -math.ldexp(1.0, math.frexp(tol)[1] + 52)
-    probes = [[sparse] if hs[0] < sparse else [] for hs in starts]
-    first = raws([_contact_rows(draw, beta, hs + mids + probe)
-                  for (beta, _), draw, hs, mids, probe
-                  in zip(searches, draws, starts, speculative, probes)])
+    runs = [_bisection(annealed_critical_point(spec, beta), n, tol) for beta, _ in searches]
     out = [None] * len(searches)
-    brackets, trails = {}, {}  # of the searches still running, by index
-    for i, (hs, mids, probe, vals) in enumerate(zip(starts, speculative, probes, first)):
-        lo = hs[0]
-        if vals[0] > 0:
-            out[i] = BracketError(lo, CRIT_H_HI,
-                                  "already localized at the annealed critical point",
-                                  [(lo, vals[0])])
-            continue
-        trail = [(lo, vals[0])]
-        for h, raw in zip(hs[1:], vals[1:6]):
-            trail.append((h, raw))
-            if raw > 0:
-                break
+    answers = dict.fromkeys(range(len(searches)))  # raws to send, by running search
+    while True:
+        requests = {}
+        for i, raws in answers.items():
+            try:
+                requests[i] = runs[i].send(raws)
+            except StopIteration as stop:
+                out[i] = stop.value
+        if not requests:
+            return out
+        blocks = [_contact_rows(draws[i], searches[i][0], hs) for i, hs in requests.items()]
+        tables = iter(pinned_recursions(np.concatenate(blocks), kernel))
+        answers = {i: [float(next(tables).log_zc[n] / n) for _ in hs]
+                   for i, hs in requests.items()}
+
+
+def _bisection(lo: float, n: int, tol: float):
+    """One quenched search from the annealed end lo, as a generator: it
+    yields each list of h whose raws it needs, is sent back those raws, and
+    returns its CriticalPointEstimate or BracketError.
+
+    The upper end is the first of CRIT_H_HI + 0.5 i, i = 0..4, with raw > 0,
+    and the bracket narrows to width <= tol.  The first request holds the
+    six start ends and, on speculation, the midpoints below CRIT_H_HI, which
+    go unused when a higher upper end wins; each later one, made when the
+    next midpoint's raw is not yet held, the midpoints of the next
+    _MULTISECTION_LEVELS levels.  A bracket still wider than tol
+    whose ends are adjacent floats cannot narrow, and ends the search with
+    an error.  So does a root below `sparse`, the power of two between
+    -2^53 tol and -2^52 tol below which adjacent floats lie more than tol
+    apart (at beta = 1e20 the root is of order -1e20, where they are 16384
+    or more apart): when lo lies below that bound, the first request holds
+    it too, and a positive raw there ends the search with that point last
+    in its trail.  Otherwise the point goes unused, so every bracket and
+    trail is the one the one-h-at-a-time bisection gives.
+    """
+    ends = [CRIT_H_HI + 0.5 * i for i in range(5)]
+    sparse = -math.ldexp(1.0, math.frexp(tol)[1] + 52)
+    probe = [sparse] if lo < sparse else []
+    hs = [lo] + ends + _midpoints(lo, CRIT_H_HI, tol) + probe
+    raw_at = dict(zip(hs, (yield hs)))
+    trail = [(lo, raw_at[lo])]
+    if raw_at[lo] > 0:
+        return BracketError(lo, CRIT_H_HI, "already localized at the annealed critical point",
+                            trail)
+    for hi in ends:
+        trail.append((hi, raw_at[hi]))
+        if raw_at[hi] > 0:
+            break
+    else:
+        return BracketError(lo, hi, "no localized phase found", trail)
+    if probe and raw_at[sparse] > 0:
+        trail.append((sparse, raw_at[sparse]))
+        return BracketError(lo, sparse, "the sign change lies where floats are more "
+                            "than tol apart", trail)
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return BracketError(lo, hi, "no float lies between the bracket's ends", trail)
+        if mid not in raw_at:
+            hs = _midpoints(lo, hi, tol)
+            raw_at.update(zip(hs, (yield hs)))
+        trail.append((mid, raw_at[mid]))
+        if raw_at[mid] > 0:
+            hi = mid
         else:
-            out[i] = BracketError(lo, hs[-1], "no localized phase found", trail)
-            continue
-        if probe and vals[-1] > 0:
-            trail.append((sparse, vals[-1]))
-            out[i] = BracketError(lo, sparse, "the sign change lies where floats are more "
-                                  "than tol apart", trail)
-            continue
-        hi = trail[-1][0]
-        if hi == CRIT_H_HI:
-            lo, hi = _descend(lo, hi, dict(zip(mids, vals[6:6 + len(mids)])), trail, tol)
-        brackets[i], trails[i] = (lo, hi), trail
-    while todo := [i for i, (lo, hi) in brackets.items() if hi - lo > tol]:
-        for i in todo:
-            lo, hi = brackets[i]
-            if 0.5 * (lo + hi) in (lo, hi):
-                out[i] = BracketError(lo, hi, "no float lies between the bracket's ends",
-                                      trails[i])
-                del brackets[i]
-        todo = [i for i in todo if i in brackets]
-        mids = [_midpoints(*brackets[i], tol) for i in todo]
-        vals = raws([_contact_rows(draws[i], searches[i][0], hs)
-                     for i, hs in zip(todo, mids)])
-        for i, hs, v in zip(todo, mids, vals):
-            brackets[i] = _descend(*brackets[i], dict(zip(hs, v)), trails[i], tol)
-    for i, (lo, hi) in brackets.items():
-        out[i] = CriticalPointEstimate(h_hat=0.5 * (lo + hi), bracket=(lo, hi), n=n,
-                                       trail=trails[i])
-    return out
+            lo = mid
+    return CriticalPointEstimate(h_hat=0.5 * (lo + hi), bracket=(lo, hi), n=n, trail=trail)
 
 
 def _midpoints(lo: float, hi: float, tol: float) -> list[float]:
@@ -557,20 +556,3 @@ def _midpoints(lo: float, hi: float, tol: float) -> list[float]:
                 below += [(a, mid), (mid, b)]
         level = below
     return mids
-
-
-def _descend(lo: float, hi: float, raw_at: dict, trail: list,
-             tol: float) -> tuple[float, float]:
-    """Take the next _MULTISECTION_LEVELS bisection steps from raw_at,
-    appending each decided (h, raw) to trail; stop early where the bracket
-    is within tol or its midpoint rounds onto an end."""
-    for _ in range(_MULTISECTION_LEVELS):
-        mid = 0.5 * (lo + hi)
-        if not hi - lo > tol or mid in (lo, hi):
-            break
-        trail.append((mid, raw_at[mid]))
-        if raw_at[mid] > 0:
-            hi = mid
-        else:
-            lo = mid
-    return lo, hi

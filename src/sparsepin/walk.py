@@ -153,7 +153,8 @@ def _potential_rows(ends: np.ndarray, omega: np.ndarray, params: WalkParams) -> 
     sites = ends[keep] - 1
     # flat indices into the (sets, n) increments, row k starting at k * n
     flat = (ends + (n * np.arange(sets) - 1)[:, None])[keep]
-    incr = np.full(sets * n, -params.f)
+    # 0.0 - f, not -f: at f = 0 the increments are +0.0, which csv prints as 0.0
+    incr = np.full(sets * n, 0.0 - params.f)
     values = np.zeros((sets, n + 1))
     # an overflow leaves inf or nan in V, which Potential refuses
     with np.errstate(over="ignore", invalid="ignore"):

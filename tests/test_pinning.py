@@ -738,6 +738,22 @@ def test_lockstep_searches_match_one_search_at_a_time():
     assert lockstep[2].trail[1] == (CRIT_H_HI, _crit_raw(spec, k, 2.0, n, 1, CRIT_H_HI))
 
 
+def test_bracket_of_adjacent_floats_wider_than_tol_ends_the_search():
+    # tol = 1e-16 is below the float spacing near this root (about 0.59), so
+    # the bracket narrows to two adjacent floats and can narrow no further
+    k = make_kernel("power_law", alpha=1.0, n_max=4)
+    spec = DisorderSpec("gaussian")
+    (err,) = quenched_critical_point_estimates(spec, k, [(2.0, 1)], 10, 1e-16)
+    assert isinstance(err, BracketError)
+    assert str(err).startswith("no float lies between the bracket's ends")
+    lo, hi = err.scanned
+    assert math.nextafter(lo, math.inf) == hi and hi - lo > 1e-16
+    assert err.trail[-1][0] in (lo, hi)
+    with pytest.raises(BracketError) as alone:
+        quenched_critical_point_estimate(spec, k, 2.0, 10, 1e-16, seed=1)
+    assert str(alone.value) == str(err)
+
+
 def test_default_scan_makes_two_engine_calls_at_n_fe_and_one_at_n_gc(monkeypatch):
     calls = []
     engine = sparsepin.pinning._log_zc_rows

@@ -48,6 +48,17 @@ def test_build_potential_flat_and_drift():
     assert vf.values == pytest.approx(-0.5 * np.arange(31), abs=1e-12)
 
 
+def test_build_potential_at_zero_drift_has_no_negative_zero():
+    # potential.csv prints a -0.0 as "-0.0"; at f = 0 every V before the
+    # first renewal point, and every V of a flat potential, is +0.0
+    env = SparseEnvironment(horizon=5, tau=np.array([0, 3]),
+                            omega=np.array([0.0, 0.0, 0.5, 0.0, 0.0]))
+    for params in (WalkParams(), WalkParams(beta=1.0, h=-1.0)):
+        values = build_potential(env, params).values
+        assert (values == 0.0).any()
+        assert not np.signbit(values[values == 0.0]).any()
+
+
 def test_build_potential_contact_example():
     env = SparseEnvironment(horizon=3, tau=np.array([0, 2]),
                             omega=np.array([0.0, 2.0, 0.0]))
