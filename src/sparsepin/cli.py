@@ -63,6 +63,7 @@ class _Parser(argparse.ArgumentParser):
 
 # key -> (type, default); grids are comma-separated strings so that config
 # files and embedded configs stay flat.  Every key is read by its command.
+# Budgets the library takes default to its config dataclasses' values.
 _COMMON = {
     "seed": (int, 1),
     "kernel": (str, "power_law"),
@@ -84,15 +85,14 @@ _SCHEMAS = {
     "pinning": {**_COMMON, **_ENERGY, "n": (int, 2000), "gc_f": (float, None),
                 "critical": (bool, False), "crit_tol": (float, 0.02), "crit_n": (int, 0)},
     "verify": {**_COMMON, "beta": (float, 1.0), "h": (float, -1.0),
-               "f": (float, 0.3), "n_tau": (int, 200),
-               "walk_replicas": (int, 500), "n_series": (int, 0)},
+               "f": (float, 0.3), "n_tau": (int, KeyRelationConfig.n_tau),
+               "walk_replicas": (int, KeyRelationConfig.walk_replicas),
+               "n_series": (int, 0)},
     "scan": {**_COMMON, **_ENERGY, "alpha": (float, 0.6), "n_max": (int, 40),
              "beta_grid": (str, "0,1,2"),
              "h_grid": (str, "-2.2,-1.4,-1.2,-0.35,-0.05"),
-             "n_fe": (int, 8000), "n_gc": (int, 3000), "crit_tol": (float, 0.04),
-             "eps_small": (float, 0.05),
-             "transience": (bool, False), "trans_envs": (int, 50),
-             "trans_walks": (int, 200), "trans_r": (int, 150)},
+             "n_fe": (int, ScanConfig.n_fe), "n_gc": (int, ScanConfig.n_gc),
+             "crit_tol": (float, ScanConfig.crit_tol), "transience": (bool, False)},
 }
 
 
@@ -300,15 +300,13 @@ def cmd_scan(config: dict, outdir: Path) -> int:
     beta_grid, h_grid = _grid(config["beta_grid"]), _grid(config["h_grid"])
     scan_cfg = ScanConfig(kernel=kernel, disorder=disorder, n_fe=config["n_fe"],
                           crit_tol=config["crit_tol"], n_gc=config["n_gc"],
-                          eps_small=config["eps_small"], seed=config["seed"])
+                          seed=config["seed"])
     payload = {}
     if config["transience"]:
         # cheap next to the scan and refuses its own bad inputs (h >= 0
         # among them), so it runs first and a refused run costs no scan
-        trans = annealed_transience_check(
-            kernel, disorder, config["beta"], config["h"],
-            n_envs=config["trans_envs"], walks_per_env=config["trans_walks"],
-            r=config["trans_r"], seed=derive_seed(config["seed"], "transience"))
+        trans = annealed_transience_check(kernel, disorder, config["beta"], config["h"],
+                                          seed=derive_seed(config["seed"], "transience"))
         payload["transience"] = asdict(trans)
     report = regime_scan(beta_grid, h_grid, scan_cfg)
     write_csv(outdir / "scan.csv",

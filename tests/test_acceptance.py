@@ -193,7 +193,7 @@ def test_criterion_9_tau_mean_bound():
     target = kernel_mean(kern)
     partial = np.exp(np.logaddexp.accumulate(table.log_z))
     worst = float(np.max(np.abs(partial[kern.n_max:] - target)))
-    bound = tau_mean_lower_bound(kern, GAUSS, 0.0, -1000.0, n_terms=96, seed=2)
+    bound = tau_mean_lower_bound(kern, GAUSS, 0.0, -1000.0, seed=2)
     _report(9, worst <= 1e-9 and bound.passed,
             f"max |S_N - E(tau)| = {worst:.2e} for N >= n_max", t0, 1)
 

@@ -239,8 +239,8 @@ def test_refused_walk_leaves_outdir_empty(tmp_path):
     ("pinning", "--n", "100", "--kernel", "dirac", "--step", "3"),
     ("pinning", "--n", "-5", "--critical"),
     ("pinning", "--n", "100", "--critical", "--crit-n", "-3"),
-    ("scan", "--transience", "--h=-1", "--trans-walks", "1"),
-    ("scan", "--eps-small", "-1"),
+    ("scan", "--transience", "--h=-1", "--trans-walks", "200"),  # a removed flag
+    ("scan", "--eps-small", "0.05"),  # a removed flag
     ("scan", "--crit-tol", "0"),
     ("scan", "--n-gc", "1"),
     ("walk", "--step-budget", "0"),
@@ -406,8 +406,7 @@ class _ReadRecorder(dict):
     ("pinning", {"n": 300, "gc_f": 0.0, "critical": True, "crit_tol": 0.2}),
     ("verify", {"n_tau": 4, "walk_replicas": 20, "n_series": 40}),
     ("scan", {"beta_grid": "0,1", "h_grid": "-0.5", "n_fe": 300, "n_gc": 200,
-              "crit_tol": 0.2, "transience": True, "h": -1.0, "trans_envs": 2,
-              "trans_walks": 10, "trans_r": 20}),
+              "crit_tol": 0.2, "transience": True, "h": -1.0}),
 ])
 def test_every_config_key_is_read(tmp_path, command, flags):
     # a settable key that its command never reads cannot change the output
@@ -445,8 +444,7 @@ def test_result_blocks_hold_results_only(tmp_path):
             "tau_mean_bound": {"n_terms", "partial_sum", "tau_mean", "margin",
                                "term_violations", "passed"}}),
         (("scan", "--beta-grid", "0,1", "--h-grid=-0.5", "--n-fe", "300",
-          "--n-gc", "200", "--crit-tol", "0.2", "--transience", "--h=-1",
-          "--trans-envs", "2", "--trans-walks", "10", "--trans-r", "20"), "scan.json", {
+          "--n-gc", "200", "--crit-tol", "0.2", "--transience", "--h=-1"), "scan.json", {
             "scan": {"points", "critical"},
             "scan.points[]": {"beta", "h", "h_c_annealed", "bracket", "case",
                               "diagnostics", "consistent"},
@@ -489,9 +487,7 @@ def test_scan_transience_report(tmp_path):
     assert run(tmp_path, "scan", "--beta-grid", "0", "--h-grid=-0.5",
                "--kernel", "power_law", "--alpha", "1", "--n-max", "5",
                "--n-fe", "2000", "--n-gc", "800", "--transience",
-               "--beta", "0", "--h=-1", "--trans-envs", "20",
-               "--trans-walks", "100", "--trans-r", "80",
-               "--seed", "4") == EXIT_PASS
+               "--beta", "0", "--h=-1", "--seed", "4") == EXIT_PASS
     doc = read_json(tmp_path, "scan.json")
     assert doc["transience"]["absorbed_fraction"] == 1.0
 
@@ -569,6 +565,21 @@ def test_config_errors_exit_64(tmp_path, capsys):
         assert run(tmp_path, *args) == EXIT_CONFIG, args
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1, args
+
+
+@pytest.mark.parametrize("key, value", [("eps_small", 0.05), ("trans_envs", 50),
+                                        ("trans_walks", 200), ("trans_r", 150)])
+def test_removed_scan_keys_are_refused(tmp_path, capsys, key, value):
+    # a scan report saved while these keys existed holds them at these values
+    out = tmp_path / "out"
+    for name, text in (("old.cfg", f"{key} = {value}\n"),
+                       ("old.json", json.dumps({"config": {"n_fe": 8000, key: value}}))):
+        (tmp_path / name).write_text(text)
+        capsys.readouterr()
+        assert main(["scan", "--config", str(tmp_path / name), "--outdir", str(out)]) \
+            == EXIT_CONFIG
+        assert f"unknown config key {key!r} for scan" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_outdir_env_var(tmp_path, monkeypatch):

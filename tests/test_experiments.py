@@ -11,7 +11,8 @@ from sparsepin import (DisorderSpec, Potential, experiments, make_kernel,
 from sparsepin._rng import derive_seed
 from sparsepin.experiments import (KeyRelationConfig, ScanConfig,
                                    annealed_transience_check, regime_scan)
-from sparsepin.pinning import FE_ROWS, CriticalPointEstimate, _mean_stderr
+from sparsepin.pinning import (FE_ROWS, CriticalPointEstimate, PartitionTable, _contact_rows,
+                              _mean_stderr, grand_canonical, pinned_recursions)
 
 
 GAUSS = DisorderSpec("gaussian")
@@ -206,6 +207,8 @@ def test_transience_requires_negative_h():
     kern = make_kernel("dirac", step=1)
     with pytest.raises(ValueError):
         annealed_transience_check(kern, GAUSS, 0.0, 0.0)
+    with pytest.raises(ValueError, match="walks_per_env >= 2"):
+        annealed_transience_check(kern, GAUSS, 0.0, -1.0, walks_per_env=1)
 
 
 def recurrence_signature(r_values, replicas, seed=0):
@@ -227,3 +230,79 @@ def test_recurrence_signature_grows_with_r():
     assert sig[20]["mean"] / sig[10]["mean"] > 1.5
     assert sig[40]["mean"] / sig[20]["mean"] > 1.5
     assert abs(sig[40]["mean"] - 40.0) <= 3 * sig[40]["stderr"]
+
+
+def test_classify_leaves_both_bracket_ends_unresolved():
+    # the bracket is closed: a point on either end is not classified
+    lo, hi = -0.8, -0.6
+    assert experiments._classify(1.0, lo, -1.5, (lo, hi)) == "unresolved"
+    assert experiments._classify(1.0, hi, -1.5, (lo, hi)) == "unresolved"
+    assert experiments._classify(1.0, math.nextafter(lo, -math.inf), -1.5, (lo, hi)) == "case2"
+    assert experiments._classify(1.0, math.nextafter(hi, math.inf), -1.5, (lo, hi)) == "case1"
+
+
+def _case1_tables(spread):
+    # FE_ROWS tables whose raws are 0.01 +- spread: raw_mean 0.01 and
+    # raw_se = spread * sqrt(16 / 15) / 4
+    n = 10
+    raws = 0.01 + spread * np.array([1.0, -1.0] * (FE_ROWS // 2))
+    return [PartitionTable(n=n, kernel=SCAN_KERNEL,
+                           log_zc=np.append(np.zeros(n), raw * n)) for raw in raws]
+
+
+def test_case1_needs_its_mean_three_point_six_stderr_above_zero():
+    # raw_mean > 0 in both; only the narrow spread clears CASE1_T stderr
+    cfg = ScanConfig(kernel=SCAN_KERNEL, disorder=GAUSS)
+    case, diag, ok = experiments._point_diagnostics(
+        cfg, 1.0, -0.1, 0.5, "case1", _case1_tables(0.02), (-0.3, -0.2))
+    assert diag["raw_mean"] > 0 and diag["raw_mean"] - experiments.CASE1_T * diag["raw_se"] <= 0
+    assert case == "unresolved" and ok
+    case, diag, ok = experiments._point_diagnostics(
+        cfg, 1.0, -0.1, 0.5, "case1", _case1_tables(0.005), (-0.3, -0.2))
+    assert diag["raw_mean"] - experiments.CASE1_T * diag["raw_se"] > 0
+    assert case == "case1" and ok
+
+
+@pytest.mark.parametrize("z, verdict", [(2.9, "pass"), (-2.9, "pass"),
+                                        (3.1, "fail"), (-3.1, "fail")])
+def test_verify_tolerance_is_three_stderr(monkeypatch, z, verdict):
+    # the Monte Carlo side is replaced by S_N + z stderr
+    se = 0.01
+
+    def shifted(cfg, omega, n):
+        (table,) = pinned_recursions(_contact_rows(omega, cfg.beta, [cfg.h]), cfg.kernel)
+        return grand_canonical(table, cfg.f).partial_sum + z * se, se
+
+    monkeypatch.setattr(experiments, "_mc_visits_over_tau", shifted)
+    rep = verify_key_relation(KeyRelationConfig(
+        kernel=make_kernel("power_law", alpha=1.0, n_max=8), disorder=GAUSS,
+        beta=1.0, h=-1.0, f=0.3, seed=5))
+    assert rep.tolerance == 3 * se
+    assert rep.verdict == verdict
+
+
+@pytest.mark.parametrize("z, within", [(2.9, True), (-2.9, True),
+                                       (3.5, False), (-3.5, False)])
+def test_transience_within_is_three_stderr(monkeypatch, z, within):
+    # every environment's counts are 1, 1, 2, 2: mean 1.5, stderr sqrt(1/3) / 2;
+    # W(R) is replaced so that each sits z stderr from it
+    se = math.sqrt(1 / 3) / 2
+    monkeypatch.setattr(experiments, "simulate_visit_counts",
+                        lambda pots, *_, **__: np.tile([1, 1, 2, 2], (len(pots), 1)))
+    monkeypatch.setattr(experiments, "expected_visits_exact", lambda pot, r: 1.5 - z * se)
+    rep = annealed_transience_check(make_kernel("power_law", alpha=1.0, n_max=5), GAUSS,
+                                    0.0, -1.0, n_envs=3, walks_per_env=4, r=20, seed=1)
+    assert [row["z"] for row in rep.env_rows] == pytest.approx([z] * 3)
+    assert rep.within_3se_fraction == float(within)
+
+
+def test_tau_mean_bound_fails_a_sum_1e6_short(monkeypatch):
+    # with dead contacts the partial sum equals E(tau_1) to 1e-9, so a mean
+    # gap 1e-6 larger must fail the bound
+    k = make_kernel("power_law", alpha=0.7, n_max=24)
+    mean_gap = experiments.kernel_mean(k)
+    assert tau_mean_lower_bound(k, GAUSS, 0.0, -1000.0, seed=2).passed
+    monkeypatch.setattr(experiments, "kernel_mean", lambda kernel: mean_gap + 1e-6)
+    rep = tau_mean_lower_bound(k, GAUSS, 0.0, -1000.0, seed=2)
+    assert rep.term_violations == 0 and rep.margin < 0
+    assert not rep.passed

@@ -766,7 +766,40 @@ def test_default_scan_makes_two_engine_calls_at_n_fe_and_one_at_n_gc(monkeypatch
     # the CLI defaults of scan
     cfg = ScanConfig(kernel=make_kernel("power_law", alpha=0.6, n_max=40),
                      disorder=DisorderSpec("gaussian"), n_fe=8000, crit_tol=0.04,
-                     n_gc=3000, eps_small=0.05, seed=1)
+                     n_gc=3000, seed=1)
     report = regime_scan([0.0, 1.0, 2.0], [-2.2, -1.4, -1.2, -0.35, -0.05], cfg)
     assert [c["bracket"] is not None for c in report.critical] == [False, True, True]
     assert calls == [8000, 8000, 3000]
+
+
+def test_scan_with_no_case_1_or_2_point_makes_no_empty_engine_call(monkeypatch):
+    # at beta = 1e150 the search ends at its first pass with a bracket error,
+    # so both points are unresolved and the n_gc pass has no row to run
+    shapes = []
+    engine = sparsepin.pinning._log_zc_rows
+
+    def recording(contact, kernel):
+        shapes.append(contact.shape)
+        return engine(contact, kernel)
+
+    monkeypatch.setattr(sparsepin.pinning, "_log_zc_rows", recording)
+    cfg = ScanConfig(kernel=make_kernel("power_law", alpha=0.6, n_max=40),
+                     disorder=DisorderSpec("gaussian"), n_fe=300, n_gc=200, seed=1)
+    report = regime_scan([1e150], [-1.0, -0.5], cfg)
+    assert [p.case for p in report.points] == ["unresolved", "unresolved"]
+    assert shapes and all(rows > 0 for rows, _ in shapes)
+    assert [n for _, n in shapes] == [300] * len(shapes)
+
+
+def test_mean_stderr_of_a_known_sample():
+    # the standard error of the mean takes the n - 1 sample variance
+    mean, stderr = _mean_stderr(np.array([1.0, 2.0, 3.0, 4.0]))
+    assert mean == 2.5
+    assert stderr == pytest.approx(math.sqrt(5 / 12), rel=1e-12)
+
+
+def test_tail_verdict_converges_at_a_slope_above_its_tolerance():
+    # a geometric series of slope -5e-3 lies 5x beyond GC_SLOPE_TOL = 1e-3
+    slope, verdict, bound = sparsepin.pinning._tail_verdict(-5e-3 * np.arange(400), 100)
+    assert slope == pytest.approx(-5e-3)
+    assert verdict == "converged" and bound > 0
