@@ -234,7 +234,7 @@ def cmd_walk(config: dict, outdir: Path) -> int:
               [(i, float(pot.values[i]), p_up[i]) for i in range(pot.horizon + 1)])
     write_json(outdir / "visits.json", "walk", config,
                {"visits": {"r": r, "exact": exact, "mean": mean, "stderr": stderr,
-                           "move_pairs": move_pairs(config["replicas"])}})
+                           "move_pairs": move_pairs(config["replicas"], 1)}})
     return EXIT_PASS
 
 

@@ -127,7 +127,7 @@ def verify_key_relation(cfg: KeyRelationConfig) -> KeyRelationReport:
         verdict = "pass" if diff <= tol else "fail"
     return KeyRelationReport(n_series=n, r_absorb=n + 1,
                              lhs={"mean": lhs_mean, "stderr": lhs_se,
-                                  "move_pairs": move_pairs(cfg.walk_replicas)}, rhs=gc,
+                                  "move_pairs": move_pairs(cfg.walk_replicas, cfg.n_tau)}, rhs=gc,
                              abs_difference=diff, tolerance=tol, verdict=verdict)
 
 
@@ -404,5 +404,5 @@ def annealed_transience_check(kernel: RenewalKernel, disorder: DisorderSpec,
                      "z": z, "within_3se": matches})
     return TransienceReport(absorbed_fraction=float(np.mean(counts >= 0)),
                             within_3se_fraction=within / n_envs,
-                            move_pairs=move_pairs(walks_per_env), env_rows=rows)
+                            move_pairs=move_pairs(walks_per_env, n_envs), env_rows=rows)
 

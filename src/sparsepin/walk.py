@@ -23,14 +23,16 @@ gives, for every even start, the joint law of the end site and the visits
 to 0 over the move's pairs (only starts within two sites per pair of 0
 can visit it), and each law is stored as an alias table (Walker 1977, Vose
 1991) with as many columns as the power of two that holds a start's
-outcomes.  A move is a few bits of a column uniform, one coin uniform,
-one threshold gather and comparison, and two gathers: the next state and
-the move's visits.  A call picks its move length once from its walkers
-per potential (move_pairs): 2 steps on 4 columns where a potential has
-few walkers, since a table costs more than a walker-move and few walkers
-share it; 8 steps on 16 columns in between; and 16 steps on 64 columns
-where one potential has so many walkers that its 1,664 bytes of tables
-per state are nothing next to the walk.
+outcomes, built in closed form from prefix sums of the columns' deficits
+and surpluses (_alias).  A move is one uniform, whose integer part times
+C picks the column and whose rest is the coin, one threshold gather and
+comparison, and two gathers: the next state and the move's visits.  A
+call picks its move length once from its walkers per potential and its
+potential count (move_pairs): 2 steps on 4 columns where many potentials
+have few walkers each, since a table costs more than a walker-move and
+few walkers share it; 32 steps on 256 columns where a potential has so
+many walkers that its 6,656 bytes of tables per state are nothing next to
+the walk; and 8 steps on 16 columns otherwise.
 
 The chunks run on the CPUs the process may use: its affinity mask, capped
 by its cgroup's CPU quota and by the walker total over _CHUNK, halves
@@ -78,7 +80,6 @@ __all__ = [
 
 DEFAULT_STEP_BUDGET = 10 ** 8
 _CHUNK = 16384
-_SWEEP = 32  # steps between compaction sweeps
 _UNREPORTED = -2  # a worker's report slot until it reports; -1 reports no failure
 
 
@@ -258,7 +259,7 @@ def simulate_visit_counts(potentials, r: int, replicas: int, seed: int,
     total = n_pot * replicas
     n_chunks = -(-total // _CHUNK)
     workers = _worker_count(total)
-    pairs = move_pairs(replicas)
+    pairs = move_pairs(replicas, n_pot)
     # shared with the forked helpers, which write their chunks in place:
     # the counts, then one report slot per worker
     shared = np.frombuffer(mmap.mmap(-1, 8 * (total + workers)), dtype=np.int64)
@@ -292,27 +293,43 @@ def simulate_visit_counts(potentials, r: int, replicas: int, seed: int,
     return counts.reshape(n_pot, replicas)
 
 
-def move_pairs(replicas: int) -> int:
-    """Step pairs per walker move for `replicas` walkers per potential: 1
-    below 32, 8 from 10,000 on, else 4.
+def move_pairs(replicas: int, potentials: int) -> int:
+    """Step pairs per walker move for `replicas` walkers in each of
+    `potentials` potentials: 16 from 10,000 walkers a potential on, 1 below
+    32 walkers a potential where there are 100 potentials or more, else 4.
 
     A longer move saves walker-moves but costs a larger table per state,
-    which a potential's walkers share.  Walk times on one CPU, medians of
-    3 to 5 interleaved runs on a noisy 2-core box:
-    - 1 against 4 pairs, 100,000 walkers over verify's renewal potentials
-      (beta 1, h -1, f 0.3, R 201): 1.00 against 1.55 s at 20 walkers a
-      potential, 0.99 against 0.99 s at 30, 0.66 against 0.68 s at 40, and
-      0.71 against 0.47 s at 100; at f 0.1 (R 601) and 50,000 walkers,
-      2.31 against 2.56 s at 20 and 1.77 against 1.37 s at 40.
-    - 4 against 8 pairs, one potential of `walk` (beta 1, h -1, f 0.3,
-      R 50): 4.7 against 6.6 ms at 3,000 walkers, 7.2 against 7.2 ms at
-      10,000 and 70 against 51 ms at 100,000; over verify's potentials,
-      201 against 214 ms at 2,000 walkers a potential and 208 against
-      189 ms at 5,000.
+    which a potential's walkers share; with few potentials the tables are
+    cheap and every move pays a round of numpy calls, so longer moves win.
+    Walk times on one CPU, medians of 3 to 15 runs on a noisy 2-core box:
+    - one potential of `walk` (beta 1, h -1, f 0.3, R 50), 1 / 4 / 16
+      pairs: 1.22 / 1.11 / 2.65 ms at 2 walkers, 1.42 / 0.99 / 2.57 at 20,
+      4.23 / 1.82 / 2.89 at 3,000, 9.47 / 3.69 / 3.63 at 10,000, 26.3 /
+      9.9 / 5.7 at 30,000 and 80.2 / 28.3 / 14.0 at 100,000.
+    - verify's renewal potentials (beta 1, h -1, f 0.3, R 201), 1 against
+      4 pairs: at 10 walkers a potential 9.8 against 5.7 ms over 20
+      potentials and 20.2 against 41.7 ms over 200; at 20 walkers 5.8
+      against 3.8 ms over 10, 17.1 against 18.9 ms over 100 and 67.8
+      against 116 ms over 500; over 100,000 walkers 0.55 against 0.72 s
+      at 30 walkers a potential, 0.47 against 0.51 s at 50 and 0.38
+      against 0.30 s at 100.
+    - the same, 4 against 16 pairs over 100,000 walkers: 102 against 231 ms
+      at 2,000 walkers a potential, 99 against 101 ms at 5,000, 94 against
+      85 ms at 10,000 and 98 against 67 ms at 20,000.
     The choice reads neither the chunks nor the workers, so it is the same
     for every chunk of a call and for any number of workers.
     """
-    return 1 if replicas < 32 else 4 if replicas < 10000 else 8
+    if replicas >= 10000:
+        return 16
+    return 1 if replicas < 32 and potentials >= 100 else 4
+
+
+def _sweep(pairs: int) -> int:
+    """Steps between compaction sweeps at `pairs` step pairs a move: 32, or
+    two moves where moves are longer than 16 steps, so every sweep holds
+    at least two moves.  States run half a sweep past R, so the sentinel
+    band stays 16 states where moves are short."""
+    return max(32, 4 * pairs)
 
 
 def _worker_count(total: int) -> int:
@@ -404,22 +421,27 @@ def _near_support(pairs: int) -> np.ndarray:
     A move is `pairs` step pairs of -2, 0 or +2 sites, never below 0, and
     counts a visit whenever a pair ends at 0.  The row width is the table's
     column count: the least power of two that holds every row, so 4, 16
-    and 64 for 1, 4 and 8 pairs (at most 3, 15 and 45 cells).  Unused slots
-    hold cell 0, an end `pairs` pairs down with no visit, which no start
-    reaches: from 2j, j <= pairs, that many pairs down end at 0 with a
-    visit, or would pass below 0.
+    and 256 for 1, 4 and 16 pairs (at most 3, 15 and 153 cells).  Unused
+    slots hold cell 0, an end `pairs` pairs down with no visit, which no
+    start reaches: from 2j, j <= pairs, that many pairs down end at 0 with
+    a visit, or would pass below 0.
     """
-    rows = []
-    for j in range(pairs + 1):
-        ends = {(j, 0)}
-        for _ in range(pairs):
-            ends = {(s + d, v + (s + d == 0)) for s, v in ends for d in (-1, 0, 1)
-                    if s + d >= 0}
-        rows.append(sorted((s - j + pairs) * (pairs + 1) + v for s, v in ends))
-    support = np.zeros((pairs + 1, 1 << (max(map(len, rows)) - 1).bit_length()),
-                       dtype=np.int64)
-    for j, cells in enumerate(rows):
-        support[j, :len(cells)] = cells
+    # reach[j, s, v]: a move from 2j can be at site 2s with v visits so far
+    reach = np.zeros((pairs + 1, 2 * pairs + 1, pairs + 1), dtype=bool)
+    reach[np.arange(pairs + 1), np.arange(pairs + 1), 0] = True
+    for _ in range(pairs):
+        after = reach.copy()
+        after[:, 1:] |= reach[:, :-1]
+        after[:, :-1] |= reach[:, 1:]
+        after[:, 0, 1:] = after[:, 0, :-1]  # a pair that ends at 0 visits it
+        after[:, 0, 0] = False
+        reach = after
+    # row-major order runs by site, then visits, so each row's cells ascend
+    j, site, seen = np.nonzero(reach)
+    count = reach.sum(axis=(1, 2))
+    support = np.zeros((pairs + 1, 1 << (int(count.max()) - 1).bit_length()), dtype=np.int64)
+    support[j, np.arange(len(j)) - (np.cumsum(count) - count)[j]] = \
+        (site - j + pairs) * (pairs + 1) + seen
     support.flags.writeable = False  # one array serves every call
     return support
 
@@ -430,30 +452,29 @@ def _move_tables(dv: np.ndarray, r: int,
     every even site of the potentials whose increments at sites 1..R-1
     are the rows of dv.
 
-    Each row gets half = (R + 1) // 2 + _SWEEP // 2 states: state s = row *
-    half + j stands for site 2j of that row, so the states run a whole sweep
-    past R, where walkers only climb.  With one-step up-probabilities p
-    (p_0 = 1 for the forced 0 -> 1 step, step_prob(dv) at 1..R-1 and p = 1
-    at every site >= R) and q = 1 - p, a step pair from 2j moves two sites
-    down with probability q_{2j} q_{2j-1}, two up with p_{2j} p_{2j+1}, and
-    returns to 2j otherwise.  A move from 2j ends at site 2j + 2d, d =
-    -pairs..pairs, and visits 0 up to `pairs` times; an exact dynamic
-    program over the pair laws gives that joint law.  Only starts j <=
-    pairs can reach 0, so the others carry 2 pairs + 1 end cells and no
-    visit axis.  Each law is split into C equal columns (_alias), C =
-    _near_support(pairs).shape[1].  Entry C s + c of thr holds column c's
-    threshold, and entries 2 C s + 2 c + b of nxt and vis its outcome, b
-    = 0 below the threshold and 1 at or above it: C times the next state,
-    and the visits.  Ends past the top of a row stop at its last state,
-    since a move never starts within `pairs` states of the top
-    (_visits_chunk).  Each table ends in spare entries that no walker
-    reads.  Per state the tables take 26 C bytes: about 104, 416 and 1,664
-    bytes at 1, 4 and 8 pairs.
+    Each row gets half = (R + 1) // 2 + _sweep(pairs) // 2 states: state s
+    = row * half + j stands for site 2j of that row, so the states run half
+    a sweep past R, where walkers only climb.  With one-step
+    up-probabilities p (p_0 = 1 for the forced 0 -> 1 step, step_prob(dv)
+    at 1..R-1 and p = 1 at every site >= R) and q = 1 - p, a step pair
+    from 2j moves two sites down with probability q_{2j} q_{2j-1}, two up
+    with p_{2j} p_{2j+1}, and returns to 2j otherwise.  A move from 2j ends
+    at site 2j + 2d, d = -pairs..pairs, and visits 0 up to `pairs` times;
+    an exact dynamic program over the pair laws gives that joint law.  Only
+    starts j <= pairs can reach 0, so the others carry 2 pairs + 1 end
+    cells and no visit axis.  Each law is split into C equal columns
+    (_alias), C = _near_support(pairs).shape[1].  Entry C s + c of thr
+    holds (c + t) / C for column c's threshold t, so that one uniform u
+    picks column floor(u C) and its alias when u >= thr; entries 2 C s + 2
+    c + b of nxt and vis hold its outcome, b = 0 below the threshold and 1
+    at or above it: C times the next state, and the visits.  Ends past the
+    top of a row stop at its last state, since a move never starts within
+    `pairs` states of the top (_visits_chunk).  Per state the tables take
+    26 C bytes: 104, 416 and 6,656 bytes at 1, 4 and 16 pairs.
     """
     support = _near_support(pairs)
     near_starts, columns = support.shape
-    rows, half = len(dv), (r + 1) // 2 + _SWEEP // 2
-    states = rows * half
+    rows, half = len(dv), (r + 1) // 2 + _sweep(pairs) // 2
     cells = 2 * pairs + 1
     p = np.ones((rows, 2 * half))
     p[:, 1:r] = step_prob(dv)
@@ -482,11 +503,8 @@ def _move_tables(dv: np.ndarray, r: int,
         q[1:] += p[cell][:-1] * up[cell][:-1]
         p[cell] = q
 
-    # masses[c, row, j], each law scaled to sum to C, then two spare
-    # entries for _alias
-    flat = np.zeros(columns * states + 2)
-    masses = flat[:-2].reshape(columns, rows, half)
-    far = masses[:cells]
+    # far[k, row, j]: end cell k of start j, each law scaled to sum to C
+    far = np.zeros((cells, rows, half))
     far[pairs] = columns
     for t in range(1, pairs + 1):
         pair(far, slice(pairs - t, pairs + t + 1), *window)
@@ -501,12 +519,14 @@ def _move_tables(dv: np.ndarray, r: int,
         near[pairs - j, :, j] = 0.0
         near[pairs - j, :, j, 1:] = at_zero[..., :-1]
     by_start = near.transpose(2, 0, 3, 1).reshape(near_starts, -1, rows)  # (j, cell, row)
-    masses[:, :, :near_starts] = by_start[j[:, None], support].transpose(1, 2, 0)
-    partner = _alias(flat, columns)[:-2].reshape(columns, rows, half)
-    size = columns * states
-    thr = np.zeros(size + 1)
-    thr[:-1].reshape(rows, half, columns)[...] = np.moveaxis(masses, 0, 2)
-    del flat, masses, far
+    masses = np.zeros((rows, half, columns))
+    masses[..., :cells] = far.transpose(1, 2, 0)
+    masses[:, :near_starts] = by_start[j[:, None], support].transpose(2, 0, 1)
+    del far, near, by_start
+    own, thr, partner = _alias(masses.reshape(-1, columns))
+    del masses
+    thr += np.arange(columns)
+    thr /= columns
     # outcomes: column c of start j ends at state ends[j, c] of its row,
     # with seen[j, c] visits
     ends = np.arange(half)[:, None] + np.minimum(np.arange(columns), cells - 1) - pairs
@@ -516,66 +536,129 @@ def _move_tables(dv: np.ndarray, r: int,
     ends *= columns
     seen = np.zeros((half, columns), dtype=np.uint8)
     seen[:near_starts] = support % (pairs + 1)
-    row = (columns * half * np.arange(rows))[:, None]
-    nxt = np.zeros(2 * size + 2, dtype=np.int64)
-    vis = np.zeros(2 * size + 2, dtype=np.uint8)
-    nxt_at, vis_at = (t[:-2].reshape(rows, half, columns, 2) for t in (nxt, vis))
-    np.add(row[:, :, None], ends, out=nxt_at[..., 0])
-    vis_at[..., 0] = seen
-    start = columns * np.arange(half)
-    for c in range(columns):
-        alias = partner[c] // states + start  # entry of ends and seen
-        np.add(row, ends.ravel()[alias], out=nxt_at[:, :, c, 1])
-        vis_at[:, :, c, 1] = seen.ravel()[alias]
-    return thr, nxt, vis
+    nxt = np.empty((rows, half, columns, 2), dtype=np.int64)
+    vis = np.empty((rows, half, columns, 2), dtype=np.uint8)
+    start = (columns * np.arange(half))[:, None]
+    for b, cell in enumerate((own, partner)):
+        cell = cell.reshape(rows, half, columns) + start  # entries of ends and seen
+        ends.ravel().take(cell, out=nxt[..., b], mode="clip")
+        seen.ravel().take(cell, out=vis[..., b], mode="clip")
+    nxt += (columns * half * np.arange(rows))[:, None, None, None]
+    return thr.ravel(), nxt.ravel(), vis.ravel()
 
 
-def _alias(flat: np.ndarray, columns: int) -> np.ndarray:
-    """Walker's alias tables, in place: flat holds `columns` rows of masses,
-    flat[c * states + s] for column c of law s, each law summing to
-    `columns`, then two spare entries.  On return it holds each column's
-    threshold, and the returned array each column's alias, as its entry.
+def _scan(a: np.ndarray, ufunc, reverse: bool = False) -> None:
+    """a[:, c] = ufunc(a[:, c - 1], a[:, c]) for c = 1, 2, .., in place;
+    from the right with reverse.  Both ways below combine the same pairs in
+    the same order, so they give the same bits: accumulate costs a few ns
+    an entry, while one call per column costs a microsecond or so however
+    many rows it covers, so it is the faster where rows far outnumber
+    columns.  A cumsum on one CPU, accumulate against one call per column:
+    87 against 19 us over 3,861 laws of 4 columns, 271 against 187 us at
+    16, and 45 against 295 us over 57 laws of 256."""
+    laws, columns = a.shape
+    if reverse:
+        a = a[:, ::-1]
+    if laws < 32 * columns:
+        ufunc.accumulate(a, axis=1, out=a)
+        return
+    for c in range(1, columns):
+        ufunc(a[:, c - 1], a[:, c], out=a[:, c])
 
-    Column c keeps its own outcome below the threshold.  A small outcome
-    (mass below 1) keeps its mass and takes the rest from a large one.
-    This is Vose's sweep in column order: the current small outcome is
-    filled from the current large one, and a large one whose remaining mass
-    drops below 1 is finished like a small one, filled from the next large
-    one.  Each round finishes one column of every law, all laws at once.
+
+def _alias(masses: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Walker's alias tables of the laws masses[s], each a row of C column
+    masses summing to C, as (own, thr, alias): column p of law s keeps
+    outcome own[s, p] below threshold thr[s, p] and takes outcome alias[s,
+    p] at or above it.  Both name columns of masses[s].
+
+    A light outcome (mass below 1) keeps its mass and takes the rest from a
+    heavy one.  This is Vose's sweep in column order, in closed form: the
+    current light outcome is filled from the current heavy one, and a heavy
+    one whose remaining mass drops below 1 is finished like a light one,
+    filled from the next heavy one.  With sigma the lights' deficits 1 - m
+    and tau the heavies' surpluses m - 1, each summed in column order, a
+    heavy holds 1 + tau - sigma once the lights before it have taken sigma.
+    So merge each law's keys, the deficits before each light and the
+    surpluses through each heavy, a light first on a tie (one sort of their
+    bits, which order floats >= 0 as the floats do).  In that merged order a
+    light takes from the next heavy, or the last if none follows; a heavy
+    but the last, with surpluses below the law's total deficit, is finished
+    by the light before it at threshold 1 + tau - sigma, sigma the deficits
+    through that light, and takes from the next heavy; every other heavy
+    keeps its outcome, at threshold 1.  The table's columns are the law's
+    in merged order.  Blends use factors 0 and 1, exact on finite values.
     """
-    spare = len(flat) - 2
-    dump = spare + 1  # takes the writes of laws with nothing to finish
-    states = spare // columns
-    small = flat[:spare].reshape(columns, states) < 1.0
-    # first[kind, c, s]: the entry of law s's first small (kind 0) or large
-    # (kind 1) outcome at column c or later, the spare entry if none; so
-    # rows 1.. hold the next one after each entry
-    index = np.int32 if spare < 2 ** 31 - 2 else np.int64  # half the memory where it fits
-    first = np.full((2, columns + 2, states), spare, dtype=index)
-    for c in range(columns - 1, -1, -1):
-        entry = np.arange(c * states, (c + 1) * states, dtype=index)
-        first[0, c] = np.where(small[c], entry, first[0, c + 1])
-        first[1, c] = np.where(small[c], first[1, c + 1], entry)
-    next_small, next_large = first[:, 1:].reshape(2, -1)
-    low, big = first[:, 0].copy()
-    del first, small
-    partner = np.arange(spare + 2, dtype=index)
-    flat[spare] = 1.0  # an exhausted small outcome lends nothing
-    rest = flat[big]  # what the current large outcome has left
-    for _ in range(columns - 1):
-        following = next_large[big]
-        # a large outcome left below 1 is finished, unless it is the last
-        spent = (rest < 1.0) & (following < spare)
-        done = np.where(spent, big, dump)
-        flat[done] = rest
-        partner[done] = following
-        partner[np.where(spent, dump, low)] = big
-        rest += np.where(spent, flat[following], flat[low])
-        rest -= 1.0
-        big = np.where(spent, following, big)
-        low = np.where(spent, low, next_small[low])
-    flat[big] = 1.0
-    return partner
+    laws, columns = masses.shape
+    heavy = masses >= 1.0
+    light = ~heavy
+    lack = np.subtract(1.0, masses)
+    np.maximum(lack, 0.0, out=lack)
+    key = np.empty_like(masses)
+    key[:, 0] = 0.0
+    key[:, 1:] = lack[:, :-1]
+    _scan(key, np.add)  # the deficits before each column
+    total = key[:, -1:] + lack[:, -1:]
+    tau = np.subtract(masses, 1.0)
+    np.maximum(tau, 0.0, out=tau)
+    _scan(tau, np.add)  # the surpluses through each column
+    key *= light
+    tau *= heavy
+    key += tau
+    bits = key.view(np.uint64)
+    bits <<= np.uint64(1)
+    bits |= heavy
+    order = np.argsort(bits, axis=1, kind="stable")
+    own = order.astype(np.int16)
+    order += (columns * np.arange(laws))[:, None]
+    # from here on every array runs in merged order; the sorted keys go
+    # into tau's memory, and their low bit marks the heavies
+    bits = bits.take(order, out=tau.view(np.uint64), mode="clip")
+    np.bitwise_and(bits, np.uint64(1), out=heavy.view(np.uint8), casting="unsafe")
+    np.logical_not(heavy, out=light)
+    bits >>= np.uint64(1)
+    key = bits.view(np.float64)
+    # the deficits through the last light at or before each place
+    filled = lack.take(order)
+    filled += key
+    filled *= light
+    _scan(filled, np.maximum)
+    thr = masses.take(order)
+    del order
+    # the next heavy at or after each place (C where none follows), and the
+    # last at or before it: heavies are merged in column order, so past
+    # the law's last heavy column that is the last
+    ahead = own - columns
+    ahead *= heavy
+    ahead += columns
+    _scan(ahead, np.minimum, reverse=True)
+    behind = own + 1
+    behind *= heavy
+    behind -= 1
+    _scan(behind, np.maximum)
+    alias = np.empty_like(own)
+    alias[:, :-1] = ahead[:, 1:]
+    alias[:, -1:] = columns
+    ahead -= alias
+    ahead *= light
+    alias += ahead  # a light's from its own place on, a heavy's after it
+    behind -= alias
+    behind *= alias == columns
+    alias += behind  # the last heavy where none follows
+    finished = alias != own
+    finished &= heavy
+    finished &= key < total
+    # a light keeps its mass, a finished heavy 1 + tau - sigma, others 1
+    key -= filled
+    key *= finished
+    thr *= light
+    thr += heavy
+    thr += key
+    heavy ^= finished
+    np.subtract(own, alias, out=ahead)
+    ahead *= heavy
+    alias += ahead  # a heavy not finished keeps its own outcome
+    return own, thr, alias
 
 
 def _visits_chunk(tables: tuple, pairs: int, first: int, c: int, replicas: int, r: int,
@@ -586,18 +669,16 @@ def _visits_chunk(tables: tuple, pairs: int, first: int, c: int, replicas: int, 
     tables are the move tables (_move_tables) of `pairs` step pairs for the
     potentials the chunk holds, potential `first` onwards; C is their
     column count.  Every iteration moves each walker 2 * pairs steps by one
-    alias draw: a column from log2 C bits of the sweep's column uniform, a
-    coin from its own uniform (all 53 bits), the threshold gathered and
-    compared, and the next state and the move's visits to 0 gathered from
-    the chosen slot.  A sweep of _SWEEP steps is 16, 4 or 2 moves at 1, 4
-    or 8 pairs, so its column uniform carries 32, 16 or 12 bits.  Walker w
-    keeps C times its state; each potential's states run _SWEEP // 2 past
-    its even sites below R, so the walkers that cross R march upward on
-    sentinels until the next compaction sweep collects them, and the hot
-    loop has no per-walker branching at all.  A sweep draws one column
-    uniform per walker, then one coin per walker and move, counts its
-    visits in uint8 (at most _SWEEP // 2 per walker, one per pair) and adds
-    them to the int64 totals once.
+    alias draw on one uniform u: column floor(u C), exact since C is a
+    power of two, then its threshold gathered and compared with u, and the
+    next state and the move's visits to 0 gathered from the chosen slot.
+    A sweep of _sweep(pairs) steps is 16, 4 or 2 moves at 1, 4 or 16
+    pairs.  Walker w keeps C times its state; each potential's states run
+    half a sweep past its even sites below R, so the walkers that cross R
+    march upward on sentinels until the next compaction sweep collects
+    them, and the hot loop has no per-walker branching at all.  A sweep
+    counts its visits in uint8 (at most half a sweep per walker, one per
+    pair) and adds them to the int64 totals once.
 
     Counts go to counts[w] for global walker w; a StepBudgetError names the
     chunk's first unfinished walker.  Compaction takes the running walkers
@@ -608,34 +689,30 @@ def _visits_chunk(tables: tuple, pairs: int, first: int, c: int, replicas: int, 
     """
     thr, nxt, vis = tables
     columns = _near_support(pairs).shape[1]
-    width, move = columns.bit_length() - 1, 2 * pairs  # column bits, steps per move
+    sweep, move = _sweep(pairs), 2 * pairs  # steps per sweep and per move
     rng = rng_for(seed, "visits", c)
     idx = np.arange(c * _CHUNK, min((c + 1) * _CHUNK, len(counts)))
     size = len(idx)
     row = idx // replicas - first
-    # thr holds C entries per state and one spare
-    base = row * ((len(thr) - 1) // (row[-1] + 1))
+    # thr holds C entries per state
+    base = row * (len(thr) // (row[-1] + 1))
     pos, visits = base.copy(), np.ones(size, dtype=np.int64)
-    slot, bits = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)
+    slot = np.empty(size, dtype=np.int64)
     u, cut = np.empty(size), np.empty(size)
     coin = np.empty(size, dtype=bool)
     hits, seen = np.empty(size, dtype=np.uint8), np.empty(size, dtype=np.uint8)
     n = size
     steps = 0
     while True:
-        pos_n, slot_n, bits_n, u_n, cut_n = pos[:n], slot[:n], bits[:n], u[:n], cut[:n]
+        pos_n, slot_n, u_n, cut_n = pos[:n], slot[:n], u[:n], cut[:n]
         coin_n, hits_n, seen_n = coin[:n], hits[:n], seen[:n]
         hits_n.fill(0)
-        # bits width * m onwards pick move m's column
-        rng.random(out=u_n)
-        np.multiply(u_n, 2.0 ** (width * (_SWEEP // move)), out=bits_n, casting="unsafe")
         # the last sweep stops at the budget, rounded up to a whole move
-        for m in range(min(_SWEEP, step_budget - steps + move - 1) // move):
+        for _ in range(min(sweep, step_budget - steps + move - 1) // move):
             steps += move
-            np.right_shift(bits_n, width * m, out=slot_n)
-            np.bitwise_and(slot_n, columns - 1, out=slot_n)
-            slot_n += pos_n
             rng.random(out=u_n)
+            np.multiply(u_n, columns, out=slot_n, casting="unsafe")
+            slot_n += pos_n
             # slots never leave the tables, so clipping never acts
             thr.take(slot_n, out=cut_n, mode="clip")
             np.greater_equal(u_n, cut_n, out=coin_n)

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import sparsepin.walk
 from oracles import pinned_table
 from sparsepin import (BracketError, DisorderSpec, cli, make_kernel,
                        quenched_critical_point_estimates, sample_disorder)
@@ -191,8 +192,10 @@ def test_verify_inconclusive_exit_two(tmp_path):
 @pytest.mark.parametrize("args", [("--f", "15"), ("--n-tau", "2", "--walk-replicas", "1")])
 def test_verify_zero_stderr_miss_is_inconclusive(tmp_path, args):
     # every walker leaves 0 and never returns, so the stderr and the
-    # tolerance are 0 while S_N lies above 1: no evidence of a failure
-    assert run(tmp_path, "verify", *args, "--seed", "1") == EXIT_INCONCLUSIVE
+    # tolerance are 0 while S_N lies above 1: no evidence of a failure.  At
+    # f = 15 no walker returns at any seed; the two walkers of the second
+    # case return to 0 by chance, and at seed 2 neither does
+    assert run(tmp_path, "verify", *args, "--seed", "2") == EXIT_INCONCLUSIVE
     relation = read_json(tmp_path, "verify.json")["key_relation"]
     assert (relation["lhs"]["mean"], relation["lhs"]["stderr"]) == (1.0, 0.0)
     assert relation["abs_difference"] > 0 and relation["verdict"] == "inconclusive"
@@ -490,6 +493,27 @@ def test_scan_transience_report(tmp_path):
                "--beta", "0", "--h=-1", "--seed", "4") == EXIT_PASS
     doc = read_json(tmp_path, "scan.json")
     assert doc["transience"]["absorbed_fraction"] == 1.0
+
+
+@pytest.mark.parametrize("args, report, block", [
+    # one potential of 20 walkers: 4 pairs; 150 sets of 10 walkers: 1 pair;
+    # the transience check's 50 environments of 200 walkers: 4 pairs
+    (("walk", "--horizon", "60", "--r", "40", "--replicas", "20"), "visits.json", "visits"),
+    (("verify", "--n-tau", "150", "--walk-replicas", "10"), "verify.json", "key_relation.lhs"),
+    (("scan", "--beta-grid", "0", "--h-grid=-0.5", "--n-fe", "500", "--n-gc", "300",
+      "--transience", "--beta", "0", "--h=-1"), "scan.json", "transience"),
+])
+def test_reports_state_the_move_length_the_engine_walked(tmp_path, monkeypatch, args, report,
+                                                         block):
+    walked = []
+    real = sparsepin.walk.move_pairs
+    monkeypatch.setattr(sparsepin.walk, "move_pairs",
+                        lambda *counts: walked.append(real(*counts)) or walked[-1])
+    assert run(tmp_path, *args, "--seed", "1") == EXIT_PASS
+    doc = read_json(tmp_path, report)
+    for key in block.split("."):
+        doc = doc[key]
+    assert walked == [doc["move_pairs"]]
 
 
 def test_pinning_rerun_from_embedded_config(tmp_path):

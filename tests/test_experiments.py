@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+import sparsepin.walk
 from sparsepin import (DisorderSpec, Potential, experiments, make_kernel,
                        simulate_visit_counts, tau_mean_lower_bound, verify_key_relation)
 from sparsepin._rng import derive_seed
@@ -190,6 +191,18 @@ def test_transience_every_environment_finite():
     rep = annealed_transience_check(kern, GAUSS, 0.7, -0.9, n_envs=1000,
                                     walks_per_env=40, r=120, seed=9)
     assert rep.absorbed_fraction == 1.0
+
+
+def test_transience_reports_the_move_length_the_engine_walked(monkeypatch):
+    # 120 environments of 10 walks move by 1 pair, which only the
+    # environment count selects
+    walked = []
+    real = sparsepin.walk.move_pairs
+    monkeypatch.setattr(sparsepin.walk, "move_pairs",
+                        lambda *counts: walked.append(real(*counts)) or walked[-1])
+    rep = annealed_transience_check(make_kernel("power_law", alpha=0.8, n_max=6), GAUSS,
+                                    0.0, -1.0, n_envs=120, walks_per_env=10, r=40, seed=3)
+    assert walked == [rep.move_pairs] == [1]
 
 
 @pytest.mark.parametrize("h, r, within", [(-1.0, 1, 1.0), (-10.0, 20, 0.0)])

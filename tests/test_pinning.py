@@ -803,3 +803,20 @@ def test_tail_verdict_converges_at_a_slope_above_its_tolerance():
     slope, verdict, bound = sparsepin.pinning._tail_verdict(-5e-3 * np.arange(400), 100)
     assert slope == pytest.approx(-5e-3)
     assert verdict == "converged" and bound > 0
+
+
+def test_tail_bound_covers_the_true_tail_of_noisy_geometric_series():
+    # 200 series log t_n = -3e-3 n + 0.1 N(0, 1), seed 7: the bound from the
+    # first 400 terms (slope fit over the last 100) must cover the sum of
+    # terms 400 onwards, run out to 20,400 terms (e^-60 beyond), in at
+    # least 95% of them.  The slope's noise term widens the ratio; without
+    # it a slope fit that comes out steep undercuts the tail about half
+    # the time
+    rng = np.random.default_rng(7)
+    n = np.arange(20400)
+    log_terms = -3e-3 * n + 0.1 * rng.standard_normal((200, len(n)))
+    covered = 0
+    for row in log_terms:
+        _, verdict, bound = sparsepin.pinning._tail_verdict(row[:400], 100)
+        covered += verdict == "converged" and bound >= math.fsum(np.exp(row[400:]))
+    assert covered >= 0.95 * len(log_terms)

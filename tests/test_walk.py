@@ -304,20 +304,21 @@ def _move_reference_counts(potentials, r, replicas, seed, pairs, step_budget=Non
     """One-chunk-at-a-time loop over the engine's move tables of `pairs`
     step pairs: chunks of 16384 walkers ordered by potential, then replica,
     chunk c on (seed, "visits", c) with the tables of the potentials it
-    holds.  A move is 2 * pairs steps over C = 4, 16 or 64 alias columns (b = 2, 4 or 6
-    bits) at 1, 4 or 8 pairs.  A sweep draws one column uniform a walker,
-    then makes 32 steps of moves, each move one coin uniform a walker; move
-    m's column is bits b m..b m + b - 1 of the column uniform times
-    2^(b * moves).  The last sweep ends at the budget rounded up to a whole
-    move, e steps past it; a walker then counts as absorbed only at 2j >=
-    R + e, having hit R within the budget.  Walkers still running count -1
-    with censor, else the first of them is named by StepBudgetError."""
-    columns, width = {1: (4, 2), 4: (16, 4), 8: (64, 6)}[pairs]
-    sweep_moves = 16 // pairs
+    holds.  A move is 2 * pairs steps over C = 4, 16 or 256 alias columns
+    at 1, 4 or 16 pairs, on one uniform u a walker: column floor(u C), and
+    the alias where u reaches the column's stored threshold (c + t) / C.  A
+    sweep is max(32, 4 * pairs) steps of moves.  The last sweep ends at the
+    budget rounded up to a whole move, e steps past it; a walker then
+    counts as absorbed only at 2j >= R + e, having hit R within the budget.
+    Walkers still running count -1 with censor, else the first of them is
+    named by StepBudgetError."""
+    columns = {1: 4, 4: 16, 16: 256}[pairs]
+    sweep = max(32, 4 * pairs)
+    sweep_moves = sweep // (2 * pairs)
     total = len(potentials) * replicas
     counts = np.ones(total, dtype=np.int64)
     dv = np.stack([pot.increments()[: r - 1] for pot in potentials])
-    half = (r + 1) // 2 + 16
+    half = (r + 1) // 2 + sweep // 2
     for c, start in enumerate(range(0, total, 16384)):
         rng = rng_for(seed, "visits", c)
         idx = np.arange(start, min(start + 16384, total))
@@ -330,11 +331,11 @@ def _move_reference_counts(potentials, r, replicas, seed, pairs, step_budget=Non
         while len(idx):
             moves = sweep_moves if step_budget is None else min(
                 sweep_moves, -(-(step_budget - steps) // (2 * pairs)))
-            bits = (rng.random(len(idx)) * 2.0 ** (width * sweep_moves)).astype(np.int64)
-            for m in range(moves):
+            for _ in range(moves):
                 steps += 2 * pairs
-                column = columns * state + ((bits >> (width * m)) & (columns - 1))
-                slot = 2 * column + (rng.random(len(idx)) >= thr[column])
+                u = rng.random(len(idx))
+                column = columns * state + (u * columns).astype(np.int64)
+                slot = 2 * column + (u >= thr[column])
                 state = nxt[slot] // columns
                 visits += vis[slot]
             past = 0 if step_budget is None else max(0, steps - step_budget)
@@ -351,10 +352,11 @@ def _move_reference_counts(potentials, r, replicas, seed, pairs, step_budget=Non
 
 
 def _each_move_length(monkeypatch):
-    """1, 4 and 8, the engine's move lengths in step pairs, each forced on
+    """1, 4 and 16, the engine's move lengths in step pairs, each forced on
     the engine in turn whatever its walkers per potential."""
-    for pairs in (1, 4, 8):
-        monkeypatch.setattr(sparsepin.walk, "move_pairs", lambda replicas, p=pairs: p)
+    for pairs in (1, 4, 16):
+        monkeypatch.setattr(sparsepin.walk, "move_pairs",
+                            lambda replicas, potentials, p=pairs: p)
         yield pairs
 
 
@@ -368,9 +370,9 @@ def _assert_exact_move_law(r, pairs):
     pots = [flat(40), drifted(0.3, 40), drifted(-0.2, 40), fast(40), trap(40), rough]
     dv = np.stack([pot.increments()[: r - 1] for pot in pots])
     thr, nxt, vis = sparsepin.walk._move_tables(dv, r, pairs)
-    columns = {1: 4, 4: 16, 8: 64}[pairs]
-    rows, half = len(pots), (r + 1) // 2 + 16
-    assert len(thr) == columns * rows * half + 1
+    columns = {1: 4, 4: 16, 8: 64, 16: 256}[pairs]
+    rows, half = len(pots), (r + 1) // 2 + max(32, 4 * pairs) // 2
+    assert len(thr) == columns * rows * half
     for row in range(rows):
         # p_0 = 1 forces 0 -> 1, and from R on the chain only climbs
         p_up = np.ones(2 * half)
@@ -394,7 +396,9 @@ def _assert_exact_move_law(r, pairs):
             back = {}
             for col in range(columns):
                 at = columns * (row * half + j) + col
-                for b, w in ((0, thr[at]), (1, 1.0 - thr[at])):
+                # thresholds are stored as (col + t) / C
+                t = thr[at] * columns - col
+                for b, w in ((0, t), (1, 1.0 - t)):
                     key = (int(nxt[2 * at + b]) // columns - row * half, int(vis[2 * at + b]))
                     back[key] = back.get(key, 0.0) + w / columns
             for key in law.keys() | back.keys():
@@ -412,6 +416,165 @@ def test_move_tables_hold_the_exact_one_and_eight_pair_laws(r, pairs):
     # at 1 pair a start at 0 or 2 has 2 or 3 outcomes in 4 columns, so a
     # spare column whose cell some start reaches would count that cell twice
     _assert_exact_move_law(r, pairs)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 30, 31])
+def test_move_tables_hold_the_exact_sixteen_pair_law(r):
+    # the engine's longest move: 256 columns, at most 153 outcomes a start
+    _assert_exact_move_law(r, 16)
+
+
+@pytest.mark.parametrize("pairs", [1, 4, 16])
+def test_move_tables_end_laws_on_a_long_row(pairs):
+    # R = 301: at 16 pairs a row has 183 states of 256 columns, so entries
+    # of the tables run past 2^15; every start's law of its end state must
+    # be row j of the pair law's `pairs`-th power
+    r = 301
+    rough = Potential(values=np.concatenate([[0.0], np.cumsum(
+        np.random.default_rng(5).normal(-0.1, 1.0, size=300))]))
+    dv = np.stack([pot.increments()[: r - 1] for pot in (drifted(0.3, 300), rough)])
+    thr, nxt, vis = sparsepin.walk._move_tables(dv, r, pairs)
+    columns = {1: 4, 4: 16, 16: 256}[pairs]
+    half = (r + 1) // 2 + max(32, 4 * pairs) // 2
+    for row in range(len(dv)):
+        p_up = np.ones(2 * half)
+        p_up[1:r] = step_prob(dv[row])
+        q_up = 1.0 - p_up
+        step = np.zeros((half, half))
+        j = np.arange(half)
+        step[j[1:], j[1:] - 1] = q_up[2 * j[1:]] * q_up[2 * j[1:] - 1]
+        step[j[:-1], j[:-1] + 1] = p_up[2 * j[:-1]] * p_up[2 * j[:-1] + 1]
+        step[j, j] = 1.0 - step.sum(axis=1)
+        step[-1, -1] = 1.0  # the top state only climbs, on sentinels
+        law = np.linalg.matrix_power(step, pairs)
+        at = columns * (row * half + j[:half - pairs, None]) + np.arange(columns)
+        t = thr[at] * columns - np.arange(columns)
+        back = np.zeros((half - pairs, half))
+        for b, w in ((0, t), (1, 1.0 - t)):
+            end = nxt[2 * at + b] // columns - row * half
+            assert ((end >= 0) & (end < half)).all()
+            np.add.at(back, (np.broadcast_to(j[:half - pairs, None], end.shape), end), w / columns)
+        assert np.abs(back - law[:half - pairs]).max() <= 1e-13
+
+
+def _sequential_alias(flat, columns):
+    """Vose's sweep in column order, one round per column over all laws at
+    once: flat holds `columns` rows of masses, flat[c * states + s] for
+    column c of law s, each law summing to `columns`, then two spare
+    entries.  On return flat holds each column's threshold, and the
+    returned array each column's alias, as its entry.  The current small
+    outcome (mass below 1) is filled from the current large one, and a
+    large one whose remaining mass drops below 1 is finished like a small
+    one, filled from the next large one."""
+    spare = len(flat) - 2
+    dump = spare + 1  # takes the writes of laws with nothing to finish
+    states = spare // columns
+    small = flat[:spare].reshape(columns, states) < 1.0
+    # first[kind, c, s]: law s's first small (kind 0) or large (kind 1)
+    # outcome at column c or later, the spare entry if none
+    first = np.full((2, columns + 2, states), spare, dtype=np.int64)
+    for c in range(columns - 1, -1, -1):
+        entry = np.arange(c * states, (c + 1) * states)
+        first[0, c] = np.where(small[c], entry, first[0, c + 1])
+        first[1, c] = np.where(small[c], first[1, c + 1], entry)
+    next_small, next_large = first[:, 1:].reshape(2, -1)
+    low, big = first[:, 0].copy()
+    partner = np.arange(spare + 2)
+    flat[spare] = 1.0  # an exhausted small outcome lends nothing
+    rest = flat[big]  # what the current large outcome has left
+    for _ in range(columns - 1):
+        following = next_large[big]
+        # a large outcome left below 1 is finished, unless it is the last
+        spent = (rest < 1.0) & (following < spare)
+        done = np.where(spent, big, dump)
+        flat[done] = rest
+        partner[done] = following
+        partner[np.where(spent, dump, low)] = big
+        rest += np.where(spent, flat[following], flat[low])
+        rest -= 1.0
+        big = np.where(spent, following, big)
+        low = np.where(spent, low, next_small[low])
+    flat[big] = 1.0
+    return partner
+
+
+def _random_laws(rng, laws, columns, kind):
+    """Laws of `columns` masses summing to `columns`: continuous masses with
+    many zeros (kind 0), or multiples of 1/2 or 1/4 (kinds 1 and 2), which
+    sum exactly and so give masses of exactly 1 and exact ties between
+    the lights' deficits and the heavies' surpluses."""
+    if kind == 0:
+        m = rng.random((laws, columns)) * (rng.random((laws, columns)) < 0.5)
+        m[:, 0] += 0.1
+        return m / m.sum(axis=1, keepdims=True) * columns
+    if kind == 1:
+        m = rng.integers(0, 4, (laws, columns)) / 2
+    else:
+        m = rng.choice([0.0, 0.25, 0.5, 1.0, 2.0], size=(laws, columns))
+    m[:, -1] += columns - m.sum(axis=1)
+    m[m[:, -1] < 0] = 1.0  # a law that cannot balance is all ones
+    return m
+
+
+@pytest.mark.parametrize("columns", [4, 16, 256])
+def test_alias_matches_the_sequential_sweep(columns):
+    rng = np.random.default_rng(columns)
+    for kind in (0, 1, 2):
+        for _ in range(20):
+            m = _random_laws(rng, 30, columns, kind)
+            assert np.allclose(m.sum(axis=1), columns, rtol=0, atol=1e-12)
+            own, thr, alias = sparsepin.walk._alias(m.copy())
+            # own permutes each law's columns; map the tables back to them
+            rows = np.arange(len(m))[:, None]
+            assert np.array_equal(np.sort(own, axis=1),
+                                  np.broadcast_to(np.arange(columns), m.shape))
+            by_column = np.empty(m.shape, dtype=np.int64)
+            by_column[rows, own] = alias
+            thresholds = np.empty(m.shape)
+            thresholds[rows, own] = thr
+            flat = np.concatenate([m.T.ravel(), [0.0, 0.0]])
+            partner = _sequential_alias(flat, columns)[:-2].reshape(columns, -1).T
+            assert np.array_equal(by_column, partner // len(m))
+            assert np.abs(thresholds - flat[:-2].reshape(columns, -1).T).max() <= 1e-14 * columns
+
+
+@pytest.mark.parametrize("columns", [4, 16, 64])
+def test_scan_gives_accumulate_bits_on_both_paths(columns):
+    # fewer laws than 32 per column take numpy's accumulate, more take one
+    # call per column: the same pairs in the same order, so the same bits
+    rng = np.random.default_rng(columns)
+    for laws in (32 * columns - 1, 32 * columns):
+        for ufunc, reverse, a in ((np.add, False, rng.random((laws, columns))),
+                                  (np.maximum, False, rng.random((laws, columns))),
+                                  (np.minimum, True,
+                                   rng.integers(0, columns, (laws, columns)).astype(np.int16))):
+            got = a.copy()
+            sparsepin.walk._scan(got, ufunc, reverse)
+            want = ufunc.accumulate(a[:, ::-1] if reverse else a, axis=1)
+            assert np.array_equal(got, want[:, ::-1] if reverse else want)
+
+
+def _near_support_from_sets(pairs):
+    """_near_support's rows, built from Python sets of (site, visits)."""
+    rows = []
+    for j in range(pairs + 1):
+        ends = {(j, 0)}
+        for _ in range(pairs):
+            ends = {(s + d, v + (s + d == 0)) for s, v in ends for d in (-1, 0, 1)
+                    if s + d >= 0}
+        rows.append(sorted((s - j + pairs) * (pairs + 1) + v for s, v in ends))
+    support = np.zeros((pairs + 1, 1 << (max(map(len, rows)) - 1).bit_length()),
+                       dtype=np.int64)
+    for j, cells in enumerate(rows):
+        support[j, :len(cells)] = cells
+    return support
+
+
+@pytest.mark.parametrize("pairs", [1, 2, 4, 8, 16])
+def test_near_support_matches_the_set_construction(pairs):
+    support = sparsepin.walk._near_support(pairs)
+    assert np.array_equal(support, _near_support_from_sets(pairs))
+    assert support.shape[1] == {1: 4, 2: 8, 4: 16, 8: 64, 16: 256}[pairs]
 
 
 @pytest.mark.parametrize("replicas", [1, 8191, 8192, 16383, 16384, 20000, 40000])
@@ -439,7 +602,7 @@ def test_batch_matches_one_chunk_at_a_time(monkeypatch, workers):
         monkeypatch.setattr(sparsepin.walk, "_worker_count", lambda n: workers)
         assert np.array_equal(simulate_visit_counts(free, 25, 10000, seed=17),
                               _move_reference_counts(free, 25, 10000, 17, pairs))
-        # 1000 steps are not a whole number of 16-step moves
+        # 1000 steps are not a whole number of 32-step moves
         censored = simulate_visit_counts(pots, 25, 10000, seed=17, step_budget=1000,
                                          censor=True)
         assert np.array_equal(censored, _move_reference_counts(
@@ -593,10 +756,13 @@ def test_helper_failure_reaches_the_parent(monkeypatch):
 
 
 def test_move_pairs_bands():
-    # few walkers a potential move by 1 pair; verify's 500 and scan
-    # --transience's 200 by 4; the benchmark walk's 100,000 by 8
+    # few walkers a potential move by 1 pair where there are many
+    # potentials; verify's 500 and scan --transience's 200 by 4; the
+    # benchmark walk's 100,000 by 16; one potential never by 1
     walkers = [1, 5, 31, 32, 200, 500, 9999, 10000, 100000]
-    assert [sparsepin.walk.move_pairs(n) for n in walkers] == [1, 1, 1, 4, 4, 4, 4, 8, 8]
+    assert [sparsepin.walk.move_pairs(n, 200) for n in walkers] == [1, 1, 1, 4, 4, 4, 4, 16, 16]
+    assert [sparsepin.walk.move_pairs(n, 1) for n in walkers] == [4, 4, 4, 4, 4, 4, 4, 16, 16]
+    assert [sparsepin.walk.move_pairs(20, k) for k in (1, 99, 100, 4000)] == [4, 4, 1, 1]
 
 
 def test_worker_count_equals_two_8192_walker_chunks_per_process(monkeypatch):
