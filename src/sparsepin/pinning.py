@@ -21,8 +21,10 @@ about twice as much per site as one of a single row, so the quenched
 critical-point searches run in lockstep.  Each (beta, seed) search is a
 plain bisection written as a generator that asks for the raws it lacks,
 _MULTISECTION_LEVELS levels of midpoints at a time (its first request also
-holds its start ends and, on speculation, the levels below CRIT_H_HI); a
-driver answers every running search's request with one engine call a pass.
+holds its lower end, CRIT_H_HI and, on speculation, the levels below
+CRIT_H_HI; a higher upper end is asked for alone, only when the one below
+fails); a driver answers every running search's request with one engine
+call a pass.
 One estimate serves every finite-n free energy (`pinning`, `pinning
 --critical`, scan's case-1 test): the mean and standard error of
 raw = (1/n) log z^c_n over the FE_ROWS fresh disorder rows of _fresh_rows.
@@ -459,7 +461,8 @@ def quenched_critical_point_estimates(spec: DisorderSpec, kernel: RenewalKernel,
     runs the searches in lockstep, answering every running search's request
     with one pinned_recursions call per pass.  A request holds the midpoints
     of the next _MULTISECTION_LEVELS bisection levels, and the first also
-    the start ends and, on speculation, the levels below CRIT_H_HI.
+    lo and CRIT_H_HI and, on speculation, the levels below CRIT_H_HI; a
+    higher upper end is a request of its own.
 
     Returns one entry per search, in order: its CriticalPointEstimate, or
     the BracketError that ended it, carrying the trail so far, which leaves
@@ -495,11 +498,12 @@ def _bisection(lo: float, n: int, tol: float):
     returns its CriticalPointEstimate or BracketError.
 
     The upper end is the first of CRIT_H_HI + 0.5 i, i = 0..4, with raw > 0,
-    and the bracket narrows to width <= tol.  The first request holds the
-    six start ends and, on speculation, the midpoints below CRIT_H_HI, which
-    go unused when a higher upper end wins; each later one, made when the
-    next midpoint's raw is not yet held, the midpoints of the next
-    _MULTISECTION_LEVELS levels.  A bracket still wider than tol
+    and the bracket narrows to width <= tol.  The first request holds lo,
+    CRIT_H_HI and, on speculation, the midpoints below CRIT_H_HI, which go
+    unused when a higher upper end wins; each later upper end is asked for
+    alone, and only when the one before it has raw <= 0.  Each later
+    request, made when the next midpoint's raw is not yet held, holds the
+    midpoints of the next _MULTISECTION_LEVELS levels.  A bracket still wider than tol
     whose ends are adjacent floats cannot narrow, and ends the search with
     an error.  So does a root below `sparse`, the power of two between
     -2^53 tol and -2^52 tol below which adjacent floats lie more than tol
@@ -512,13 +516,15 @@ def _bisection(lo: float, n: int, tol: float):
     ends = [CRIT_H_HI + 0.5 * i for i in range(5)]
     sparse = -math.ldexp(1.0, math.frexp(tol)[1] + 52)
     probe = [sparse] if lo < sparse else []
-    hs = [lo] + ends + _midpoints(lo, CRIT_H_HI, tol) + probe
+    hs = [lo, CRIT_H_HI] + _midpoints(lo, CRIT_H_HI, tol) + probe
     raw_at = dict(zip(hs, (yield hs)))
     trail = [(lo, raw_at[lo])]
     if raw_at[lo] > 0:
         return BracketError(lo, CRIT_H_HI, "already localized at the annealed critical point",
                             trail)
     for hi in ends:
+        if hi not in raw_at:
+            (raw_at[hi],) = yield [hi]
         trail.append((hi, raw_at[hi]))
         if raw_at[hi] > 0:
             break

@@ -738,6 +738,24 @@ def test_lockstep_searches_match_one_search_at_a_time():
     assert lockstep[2].trail[1] == (CRIT_H_HI, _crit_raw(spec, k, 2.0, n, 1, CRIT_H_HI))
 
 
+def test_search_asks_for_each_higher_upper_end_alone():
+    # raw(h) = h - 1 has its root at 1, so CRIT_H_HI = 0.25 and 0.75 fail
+    # and 1.25 wins; the first request holds lo, CRIT_H_HI and the three
+    # levels of midpoints below it, and each higher end is a request of its own
+    search = sparsepin.pinning._bisection(-1.0, 10, 0.01)
+    requests = [next(search)]
+    try:
+        while True:
+            requests.append(search.send([h - 1.0 for h in requests[-1]]))
+    except StopIteration as stop:
+        est = stop.value
+    mids = sparsepin.pinning._midpoints(-1.0, CRIT_H_HI, 0.01)
+    assert requests[0] == [-1.0, CRIT_H_HI] + mids and len(mids) == 7
+    assert requests[1:3] == [[CRIT_H_HI + 0.5], [CRIT_H_HI + 1.0]]
+    assert [h for h, _ in est.trail[:4]] == [-1.0, 0.25, 0.75, 1.25]
+    assert est.bracket[0] <= 1.0 < est.bracket[1] and est.bracket[1] - est.bracket[0] <= 0.01
+
+
 def test_bracket_of_adjacent_floats_wider_than_tol_ends_the_search():
     # tol = 1e-16 is below the float spacing near this root (about 0.59), so
     # the bracket narrows to two adjacent floats and can narrow no further
@@ -759,7 +777,7 @@ def test_default_scan_makes_two_engine_calls_at_n_fe_and_one_at_n_gc(monkeypatch
     engine = sparsepin.pinning._log_zc_rows
 
     def counting(contact, kernel):
-        calls.append(contact.shape[1])
+        calls.append(contact.shape)
         return engine(contact, kernel)
 
     monkeypatch.setattr(sparsepin.pinning, "_log_zc_rows", counting)
@@ -769,7 +787,10 @@ def test_default_scan_makes_two_engine_calls_at_n_fe_and_one_at_n_gc(monkeypatch
                      n_gc=3000, seed=1)
     report = regime_scan([0.0, 1.0, 2.0], [-2.2, -1.4, -1.2, -0.35, -0.05], cfg)
     assert [c["bracket"] is not None for c in report.critical] == [False, True, True]
-    assert calls == [8000, 8000, 3000]
+    assert [n for _, n in calls] == [8000, 8000, 3000]
+    # the first pass: lo, CRIT_H_HI and seven midpoints for each of the two
+    # searches, and no higher upper end
+    assert calls[0] == (18, 8000)
 
 
 def test_scan_with_no_case_1_or_2_point_makes_no_empty_engine_call(monkeypatch):
