@@ -13,11 +13,13 @@ Tables are returned in the log domain (values pass e^700 in localized
 scans).  The recursion itself runs in linear arithmetic on a window scaled
 by a log-normaliser per row, the scaling trick of the HMM forward
 algorithm.  The rows run site-major, so a site costs two numpy calls for
-all rows at once, and the logs are written once per block of sites.
+all rows at once, a BLAS matrix-vector product over the rows padded to a
+multiple of 8 and a multiply, and the logs are written once per block of
+sites.
 `pinned_recursions` is the one engine entry: it takes a (B, n) array of
 finite contact energies beta*omega_m + h, any mix of omega, beta and h per
 row, and runs it in one engine call.  An engine call of 32 rows costs
-about twice as much per site as one of a single row, so the quenched
+about 1.4 times as much per site as one of a single row, so the quenched
 critical-point searches run in lockstep.  Each (beta, seed) search is a
 plain bisection written as a generator that asks for the raws it lacks,
 _MULTISECTION_LEVELS levels of midpoints at a time (its first request also
@@ -69,6 +71,7 @@ CRIT_H_HI = 0.25  # first upper end tried by the quenched bisection
 _SCALE_LIMIT = 200.0  # a window sum outside e^{+-200} is rebuilt from the logs
 _STORE_LIMIT = 700.0  # nor may a stored window value leave e^{+-700}, near subnormal
 _BLOCK = 64  # sites between window renormalisations
+_ROW_PAD = 8  # the engine's row count is padded to a multiple of this
 _LN2 = math.log(2.0)
 _MULTISECTION_LEVELS = 3  # bisection levels evaluated per batched pass
 
@@ -170,9 +173,12 @@ def _log_zc_rows(contact: np.ndarray, kernel: RenewalKernel) -> np.ndarray:
     """log z^c_0..n for each row of a (B, n) array of contact energies.
 
     The rows run site-major: buf[j, b] = z^c e^{-scale_b} at site m0 + 1 +
-    j - n_max of row b, for a block of _BLOCK sites after its window.  A
-    site costs one matmul of the reversed kernel with the window, for all
-    rows, and one multiply by exp(contact).  At each block start every
+    j - n_max of row b, for a block of _BLOCK sites after its window.  The
+    row count is padded to a multiple of _ROW_PAD with rows of contact 0,
+    inside buf and the per-block contact and gain buffers; only the real
+    rows are checked, rescued and returned.  A site costs one BLAS
+    matrix-vector product (gemv) of the contiguous reversed kernel with the
+    window, for all rows, and one multiply by exp(contact).  At each block start every
     row's window is scaled by a power of two to a maximum in [1/2, 1), and
     the block's logs are written at once as log(sum) + contact + scale.
     When a row's window sum leaves e^{+-_SCALE_LIMIT} (or over/underflows)
@@ -183,28 +189,33 @@ def _log_zc_rows(contact: np.ndarray, kernel: RenewalKernel) -> np.ndarray:
     1.  So no window value is stored subnormal, where the next block-start
     renormalisation would scale its lost bits up as if exact.  A gap site,
     which no renewal path reaches, has z^c = 0 exactly in every row: it is
-    set to 0 and never summed or rescued.  The reversed kernel view
-    keeps matmul on numpy's own loop, which sums each row's window in a
-    fixed order, so a row's result does not depend on its batch.
+    set to 0 and never summed or rescued.  That a row's result does not
+    depend on its batch rests on BLAS computing every row of a gemv alike:
+    OpenBLAS sums rows past the last multiple of 4 in a tail loop of its
+    own, in a different order, and the padding leaves no such rows.  With
+    2 threads it splits a multiple of 8 rows into halves that are
+    multiples of 4; more threads were not measured.
     """
     rows, n = contact.shape
     width = kernel.n_max
+    padded = -(-rows // _ROW_PAD) * _ROW_PAD  # the rows past `rows` have contact 0
     unreachable = ~_reachable(kernel, n)
     gapped = bool(unreachable.any())
-    wrev = kernel.weights[::-1]
+    wrev = np.ascontiguousarray(kernel.weights[::-1])
     log_wrev = kernel.log_weights[::-1]
     # site j sits at index j + width; the entries before site 0 are empty
     logs = np.full((rows, n + 1 + width), -np.inf)
     logs[:, width] = 0.0
-    buf = np.zeros((width + _BLOCK, rows))
+    buf = np.zeros((width + _BLOCK, padded))
     buf[width - 1] = 1.0
-    acc, gain = np.empty((_BLOCK, rows)), np.empty((_BLOCK, rows))
+    acc, gain = np.empty((_BLOCK, padded)), np.empty((_BLOCK, padded))
+    block = np.zeros((_BLOCK, padded))
     # per-site views, made once: slicing in the site loop costs as much as the sum
     windows, sums = [buf[i : i + width] for i in range(_BLOCK)], list(acc)
     targets, gains = list(buf[width:]), list(gain)
     # scale = base + shift * log 2: base from the last rescue, shift from the
     # power-of-two renormalisations since, so no rounding accumulates
-    base, shift = np.zeros(rows), np.zeros(rows, dtype=np.int64)
+    base, shift = np.zeros(padded), np.zeros(padded, dtype=np.int64)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for m0 in range(0, n, _BLOCK):
             size = min(_BLOCK, n - m0)
@@ -213,8 +224,8 @@ def _log_zc_rows(contact: np.ndarray, kernel: RenewalKernel) -> np.ndarray:
             np.ldexp(buf[:width], -exponent, out=buf[:width])
             shift += exponent
             scale = base + shift * _LN2
-            block = np.ascontiguousarray(contact[:, m0 : m0 + size].T)
-            np.exp(block, out=gain[:size])
+            block[:size, :rows] = contact[:, m0 : m0 + size].T
+            np.exp(block[:size], out=gain[:size])
             # a gap site holds exactly 0 in every row and is never summed
             gap, live = unreachable[m0 + 1 : m0 + 1 + size], range(size)
             if gapped:
@@ -222,23 +233,23 @@ def _log_zc_rows(contact: np.ndarray, kernel: RenewalKernel) -> np.ndarray:
                 buf[width : width + size][gap] = 0.0
                 live = np.flatnonzero(~gap).tolist()
             for i in live:
-                np.matmul(wrev, windows[i], sums[i])
+                wrev.dot(windows[i], out=sums[i])
                 np.multiply(sums[i], gains[i], targets[i])
-            log_acc = np.log(acc[:size])
-            log_new = log_acc + block  # log of the stored window value
+            log_acc = np.log(acc[:size, :rows])
+            log_new = log_acc + block[:size, :rows]  # log of the stored window value
             bad = np.flatnonzero(~(_in_range(log_acc, log_new).all(axis=1) | gap))
             clean = int(bad[0]) if len(bad) else size
-            log_new[:clean] += scale
+            log_new[:clean] += scale[:rows]
             logs[:, m0 + 1 + width : m0 + 1 + width + clean] = log_new[:clean].T
             for i in range(clean, size):
                 if gap[i]:
                     continue  # its logs stay -inf
                 m = m0 + 1 + i
-                np.matmul(wrev, windows[i], sums[i])
+                wrev.dot(windows[i], out=sums[i])
                 np.multiply(sums[i], gains[i], targets[i])
-                log_sum = np.log(sums[i])
-                log_new = log_sum + block[i]
-                logs[:, m + width] = log_new + scale
+                log_sum = np.log(sums[i][:rows])
+                log_new = log_sum + block[i, :rows]
+                logs[:, m + width] = log_new + scale[:rows]
                 for b in np.flatnonzero(~_in_range(log_sum, log_new)):
                     window = logs[b, m : m + width]
                     log_zc = float(_lse(window + log_wrev)) + block[i, b]

@@ -136,6 +136,21 @@ def test_scan_has_no_inconsistent_point():
     assert case1 > 100
 
 
+def test_scan_entries_of_a_beta_do_not_depend_on_the_other_betas():
+    # beta = 1 runs its search beside beta = 2's, and its case-1 rows in a
+    # bigger n_gc pass, yet its critical entry and points are the same bits
+    cfg = ScanConfig(kernel=make_kernel("power_law", alpha=0.6, n_max=40),
+                     disorder=GAUSS, n_fe=2000, n_gc=1000, seed=5)
+    hs = [-2.2, -1.4, -1.2, -0.35, -0.05]
+    alone, beside = regime_scan([1.0], hs, cfg), regime_scan([1.0, 2.0], hs, cfg)
+    assert alone.critical[0] == beside.critical[0]
+    assert alone.critical[0]["bracket"] is not None
+    assert alone.points == beside.points[: len(hs)]
+    assert [p.case for p in beside.points] == ["case3", "case3", "case3", "unresolved",
+                                               "case1", "case3", "case2", "case2",
+                                               "case1", "case1"]
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_scan_never_certifies_a_zero_free_energy(monkeypatch, seed):
     # a bracket forced far below the quenched critical point of beta = 2

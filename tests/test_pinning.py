@@ -550,6 +550,17 @@ def test_engine_rows_do_not_depend_on_their_batch(monkeypatch):
             assert np.array_equal(batch[b], pinned_recursions(contact[b : b + 1], kern)[0].log_zc)
             assert np.array_equal(batch[b],
                                   pinned_recursions(contact[[b, 6 - b]], kern)[0].log_zc)
+        # every batch size from 1 to 40, 64 and 232 rows, from three offsets
+        # into a pool of rows that mixes the same betas and h, over three
+        # blocks: each row of each batch equals the row run alone
+        pool = betas[np.arange(249) % 7, None] * rng.normal(size=(249, 130)) \
+            + hs[np.arange(249) % 7, None]
+        alone = [sparsepin.pinning._log_zc_rows(pool[b : b + 1], kern)[0] for b in range(249)]
+        for rows in [*range(1, 41), 64, 232]:
+            for offset in (0, 3, 17):
+                out = sparsepin.pinning._log_zc_rows(pool[offset : offset + rows], kern)
+                for b in range(rows):
+                    assert np.array_equal(out[b], alone[offset + b]), (rows, offset, b)
     # a batch that a budget of 2^18 cells, rows * (n + 1 + n_max), would cut
     # into 13 + 4 rows is still one engine call
     calls.clear()
