@@ -81,6 +81,7 @@ __all__ = [
 DEFAULT_STEP_BUDGET = 10 ** 8
 _CHUNK = 16384
 _UNREPORTED = -2  # a worker's report slot until it reports; -1 reports no failure
+_TABLE_BLOCK = 2 ** 16  # alias-table entries (states x columns) split at a time
 
 
 class StepBudgetError(RuntimeError):
@@ -470,7 +471,10 @@ def _move_tables(dv: np.ndarray, r: int,
     at or above it: C times the next state, and the visits.  Ends past the
     top of a row stop at its last state, since a move never starts within
     `pairs` states of the top (_visits_chunk).  Per state the tables take
-    26 C bytes: 104, 416 and 6,656 bytes at 1, 4 and 16 pairs.
+    26 C bytes: 104, 416 and 6,656 bytes at 1, 4 and 16 pairs.  The far
+    laws are built and split _TABLE_BLOCK entries at a time, so beside the
+    tables a build holds only a few arrays of that size, and the tables do
+    not depend on the block size.
     """
     support = _near_support(pairs)
     near_starts, columns = support.shape
@@ -503,13 +507,8 @@ def _move_tables(dv: np.ndarray, r: int,
         q[1:] += p[cell][:-1] * up[cell][:-1]
         p[cell] = q
 
-    # far[k, row, j]: end cell k of start j, each law scaled to sum to C
-    far = np.zeros((cells, rows, half))
-    far[pairs] = columns
-    for t in range(1, pairs + 1):
-        pair(far, slice(pairs - t, pairs + t + 1), *window)
-    # starts j <= pairs again, with a visit axis last: a pair that ends at
-    # 0, cell pairs - j, moves that cell's mass up one visit
+    # starts j <= pairs, with a visit axis last: a pair that ends at 0,
+    # cell pairs - j, moves that cell's mass up one visit
     near = np.zeros((cells, rows, near_starts, pairs + 1))
     near[pairs, ..., 0] = columns
     j = np.arange(near_starts)
@@ -519,31 +518,51 @@ def _move_tables(dv: np.ndarray, r: int,
         near[pairs - j, :, j] = 0.0
         near[pairs - j, :, j, 1:] = at_zero[..., :-1]
     by_start = near.transpose(2, 0, 3, 1).reshape(near_starts, -1, rows)  # (j, cell, row)
-    masses = np.zeros((rows, half, columns))
-    masses[..., :cells] = far.transpose(1, 2, 0)
-    masses[:, :near_starts] = by_start[j[:, None], support].transpose(2, 0, 1)
-    del far, near, by_start
-    own, thr, partner = _alias(masses.reshape(-1, columns))
-    del masses
+    near_masses = by_start[j[:, None], support].transpose(2, 0, 1)  # (row, j, column)
+    del near, by_start
+    thr = np.empty((rows, half, columns))
+    # blocks of at most _TABLE_BLOCK entries: whole rows, or a run of one row's starts
+    per = max(1, _TABLE_BLOCK // columns)
+    rows_per, span = (per // half, half) if per >= half else (1, per)
+    for r0 in range(0, rows, rows_per):
+        r1 = min(r0 + rows_per, rows)
+        for j0 in range(0, half, span):
+            j1 = min(j0 + span, half)
+            jn = max(j0, min(j1, near_starts))  # starts j0..jn - 1 are near ones
+            # far[k, row, j]: end cell k of start j, each law scaled to sum to C
+            far = np.zeros((cells, r1 - r0, j1 - j0))
+            far[pairs] = columns
+            block = [law[:, r0:r1, j0:j1] for law in window]
+            for t in range(1, pairs + 1):
+                pair(far, slice(pairs - t, pairs + t + 1), *block)
+            masses = np.zeros((r1 - r0, j1 - j0, columns))
+            masses[..., :cells] = far.transpose(1, 2, 0)
+            masses[:, : jn - j0] = near_masses[r0:r1, j0:jn]
+            del far
+            own, _, partner = _alias(masses.reshape(-1, columns),
+                                     thr[r0:r1, j0:j1].reshape(-1, columns))
+            del masses
+            if r0 == j0 == 0:  # made here, they reuse the memory the split freed
+                nxt = np.empty((rows, half, columns, 2), dtype=np.int64)
+                vis = np.empty((rows, half, columns, 2), dtype=np.uint8)
+            # outcomes: column c of start j ends at state ends[j - j0, c] of
+            # its row, with seen[j - j0, c] visits
+            starts = np.arange(j0, j1)[:, None]
+            ends = starts + np.minimum(np.arange(columns), cells - 1) - pairs
+            ends[:, cells:] = starts  # empty columns stay put
+            ends[: jn - j0] = starts[: jn - j0] + support[j0:jn] // (pairs + 1) - pairs
+            np.clip(ends, 0, half - 1, out=ends)
+            ends *= columns
+            seen = np.zeros((j1 - j0, columns), dtype=np.uint8)
+            seen[: jn - j0] = support[j0:jn] % (pairs + 1)
+            start = (columns * np.arange(j1 - j0))[:, None]
+            for b, cell in enumerate((own, partner)):
+                cell = cell.reshape(r1 - r0, j1 - j0, columns) + start  # entries of ends and seen
+                ends.ravel().take(cell, out=nxt[r0:r1, j0:j1, :, b], mode="clip")
+                seen.ravel().take(cell, out=vis[r0:r1, j0:j1, :, b], mode="clip")
+            nxt[r0:r1, j0:j1] += (columns * half * np.arange(r0, r1))[:, None, None, None]
     thr += np.arange(columns)
     thr /= columns
-    # outcomes: column c of start j ends at state ends[j, c] of its row,
-    # with seen[j, c] visits
-    ends = np.arange(half)[:, None] + np.minimum(np.arange(columns), cells - 1) - pairs
-    ends[:, cells:] = np.arange(half)[:, None]  # empty columns stay put
-    ends[:near_starts] = j[:, None] + support // (pairs + 1) - pairs
-    np.clip(ends, 0, half - 1, out=ends)
-    ends *= columns
-    seen = np.zeros((half, columns), dtype=np.uint8)
-    seen[:near_starts] = support % (pairs + 1)
-    nxt = np.empty((rows, half, columns, 2), dtype=np.int64)
-    vis = np.empty((rows, half, columns, 2), dtype=np.uint8)
-    start = (columns * np.arange(half))[:, None]
-    for b, cell in enumerate((own, partner)):
-        cell = cell.reshape(rows, half, columns) + start  # entries of ends and seen
-        ends.ravel().take(cell, out=nxt[..., b], mode="clip")
-        seen.ravel().take(cell, out=vis[..., b], mode="clip")
-    nxt += (columns * half * np.arange(rows))[:, None, None, None]
     return thr.ravel(), nxt.ravel(), vis.ravel()
 
 
@@ -566,11 +585,13 @@ def _scan(a: np.ndarray, ufunc, reverse: bool = False) -> None:
         ufunc(a[:, c - 1], a[:, c], out=a[:, c])
 
 
-def _alias(masses: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _alias(masses: np.ndarray,
+           out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Walker's alias tables of the laws masses[s], each a row of C column
     masses summing to C, as (own, thr, alias): column p of law s keeps
     outcome own[s, p] below threshold thr[s, p] and takes outcome alias[s,
-    p] at or above it.  Both name columns of masses[s].
+    p] at or above it.  Both name columns of masses[s].  thr is written
+    into out, an array of masses' shape, where one is given.
 
     A light outcome (mass below 1) keeps its mass and takes the rest from a
     heavy one.  This is Vose's sweep in column order, in closed form: the
@@ -623,7 +644,7 @@ def _alias(masses: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     filled += key
     filled *= light
     _scan(filled, np.maximum)
-    thr = masses.take(order)
+    thr = masses.take(order, out=out, mode="clip")
     del order
     # the next heavy at or after each place (C where none follows), and the
     # last at or before it: heavies are merged in column order, so past

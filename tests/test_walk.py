@@ -425,6 +425,20 @@ def test_move_tables_hold_the_exact_sixteen_pair_law(r):
 
 
 @pytest.mark.parametrize("pairs", [1, 4, 16])
+def test_move_tables_do_not_depend_on_their_block_size(monkeypatch, pairs):
+    # blocks of one state, of runs that split a row or its near starts, of
+    # one row and of two rows, against the tables built as one block
+    dv = np.random.default_rng(pairs).normal(0.0, 2.0, size=(5, 60))
+    columns = {1: 4, 4: 16, 16: 256}[pairs]
+    monkeypatch.setattr(sparsepin.walk, "_TABLE_BLOCK", 2 ** 40)
+    whole = sparsepin.walk._move_tables(dv, 61, pairs)
+    for states in (1, 3, 7, 45, 63, 100):
+        monkeypatch.setattr(sparsepin.walk, "_TABLE_BLOCK", states * columns)
+        for built, one in zip(sparsepin.walk._move_tables(dv, 61, pairs), whole, strict=True):
+            assert built.dtype == one.dtype and np.array_equal(built, one), states
+
+
+@pytest.mark.parametrize("pairs", [1, 4, 16])
 def test_move_tables_end_laws_on_a_long_row(pairs):
     # R = 301: at 16 pairs a row has 183 states of 256 columns, so entries
     # of the tables run past 2^15; every start's law of its end state must
