@@ -19,7 +19,7 @@ sites.
 `pinned_recursions` is the one engine entry: it takes a (B, n) array of
 finite contact energies beta*omega_m + h, any mix of omega, beta and h per
 row, and runs it in one engine call.  An engine call of 32 rows costs
-about 1.4 times as much per site as one of a single row, so the quenched
+about 1.3 times as much per site as one of a single row, so the quenched
 critical-point searches run in lockstep.  Each (beta, seed) search is a
 plain bisection written as a generator that asks for the raws it lacks,
 _MULTISECTION_LEVELS levels of midpoints at a time (its first request also
@@ -178,9 +178,10 @@ def _log_zc_rows(contact: np.ndarray, kernel: RenewalKernel) -> np.ndarray:
     inside buf and the per-block contact and gain buffers; only the real
     rows are checked, rescued and returned.  A site costs one BLAS
     matrix-vector product (gemv) of the contiguous reversed kernel with the
-    window, for all rows, and one multiply by exp(contact).  At each block start every
-    row's window is scaled by a power of two to a maximum in [1/2, 1), and
-    the block's logs are written at once as log(sum) + contact + scale.
+    window, for all rows, and one multiply by exp(contact).  At each block
+    start every row's window is scaled by a power of two to a maximum in
+    [1/2, 1), and the block's logs are written at once as log(sum) +
+    contact + scale.
     When a row's window sum leaves e^{+-_SCALE_LIMIT} (or over/underflows)
     inside a block, or the value it would store, sum * exp(contact), leaves
     e^{+-_STORE_LIMIT}, the block is redone site by site from its first such
@@ -192,9 +193,9 @@ def _log_zc_rows(contact: np.ndarray, kernel: RenewalKernel) -> np.ndarray:
     set to 0 and never summed or rescued.  That a row's result does not
     depend on its batch rests on BLAS computing every row of a gemv alike:
     OpenBLAS sums rows past the last multiple of 4 in a tail loop of its
-    own, in a different order, and the padding leaves no such rows.  With
-    2 threads it splits a multiple of 8 rows into halves that are
-    multiples of 4; more threads were not measured.
+    own, in a different order, and the padding leaves no such rows.  This
+    was checked on 2 CPUs, with BLAS threads on and off; more CPUs, where
+    a gemv's rows may be split across more threads, were not.
     """
     rows, n = contact.shape
     width = kernel.n_max

@@ -189,12 +189,13 @@ def test_verify_inconclusive_exit_two(tmp_path):
                "--seed", "3") == EXIT_INCONCLUSIVE
 
 
-@pytest.mark.parametrize("args", [("--f", "15"), ("--n-tau", "2", "--walk-replicas", "1")])
+@pytest.mark.parametrize("args", [("--f", "15"),
+                                  ("--f", "15", "--n-tau", "2", "--walk-replicas", "1")])
 def test_verify_zero_stderr_miss_is_inconclusive(tmp_path, args):
     # every walker leaves 0 and never returns, so the stderr and the
     # tolerance are 0 while S_N lies above 1: no evidence of a failure.  At
-    # f = 15 no walker returns at any seed; the two walkers of the second
-    # case return to 0 by chance, and at seed 2 neither does
+    # f = 15 no walker returns at any seed, of the default 200 x 500 walkers
+    # or of the two walkers of the second case
     assert run(tmp_path, "verify", *args, "--seed", "2") == EXIT_INCONCLUSIVE
     relation = read_json(tmp_path, "verify.json")["key_relation"]
     assert (relation["lhs"]["mean"], relation["lhs"]["stderr"]) == (1.0, 0.0)
