@@ -15,7 +15,8 @@ by a log-normaliser per row, the scaling trick of the HMM forward
 algorithm.  The rows run site-major, so a site costs two numpy calls for
 all rows at once, a BLAS matrix-vector product over the rows padded to a
 multiple of 8 and a multiply, and the logs are written once per block of
-sites.
+sites; beyond 224 rows (at n_max = 40) the rows run in slices that keep
+each product too small for OpenBLAS to thread.
 `pinned_recursions` is the one engine entry: it takes a (B, n) array of
 finite contact energies beta*omega_m + h, any mix of omega, beta and h per
 row, and runs it in one engine call.  An engine call of 32 rows costs
@@ -39,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -72,6 +73,7 @@ _SCALE_LIMIT = 200.0  # a window sum outside e^{+-200} is rebuilt from the logs
 _STORE_LIMIT = 700.0  # nor may a stored window value leave e^{+-700}, near subnormal
 _BLOCK = 64  # sites between window renormalisations
 _ROW_PAD = 8  # the engine's row count is padded to a multiple of this
+_GEMV_CELLS = 2304 * 4  # OpenBLAS's least threshold for a threaded gemv, in matrix entries
 _LN2 = math.log(2.0)
 _MULTISECTION_LEVELS = 3  # bisection levels evaluated per batched pass
 
@@ -172,16 +174,55 @@ def _lse(a: np.ndarray) -> np.ndarray:
 def _log_zc_rows(contact: np.ndarray, kernel: RenewalKernel) -> np.ndarray:
     """log z^c_0..n for each row of a (B, n) array of contact energies.
 
+    The rows run in slices of _gemv_rows(n_max) rows, each padded to a
+    multiple of _ROW_PAD with rows of contact 0 (see _fill_log_zc).  That
+    a row's result does not depend on its batch rests on BLAS computing
+    every row of a gemv alike.  OpenBLAS sums rows past the last multiple
+    of 4 in a tail loop of its own, in a different order; the padding
+    leaves no such rows.  It also splits a gemv of _GEMV_CELLS entries or
+    more across threads, and a thread's share of rows need not be a
+    multiple of 4; the slices keep every gemv below that size, so none is
+    threaded and the result does not depend on the thread count either
+    (OpenBLAS 0.3.31 threads only from about 460800 entries; _GEMV_CELLS
+    is the threshold of older builds).  A kernel too wide for a gemv of 8
+    rows below that size sums on numpy's own loop, which takes each row's
+    window in a fixed order.  This was checked on OpenBLAS 0.3.31 at 1 to
+    8 BLAS threads; other BLAS builds are checked by the batch tests.
+    """
+    rows, n = contact.shape
+    width = kernel.n_max
+    # site j sits at index j + width; the entries before site 0 are empty
+    logs = np.full((rows, n + 1 + width), -np.inf)
+    logs[:, width] = 0.0
+    step = _gemv_rows(width) or rows
+    unreachable = ~_reachable(kernel, n)
+    for r0 in range(0, rows, step):
+        _fill_log_zc(contact[r0 : r0 + step], kernel, unreachable, logs[r0 : r0 + step])
+    return logs[:, width:]
+
+
+def _gemv_rows(width: int) -> int:
+    """The most rows, a multiple of _ROW_PAD, that a gemv over a window of
+    `width` sites may take and stay below _GEMV_CELLS entries; 0 if even
+    _ROW_PAD rows are too many."""
+    return _ROW_PAD * ((_GEMV_CELLS - 1) // (_ROW_PAD * width))
+
+
+def _fill_log_zc(contact: np.ndarray, kernel: RenewalKernel, unreachable: np.ndarray,
+                 logs: np.ndarray) -> None:
+    """Write log z^c of each row of contact into its row of logs, where
+    site j sits at index j + n_max and sites 0 and below are already set.
+
     The rows run site-major: buf[j, b] = z^c e^{-scale_b} at site m0 + 1 +
     j - n_max of row b, for a block of _BLOCK sites after its window.  The
     row count is padded to a multiple of _ROW_PAD with rows of contact 0,
     inside buf and the per-block contact and gain buffers; only the real
-    rows are checked, rescued and returned.  A site costs one BLAS
+    rows are checked, rescued and written.  A site costs one BLAS
     matrix-vector product (gemv) of the contiguous reversed kernel with the
-    window, for all rows, and one multiply by exp(contact).  At each block
-    start every row's window is scaled by a power of two to a maximum in
-    [1/2, 1), and the block's logs are written at once as log(sum) +
-    contact + scale.
+    window, for all rows (or numpy's own loop, see _log_zc_rows), and one
+    multiply by exp(contact).  At each block start every row's window is
+    scaled by a power of two to a maximum in [1/2, 1), and the block's
+    logs are written at once as log(sum) + contact + scale.
     When a row's window sum leaves e^{+-_SCALE_LIMIT} (or over/underflows)
     inside a block, or the value it would store, sum * exp(contact), leaves
     e^{+-_STORE_LIMIT}, the block is redone site by site from its first such
@@ -190,23 +231,17 @@ def _log_zc_rows(contact: np.ndarray, kernel: RenewalKernel) -> np.ndarray:
     1.  So no window value is stored subnormal, where the next block-start
     renormalisation would scale its lost bits up as if exact.  A gap site,
     which no renewal path reaches, has z^c = 0 exactly in every row: it is
-    set to 0 and never summed or rescued.  That a row's result does not
-    depend on its batch rests on BLAS computing every row of a gemv alike:
-    OpenBLAS sums rows past the last multiple of 4 in a tail loop of its
-    own, in a different order, and the padding leaves no such rows.  This
-    was checked on 2 CPUs, with BLAS threads on and off; more CPUs, where
-    a gemv's rows may be split across more threads, were not.
+    set to 0 and never summed or rescued.
     """
     rows, n = contact.shape
     width = kernel.n_max
     padded = -(-rows // _ROW_PAD) * _ROW_PAD  # the rows past `rows` have contact 0
-    unreachable = ~_reachable(kernel, n)
     gapped = bool(unreachable.any())
-    wrev = np.ascontiguousarray(kernel.weights[::-1])
+    if _gemv_rows(width):
+        product = np.ascontiguousarray(kernel.weights[::-1]).dot
+    else:  # the reversed view keeps matmul off BLAS
+        product = partial(np.matmul, kernel.weights[::-1])
     log_wrev = kernel.log_weights[::-1]
-    # site j sits at index j + width; the entries before site 0 are empty
-    logs = np.full((rows, n + 1 + width), -np.inf)
-    logs[:, width] = 0.0
     buf = np.zeros((width + _BLOCK, padded))
     buf[width - 1] = 1.0
     acc, gain = np.empty((_BLOCK, padded)), np.empty((_BLOCK, padded))
@@ -234,7 +269,7 @@ def _log_zc_rows(contact: np.ndarray, kernel: RenewalKernel) -> np.ndarray:
                 buf[width : width + size][gap] = 0.0
                 live = np.flatnonzero(~gap).tolist()
             for i in live:
-                wrev.dot(windows[i], out=sums[i])
+                product(windows[i], out=sums[i])
                 np.multiply(sums[i], gains[i], targets[i])
             log_acc = np.log(acc[:size, :rows])
             log_new = log_acc + block[:size, :rows]  # log of the stored window value
@@ -246,7 +281,7 @@ def _log_zc_rows(contact: np.ndarray, kernel: RenewalKernel) -> np.ndarray:
                 if gap[i]:
                     continue  # its logs stay -inf
                 m = m0 + 1 + i
-                wrev.dot(windows[i], out=sums[i])
+                product(windows[i], out=sums[i])
                 np.multiply(sums[i], gains[i], targets[i])
                 log_sum = np.log(sums[i][:rows])
                 log_new = log_sum + block[i, :rows]
@@ -263,7 +298,6 @@ def _log_zc_rows(contact: np.ndarray, kernel: RenewalKernel) -> np.ndarray:
                     else:  # log z^c_m itself is infinite
                         buf[width + i, b] = 0.0
             buf[:width] = buf[size : size + width]
-    return logs[:, width:]
 
 
 def _in_range(log_sum: np.ndarray, log_new: np.ndarray) -> np.ndarray:

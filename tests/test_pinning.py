@@ -569,6 +569,25 @@ def test_engine_rows_do_not_depend_on_their_batch(monkeypatch):
     assert calls == [17] and len(tables) == 17
 
 
+@pytest.mark.parametrize("width", [40, 1151, 1152])
+def test_engine_gemvs_stay_below_the_blas_threading_size(width):
+    # OpenBLAS splits a gemv of 2304 * 4 entries or more (460800 in 0.3.31)
+    # across threads, in shares of rows that need not be multiples of 4: a
+    # row's sum then depends on its place in the batch.  The engine slices
+    # its rows so that no gemv is that large: 224 rows at 40 sites, 8 at
+    # 1151; from 1152 sites it sums on numpy's own loop.  424 rows at 1151
+    # sites would be one gemv that 0.3.31 threads, and 3 or 4 BLAS threads
+    # would split it into shares of 142 or 106 rows
+    assert sparsepin.pinning._gemv_rows(width) == {40: 224, 1151: 8, 1152: 0}[width]
+    kern = make_kernel("power_law", alpha=0.6, n_max=width)
+    contact = np.random.default_rng(9).normal(size=(424, 130)) - 0.5
+    out = sparsepin.pinning._log_zc_rows(contact, kern)
+    for b in range(424):
+        assert np.array_equal(out[b], sparsepin.pinning._log_zc_rows(contact[b : b + 1], kern)[0])
+    for b in (0, 423):
+        _close_in_log(out[b], _reference_log_zc(contact[b], kern))
+
+
 def test_engine_rescues_at_block_edges(monkeypatch):
     # a contact of +1000 overflows exp(contact), so the next site's window
     # sum is inf and that row alone is rebuilt from its logs by one
