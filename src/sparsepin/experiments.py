@@ -246,10 +246,10 @@ def regime_scan(beta_grid, h_grid, cfg: ScanConfig) -> RegimeReport:
     verdicts on a separate n_gc-long disorder row per beta agree with a
     case-2 label; those at beta = 0 are exact and only recorded, and the
     annealed ones follow from the label.  The report's `critical` list
-    holds each beta's bracket and bisection trail (or the bracket error
-    and the trail up to it).  The case-2 rows and the FE_ROWS test rows
-    of every case-1 point all run in one engine pass at n_gc, which a grid
-    with neither skips.
+    holds each beta's bracket, search trail and engine passes (or the
+    bracket error, the trail up to it and the passes).  The case-2 rows
+    and the FE_ROWS test rows of every case-1 point all run in one engine
+    pass at n_gc, which a grid with neither skips.
     """
     searches = [(beta, derive_seed(cfg.seed, "crit", i_beta))
                 for i_beta, beta in enumerate(beta_grid) if beta > 0]
@@ -257,12 +257,12 @@ def regime_scan(beta_grid, h_grid, cfg: ScanConfig) -> RegimeReport:
                                                    cfg.n_fe, cfg.crit_tol))
     critical, cases, keys, blocks = [], [], [], []
     for i_beta, beta in enumerate(beta_grid):
-        search = {"beta": beta, "bracket": None, "trail": [], "error": None}
+        search = {"beta": beta, "bracket": None, "trail": [], "error": None, "passes": 0}
         est = next(found) if beta > 0 else None
         if isinstance(est, BracketError):
-            search.update(error=str(est), trail=est.trail)
+            search.update(error=str(est), trail=est.trail, passes=est.passes)
         elif est is not None:
-            search.update(bracket=est.bracket, trail=est.trail)
+            search.update(bracket=est.bracket, trail=est.trail, passes=est.passes)
         critical.append(search)
         h_ann = -log_mgf(cfg.disorder, beta)
         cases.append([_classify(beta, h, h_ann, search["bracket"]) for h in h_grid])

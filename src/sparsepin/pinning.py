@@ -22,12 +22,14 @@ finite contact energies beta*omega_m + h, any mix of omega, beta and h per
 row, and runs it in one engine call.  An engine call of 32 rows costs
 about 1.3 times as much per site as one of a single row, so the quenched
 critical-point searches run in lockstep.  Each (beta, seed) search is a
-plain bisection written as a generator that asks for the raws it lacks,
-_MULTISECTION_LEVELS levels of midpoints at a time (its first request also
-holds its lower end, CRIT_H_HI and, on speculation, the levels below
-CRIT_H_HI; a higher upper end is asked for alone, only when the one below
-fails); a driver answers every running search's request with one engine
-call a pass.
+generator that asks for the raws it lacks, _MULTISECTION_LEVELS levels of
+midpoints at a time (its first request also holds its lower end,
+CRIT_H_HI and, on speculation, the levels below CRIT_H_HI; a higher upper
+end is asked for alone, only when the one below fails); a lockstep loop
+answers every running search's request with one engine call a pass.  raw
+is convex in h on one disorder row, so the search brackets its root from
+the values of the raws it holds, not only their signs: the chord of the
+sign bracket gives the lower end, the secants beside it the upper end.
 One estimate serves every finite-n free energy (`pinning`, `pinning
 --critical`, scan's case-1 test): the mean and standard error of
 raw = (1/n) log z^c_n over the FE_ROWS fresh disorder rows of _fresh_rows.
@@ -68,7 +70,7 @@ __all__ = [
 
 GC_SLOPE_TOL = 1e-3
 FE_ROWS = 16  # fresh disorder rows per free-energy estimate
-CRIT_H_HI = 0.25  # first upper end tried by the quenched bisection
+CRIT_H_HI = 0.25  # first upper end tried by the quenched search
 _SCALE_LIMIT = 200.0  # a window sum outside e^{+-200} is rebuilt from the logs
 _STORE_LIMIT = 700.0  # nor may a stored window value leave e^{+-700}, near subnormal
 _BLOCK = 64  # sites between window renormalisations
@@ -79,13 +81,15 @@ _MULTISECTION_LEVELS = 3  # bisection levels evaluated per batched pass
 
 
 class BracketError(RuntimeError):
-    """Bisection could not bracket the sign change of the free energy;
-    trail holds the (h, raw) pairs it decided on before it stopped."""
+    """The quenched search could not bracket the sign change of the free
+    energy; trail holds (h, raw) pairs it evaluated before it stopped (see
+    _bisection), and passes the number of engine passes it took part in."""
 
-    def __init__(self, h_lo: float, h_hi: float, message: str, trail=()):
+    def __init__(self, h_lo: float, h_hi: float, message: str, trail=(), passes: int = 0):
         super().__init__(f"{message} (scanned h in [{h_lo}, {h_hi}])")
         self.scanned = (h_lo, h_hi)
         self.trail = list(trail)
+        self.passes = passes
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,14 +149,17 @@ class FreeEnergyEstimate:
 
 @dataclass(frozen=True)
 class CriticalPointEstimate:
-    """Bisection output: bracket (lo, hi) with raw(lo) <= 0 < raw(hi), its
-    midpoint h_hat, and the trail of (h, raw) pairs the bisection decided
-    on, start ends included."""
+    """Quenched search output: bracket (lo, hi) with raw(lo) <= 0 < raw(hi),
+    its midpoint h_hat, the trail of every (h, raw) pair evaluated, in the
+    order asked for, and the number of engine passes the search took part
+    in.  The bracket's ends are derived from the trail by convexity (see
+    _convex_bracket), not evaluated."""
 
     h_hat: float
     bracket: tuple[float, float]
     n: int
     trail: list = field(default_factory=list)
+    passes: int = 0
 
 
 def _mean_stderr(x: np.ndarray) -> tuple[float, float]:
@@ -497,18 +504,20 @@ def quenched_critical_point_estimate(spec: DisorderSpec, kernel: RenewalKernel,
 
 def quenched_critical_point_estimates(spec: DisorderSpec, kernel: RenewalKernel,
                                       searches, n: int, tol: float) -> list:
-    """Bisect h for the sign change of raw = (1/n) log z^c_n on one disorder
-    draw, for each (beta, seed) of `searches`.
+    """Bracket h for the sign change of raw = (1/n) log z^c_n on one
+    disorder draw, for each (beta, seed) of `searches`.
 
     For fixed disorder log z^c_n rises strictly in h (every path carries a
-    contact factor e^h), so the bracket holds this sample's root exactly.
-    Each search is the plain bisection of _bisection, a generator that asks
-    for the raws it lacks; this driver draws each search's disorder and
-    runs the searches in lockstep, answering every running search's request
-    with one pinned_recursions call per pass.  A request holds the midpoints
-    of the next _MULTISECTION_LEVELS bisection levels, and the first also
-    lo and CRIT_H_HI and, on speculation, the levels below CRIT_H_HI; a
-    higher upper end is a request of its own.
+    contact factor e^h) and is convex in h, so the bracket holds this
+    sample's root exactly, up to the rounding margin of its derived ends.
+    Each search is the convex bracketing of _bisection, a generator that
+    asks for the raws it lacks; this function draws each search's
+    disorder and runs the searches in lockstep, answering every running
+    search's request with one pinned_recursions call per pass.  A request holds the
+    midpoints of the next _MULTISECTION_LEVELS bisection levels of the
+    current bracket, and the first also lo and CRIT_H_HI and, on
+    speculation, the levels below CRIT_H_HI; a higher upper end is a
+    request of its own.
 
     Returns one entry per search, in order: its CriticalPointEstimate, or
     the BracketError that ended it, carrying the trail so far, which leaves
@@ -541,69 +550,129 @@ def quenched_critical_point_estimates(spec: DisorderSpec, kernel: RenewalKernel,
 def _bisection(lo: float, n: int, tol: float):
     """One quenched search from the annealed end lo, as a generator: it
     yields each list of h whose raws it needs, is sent back those raws, and
-    returns its CriticalPointEstimate or BracketError.
+    returns its CriticalPointEstimate or BracketError, with `passes` the
+    number of lists it yielded.
 
-    The upper end is the first of CRIT_H_HI + 0.5 i, i = 0..4, with raw > 0,
-    and the bracket narrows to width <= tol.  The first request holds lo,
-    CRIT_H_HI and, on speculation, the midpoints below CRIT_H_HI, which go
-    unused when a higher upper end wins; each later upper end is asked for
-    alone, and only when the one before it has raw <= 0.  Each later
-    request, made when the next midpoint's raw is not yet held, holds the
-    midpoints of the next _MULTISECTION_LEVELS levels.  A bracket still wider than tol
-    whose ends are adjacent floats cannot narrow, and ends the search with
+    The first upper end is the first of CRIT_H_HI + 0.5 i, i = 0..4, with
+    raw > 0.  The first request holds lo, CRIT_H_HI and, on speculation,
+    the _MULTISECTION_LEVELS levels of midpoints below CRIT_H_HI; each later
+    upper end is asked for alone, and only when the one before it has
+    raw <= 0.  After each answer the held raws give the convex bracket of
+    _convex_bracket, whose ends are derived points, not evaluated ones; the
+    search stops once it is no wider than tol, and otherwise asks for its
+    midpoints not already held.  A bracket whose midpoints are all held
+    (its ends are adjacent floats) cannot narrow, and ends the search with
     an error.  So does a root below `sparse`, the power of two between
     -2^53 tol and -2^52 tol below which adjacent floats lie more than tol
     apart (at beta = 1e20 the root is of order -1e20, where they are 16384
     or more apart): when lo lies below that bound, the first request holds
     it too, and a positive raw there ends the search with that point last
-    in its trail.  Otherwise the point goes unused, so every bracket and
-    trail is the one the one-h-at-a-time bisection gives.
+    in its trail.  At tol >= 2^971 no two adjacent floats lie more than tol
+    apart, and there is no such bound.  The trail of an estimate, and of
+    the error of a bracket that cannot narrow, holds every (h, raw)
+    evaluated, in the order asked for; that of an earlier error holds lo
+    and the upper ends tried, then the point that failed.
     """
     ends = [CRIT_H_HI + 0.5 * i for i in range(5)]
-    sparse = -math.ldexp(1.0, math.frexp(tol)[1] + 52)
+    exponent = math.frexp(tol)[1] + 52
+    sparse = -math.ldexp(1.0, exponent) if exponent < 1024 else -math.inf
     probe = [sparse] if lo < sparse else []
     hs = [lo, CRIT_H_HI] + _midpoints(lo, CRIT_H_HI, tol) + probe
-    raw_at = dict(zip(hs, (yield hs)))
-    trail = [(lo, raw_at[lo])]
+    trail, passes = list(zip(hs, (yield hs))), 1
+    raw_at = dict(trail)
     if raw_at[lo] > 0:
         return BracketError(lo, CRIT_H_HI, "already localized at the annealed critical point",
-                            trail)
+                            trail[:1], passes)
+    tried = [lo]
     for hi in ends:
         if hi not in raw_at:
             (raw_at[hi],) = yield [hi]
-        trail.append((hi, raw_at[hi]))
+            trail.append((hi, raw_at[hi]))
+            passes += 1
+        tried.append(hi)
         if raw_at[hi] > 0:
             break
     else:
-        return BracketError(lo, hi, "no localized phase found", trail)
+        return BracketError(lo, hi, "no localized phase found",
+                            [(h, raw_at[h]) for h in tried], passes)
     if probe and raw_at[sparse] > 0:
-        trail.append((sparse, raw_at[sparse]))
         return BracketError(lo, sparse, "the sign change lies where floats are more "
-                            "than tol apart", trail)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            return BracketError(lo, hi, "no float lies between the bracket's ends", trail)
-        if mid not in raw_at:
-            hs = _midpoints(lo, hi, tol)
-            raw_at.update(zip(hs, (yield hs)))
-        trail.append((mid, raw_at[mid]))
-        if raw_at[mid] > 0:
-            hi = mid
-        else:
-            lo = mid
-    return CriticalPointEstimate(h_hat=0.5 * (lo + hi), bracket=(lo, hi), n=n, trail=trail)
+                            "than tol apart", [(h, raw_at[h]) for h in tried + probe], passes)
+    while True:
+        lo, hi = _convex_bracket(raw_at)
+        if hi - lo <= tol:
+            return CriticalPointEstimate(h_hat=0.5 * lo + 0.5 * hi, bracket=(lo, hi), n=n,
+                                         trail=trail, passes=passes)
+        hs = [h for h in dict.fromkeys(_midpoints(lo, hi, tol)) if h not in raw_at]
+        if not hs:
+            return BracketError(lo, hi, "no float lies between the bracket's ends", trail,
+                                passes)
+        answered = list(zip(hs, (yield hs)))
+        trail += answered
+        raw_at.update(answered)
+        passes += 1
+
+
+def _convex_bracket(raw_at: dict) -> tuple[float, float]:
+    """(lower, upper) ends around the root of raw from the raws held, given
+    one h with raw <= 0 below every h with raw > 0.
+
+    On one disorder row log z^c_n is a log-sum-exp of functions affine in h,
+    so raw is convex (and increasing) in h.  With (a, b) the sign bracket of
+    the held raws, raw(a) <= 0 < raw(b), the curve lies below the chord of
+    (a, b), so raw <= 0 at the chord's root, the lower end.  Beyond its own
+    interval a secant lies below the curve, so raw > 0 right of the root of
+    the secant through a and the held point just below it, and right of that
+    of the secant through b and the held point just above it, when the
+    secant rises; the upper end is the least of those roots and b.  Each end
+    is widened by _margin and kept inside [a, b].
+    """
+    hs = sorted(raw_at)
+    j = next(i for i, h in enumerate(hs) if raw_at[h] > 0)
+    a, b = hs[j - 1], hs[j]
+    ra, rb = raw_at[a], raw_at[b]
+    # the chord's root, measured from the end whose raw is nearer 0: from
+    # the other end the step can round away the whole distance to the root
+    if -ra <= rb:
+        lower = a - ra / (rb - ra) * (b - a)
+    else:
+        lower = b - rb / (rb - ra) * (b - a)
+    upper = b
+    secants = [(hs[j - 2], a)] if j >= 2 else []  # (held neighbour, end it extends)
+    if j + 1 < len(hs):
+        secants.append((hs[j + 1], b))
+    for other, at in secants:
+        slope = (raw_at[at] - raw_at[other]) / (at - other)
+        # an infinite slope comes from a raw that overflowed to -inf
+        if 0 < slope < math.inf:
+            upper = min(upper, at - raw_at[at] / slope)
+    # max and min keep a and b where an end is nan
+    return max(a, lower - _margin(lower)), min(b, upper + _margin(upper))
+
+
+def _margin(h: float) -> float:
+    """How far a derived end of the quenched search is moved outward, past
+    the rounding of the raws it is computed from.
+
+    Those raws are off by float rounding, not by more: at the default scan
+    kernel and n = 8000 they agree with a long-double recursion to 6e-17.
+    A line's root moves by such an error over the line's slope, the
+    contact density near the root (0.13 to 0.2 in the 40 searches of
+    default scan seeds 1-20); so roots move by about 1e-15, far inside
+    this margin, while it stays far below any useful tol.
+    """
+    return 1e-12 + 1e-9 * abs(h)
 
 
 def _midpoints(lo: float, hi: float, tol: float) -> list[float]:
     """Every midpoint the next _MULTISECTION_LEVELS bisection levels of
-    (lo, hi) can visit, by the bisection's own arithmetic."""
+    (lo, hi) can visit."""
     mids, level = [], [(lo, hi)]
     for _ in range(_MULTISECTION_LEVELS):
         below = []
         for a, b in level:
             if b - a > tol:
-                mid = 0.5 * (a + b)
+                mid = 0.5 * a + 0.5 * b  # a + b may overflow; halving is exact
                 mids.append(mid)
                 below += [(a, mid), (mid, b)]
         level = below

@@ -14,12 +14,12 @@ import pytest
 
 import sparsepin.walk
 from oracles import pinned_table
-from sparsepin import (BracketError, DisorderSpec, cli, make_kernel,
-                       quenched_critical_point_estimates, sample_disorder)
+from sparsepin import (BracketError, DisorderSpec, annealed_critical_point, cli, make_kernel,
+                       pinned_recursions, quenched_critical_point_estimates, sample_disorder)
 from sparsepin._rng import derive_seed
 from sparsepin.cli import EXIT_CONFIG, EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_PASS, main
 from sparsepin.experiments import ScanConfig, regime_scan
-from sparsepin.pinning import _mean_stderr
+from sparsepin.pinning import CRIT_H_HI, _mean_stderr, _midpoints
 
 
 def run(tmp_path, *args):
@@ -133,18 +133,39 @@ def test_pinning_quenched_critical(tmp_path):
     assert abs(doc["critical_points"]["quenched"]["h_hat"]) <= 0.05
 
 
+def _search_raws(config, beta, n, seed, hs):
+    """raw at each h on the disorder draw of the quenched search of seed."""
+    omega = sample_disorder(cli.build_disorder(config), n, derive_seed(seed, "crit-omega", 0))
+    tables = pinned_recursions([beta * omega + h for h in hs], cli.build_kernel(config))
+    return [t.log_zc[n] / n for t in tables]
+
+
+def _assert_bracket_holds_its_root(config, search, beta, n, seed, tol):
+    # the reported ends are derived, not evaluated: evaluate them on the
+    # search's own draw.  They lie inside the trail's sign bracket, so each
+    # evaluated point's sign says on which side of the bracket it lies
+    lo, hi = search["bracket"]
+    raw_lo, raw_hi = _search_raws(config, beta, n, seed, [lo, hi])
+    assert raw_lo <= 0 < raw_hi
+    assert annealed_critical_point(cli.build_disorder(config), beta) <= lo < hi <= lo + tol
+    for h, raw in search["trail"]:
+        assert (raw > 0) == (h >= hi) and (raw > 0) == (h > lo)
+    assert search["passes"] >= 1
+
+
 def test_bisection_trail_in_reports(tmp_path):
     args = ("pinning", "--n-max", "20", "--beta", "1", "--n", "1500", "--critical",
             "--crit-tol", "0.05")
     assert run(tmp_path, *args) == EXIT_PASS
-    quenched = read_json(tmp_path, "pinning.json")["critical_points"]["quenched"]
-    # the annealed lower end, then the first upper end, then the midpoints
+    doc = read_json(tmp_path, "pinning.json")
+    quenched = doc["critical_points"]["quenched"]
+    # the first pass, in the order asked for: the annealed lower end, the
+    # first upper end, then the midpoints below it
     trail = quenched["trail"]
-    assert trail[0][0] == -0.5 and trail[1][0] == 0.25
-    lo, hi = quenched["bracket"]
-    assert {lo, hi} <= {h for h, _ in trail}
-    for h, raw in trail:
-        assert (raw > 0) == (h >= hi)
+    assert [h for h, _ in trail[:9]] == [-0.5, 0.25] + _midpoints(-0.5, 0.25, 0.05)
+    assert len({h for h, _ in trail}) == len(trail)
+    _assert_bracket_holds_its_root(doc["config"], quenched, 1.0, 1500,
+                                   derive_seed(1, "critical"), 0.05)
     first = (tmp_path / "pinning.json").read_bytes()
     assert run(tmp_path, *args) == EXIT_PASS
     assert (tmp_path / "pinning.json").read_bytes() == first
@@ -152,11 +173,63 @@ def test_bisection_trail_in_reports(tmp_path):
     scan = ("scan", "--beta-grid", "0,1", "--h-grid=-0.6,-0.05", "--n-max", "20",
             "--n-fe", "1500", "--n-gc", "500", "--crit-tol", "0.05", "--seed", "12")
     assert run(tmp_path, *scan) == EXIT_PASS
-    critical = read_json(tmp_path, "scan.json")["scan"]["critical"]
+    doc = read_json(tmp_path, "scan.json")
+    critical = doc["scan"]["critical"]
     assert [c["beta"] for c in critical] == [0.0, 1.0]
     assert critical[0]["bracket"] is None and critical[0]["trail"] == []
+    assert critical[0]["passes"] == 0
     assert critical[1]["trail"][0][0] == -0.5
-    assert critical[1]["bracket"][1] in [h for h, _ in critical[1]["trail"]]
+    _assert_bracket_holds_its_root(doc["config"], critical[1], 1.0, 1500,
+                                   derive_seed(12, "crit", 1), 0.05)
+
+
+def test_default_reports_bracket_their_roots(tmp_path):
+    # default scan at seeds 1..20 (40 searches) and pinning --beta 1
+    # --critical: every reported bracket holds its draw's root
+    labels = []
+    for seed in range(1, 21):
+        assert run(tmp_path, "scan", "--seed", str(seed)) == EXIT_PASS
+        doc = read_json(tmp_path, "scan.json")
+        for i_beta, search in enumerate(doc["scan"]["critical"][1:], start=1):
+            assert search["passes"] == 1, seed
+            _assert_bracket_holds_its_root(doc["config"], search, search["beta"], 8000,
+                                           derive_seed(seed, "crit", i_beta), 0.04)
+        labels += [(p["case"], p["consistent"]) for p in doc["scan"]["points"]]
+    # plain bisection left 21 of these 300 points unresolved
+    assert labels.count(("unresolved", True)) == 13
+    assert all(consistent for _, consistent in labels)
+    assert run(tmp_path, "pinning", "--beta", "1", "--critical") == EXIT_PASS
+    doc = read_json(tmp_path, "pinning.json")
+    quenched = doc["critical_points"]["quenched"]
+    assert quenched["passes"] == 1
+    _assert_bracket_holds_its_root(doc["config"], quenched, 1.0, 2000,
+                                   derive_seed(1, "critical"), 0.02)
+
+
+@pytest.mark.parametrize("command", [("scan",), ("pinning", "--beta", "1", "--critical")])
+def test_crit_tol_beyond_every_float_spacing_runs(tmp_path, command):
+    # no two adjacent floats lie more than 2^971 apart, so at such a tol
+    # there is no sparse region to probe; its bound, -2^(52 + 972), used to
+    # overflow.  One pass brackets the root, and a rerun repeats the report
+    assert run(tmp_path, *command, "--crit-tol", "1e308") == EXIT_PASS
+    name = f"{command[0]}.json"
+    doc = read_json(tmp_path, name)
+    if command[0] == "scan":
+        searches = [(c, c["beta"], derive_seed(1, "crit", i))
+                    for i, c in enumerate(doc["scan"]["critical"]) if c["beta"] > 0]
+        n = 8000
+    else:
+        searches = [(doc["critical_points"]["quenched"], 1.0, derive_seed(1, "critical"))]
+        n = 2000
+    assert len(searches) >= 1
+    for search, beta, seed in searches:
+        assert search["passes"] == 1 and search["trail"][1][0] == CRIT_H_HI
+        _assert_bracket_holds_its_root(doc["config"], search, beta, n, seed, 1e308)
+    first = (tmp_path / name).read_bytes()
+    again = tmp_path / "again"
+    assert main([command[0], "--config", str(tmp_path / name), "--outdir", str(again)]) \
+        == EXIT_PASS
+    assert (again / name).read_bytes() == first
 
 
 def test_verify_trivial_limit_exit_zero(tmp_path):
@@ -344,6 +417,19 @@ def test_huge_beta_scan_ends_at_once(tmp_path):
     assert len(search["trail"]) >= 3 and search["trail"][-1][1] > 0
 
 
+def test_search_from_near_the_float_limit_asks_for_finite_points(tmp_path):
+    # at beta 1.7e154 the annealed point is about -1.4e308, and the sum of
+    # two midpoints below -9e307 overflows: halving each first keeps every
+    # point finite, where a midpoint of -inf made a contact the engine
+    # refuses (exit 64).  The root lies where floats are sparse
+    done = run_fresh(tmp_path, "scan", "--beta-grid=1.7e154", "--h-grid=-1", "--n-fe", "50",
+                     "--n-gc", "50")
+    assert done.returncode == EXIT_PASS, done.stderr
+    (search,) = read_json(tmp_path, "scan.json")["scan"]["critical"]
+    assert "more than tol apart" in search["error"] and search["passes"] == 1
+    assert all(math.isfinite(h) for h, _ in search["trail"])
+
+
 def test_scan_grows_a_tiny_h_point(tmp_path):
     # h = -1e-200 lies just below 0, deep in the localized phase at beta = 1:
     # the certified test labels it case 1 without a warning
@@ -436,8 +522,8 @@ def test_result_blocks_hold_results_only(tmp_path):
             "free_energy": {"f_hat", "raw_mean", "raw_se", "rows"},
             "homogeneous": {"free_energy", "residual"},
             "critical_points": {"annealed", "quenched"},
-            "critical_points.quenched": {"h_hat", "bracket", "n", "trail", "raw_mean",
-                                         "raw_se", "rows"},
+            "critical_points.quenched": {"h_hat", "bracket", "n", "trail", "passes",
+                                         "raw_mean", "raw_se", "rows"},
             "grand_canonical": _GC_KEYS}),
         (("verify", "--n-tau", "4", "--walk-replicas", "20", "--n-series", "40"),
          "verify.json", {
@@ -452,7 +538,7 @@ def test_result_blocks_hold_results_only(tmp_path):
             "scan": {"points", "critical"},
             "scan.points[]": {"beta", "h", "h_c_annealed", "bracket", "case",
                               "diagnostics", "consistent"},
-            "scan.critical[]": {"beta", "bracket", "trail", "error"},
+            "scan.critical[]": {"beta", "bracket", "trail", "error", "passes"},
             "transience": {"absorbed_fraction", "within_3se_fraction", "move_pairs",
                            "env_rows"},
             "transience.env_rows[]": {"env", "exact", "mc_mean", "mc_stderr", "z",

@@ -145,8 +145,10 @@ def test_scan_entries_of_a_beta_do_not_depend_on_the_other_betas():
     alone, beside = regime_scan([1.0], hs, cfg), regime_scan([1.0, 2.0], hs, cfg)
     assert alone.critical[0] == beside.critical[0]
     assert alone.critical[0]["bracket"] is not None
+    assert [c["passes"] for c in beside.critical] == [1, 1]
     assert alone.points == beside.points[: len(hs)]
-    assert [p.case for p in beside.points] == ["case3", "case3", "case3", "unresolved",
+    # h = -0.35 lies below beta = 1's bracket, about [-0.3499, -0.3446]
+    assert [p.case for p in beside.points] == ["case3", "case3", "case3", "case2",
                                                "case1", "case3", "case2", "case2",
                                                "case1", "case1"]
 

@@ -1,6 +1,7 @@
 """Partition recursions vs enumeration, free energy, critical points."""
 
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -19,7 +20,8 @@ from sparsepin import (BracketError, DisorderSpec, SparseEnvironment, WalkParams
                        quenched_critical_point_estimates, sample_disorder)
 from sparsepin._rng import derive_seed
 from sparsepin.experiments import ScanConfig, regime_scan
-from sparsepin.pinning import CRIT_H_HI, FE_ROWS, _fresh_rows, _mean_stderr
+from sparsepin.pinning import (CRIT_H_HI, FE_ROWS, _bisection, _convex_bracket, _fresh_rows,
+                               _margin, _mean_stderr, _midpoints)
 
 
 def random_kernel(rng):
@@ -683,7 +685,8 @@ def test_vectorised_free_column_matches_loop():
 
 
 def _sequential_bisection(spec, kernel, beta, n, tol, seed):
-    """The one-h-at-a-time bisection the multisection must reproduce."""
+    """The one-h-at-a-time plain bisection: its bracket holds the same root
+    as the convex search's."""
     omega = sample_disorder(spec, n, derive_seed(seed, "crit-omega", 0))
 
     def raw(h):
@@ -711,13 +714,38 @@ def _sequential_bisection(spec, kernel, beta, n, tol, seed):
     (1.0, 2000, 0.04, 1), (1.0, 2000, 0.001, 2), (0.0, 1500, 0.02, 3),
     (2.0, 3000, 0.3, 4), (0.5, 800, 1e-6, 5), (1.5, 500, 2.5, 6)])
 def test_multisection_bracket_equals_sequential_bisection(beta, n, tol, seed):
+    # the convex bracket and plain bisection's both hold the draw's root, so
+    # they overlap; every raw the search holds is the one-row raw at its h
     k = make_kernel("power_law", alpha=0.6, n_max=40)
     spec = DisorderSpec("gaussian")
     est = quenched_critical_point_estimate(spec, k, beta, n, tol, seed=seed)
-    bracket, trail = _sequential_bisection(spec, k, beta, n, tol, seed)
-    assert est.bracket == bracket
-    assert est.trail == trail
-    assert est.h_hat == 0.5 * (bracket[0] + bracket[1])
+    bracket, _ = _sequential_bisection(spec, k, beta, n, tol, seed)
+    _assert_search_holds_its_root(spec, k, beta, n, tol, seed, est)
+    lo, hi = est.bracket
+    assert max(lo, bracket[0]) <= min(hi, bracket[1])
+    ann = annealed_critical_point(spec, beta)
+    first = [ann, CRIT_H_HI] + _midpoints(ann, CRIT_H_HI, tol)
+    assert [h for h, _ in est.trail[: len(first)]] == first
+
+
+def _sign_bracket(trail):
+    # the evaluated points next to the sign change of a trail's raws
+    a = max(h for h, raw in trail if not raw > 0)
+    b = min(h for h, raw in trail if raw > 0)
+    return a, b
+
+
+def _assert_search_holds_its_root(spec, kernel, beta, n, tol, seed, est):
+    # the estimate's ends, derived from its trail, hold the root of raw on
+    # the search's own draw, within tol, inside the trail's sign bracket
+    omega = sample_disorder(spec, n, derive_seed(seed, "crit-omega", 0))
+    assert est.trail == [(h, _raw(omega, kernel, beta, h, n)) for h, _ in est.trail]
+    lo, hi = est.bracket
+    a, b = _sign_bracket(est.trail)
+    assert annealed_critical_point(spec, beta) <= a <= lo < hi <= b
+    assert hi - lo <= tol and est.h_hat == 0.5 * (lo + hi)
+    assert est.bracket == _convex_bracket(dict(est.trail))
+    assert _raw(omega, kernel, beta, lo, n) <= 0 < _raw(omega, kernel, beta, hi, n)
 
 
 def test_replica_spread_is_one_batch_of_sequential_raws(monkeypatch):
@@ -748,7 +776,7 @@ def test_replica_spread_is_one_batch_of_sequential_raws(monkeypatch):
 def test_lockstep_searches_match_one_search_at_a_time():
     # at n = 10, seed 23 is already localized on the annealed curve at
     # beta = 1, and beta = 2, seed 1 has raw(CRIT_H_HI) <= 0, so its
-    # speculative first-pass midpoints are thrown away
+    # speculative first-pass midpoints all lie below its root
     k = make_kernel("power_law", alpha=1.0, n_max=4)
     spec = DisorderSpec("gaussian")
     n, tol = 10, 1e-4
@@ -762,28 +790,140 @@ def test_lockstep_searches_match_one_search_at_a_time():
             alone = quenched_critical_point_estimate(spec, k, beta, n, tol, seed=seed)
         except BracketError as err:
             assert str(est) == str(err) and est.scanned == err.scanned
+            assert (est.trail, est.passes) == (err.trail, err.passes) == (est.trail[:1], 1)
             continue
         assert est == alone
-        assert (est.bracket, est.trail) == _sequential_bisection(spec, k, beta, n, tol, seed)
+        _assert_search_holds_its_root(spec, k, beta, n, tol, seed, est)
+        bracket, _ = _sequential_bisection(spec, k, beta, n, tol, seed)
+        assert max(est.bracket[0], bracket[0]) <= min(est.bracket[1], bracket[1])
     assert lockstep[2].trail[1] == (CRIT_H_HI, _crit_raw(spec, k, 2.0, n, 1, CRIT_H_HI))
+    # its next upper end, a pass of its own, follows its first pass's points
+    first = 2 + len(_midpoints(annealed_critical_point(spec, 2.0), CRIT_H_HI, tol))
+    assert lockstep[2].trail[first][0] == CRIT_H_HI + 0.5 and lockstep[2].trail[first][1] > 0
+
+
+def _drive(search, raw):
+    """Answer each request of a search with raw at its h; (requests, result)."""
+    requests = [next(search)]
+    try:
+        while True:
+            requests.append(search.send([raw(h) for h in requests[-1]]))
+    except StopIteration as stop:
+        return requests, stop.value
 
 
 def test_search_asks_for_each_higher_upper_end_alone():
     # raw(h) = h - 1 has its root at 1, so CRIT_H_HI = 0.25 and 0.75 fail
     # and 1.25 wins; the first request holds lo, CRIT_H_HI and the three
-    # levels of midpoints below it, and each higher end is a request of its own
-    search = sparsepin.pinning._bisection(-1.0, 10, 0.01)
-    requests = [next(search)]
-    try:
-        while True:
-            requests.append(search.send([h - 1.0 for h in requests[-1]]))
-    except StopIteration as stop:
-        est = stop.value
-    mids = sparsepin.pinning._midpoints(-1.0, CRIT_H_HI, 0.01)
+    # levels of midpoints below it, and each higher end is a request of its
+    # own.  A line is its own chord and secant: the bracket is the root
+    # widened by the margin, and no midpoint is asked for
+    requests, est = _drive(_bisection(-1.0, 10, 0.01), lambda h: h - 1.0)
+    mids = _midpoints(-1.0, CRIT_H_HI, 0.01)
     assert requests[0] == [-1.0, CRIT_H_HI] + mids and len(mids) == 7
-    assert requests[1:3] == [[CRIT_H_HI + 0.5], [CRIT_H_HI + 1.0]]
-    assert [h for h, _ in est.trail[:4]] == [-1.0, 0.25, 0.75, 1.25]
-    assert est.bracket[0] <= 1.0 < est.bracket[1] and est.bracket[1] - est.bracket[0] <= 0.01
+    assert requests[1:] == [[CRIT_H_HI + 0.5], [CRIT_H_HI + 1.0]]
+    assert est.trail == [(h, h - 1.0) for request in requests for h in request]
+    assert est.passes == 3
+    assert est.bracket == (1.0 - _margin(1.0), 1.0 + _margin(1.0))
+
+
+# forced convex raws: f, its chord slope between two points, and its root
+_FAMILIES = {
+    "quadratic": lambda c: (lambda h: (h + 1.0) ** 2 - c, lambda x, y: x + y + 2.0,
+                            math.sqrt(c) - 1.0),
+    "exponential": lambda c: (lambda h: math.exp(h) - c,
+                              lambda x, y: (math.exp(y) - math.exp(x)) / (y - x), math.log(c)),
+}
+
+
+def _closed_form_bracket(f, slope, trail):
+    """The convex bracket of the points of a trail, from f's own chord
+    slopes: (lower, upper, the secants it used)."""
+    hs = sorted(h for h, _ in trail)
+    j = next(i for i, h in enumerate(hs) if f(h) > 0)
+    a, b = hs[j - 1], hs[j]
+    chord = a - f(a) / slope(a, b)
+    roots, used = [b], []
+    if j >= 2 and slope(hs[j - 2], a) > 0:
+        roots.append(a - f(a) / slope(hs[j - 2], a))
+        used.append("left")
+    if j + 1 < len(hs) and slope(b, hs[j + 1]) > 0:
+        roots.append(b - f(b) / slope(b, hs[j + 1]))
+        used.append("right")
+    upper = min(roots)
+    return max(a, chord - _margin(chord)), min(b, upper + _margin(upper)), used
+
+
+@pytest.mark.parametrize("family,c,lo,tol,secants", [
+    ("quadratic", 1.21, -0.5, 0.01, ["left", "right"]),
+    ("quadratic", 1.44, -0.5, 0.05, ["left"]),
+    ("exponential", 0.6, -1.0, 0.01, ["left", "right"]),
+    ("exponential", 0.4, -1.0, 0.05, ["right"])])
+def test_first_pass_ends_are_the_chord_and_secant_roots(family, c, lo, tol, secants):
+    # raws of a convex f: the first pass (lo, CRIT_H_HI, seven midpoints)
+    # brackets the root to tol.  The lower end is the chord's root and the
+    # upper end the least secant root, each widened by the margin; where the
+    # root lies next to lo or to CRIT_H_HI, only one secant exists
+    f, slope, root = _FAMILIES[family](c)
+    requests, est = _drive(_bisection(lo, 10, tol), f)
+    assert requests == [[lo, CRIT_H_HI] + _midpoints(lo, CRIT_H_HI, tol)] and est.passes == 1
+    *ends, used = _closed_form_bracket(f, slope, est.trail)
+    assert used == secants
+    assert est.bracket == pytest.approx(ends, abs=1e-14, rel=0)
+    lower, upper = est.bracket
+    assert lower < root < upper and upper - lower <= tol
+    margin = _margin(root)
+    assert est.bracket[0] < ends[0] + margin / 2 and est.bracket[1] > ends[1] - margin / 2
+
+
+@pytest.mark.parametrize("family,c", [("quadratic", 1.21), ("exponential", 1.1)])
+def test_later_passes_ask_for_the_convex_brackets_new_midpoints(family, c):
+    # at tol = 1e-9 the search needs more passes; each asks for the
+    # midpoints of the bracket its raws so far give that it does not hold,
+    # and the last bracket is the closed-form one of all its raws
+    f, slope, root = _FAMILIES[family](c)
+    tol = 1e-9
+    requests, est = _drive(_bisection(-0.5, 10, tol), f)
+    assert len(requests) == est.passes > 1
+    assert est.trail == [(h, f(h)) for request in requests for h in request]
+    held = dict(est.trail[: len(requests[0])])
+    for request in requests[1:]:
+        mids = dict.fromkeys(_midpoints(*_convex_bracket(held), tol))
+        assert request == [h for h in mids if h not in held]
+        held.update((h, f(h)) for h in request)
+    *ends, _ = _closed_form_bracket(f, slope, est.trail)
+    assert est.bracket == pytest.approx(ends, abs=1e-14, rel=0)
+    assert est.bracket[0] < root < est.bracket[1] and est.bracket[1] - est.bracket[0] <= tol
+
+
+def test_search_skips_the_sparse_probe_where_no_floats_are_sparse():
+    # below -2^(52 + e), with 2^(e - 1) <= tol < 2^e, adjacent floats lie
+    # more than tol apart; from tol = 2^971 no two do, and that bound would
+    # overflow: the first request holds no probe, and the search runs on
+    lo = -1.5e308
+    first = next(_bisection(lo, 10, 2.0 ** 970))
+    assert first == [lo, CRIT_H_HI] + _midpoints(lo, CRIT_H_HI, 2.0 ** 970) + [-(2.0 ** 1023)]
+    assert all(map(math.isfinite, first))
+    for tol in (2.0 ** 971, 1e308, sys.float_info.max):
+        requests, est = _drive(_bisection(lo, 10, tol), lambda h: h)
+        assert requests == [[lo, CRIT_H_HI] + _midpoints(lo, CRIT_H_HI, tol)]
+        assert est.passes == 1
+        assert lo <= est.bracket[0] < 0 < est.bracket[1] <= CRIT_H_HI
+
+
+def test_raws_that_overflow_keep_the_bracket_around_the_root():
+    # at beta 1.7e154 and tol 1e308 (no sparse probe) raw at the annealed
+    # point, about -1.4e308, overflows to -inf: the secant through it has an
+    # infinite slope and gives no upper end, and the chord's root, measured
+    # from h = 0.25, keeps the distance of about 2e155 below it
+    k = make_kernel("power_law", alpha=0.6, n_max=40)
+    spec = DisorderSpec("gaussian")
+    est = quenched_critical_point_estimate(spec, k, 1.7e154, 50, 1e308, seed=1)
+    assert est.trail[0] == (annealed_critical_point(spec, 1.7e154), -math.inf)
+    assert est.passes == 1 and all(map(math.isfinite, (h for h, _ in est.trail)))
+    lo, hi = est.bracket
+    assert lo < hi and -1e160 < lo < -1e150
+    assert _crit_raw(spec, k, 1.7e154, 50, 1, lo) <= 0 < _crit_raw(spec, k, 1.7e154, 50, 1, hi)
 
 
 def test_bracket_of_adjacent_floats_wider_than_tol_ends_the_search():
@@ -796,13 +936,19 @@ def test_bracket_of_adjacent_floats_wider_than_tol_ends_the_search():
     assert str(err).startswith("no float lies between the bracket's ends")
     lo, hi = err.scanned
     assert math.nextafter(lo, math.inf) == hi and hi - lo > 1e-16
-    assert err.trail[-1][0] in (lo, hi)
+    # narrower than the margin, the bracket is the trail's sign bracket, two
+    # evaluated points; the trail holds every raw the search bought
+    assert (lo, hi) == _sign_bracket(err.trail) and err.trail[-1][0] in (lo, hi)
+    omega = sample_disorder(spec, 10, derive_seed(1, "crit-omega", 0))
+    assert err.trail == [(h, _raw(omega, k, 2.0, h, 10)) for h, _ in err.trail]
+    assert len({h for h, _ in err.trail}) == len(err.trail) and err.passes > 2
     with pytest.raises(BracketError) as alone:
         quenched_critical_point_estimate(spec, k, 2.0, 10, 1e-16, seed=1)
     assert str(alone.value) == str(err)
+    assert (alone.value.trail, alone.value.passes) == (err.trail, err.passes)
 
 
-def test_default_scan_makes_two_engine_calls_at_n_fe_and_one_at_n_gc(monkeypatch):
+def test_default_scan_makes_one_engine_call_at_n_fe_and_one_at_n_gc(monkeypatch):
     calls = []
     engine = sparsepin.pinning._log_zc_rows
 
@@ -817,10 +963,11 @@ def test_default_scan_makes_two_engine_calls_at_n_fe_and_one_at_n_gc(monkeypatch
                      n_gc=3000, seed=1)
     report = regime_scan([0.0, 1.0, 2.0], [-2.2, -1.4, -1.2, -0.35, -0.05], cfg)
     assert [c["bracket"] is not None for c in report.critical] == [False, True, True]
-    assert [n for _, n in calls] == [8000, 8000, 3000]
+    assert [c["passes"] for c in report.critical] == [0, 1, 1]
     # the first pass: lo, CRIT_H_HI and seven midpoints for each of the two
-    # searches, and no higher upper end
+    # searches, and no higher upper end; its raws bracket both roots to tol
     assert calls[0] == (18, 8000)
+    assert [n for _, n in calls] == [8000, 3000]
 
 
 def test_scan_with_no_case_1_or_2_point_makes_no_empty_engine_call(monkeypatch):
