@@ -12,7 +12,8 @@ byte.  Output location comes from --outdir or SPARSEPIN_OUTDIR
 
 Exit codes: 0 pass, 1 fail (including a failed critical-point bracket),
 2 inconclusive, 64 bad configuration (an unreadable config file, a
-non-finite number, or any ValueError the library raises on its inputs).
+non-finite number, a step budget all walkers meet with probability below
+1e-9, or any ValueError the library raises on its inputs).
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ _SCHEMAS = {
              "r": (int, 0), "replicas": (int, 10000),
              "step_budget": (int, DEFAULT_STEP_BUDGET)},
     "pinning": {**_COMMON, **_ENERGY, "n": (int, 2000), "gc_f": (float, None),
-                "critical": (bool, False), "crit_tol": (float, 0.02), "crit_n": (int, 0)},
+                "critical": (bool, False), "crit_tol": (float, 0.02)},
     "verify": {**_COMMON, "beta": (float, 1.0), "h": (float, -1.0),
                "f": (float, 0.3), "n_tau": (int, KeyRelationConfig.n_tau),
                "walk_replicas": (int, KeyRelationConfig.walk_replicas),
@@ -181,10 +182,21 @@ def _grid(text: str) -> list[float]:
     return grid
 
 
+def _finite(value):
+    """value with each non-finite float as None, JSON's null: RFC 8259 has no
+    NaN or Infinity."""
+    if isinstance(value, dict):
+        return {key: _finite(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(item) for item in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def write_json(path: Path, command: str, config: dict, payload: dict) -> None:
     doc = {"schema_version": SCHEMA_VERSION, "command": command, "config": config,
            **payload}
-    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    path.write_text(json.dumps(_finite(doc), sort_keys=True, indent=2, allow_nan=False)
+                    + "\n")
 
 
 def write_csv(path: Path, header: list[str], rows) -> None:
@@ -223,12 +235,19 @@ def cmd_walk(config: dict, outdir: Path) -> int:
         raise ConfigError(f"r must lie in 1..{pot.horizon + 1}")
     if config["replicas"] < 2:
         raise ConfigError("need replicas >= 2 for a standard error")
+    # a walker's visit count is Geometric(1/W(R)) on {1, 2, ...}, and K
+    # visits take at least 2(K - 1) + R steps, so a walker finishes within
+    # the budget with probability at most k / W(R)
+    exact = expected_visits_exact(pot, r)
+    k = (config["step_budget"] - r) // 2 + 1
+    if k < 1 or config["replicas"] * (math.log(k) - math.log(exact)) < math.log(1e-9):
+        raise ConfigError(f"step_budget allows at most {max(k, 0)} visits, against a mean of "
+                          f"W(R) = {exact:.3g}: all walkers finish with probability < 1e-9")
     # refused or failed walks must leave no output behind, so simulate first
     counts = simulate_visit_counts([pot], r, config["replicas"],
                                    derive_seed(config["seed"], "mc"),
                                    step_budget=config["step_budget"])
     mean, stderr = _mean_stderr(counts[0])
-    exact = expected_visits_exact(pot, r)
     p_up = [1.0, *step_prob(pot.increments()).tolist()]
     write_csv(outdir / "potential.csv", ["i", "V", "step_prob_up"],
               [(i, float(pot.values[i]), p_up[i]) for i in range(pot.horizon + 1)])
@@ -243,8 +262,6 @@ def cmd_pinning(config: dict, outdir: Path) -> int:
     disorder = build_disorder(config)
     beta, h, n, seed = config["beta"], config["h"], config["n"], config["seed"]
     _require_reachable(kernel, n, "n")
-    if config["critical"] and config["crit_n"]:
-        _require_reachable(kernel, config["crit_n"], "crit_n")
     omega = sample_disorder(disorder, n, derive_seed(seed, "omega"))
     # the seeded row of partition.csv and the estimate's fresh rows, in one engine call
     table, *fresh = pinned_recursions(np.concatenate(
@@ -261,10 +278,9 @@ def cmd_pinning(config: dict, outdir: Path) -> int:
     if config["gc_f"] is not None:
         payload["grand_canonical"] = asdict(grand_canonical(table, config["gc_f"]))
     if config["critical"]:
-        est = quenched_critical_point_estimate(disorder, kernel, beta, config["crit_n"] or n,
-                                               config["crit_tol"],
+        est = quenched_critical_point_estimate(disorder, kernel, beta, n, config["crit_tol"],
                                                seed=derive_seed(seed, "critical"))
-        rows = _fresh_rows(disorder, est.n, beta, [est.h_hat], derive_seed(seed, "crit-rows"))
+        rows = _fresh_rows(disorder, n, beta, [est.h_hat], derive_seed(seed, "crit-rows"))
         at_root = free_energy_estimate(pinned_recursions(np.concatenate(rows), kernel))
         payload["critical_points"]["quenched"] = dict(
             asdict(est), raw_mean=at_root.raw_mean, raw_se=at_root.raw_se, rows=at_root.rows)

@@ -22,10 +22,7 @@ finite contact energies beta*omega_m + h, any mix of omega, beta and h per
 row, and runs it in one engine call.  An engine call of 32 rows costs
 about 1.3 times as much per site as one of a single row, so the quenched
 critical-point searches run in lockstep.  Each (beta, seed) search is a
-generator that asks for the raws it lacks, _MULTISECTION_LEVELS levels of
-midpoints at a time (its first request also holds its lower end,
-CRIT_H_HI and, on speculation, the levels below CRIT_H_HI; a higher upper
-end is asked for alone, only when the one below fails); a lockstep loop
+generator that asks for the raws it lacks (_bisection); a lockstep loop
 answers every running search's request with one engine call a pass.  raw
 is convex in h on one disorder row, so the search brackets its root from
 the values of the raws it holds, not only their signs: the chord of the
@@ -82,8 +79,8 @@ _MULTISECTION_LEVELS = 3  # bisection levels evaluated per batched pass
 
 class BracketError(RuntimeError):
     """The quenched search could not bracket the sign change of the free
-    energy; trail holds (h, raw) pairs it evaluated before it stopped (see
-    _bisection), and passes the number of engine passes it took part in."""
+    energy; trail holds every (h, raw) pair it evaluated, in the order
+    asked for, and passes the number of engine passes it took part in."""
 
     def __init__(self, h_lo: float, h_hi: float, message: str, trail=(), passes: int = 0):
         super().__init__(f"{message} (scanned h in [{h_lo}, {h_hi}])")
@@ -157,7 +154,6 @@ class CriticalPointEstimate:
 
     h_hat: float
     bracket: tuple[float, float]
-    n: int
     trail: list = field(default_factory=list)
     passes: int = 0
 
@@ -513,15 +509,11 @@ def quenched_critical_point_estimates(spec: DisorderSpec, kernel: RenewalKernel,
     Each search is the convex bracketing of _bisection, a generator that
     asks for the raws it lacks; this function draws each search's
     disorder and runs the searches in lockstep, answering every running
-    search's request with one pinned_recursions call per pass.  A request holds the
-    midpoints of the next _MULTISECTION_LEVELS bisection levels of the
-    current bracket, and the first also lo and CRIT_H_HI and, on
-    speculation, the levels below CRIT_H_HI; a higher upper end is a
-    request of its own.
+    search's request with one pinned_recursions call per pass.
 
     Returns one entry per search, in order: its CriticalPointEstimate, or
-    the BracketError that ended it, carrying the trail so far, which leaves
-    the other searches running.
+    the BracketError that ended it, which leaves the other searches
+    running.  Both carry the search's trail and passes.
     """
     if not tol > 0:
         raise ValueError("need tol > 0")
@@ -529,7 +521,7 @@ def quenched_critical_point_estimates(spec: DisorderSpec, kernel: RenewalKernel,
         raise ValueError("free energy estimation needs n >= 2")
     draws = [sample_disorder(spec, n, derive_seed(seed, "crit-omega", 0))
              for _, seed in searches]
-    runs = [_bisection(annealed_critical_point(spec, beta), n, tol) for beta, _ in searches]
+    runs = [_bisection(annealed_critical_point(spec, beta), tol) for beta, _ in searches]
     out = [None] * len(searches)
     answers = dict.fromkeys(range(len(searches)))  # raws to send, by running search
     while True:
@@ -547,70 +539,55 @@ def quenched_critical_point_estimates(spec: DisorderSpec, kernel: RenewalKernel,
                    for i, hs in requests.items()}
 
 
-def _bisection(lo: float, n: int, tol: float):
+def _bisection(lo: float, tol: float):
     """One quenched search from the annealed end lo, as a generator: it
     yields each list of h whose raws it needs, is sent back those raws, and
-    returns its CriticalPointEstimate or BracketError, with `passes` the
-    number of lists it yielded.
+    returns its CriticalPointEstimate or BracketError, either with the trail
+    of every (h, raw) answered, in the order asked for, and `passes`, the
+    number of lists yielded.
 
-    The first upper end is the first of CRIT_H_HI + 0.5 i, i = 0..4, with
-    raw > 0.  The first request holds lo, CRIT_H_HI and, on speculation,
-    the _MULTISECTION_LEVELS levels of midpoints below CRIT_H_HI; each later
-    upper end is asked for alone, and only when the one before it has
-    raw <= 0.  After each answer the held raws give the convex bracket of
-    _convex_bracket, whose ends are derived points, not evaluated ones; the
-    search stops once it is no wider than tol, and otherwise asks for its
-    midpoints not already held.  A bracket whose midpoints are all held
-    (its ends are adjacent floats) cannot narrow, and ends the search with
-    an error.  So does a root below `sparse`, the power of two between
-    -2^53 tol and -2^52 tol below which adjacent floats lie more than tol
-    apart (at beta = 1e20 the root is of order -1e20, where they are 16384
-    or more apart): when lo lies below that bound, the first request holds
-    it too, and a positive raw there ends the search with that point last
-    in its trail.  At tol >= 2^971 no two adjacent floats lie more than tol
-    apart, and there is no such bound.  The trail of an estimate, and of
-    the error of a bracket that cannot narrow, holds every (h, raw)
-    evaluated, in the order asked for; that of an earlier error holds lo
-    and the upper ends tried, then the point that failed.
+    The first request holds lo, CRIT_H_HI, on speculation the
+    _MULTISECTION_LEVELS levels of midpoints below it, and, when lo lies
+    below it, `sparse`: the power of two between -2^53 tol and -2^52 tol
+    below which adjacent floats lie more than tol apart, so that no bracket
+    can narrow (at beta = 1e20 the root is of order -1e20); from
+    tol = 2^971 there is no such bound.  After each answer the search, in
+    this order: ends if raw(lo) > 0; while no raw held is positive, asks
+    for the next upper end CRIT_H_HI + 0.5 i alone, and ends past 2.25;
+    ends if raw(sparse) > 0; else takes the convex bracket of
+    _convex_bracket and stops once it is no wider than tol, or asks for
+    its midpoints not yet held, and ends if it holds them all (its ends
+    are adjacent floats).
     """
-    ends = [CRIT_H_HI + 0.5 * i for i in range(5)]
     exponent = math.frexp(tol)[1] + 52
     sparse = -math.ldexp(1.0, exponent) if exponent < 1024 else -math.inf
-    probe = [sparse] if lo < sparse else []
-    hs = [lo, CRIT_H_HI] + _midpoints(lo, CRIT_H_HI, tol) + probe
-    trail, passes = list(zip(hs, (yield hs))), 1
-    raw_at = dict(trail)
-    if raw_at[lo] > 0:
-        return BracketError(lo, CRIT_H_HI, "already localized at the annealed critical point",
-                            trail[:1], passes)
-    tried = [lo]
-    for hi in ends:
-        if hi not in raw_at:
-            (raw_at[hi],) = yield [hi]
-            trail.append((hi, raw_at[hi]))
-            passes += 1
-        tried.append(hi)
-        if raw_at[hi] > 0:
-            break
-    else:
-        return BracketError(lo, hi, "no localized phase found",
-                            [(h, raw_at[h]) for h in tried], passes)
-    if probe and raw_at[sparse] > 0:
-        return BracketError(lo, sparse, "the sign change lies where floats are more "
-                            "than tol apart", [(h, raw_at[h]) for h in tried + probe], passes)
+    hi = CRIT_H_HI
+    hs = [lo, hi] + _midpoints(lo, hi, tol) + ([sparse] if lo < sparse else [])
+    trail, passes = [], 0
     while True:
-        lo, hi = _convex_bracket(raw_at)
-        if hi - lo <= tol:
-            return CriticalPointEstimate(h_hat=0.5 * lo + 0.5 * hi, bracket=(lo, hi), n=n,
-                                         trail=trail, passes=passes)
-        hs = [h for h in dict.fromkeys(_midpoints(lo, hi, tol)) if h not in raw_at]
-        if not hs:
-            return BracketError(lo, hi, "no float lies between the bracket's ends", trail,
-                                passes)
-        answered = list(zip(hs, (yield hs)))
-        trail += answered
-        raw_at.update(answered)
+        trail += zip(hs, (yield hs))
         passes += 1
+        raw_at = dict(trail)
+        if raw_at[lo] > 0:
+            return BracketError(lo, CRIT_H_HI, "already localized at the annealed critical "
+                                "point", trail, passes)
+        if not any(raw > 0 for raw in raw_at.values()):
+            if hi >= CRIT_H_HI + 2.0:
+                return BracketError(lo, hi, "no localized phase found", trail, passes)
+            hi += 0.5
+            hs = [hi]
+            continue
+        if lo < sparse and raw_at[sparse] > 0:
+            return BracketError(lo, sparse, "the sign change lies where floats are more "
+                                "than tol apart", trail, passes)
+        a, b = _convex_bracket(raw_at)
+        if b - a <= tol:
+            return CriticalPointEstimate(h_hat=0.5 * a + 0.5 * b, bracket=(a, b), trail=trail,
+                                         passes=passes)
+        hs = [h for h in dict.fromkeys(_midpoints(a, b, tol)) if h not in raw_at]
+        if not hs:
+            return BracketError(a, b, "no float lies between the bracket's ends", trail,
+                                passes)
 
 
 def _convex_bracket(raw_at: dict) -> tuple[float, float]:

@@ -275,6 +275,36 @@ def test_verify_zero_stderr_miss_is_inconclusive(tmp_path, args):
     assert relation["abs_difference"] > 0 and relation["verdict"] == "inconclusive"
 
 
+def _strict_json(path):
+    """The JSON document at path, refusing NaN and Infinity, which RFC 8259 lacks."""
+    def refuse(token):
+        raise ValueError(f"{path.name} holds {token}")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+@pytest.mark.parametrize("args, name, code, nulls", [
+    # a diverging series runs no walks, so the visit side has no value
+    (("verify", "--h", "0.5", "--f", "0"), "verify.json", EXIT_INCONCLUSIVE,
+     ["key_relation.lhs.mean", "key_relation.lhs.stderr", "key_relation.abs_difference",
+      "key_relation.tolerance"]),
+    # every tail term underflows to zero: a growth rate of -inf
+    (("pinning", "--gc-f", "1e308", "--n", "50"), "pinning.json", EXIT_PASS,
+     ["grand_canonical.growth_rate"]),
+    # raw at the annealed point, about -1.4e308, overflows to -inf
+    (("scan", "--beta-grid=1.7e154", "--h-grid=-1", "--n-fe", "50", "--n-gc", "50"),
+     "scan.json", EXIT_PASS, ["scan.critical.0.trail.0.1"]),
+])
+def test_non_finite_values_are_written_as_null(tmp_path, args, name, code, nulls):
+    assert run(tmp_path, *args) == code
+    doc = _strict_json(tmp_path / name)
+    for path in nulls:
+        node = doc
+        for key in path.split("."):
+            node = node[int(key)] if isinstance(node, list) else node[key]
+        assert node is None, path
+
+
 def test_scan_small_grid(tmp_path):
     assert run(tmp_path, "scan", "--beta-grid", "0,1", "--h-grid=-0.6,-0.5,-0.05",
                "--kernel", "power_law", "--alpha", "0.6", "--n-max", "20",
@@ -289,15 +319,43 @@ def test_scan_small_grid(tmp_path):
 
 
 def test_walk_step_budget_exit(tmp_path):
+    # a walker needs at least R = 500 steps, more than the budget of 200
     assert run(tmp_path, "walk", "--beta", "0", "--h", "0", "--f", "0",
                "--horizon", "500", "--r", "500", "--replicas", "64",
-               "--step-budget", "200", "--seed", "3") == 1
+               "--step-budget", "200", "--seed", "3") == EXIT_CONFIG
     assert not any(tmp_path.iterdir())
 
 
 def test_walk_step_budget_below_one_sweep_exit(tmp_path):
+    # a walker needs at least R = 2 steps, more than the budget of 1
     assert run(tmp_path, "walk", "--horizon", "10", "--r", "2", "--f", "0",
-               "--replicas", "1000", "--step-budget", "1") == 1
+               "--replicas", "1000", "--step-budget", "1") == EXIT_CONFIG
+    assert not any(tmp_path.iterdir())
+
+
+def test_walk_budget_that_walkers_can_meet_runs_and_may_fail(tmp_path, capsys):
+    # W(50) is about 4 and 600 steps allow 276 visits, so the walk runs; out
+    # of 30,000 walkers some still take longer (exit 1), and nothing is written
+    assert run(tmp_path, "walk", "--beta", "1", "--h=-1", "--f", "0.3", "--horizon", "100",
+               "--r", "50", "--replicas", "30000", "--step-budget", "600",
+               "--seed", "1") == EXIT_FAIL
+    assert "not absorbed within 600 steps" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_hopeless_walk_is_refused_at_once(tmp_path, capsys, monkeypatch):
+    # at f = -5, W(R) is 9.45e62: a walker meets the default budget of 1e8
+    # steps with probability below 1e-54, so the walk used to run for
+    # minutes and then exit 1.  K visits take at least 2(K - 1) + R steps
+    def no_walk(*_, **__):
+        raise AssertionError("the walk ran before the refusal")
+
+    monkeypatch.setattr(cli, "simulate_visit_counts", no_walk)
+    start = time.perf_counter()
+    assert run(tmp_path, "walk", "--f", "-5", "--horizon", "30", "--replicas", "10") \
+        == EXIT_CONFIG
+    assert time.perf_counter() - start < 1
+    assert "W(R) = 9.45e+62" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
 
 
@@ -315,7 +373,7 @@ def test_refused_walk_leaves_outdir_empty(tmp_path):
     ("pinning", "--n", "100", "--critical", "--crit-replicas", "3"),  # a removed flag
     ("pinning", "--n", "100", "--kernel", "dirac", "--step", "3"),
     ("pinning", "--n", "-5", "--critical"),
-    ("pinning", "--n", "100", "--critical", "--crit-n", "-3"),
+    ("pinning", "--n", "100", "--critical", "--crit-n", "400"),  # a removed flag
     ("scan", "--transience", "--h=-1", "--trans-walks", "200"),  # a removed flag
     ("scan", "--eps-small", "0.05"),  # a removed flag
     ("scan", "--crit-tol", "0"),
@@ -338,7 +396,6 @@ def test_refused_runs_leave_outdir_empty(tmp_path, monkeypatch, args):
     (("scan", "--n-fe", "3000", "--n-gc", "1000"), "n_gc"),
     (("scan", "--n-fe", "3001"), "n_fe"),
     (("pinning", "--critical", "--beta", "1", "--h=-0.5", "--n", "3001"), "n"),
-    (("pinning", "--critical", "--n", "300", "--crit-n", "301"), "crit_n"),
     (("pinning", "--beta", "1", "--h=-0.5", "--n", "3001"), "n"),
 ])
 def test_unreachable_search_length_is_refused(tmp_path, capsys, args, key):
@@ -394,7 +451,7 @@ def test_bisection_between_adjacent_floats_ends(tmp_path):
     assert isinstance(est, BracketError)
     lo, hi = est.scanned
     assert lo < hi < 0 and math.ulp(hi) > 0.04
-    # the trail is kept: the start ends, then hi itself, where raw > 0
+    # the trail is the whole first pass, whose last point is hi, where raw > 0
     assert est.trail[0][0] == lo and est.trail[-1][0] == hi and est.trail[-1][1] > 0
     assert run(tmp_path, "scan", "--beta-grid=1e20", "--h-grid=-1", "--n-fe", "50",
                "--n-gc", "100") == EXIT_PASS
@@ -454,11 +511,11 @@ def test_free_energy_estimates_are_sequential_raws_of_fresh_rows(tmp_path):
         mean, se = _mean_stderr(np.array(raws))
         return {"raw_mean": mean, "raw_se": se, "rows": 16}
 
-    assert run(tmp_path, "pinning", "--beta", "1", "--h=-0.3", "--n", "500", "--critical",
-               "--crit-n", "400", "--crit-tol", "0.05", "--seed", "4") == EXIT_PASS
+    assert run(tmp_path, "pinning", "--beta", "1", "--h=-0.3", "--n", "400", "--critical",
+               "--crit-tol", "0.05", "--seed", "4") == EXIT_PASS
     doc = read_json(tmp_path, "pinning.json")
     fe = doc["free_energy"]
-    assert fe == {**one_at_a_time(500, 1.0, -0.3, derive_seed(4, "fe-rows")),
+    assert fe == {**one_at_a_time(400, 1.0, -0.3, derive_seed(4, "fe-rows")),
                   "f_hat": max(0.0, fe["raw_mean"])}
     quenched = doc["critical_points"]["quenched"]
     assert ({key: quenched[key] for key in ("raw_mean", "raw_se", "rows")}
@@ -522,7 +579,7 @@ def test_result_blocks_hold_results_only(tmp_path):
             "free_energy": {"f_hat", "raw_mean", "raw_se", "rows"},
             "homogeneous": {"free_energy", "residual"},
             "critical_points": {"annealed", "quenched"},
-            "critical_points.quenched": {"h_hat", "bracket", "n", "trail", "passes",
+            "critical_points.quenched": {"h_hat", "bracket", "trail", "passes",
                                          "raw_mean", "raw_se", "rows"},
             "grand_canonical": _GC_KEYS}),
         (("verify", "--n-tau", "4", "--walk-replicas", "20", "--n-series", "40"),
@@ -691,6 +748,18 @@ def test_removed_scan_keys_are_refused(tmp_path, capsys, key, value):
             == EXIT_CONFIG
         assert f"unknown config key {key!r} for scan" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [0, 400])
+def test_saved_pinning_report_naming_crit_n_is_refused(tmp_path, capsys, value):
+    # the quenched search runs at --n; a pinning report saved while crit_n
+    # existed names it, at its default 0 or at a length of its own
+    out = tmp_path / "out"
+    saved = tmp_path / "old.json"
+    saved.write_text(json.dumps({"config": {"n": 300, "critical": True, "crit_n": value}}))
+    assert main(["pinning", "--config", str(saved), "--outdir", str(out)]) == EXIT_CONFIG
+    assert "unknown config key 'crit_n' for pinning" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_outdir_env_var(tmp_path, monkeypatch):

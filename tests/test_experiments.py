@@ -158,8 +158,7 @@ def test_scan_never_certifies_a_zero_free_energy(monkeypatch, seed):
     # a bracket forced far below the quenched critical point of beta = 2
     # puts h = -1.8 and -1.4, where F = 0, above it: they must not be case 1
     def forced(spec, kernel, searches, n, tol):
-        return [CriticalPointEstimate(h_hat=-1.96, bracket=(-1.98, -1.94), n=n)
-                for _ in searches]
+        return [CriticalPointEstimate(h_hat=-1.96, bracket=(-1.98, -1.94)) for _ in searches]
 
     monkeypatch.setattr(experiments, "quenched_critical_point_estimates", forced)
     rep = regime_scan([2.0], [-1.8, -1.4], _scan_cfg(seed))

@@ -20,8 +20,9 @@ from sparsepin import (BracketError, DisorderSpec, SparseEnvironment, WalkParams
                        quenched_critical_point_estimates, sample_disorder)
 from sparsepin._rng import derive_seed
 from sparsepin.experiments import ScanConfig, regime_scan
-from sparsepin.pinning import (CRIT_H_HI, FE_ROWS, _bisection, _convex_bracket, _fresh_rows,
-                               _margin, _mean_stderr, _midpoints)
+from sparsepin.pinning import (CRIT_H_HI, FE_ROWS, CriticalPointEstimate, _bisection,
+                               _convex_bracket, _fresh_rows, _margin, _mean_stderr,
+                               _midpoints)
 
 
 def random_kernel(rng):
@@ -790,7 +791,12 @@ def test_lockstep_searches_match_one_search_at_a_time():
             alone = quenched_critical_point_estimate(spec, k, beta, n, tol, seed=seed)
         except BracketError as err:
             assert str(est) == str(err) and est.scanned == err.scanned
-            assert (est.trail, est.passes) == (err.trail, err.passes) == (est.trail[:1], 1)
+            assert (est.trail, est.passes) == (err.trail, err.passes)
+            # the error keeps its whole first pass, the one request it made
+            lo = annealed_critical_point(spec, beta)
+            first = [lo, CRIT_H_HI] + _midpoints(lo, CRIT_H_HI, tol)
+            assert len(first) == 9 and est.passes == 1
+            assert est.trail == [(h, _crit_raw(spec, k, beta, n, seed, h)) for h in first]
             continue
         assert est == alone
         _assert_search_holds_its_root(spec, k, beta, n, tol, seed, est)
@@ -818,13 +824,37 @@ def test_search_asks_for_each_higher_upper_end_alone():
     # levels of midpoints below it, and each higher end is a request of its
     # own.  A line is its own chord and secant: the bracket is the root
     # widened by the margin, and no midpoint is asked for
-    requests, est = _drive(_bisection(-1.0, 10, 0.01), lambda h: h - 1.0)
+    requests, est = _drive(_bisection(-1.0, 0.01), lambda h: h - 1.0)
     mids = _midpoints(-1.0, CRIT_H_HI, 0.01)
     assert requests[0] == [-1.0, CRIT_H_HI] + mids and len(mids) == 7
     assert requests[1:] == [[CRIT_H_HI + 0.5], [CRIT_H_HI + 1.0]]
     assert est.trail == [(h, h - 1.0) for request in requests for h in request]
     assert est.passes == 3
     assert est.bracket == (1.0 - _margin(1.0), 1.0 + _margin(1.0))
+
+
+@pytest.mark.parametrize("lo,tol,raw,outcome,passes", [
+    # raw(lo) > 0 at the annealed end
+    (-1.0, 0.01, lambda h: h + 2.0, "already localized at the annealed critical point", 1),
+    # no raw > 0 up to the last upper end, 2.25
+    (-1.0, 0.01, lambda h: -1.0, "no localized phase found", 5),
+    # the root lies below -2^48, where floats at tol = 0.04 are sparse
+    (-1e20, 0.04, lambda h: h + 1e19, "the sign change lies where floats are more than tol", 1),
+    # a bracket narrowed to adjacent floats, still wider than tol
+    (-1.0, 1e-16, lambda h: h - 0.6, "no float lies between the bracket's ends", 10),
+    # a bracket no wider than tol
+    (-1.0, 0.01, lambda h: h - 1.0, None, 3),
+])
+def test_every_outcome_carries_every_answered_pair(lo, tol, raw, outcome, passes):
+    # estimates and errors alike: the trail is every answered (h, raw), in
+    # the order asked for, and passes counts the requests
+    requests, result = _drive(_bisection(lo, tol), raw)
+    assert result.trail == [(h, raw(h)) for request in requests for h in request]
+    assert result.passes == len(requests) == passes
+    if outcome is None:
+        assert isinstance(result, CriticalPointEstimate)
+    else:
+        assert isinstance(result, BracketError) and str(result).startswith(outcome)
 
 
 # forced convex raws: f, its chord slope between two points, and its root
@@ -865,7 +895,7 @@ def test_first_pass_ends_are_the_chord_and_secant_roots(family, c, lo, tol, seca
     # upper end the least secant root, each widened by the margin; where the
     # root lies next to lo or to CRIT_H_HI, only one secant exists
     f, slope, root = _FAMILIES[family](c)
-    requests, est = _drive(_bisection(lo, 10, tol), f)
+    requests, est = _drive(_bisection(lo, tol), f)
     assert requests == [[lo, CRIT_H_HI] + _midpoints(lo, CRIT_H_HI, tol)] and est.passes == 1
     *ends, used = _closed_form_bracket(f, slope, est.trail)
     assert used == secants
@@ -883,7 +913,7 @@ def test_later_passes_ask_for_the_convex_brackets_new_midpoints(family, c):
     # and the last bracket is the closed-form one of all its raws
     f, slope, root = _FAMILIES[family](c)
     tol = 1e-9
-    requests, est = _drive(_bisection(-0.5, 10, tol), f)
+    requests, est = _drive(_bisection(-0.5, tol), f)
     assert len(requests) == est.passes > 1
     assert est.trail == [(h, f(h)) for request in requests for h in request]
     held = dict(est.trail[: len(requests[0])])
@@ -901,11 +931,11 @@ def test_search_skips_the_sparse_probe_where_no_floats_are_sparse():
     # more than tol apart; from tol = 2^971 no two do, and that bound would
     # overflow: the first request holds no probe, and the search runs on
     lo = -1.5e308
-    first = next(_bisection(lo, 10, 2.0 ** 970))
+    first = next(_bisection(lo, 2.0 ** 970))
     assert first == [lo, CRIT_H_HI] + _midpoints(lo, CRIT_H_HI, 2.0 ** 970) + [-(2.0 ** 1023)]
     assert all(map(math.isfinite, first))
     for tol in (2.0 ** 971, 1e308, sys.float_info.max):
-        requests, est = _drive(_bisection(lo, 10, tol), lambda h: h)
+        requests, est = _drive(_bisection(lo, tol), lambda h: h)
         assert requests == [[lo, CRIT_H_HI] + _midpoints(lo, CRIT_H_HI, tol)]
         assert est.passes == 1
         assert lo <= est.bracket[0] < 0 < est.bracket[1] <= CRIT_H_HI
